@@ -3,9 +3,10 @@
 Seven subcommands cover the workflow: synth writes a simulated population to
 CSV, ingest repairs and featurizes it, cluster runs the causal clustering,
 train fits a generator per cluster, evaluate scores held-out days, generate
-dumps raw ensembles, and scenario samples counterfactual days under named
-tariff vectors. Every stage is seeded and skips work whose outputs already
-exist, so the whole chain reruns bit-identically.
+writes the very ensembles evaluate scores, and scenario samples
+counterfactual days under named tariff vectors. Every stage is seeded and
+skips work whose outputs already exist, so the whole chain reruns
+bit-identically.
 """
 
 import argparse

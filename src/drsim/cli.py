@@ -28,33 +28,28 @@ def build_parser():
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the run directory")
         cmd.add_argument("--force", action="store_true", help="rebuild cached outputs")
-        cmd.add_argument(
-            "--generator",
-            choices=pipeline.GENERATOR_NAMES,
-            default=None,
-            help="restrict train/generate/evaluate/scenario to one generator",
-        )
+        if name in ("train", "generate", "evaluate", "scenario"):
+            cmd.add_argument("--generator", choices=pipeline.GENERATOR_NAMES,
+                             help="restrict this stage to one generator")
     return parser
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
-    config = pipeline.load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, out=args.out)
-    paths = pipeline.RunPaths(config.out)
-    stage = pipeline.STAGES[args.command]
-    if args.command in ("train", "generate", "evaluate", "scenario"):
-        written = stage(config, paths, force=args.force, generator=args.generator)
-    else:
-        written = stage(config, paths, force=args.force)
+    # what is left after popping the shared options are the stage's keyword arguments
+    options = vars(build_parser().parse_args(argv))
+    command = options.pop("command")
+    config = pipeline.load_config(options.pop("config"))
+    seed, out = options.pop("seed"), options.pop("out")
+    if seed is not None:
+        config = replace(config, seed=seed)
+    if out is not None:
+        config = replace(config, out=out)
+    written = pipeline.STAGES[command](config, pipeline.RunPaths(config.out), **options)
     if written:
         for path in written:
             print(path)
     else:
-        print(f"{args.command}: outputs present, nothing to do (use --force)")
+        print(f"{command}: outputs present, nothing to do (use --force)")
     return 0
 
 

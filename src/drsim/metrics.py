@@ -133,14 +133,20 @@ class ScoreReport:
         return out
 
 
+def day_seed(seed, pos):
+    """Ensemble seed for the day at position pos under root seed."""
+    return int(np.random.SeedSequence((seed, pos)).generate_state(1)[0])
+
+
 def evaluate_generators(observations, generators, day_labels=None,
                         n_samples=DEFAULT_ENSEMBLE, variogram_p=DEFAULT_VARIOGRAM_P,
                         seed=0):
     """Score every generator on every observation day.
 
     generators maps a name to a callable (day_position, n_samples, seed) ->
-    (n_samples, H) ensemble. Each day gets one derived seed shared by all
-    generators, so identical generators produce identical rows.
+    (n_samples, H) ensemble. Each day gets one derived seed, day_seed(seed,
+    pos), shared by all generators, so identical generators produce identical
+    rows.
     """
     observations = np.asarray(observations, dtype=float)
     if observations.ndim != 2:
@@ -152,9 +158,9 @@ def evaluate_generators(observations, generators, day_labels=None,
 
     rows = []
     for pos, label in enumerate(day_labels):
-        day_seed = int(np.random.SeedSequence((seed, pos)).generate_state(1)[0])
+        seed_pos = day_seed(seed, pos)
         for name, make in generators.items():
-            ensemble = make(pos, n_samples, day_seed)
+            ensemble = make(pos, n_samples, seed_pos)
             rows.append(
                 ScoreRow(
                     day=int(label),

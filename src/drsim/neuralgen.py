@@ -307,6 +307,21 @@ def _train_once(y_train, x_train, y_test, x_test, config, seed):
     return encoder, decoder, mse, losses, None
 
 
+def _scaled_split(y, x, partition):
+    """Scale y by its train-period min/max; returns (y_min, y_max,
+    (y_train, x_train, y_test, x_test))."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y_min = float(y[partition.train].min())
+    y_max = float(y[partition.train].max())
+    if y_max <= y_min:
+        raise TrainingError("degenerate scaling bounds (constant training data)")
+    y_scaled = (y - y_min) / (y_max - y_min)
+    split = (y_scaled[partition.train], x[partition.train],
+             y_scaled[partition.test], x[partition.test])
+    return y_min, y_max, split
+
+
 def train_cvae(y, x, partition, config=None):
     """Train with restarts on kWh profiles y (T, H) and conditionals x (T, dx).
 
@@ -320,21 +335,8 @@ def train_cvae(y, x, partition, config=None):
     if y.ndim != 2 or x.ndim != 2 or y.shape[0] != x.shape[0]:
         raise TrainingError("profiles and conditionals must be matching 2-d arrays")
 
-    y_min = float(y[partition.train].min())
-    y_max = float(y[partition.train].max())
-    if y_max <= y_min:
-        raise TrainingError("degenerate scaling bounds (constant training data)")
-    y_scaled = (y - y_min) / (y_max - y_min)
-
-    y_tr, x_tr = y_scaled[partition.train], x[partition.train]
-    y_te, x_te = y_scaled[partition.test], x[partition.test]
-
-    results = []
-    for j in range(config.restarts):
-        enc, dec, mse, losses, err = _train_once(
-            y_tr, x_tr, y_te, x_te, config, config.seed + j
-        )
-        results.append((enc, dec, mse, losses, err))
+    y_min, y_max, split = _scaled_split(y, x, partition)
+    results = [_train_once(*split, config, config.seed + j) for j in range(config.restarts)]
     return select_best(results, y_min, y_max, config)
 
 
@@ -384,20 +386,11 @@ def hyperparameter_grid_search(y, x, partition, base_config, grid):
     if not combos:
         raise TrainingError("empty hyperparameter grid")
 
-    y = np.asarray(y, dtype=float)
-    y_min = float(y[partition.train].min())
-    y_max = float(y[partition.train].max())
-    if y_max <= y_min:
-        raise TrainingError("degenerate scaling bounds (constant training data)")
-    y_scaled = (y - y_min) / (y_max - y_min)
-    x = np.asarray(x, dtype=float)
-    y_tr, x_tr = y_scaled[partition.train], x[partition.train]
-    y_te, x_te = y_scaled[partition.test], x[partition.test]
-
+    _, _, split = _scaled_split(y, x, partition)
     records = []
     for combo in combos:
         config = replace(base_config, **dict(zip(keys, combo)))
-        _, _, mse, _, _ = _train_once(y_tr, x_tr, y_te, x_te, config, config.seed)
+        _, _, mse, _, _ = _train_once(*split, config, config.seed)
         records.append((config, mse))
     best = min(range(len(records)), key=lambda i: (records[i][1], i))
     return records[best][0], records

@@ -27,7 +27,6 @@ SEED_KMEDOIDS = 14
 SEED_RANDOM_BASELINE = 15
 SEED_CVAE = 20
 SEED_EVALUATE = 30
-SEED_GENERATE = 31
 SEED_SCENARIO = 32
 
 GENERATOR_NAMES = ("cvae", "gam")
@@ -156,6 +155,9 @@ def load_config(path):
             raise ConfigError(f"unknown generator(s): {sorted(bad)}")
     if "evaluate" in raw:
         config.evaluate = _section(EvaluateSection, raw["evaluate"], "evaluate")
+        n = config.evaluate.n_samples
+        if n < 2 or n % 2:
+            raise ConfigError(f"evaluate.n_samples={n!r} must be even and at least 2")
     if "scenario" in raw:
         config.scenario = _section(
             ScenarioSection, raw["scenario"], "scenario", convert={"scenarios": tuple}
@@ -231,12 +233,9 @@ class RunPaths:
         return self.out / f"scenario_{name}_{generator}_cluster{label}.csv"
 
 
-def _fresh(paths, force, targets):
+def _fresh(force, targets):
     """True when all targets exist and --force was not given (skip stage)."""
-    existing = [p for p in targets if p.exists()]
-    if force or len(existing) < len(targets):
-        return False
-    return True
+    return not force and all(p.exists() for p in targets)
 
 
 def stage_synth(config, paths, force=False):
@@ -267,7 +266,7 @@ def stage_synth(config, paths, force=False):
 
 def stage_ingest(config, paths, force=False):
     targets = [paths.prepared]
-    if _fresh(paths, force, targets):
+    if _fresh(force, targets):
         return []
     paths.out.mkdir(parents=True, exist_ok=True)
     consumption = config.ingest.consumption or paths.consumption
@@ -295,7 +294,7 @@ def _require(path, hint):
 
 def stage_cluster(config, paths, force=False):
     targets = [paths.profiles, paths.assignments, paths.cluster_scores]
-    if _fresh(paths, force, targets):
+    if _fresh(force, targets):
         return []
     _require(paths.prepared, "ingest")
     ds = dataio.load_prepared(paths.prepared)
@@ -401,7 +400,7 @@ def stage_train(config, paths, force=False, generator=None):
         if "gam" in names:
             targets = [paths.gam_model(label), paths.gam_coefficients(label),
                        paths.gam_sigma(label)]
-            if not _fresh(paths, force, targets):
+            if not _fresh(force, targets):
                 gen = gamgen.fit_gam_generator(
                     f"cluster{label}",
                     bundle["series"],
@@ -417,7 +416,7 @@ def stage_train(config, paths, force=False, generator=None):
                 written.extend(targets)
         if "cvae" in names:
             targets = [paths.cvae_model(label), paths.cvae_log(label)]
-            if not _fresh(paths, force, targets):
+            if not _fresh(force, targets):
                 x = ds.conditional_matrix(bundle["schedule"])
                 cvae_config = replace(
                     config.train.cvae, seed=derive_seed(config.seed, SEED_CVAE, label)
@@ -439,28 +438,36 @@ def stage_train(config, paths, force=False, generator=None):
     return written
 
 
-def _ensemble_fn(name, paths, label, ds, schedule, test_days):
-    """Ensemble callable (day_position, n, seed) -> (n, 48) for one cluster."""
+def _sampler(name, paths, label, ds):
+    """Load one cluster's generator; returns (day, tariffs, n, seed) -> (n, 48)."""
     if name == "gam":
         _require(paths.gam_model(label), "train --generator gam")
         gen = gamgen.load_generator(paths.gam_model(label))
 
-        def make(pos, n, seed):
-            t = test_days[pos]
+        def sample(day, tariffs, n, seed):
             return gen.sample(
-                ds.tau[t], ds.tau_bar_daily[t], ds.calendar.kappa[t],
-                ds.calendar.w[t], schedule[t], n, seed,
+                ds.tau[day], ds.tau_bar_daily[day], ds.calendar.kappa[day],
+                ds.calendar.w[day], tariffs, n, seed,
             )
 
-        return make
+        return sample
     _require(paths.cvae_model(label), "train --generator cvae")
     model = neuralgen.load_model(paths.cvae_model(label))
-    x = ds.conditional_matrix(schedule)
 
-    def make(pos, n, seed):
-        return neuralgen.generate(model, x[test_days[pos]], n, seed)
+    def sample(day, tariffs, n, seed):
+        x = dataio.build_conditional_vector(
+            ds.pca_scores[day], ds.calendar.kappa[day], ds.calendar.w[day], tariffs
+        )
+        return neuralgen.generate(model, x, n, seed)
 
-    return make
+    return sample
+
+
+def _test_day_ensembles(name, paths, label, ds, schedule):
+    """(test_day_position, n, seed) -> (n, 48) under the cluster's own schedule."""
+    sample = _sampler(name, paths, label, ds)
+    days = ds.partition.test
+    return lambda pos, n, seed: sample(days[pos], schedule[days[pos]], n, seed)
 
 
 def stage_evaluate(config, paths, force=False, generator=None):
@@ -470,10 +477,10 @@ def stage_evaluate(config, paths, force=False, generator=None):
     written = []
     for label, bundle in clusters.items():
         targets = [paths.report(label), paths.summary(label)]
-        if _fresh(paths, force, targets):
+        if _fresh(force, targets):
             continue
         generators = {
-            name: _ensemble_fn(name, paths, label, ds, bundle["schedule"], test_days)
+            name: _test_day_ensembles(name, paths, label, ds, bundle["schedule"])
             for name in names
         }
         report = metrics.evaluate_generators(
@@ -502,20 +509,22 @@ def write_samples_csv(ensembles, day_labels, path):
 
 
 def stage_generate(config, paths, force=False, generator=None):
+    """Write the ensembles stage_evaluate scores: same samplers, same day seeds."""
     names = _pick_generators(config, generator)
     ds, clusters = _cluster_inputs(paths)
     test_days = ds.partition.test
     written = []
     for label, bundle in clusters.items():
+        root = derive_seed(config.seed, SEED_EVALUATE, label)
         for name in names:
             target = paths.samples(name, label)
-            if _fresh(paths, force, [target]):
+            if _fresh(force, [target]):
                 continue
-            make = _ensemble_fn(name, paths, label, ds, bundle["schedule"], test_days)
-            ensembles = []
-            for pos in range(len(test_days)):
-                seed = derive_seed(config.seed, SEED_GENERATE, label, pos)
-                ensembles.append(make(pos, config.evaluate.n_samples, seed))
+            make = _test_day_ensembles(name, paths, label, ds, bundle["schedule"])
+            ensembles = [
+                make(pos, config.evaluate.n_samples, metrics.day_seed(root, pos))
+                for pos in range(len(test_days))
+            ]
             write_samples_csv(ensembles, [int(t) for t in test_days], target)
             written.append(target)
     return written
@@ -540,35 +549,23 @@ def stage_scenario(config, paths, force=False, generator=None):
     ds, clusters = _cluster_inputs(paths)
     day = int(ds.partition.test[0])   # representative conditions
     written = []
-    for label, bundle in clusters.items():
+    for label in clusters:
+        sample = None
         for si, scen in enumerate(config.scenario.scenarios):
             targets = [
                 paths.scenario_mean(scen, name, label),
                 paths.scenario_samples(scen, name, label),
             ]
-            if _fresh(paths, force, targets):
+            if _fresh(force, targets):
                 continue
-            tariffs = scenario_tariffs(scen)
+            if sample is None:
+                sample = _sampler(name, paths, label, ds)
             seed = derive_seed(config.seed, SEED_SCENARIO, label, si)
-            if name == "gam":
-                _require(paths.gam_model(label), "train --generator gam")
-                gen = gamgen.load_generator(paths.gam_model(label))
-                ensemble = gen.sample(
-                    ds.tau[day], ds.tau_bar_daily[day], ds.calendar.kappa[day],
-                    ds.calendar.w[day], tariffs, config.scenario.n_samples, seed,
-                )
-            else:
-                _require(paths.cvae_model(label), "train --generator cvae")
-                model = neuralgen.load_model(paths.cvae_model(label))
-                x = dataio.build_conditional_vector(
-                    ds.pca_scores[day], ds.calendar.kappa[day], ds.calendar.w[day], tariffs
-                )
-                ensemble = neuralgen.generate(model, x, config.scenario.n_samples, seed)
-            mean = ensemble.mean(axis=0)
+            ensemble = sample(day, scenario_tariffs(scen), config.scenario.n_samples, seed)
             with open(paths.scenario_mean(scen, name, label), "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["h", "kwh"])
-                for h, value in enumerate(mean, start=1):
+                for h, value in enumerate(ensemble.mean(axis=0), start=1):
                     writer.writerow([h, repr(float(value))])
             write_samples_csv([ensemble], [day], paths.scenario_samples(scen, name, label))
             written.extend(targets)

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from drsim import cli, metrics, pipeline
+from drsim.dataio import HALF_HOURS
 
 
 CONFIG = """\
@@ -25,6 +27,11 @@ scenario:
   n_samples: 16
 """
 
+CVAE_CONFIG = CONFIG.replace(
+    "  generators: [gam]\n",
+    "  generators: [gam, cvae]\n  cvae: {{restarts: 1, max_epochs: 20}}\n",
+)
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -43,9 +50,55 @@ def full_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
     cfg = tmp / "cfg.yaml"
     cfg.write_text(CONFIG.format(out=tmp / "run"))
-    for stage in ("synth", "ingest", "cluster", "train", "evaluate", "scenario"):
+    for stage in ("synth", "ingest", "cluster", "train", "generate", "evaluate", "scenario"):
         assert run_cli(stage, "--config", str(cfg)) == 0
     return tmp, cfg
+
+
+@pytest.fixture(scope="module")
+def cvae_run(tmp_path_factory):
+    """Both generators, the CVAE kept tiny, with scenarios from the CVAE."""
+    tmp = tmp_path_factory.mktemp("cli_cvae")
+    cfg = tmp / "cfg.yaml"
+    cfg.write_text(CVAE_CONFIG.format(out=tmp / "run"))
+    for stage in ("synth", "ingest", "cluster", "train", "generate", "evaluate"):
+        assert run_cli(stage, "--config", str(cfg)) == 0
+    assert run_cli("scenario", "--config", str(cfg), "--generator", "cvae") == 0
+    return tmp, cfg
+
+
+def read_samples(path):
+    """samples_*.csv as {day: (n, 48) ensemble}, checking header and row order."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["day", "sample", "h", "kwh"]
+        rows = np.array([[float(v) for v in row] for row in reader])
+    ensembles = {}
+    for day in dict.fromkeys(rows[:, 0].astype(int)):
+        block = rows[rows[:, 0] == day]
+        n = len(block) // HALF_HOURS
+        assert np.array_equal(block[:, 1], np.repeat(np.arange(n), HALF_HOURS))
+        assert np.array_equal(block[:, 2], np.tile(np.arange(1, HALF_HOURS + 1), n))
+        ensembles[int(day)] = block[:, 3].reshape(n, HALF_HOURS)
+    return ensembles
+
+
+def assert_samples_are_scored(run, generator, n_samples):
+    """The ensembles on disk reproduce the report's scores exactly."""
+    ds, clusters = pipeline._cluster_inputs(pipeline.RunPaths(run))
+    test_days = [int(t) for t in ds.partition.test]
+    for label, bundle in clusters.items():
+        ensembles = read_samples(run / f"samples_{generator}_cluster{label}.csv")
+        assert list(ensembles) == test_days
+        report = metrics.read_report_csv(run / f"report_cluster{label}.csv")
+        rows = [r for r in report.rows if r.generator == generator]
+        assert [r.day for r in rows] == test_days
+        for row in rows:
+            ensemble = ensembles[row.day]
+            assert ensemble.shape == (n_samples, HALF_HOURS)
+            y = bundle["series"][row.day]
+            assert metrics.energy_score(ensemble, y) == row.energy
+            assert metrics.rmse(ensemble, y) == row.rmse
 
 
 class TestStages:
@@ -82,6 +135,17 @@ class TestStages:
         assert scores["nmf_error_last"] <= scores["nmf_error_first"]
         assert len(scores["medoids"]) == 2
 
+    def test_generate_writes_scored_ensembles(self, full_run):
+        tmp, _ = full_run
+        run = tmp / "run"
+        paths = sorted(run.glob("samples_gam_cluster*.csv"))
+        assert len(paths) == 2
+        for path in paths:
+            with open(path) as fh:
+                assert fh.readline().strip() == "day,sample,h,kwh"
+                assert sum(1 for _ in fh) == 10 * 20 * HALF_HOURS
+        assert_samples_are_scored(run, "gam", 20)
+
     def test_cached_stage_skips(self, full_run, capsys):
         _, cfg = full_run
         assert run_cli("ingest", "--config", str(cfg)) == 0
@@ -111,6 +175,39 @@ class TestStages:
         assert (tmp / "run" / "consumption.csv").read_bytes() != baseline
 
 
+class TestCvae:
+    def test_train_writes_models_and_logs(self, cvae_run):
+        tmp, _ = cvae_run
+        for label in (0, 1):
+            assert (tmp / "run" / f"cvae_cluster{label}.npz").exists()
+            log = json.loads((tmp / "run" / f"cvae_cluster{label}_restarts.json").read_text())
+            assert len(log["restart_mses"]) == 1
+            assert log["epochs"] <= 20
+            assert np.isfinite(log["test_mse"])
+
+    def test_report_scores_both_generators(self, cvae_run):
+        tmp, _ = cvae_run
+        for path in sorted((tmp / "run").glob("report_cluster*.csv")):
+            assert metrics.read_report_csv(path).generator_names() == ["gam", "cvae"]
+
+    def test_generate_writes_scored_ensembles(self, cvae_run):
+        tmp, _ = cvae_run
+        assert_samples_are_scored(tmp / "run", "cvae", 20)
+
+    def test_scenario_uses_cvae(self, cvae_run):
+        tmp, _ = cvae_run
+        run = tmp / "run"
+        assert not list(run.glob("scenario_*_gam_*"))
+        for label in (0, 1):
+            for scen in ("normal", "low_morning", "high_evening"):
+                stem = run / f"scenario_{scen}_cvae_cluster{label}"
+                mean = stem.with_name(stem.name + "_mean.csv").read_text().splitlines()
+                assert mean[0] == "h,kwh" and len(mean) == 1 + HALF_HOURS
+                ensemble = read_samples(stem.with_suffix(".csv"))
+                assert len(ensemble) == 1
+                assert next(iter(ensemble.values())).shape == (16, HALF_HOURS)
+
+
 class TestValidation:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -124,6 +221,22 @@ class TestValidation:
         cfg.write_text("synth:\n  households: {night_owl: 3}\n")
         assert run_cli("synth", "--config", str(cfg)) == 2
         assert "night_owl" in json.loads(capsys.readouterr().err.strip())["error"]
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 21])
+    def test_bad_ensemble_size_rejected(self, tmp_path, capsys, n_samples):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"evaluate:\n  n_samples: {n_samples}\n")
+        assert run_cli("synth", "--config", str(cfg)) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["type"] == "ConfigError"
+        assert "n_samples" in payload["error"]
+
+    def test_generator_flag_only_on_generator_stages(self, workdir, capsys):
+        _, cfg = workdir
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "--config", str(cfg), "--generator", "cvae")
+        assert exc.value.code == 2
+        assert "--generator" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli("synth", "--config", str(tmp_path / "nope.yaml")) == 2

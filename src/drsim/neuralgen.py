@@ -10,12 +10,16 @@ live in [0, 1] and generated profiles in the training min/max range exactly.
 Training minimizes mean_batch(||y - yhat||^2 + eta * KL) with KL against the
 standard Normal in closed form. Each restart reruns init, shuffling and
 reparameterization draws under seed + restart_index; the restart with the
-lowest test reconstruction MSE wins.
+lowest test reconstruction MSE wins. Restarts depend only on their seed, so
+they run in parallel over the usable CPUs where the platform can fork, with
+results identical to a serial run.
 """
 
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -248,6 +252,7 @@ class TrainedCvae:
     restart_index: int = 0
     epoch_losses: list = field(default_factory=list)
     restart_mses: list = field(default_factory=list)
+    restart_epochs: list = field(default_factory=list)
 
     def scale(self, y):
         return (y - self.y_min) / (self.y_max - self.y_min)
@@ -267,13 +272,31 @@ def _test_mse(encoder, decoder, d, y_scaled, x, rng):
     return float(np.mean(((y_scaled - y_hat) ** 2).sum(axis=1)))
 
 
+def _flatten_params(nets):
+    """Copy every weight and bias of nets into one contiguous buffer and
+    rebind each layer's arrays as views of it, in params() order."""
+    layers = [layer for net in nets for layer in net.layers]
+    flat = np.concatenate([p.ravel() for net in nets for p in net.params()])
+    offset = 0
+    for layer in layers:
+        for name in ("weights", "bias"):
+            a = getattr(layer, name)
+            setattr(layer, name, flat[offset : offset + a.size].reshape(a.shape))
+            offset += a.size
+    return flat
+
+
 def _train_once(y_train, x_train, y_test, x_test, config, seed):
     """One restart; returns (encoder, decoder, test_mse, epoch_losses) or an
-    error string when the loss degenerates."""
+    error string when the loss degenerates.
+
+    All parameters live in one flat buffer, so each step is a single Adam
+    update on it; elementwise Adam gives the same bits as per-array updates.
+    """
     rng = np.random.default_rng(seed)
     encoder, decoder = _build_nets(y_train.shape[1], x_train.shape[1], config, rng)
-    params = encoder.params() + decoder.params()
-    state = adam_init(params)
+    flat = _flatten_params((encoder, decoder))
+    state = adam_init([flat])
 
     n = y_train.shape[0]
     best = np.inf
@@ -288,7 +311,8 @@ def _train_once(y_train, x_train, y_test, x_test, config, seed):
             loss, grads = cvae_loss_and_grads(
                 encoder, decoder, config, y_train[idx], x_train[idx], eps
             )
-            adam_step(params, grads, state, config.learning_rate)
+            grad = np.concatenate([g.ravel() for g in grads])
+            adam_step([flat], [grad], state, config.learning_rate)
             total += loss * len(idx)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
@@ -336,8 +360,29 @@ def train_cvae(y, x, partition, config=None):
         raise TrainingError("profiles and conditionals must be matching 2-d arrays")
 
     y_min, y_max, split = _scaled_split(y, x, partition)
-    results = [_train_once(*split, config, config.seed + j) for j in range(config.restarts)]
+    results = _run_jobs([(*split, config, config.seed + j) for j in range(config.restarts)])
     return select_best(results, y_min, y_max, config)
+
+
+def _usable_cpus():
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_jobs(jobs):
+    """_train_once(*args) for each args tuple in jobs; results in job order.
+
+    Jobs run on a fork pool of min(len(jobs), usable CPUs) workers, and
+    in-process when that is one worker or the platform cannot fork. A job
+    depends only on its arguments, so both paths give the same bits. Fork,
+    unlike spawn or forkserver, needs no __main__ guard in the calling script.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_train_once(*args) for args in jobs]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.starmap(_train_once, jobs, chunksize=1)
 
 
 def select_best(results, y_min, y_max, config):
@@ -358,6 +403,7 @@ def select_best(results, y_min, y_max, config):
         restart_index=best,
         epoch_losses=losses,
         restart_mses=[float(m) for m in mses],
+        restart_epochs=[len(r[3]) for r in results],
     )
 
 
@@ -387,11 +433,9 @@ def hyperparameter_grid_search(y, x, partition, base_config, grid):
         raise TrainingError("empty hyperparameter grid")
 
     _, _, split = _scaled_split(y, x, partition)
-    records = []
-    for combo in combos:
-        config = replace(base_config, **dict(zip(keys, combo)))
-        _, _, mse, _, _ = _train_once(*split, config, config.seed)
-        records.append((config, mse))
+    configs = [replace(base_config, **dict(zip(keys, combo))) for combo in combos]
+    results = _run_jobs([(*split, config, config.seed) for config in configs])
+    records = [(config, result[2]) for config, result in zip(configs, results)]
     best = min(range(len(records)), key=lambda i: (records[i][1], i))
     return records[best][0], records
 

@@ -427,7 +427,10 @@ def stage_train(config, paths, force=False, generator=None):
                     json.dump(
                         {
                             "restart_mses": model.restart_mses,
+                            "restart_epochs": model.restart_epochs,
                             "best_restart": model.restart_index,
+                            # the winner is picked on the days evaluate scores
+                            "selected_on": "test",
                             "test_mse": model.test_mse,
                             "epochs": len(model.epoch_losses),
                         },

@@ -185,6 +185,13 @@ class TestCvae:
             assert log["epochs"] <= 20
             assert np.isfinite(log["test_mse"])
 
+    def test_restart_log_records_epochs_and_selection(self, cvae_run):
+        tmp, _ = cvae_run
+        for label in (0, 1):
+            log = json.loads((tmp / "run" / f"cvae_cluster{label}_restarts.json").read_text())
+            assert log["restart_epochs"] == [log["epochs"]]
+            assert log["selected_on"] == "test"
+
     def test_report_scores_both_generators(self, cvae_run):
         tmp, _ = cvae_run
         for path in sorted((tmp / "run").glob("report_cluster*.csv")):

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -101,6 +104,22 @@ class TestBuildingBlocks:
         # bias corrections cancel on step one: p = -lr * g / (|g| + eps)
         expected = -0.01 * grads[0] / (np.abs(grads[0]) + 1e-8)
         np.testing.assert_allclose(params[0], expected, rtol=1e-12)
+
+    def test_flat_adam_step_matches_per_array_steps(self, rng):
+        encoder, decoder = neuralgen._build_nets(6, 2, tiny_config(), rng)
+        arrays = [p.copy() for p in encoder.params() + decoder.params()]
+        assert len(arrays) == 8
+        flat = np.concatenate([a.ravel() for a in arrays])
+        per_array = neuralgen.adam_init(arrays)
+        one = neuralgen.adam_init([flat])
+        for _ in range(50):
+            grads = [rng.standard_normal(a.shape) for a in arrays]
+            neuralgen.adam_step(arrays, grads, per_array, lr=3e-3)
+            neuralgen.adam_step([flat], [np.concatenate([g.ravel() for g in grads])], one, lr=3e-3)
+        assert one.t == per_array.t == 50
+        np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+        np.testing.assert_array_equal(one.m[0], np.concatenate([m.ravel() for m in per_array.m]))
+        np.testing.assert_array_equal(one.v[0], np.concatenate([v.ravel() for v in per_array.v]))
 
     def test_encoder_width_validation(self, rng):
         enc = neuralgen.DenseNet.build([8, 5], ["linear"], rng)
@@ -208,6 +227,79 @@ class TestTraining:
             )
 
 
+def all_params(model):
+    return model.encoder.params() + model.decoder.params()
+
+
+def force_cpus(monkeypatch, tmp_path, cpus):
+    """Pretend cpus CPUs are usable; returns a file logging each restart's pid."""
+    monkeypatch.setattr(neuralgen, "_usable_cpus", lambda: cpus)
+    log = tmp_path / f"pids{cpus}.txt"
+    train_once = neuralgen._train_once
+
+    @functools.wraps(train_once)
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return train_once(*args)
+
+    monkeypatch.setattr(neuralgen, "_train_once", logged)
+    return log
+
+
+def assert_ran_in(log, cpus):
+    pids = {int(line) for line in log.read_text().split()}
+    if cpus == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+
+
+class TestParallelRestarts:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pool_matches_in_process(self, monkeypatch, tmp_path, cpus):
+        y, x, partition = tiny_dataset(seed=4)
+        config = tiny_config(restarts=3, max_epochs=25, patience=5)
+        y_min, y_max, split = neuralgen._scaled_split(y, x, partition)
+        serial = neuralgen.select_best(
+            [neuralgen._train_once(*split, config, config.seed + j) for j in range(3)],
+            y_min, y_max, config,
+        )
+        log = force_cpus(monkeypatch, tmp_path, cpus)
+        model = neuralgen.train_cvae(y, x, partition, config)
+        assert_ran_in(log, cpus)
+        for a, b in zip(all_params(model), all_params(serial), strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert model.restart_mses == serial.restart_mses
+        assert model.restart_index == serial.restart_index
+        assert model.epoch_losses == serial.epoch_losses
+        assert model.restart_epochs == serial.restart_epochs
+        assert model.test_mse == serial.test_mse
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_grid_search_pool_matches_in_process(self, monkeypatch, tmp_path, cpus):
+        y, x, partition = tiny_dataset()
+        base = tiny_config(restarts=1, max_epochs=8)
+        grid = {"latent_dim": [1, 2], "eta": [1.0, 4.0]}
+        _, _, split = neuralgen._scaled_split(y, x, partition)
+        expected = []
+        for latent_dim, eta in [(1, 1.0), (1, 4.0), (2, 1.0), (2, 4.0)]:
+            config = dataclasses.replace(base, latent_dim=latent_dim, eta=eta)
+            expected.append((config, neuralgen._train_once(*split, config, config.seed)[2]))
+        log = force_cpus(monkeypatch, tmp_path, cpus)
+        best, records = neuralgen.hyperparameter_grid_search(y, x, partition, base, grid)
+        assert_ran_in(log, cpus)
+        assert records == expected
+        assert best == min(expected, key=lambda r: r[1])[0]
+
+    def test_restart_epochs_recorded(self):
+        y, x, partition = tiny_dataset()
+        model = neuralgen.train_cvae(y, x, partition, tiny_config(restarts=3, max_epochs=30))
+        assert len(model.restart_epochs) == 3
+        assert all(0 < e <= 30 for e in model.restart_epochs)
+        assert model.restart_epochs[model.restart_index] == len(model.epoch_losses)
+
+
 @pytest.fixture(scope="module")
 def model():
     y, x, partition = tiny_dataset()
@@ -275,6 +367,20 @@ class TestPersistence:
             neuralgen.generate(loaded, xq, 12, seed=2),
             neuralgen.generate(model, xq, 12, seed=2),
         )
+
+    def test_round_trip_exact_with_view_weights(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(neuralgen, "_usable_cpus", lambda: 1)
+        y, x, partition = tiny_dataset()
+        model = neuralgen.train_cvae(y, x, partition, tiny_config(restarts=2, max_epochs=10))
+        params = all_params(model)
+        # in-process training leaves every weight a view of one flat buffer
+        assert all(p.base is not None and p.base is params[0].base for p in params)
+        path = tmp_path / "cvae.npz"
+        neuralgen.save_model(model, path)
+        loaded = all_params(neuralgen.load_model(path))
+        for a, b in zip(params, loaded, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
     def test_tampered_config_hash_rejected(self, tmp_path):
         import json

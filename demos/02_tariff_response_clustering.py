@@ -27,11 +27,8 @@ def main():
     pop = synthdata.generate_population(archetypes, counts, n_days=150, seed=args.seed)
     print(f"population: {len(pop.household_ids)} households x {len(pop.dates)} days")
 
-    print("fitting 48 location-scale models per household ...")
-    profiles = []
-    for i, hid in enumerate(pop.household_ids):
-        models = causality.fit_entity(pop.kwh[i], pop.tau, pop.tariff[i])
-        profiles.append(causality.tariff_profile(hid, models, pop.tau))
+    print("fitting 48 location-scale models per household, one half-hour at a time ...")
+    profiles = causality.fit_profiles(pop.household_ids, pop.kwh, pop.tau, pop.tariff)
 
     pm = clustering.build_profile_matrix(profiles)
     print(f"profile matrix: {pm.matrix.shape[0]} households x {pm.matrix.shape[1]} "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, TARIFF_NAMES
-from .splines import CenteredSplineBlock, CubicSplineBasis, penalized_lstsq
+from .splines import CenteredSplineBlock, CubicSplineBasis, matvec_rows, penalized_lstsq
 
 SCALE_FLOOR = 1e-6
 HALF_NORMAL_FACTOR = np.sqrt(np.pi / 2.0)
@@ -51,6 +51,31 @@ class LocationScaleModel:
         return float(self.scale[code])
 
 
+def _fit_rows(spline_design, penalty, rows, tariff, lam_grid):
+    """Fit the series in rows (m, n), which share one spline design and tariff column.
+
+    The design is the centered spline block plus one indicator column per
+    tariff actually observed; there is no global intercept, so the tariff
+    offsets absorb the level. Returns (spline_coef (m, p), tariff_coef (3, m),
+    scale (3, m), lam (m,)), with NaN rows for tariffs never observed. Row j
+    is bit-identical to fitting rows[j] alone.
+    """
+    observed = [code for code in (LOW, NORMAL, HIGH) if np.any(tariff == code)]
+    blocks = [spline_design] + [(tariff == code).astype(float)[:, None] for code in observed]
+    penalties = [penalty] + [None] * len(observed)
+    fit = penalized_lstsq(blocks, penalties, rows.T, lam_grid=lam_grid)
+
+    tariff_coef = np.full((3, len(rows)), np.nan)
+    scale = np.full((3, len(rows)), np.nan)
+    resid = rows - matvec_rows(np.hstack(blocks), fit.coef.T)
+    for i, code in enumerate(observed):
+        tariff_coef[code] = fit.block_coef(1 + i)[0]
+        # C order, so each row's mean sums like a lone 1-d mean
+        abs_resid = np.abs(np.ascontiguousarray(resid[:, tariff == code]))
+        scale[code] = np.maximum(abs_resid.mean(axis=1) * HALF_NORMAL_FACTOR, SCALE_FLOOR)
+    return fit.block_coef(0).T, tariff_coef, scale, fit.lam
+
+
 def fit_location_scale(y, tau, tariff, lam_grid=None, basis=None):
     """Fit one half-hour series of (consumption, temperature, tariff) triples.
 
@@ -69,35 +94,16 @@ def fit_location_scale(y, tau, tariff, lam_grid=None, basis=None):
     if y.size < basis.dim + 3:
         raise FitError(f"need at least {basis.dim + 3} observations, got {y.size}")
 
-    observed = [code for code in (LOW, NORMAL, HIGH) if np.any(tariff == code)]
     spline, design = CenteredSplineBlock.fit(basis, tau)
-    blocks = [design]
-    penalties = [spline.penalty()]
-    for code in observed:
-        blocks.append((tariff == code).astype(float)[:, None])
-        penalties.append(None)
-
-    fit = penalized_lstsq(blocks, penalties, y, lam_grid=lam_grid)
-
-    tariff_coef = np.full(3, np.nan)
-    for i, code in enumerate(observed):
-        tariff_coef[code] = fit.block_coef(1 + i)[0]
-
-    x = np.hstack(blocks)
-    resid = y - x @ fit.coef
-    scale = np.full(3, np.nan)
-    for code in observed:
-        mask = tariff == code
-        scale[code] = max(
-            float(np.mean(np.abs(resid[mask]))) * HALF_NORMAL_FACTOR, SCALE_FLOOR
-        )
-
+    coef, tariff_coef, scale, lam = _fit_rows(
+        design, spline.penalty(), y[None, :], tariff, lam_grid
+    )
     return LocationScaleModel(
         spline=spline,
-        spline_coef=fit.block_coef(0),
-        tariff_coef=tariff_coef,
-        scale=scale,
-        lam=fit.lam,
+        spline_coef=coef[0],
+        tariff_coef=tariff_coef[:, 0],
+        scale=scale[:, 0],
+        lam=float(lam[0]),
         n_obs=y.size,
     )
 
@@ -126,6 +132,22 @@ class TariffResponseProfile:
     entity: str
     mu: np.ndarray      # (3, 48)
     sigma: np.ndarray   # (3, 48)
+    lam: np.ndarray = None  # (48,) GCV-chosen lambdas, when fitted rather than read
+
+
+def _day_average(spline_part, tariff_coef, scale):
+    """(3, m) mu and sigma of m fitted means from their spline parts (m, T).
+
+    mu(p) is the day mean of spline part + xi(p); a tariff with a NaN offset
+    takes the Normal tariff's offset and scale.
+    """
+    missing = np.isnan(tariff_coef)
+    xi = np.where(missing, tariff_coef[NORMAL], tariff_coef)
+    sigma = np.where(missing, scale[NORMAL], scale)
+    mu = np.stack(
+        [np.mean(spline_part + xi[code][:, None], axis=1) for code in (LOW, NORMAL, HIGH)]
+    )
+    return mu, sigma
 
 
 def tariff_profile(entity, models, tau):
@@ -141,12 +163,57 @@ def tariff_profile(entity, models, tau):
     sigma = np.empty((3, HALF_HOURS))
     for h, model in enumerate(models):
         if not model.available(NORMAL):
-            raise FitError(f"Normal tariff never observed in half-hour {h + 1}")
-        for code in (LOW, NORMAL, HIGH):
-            eff = code if model.available(code) else NORMAL
-            mu[code, h] = float(np.mean(model.predict_mean(tau[:, h], eff)))
-            sigma[code, h] = model.predict_scale(eff)
-    return TariffResponseProfile(entity, mu, sigma)
+            raise FitError(f"{entity}: Normal tariff never observed in half-hour {h + 1}")
+        spline_part = model.spline.design(tau[:, h]) @ model.spline_coef
+        mu[:, h:h + 1], sigma[:, h:h + 1] = _day_average(
+            spline_part[None, :], model.tariff_coef[:, None], model.scale[:, None]
+        )
+    return TariffResponseProfile(entity, mu, sigma, np.array([m.lam for m in models]))
+
+
+def fit_profiles(ids, kwh, tau, tariff, lam_grid=None):
+    """Tariff response profiles of many entities, fitted together per half-hour.
+
+    kwh and tariff are (N, T, 48) grids for the entities named by ids; tau
+    (T, 48) is shared. Each half-hour builds its spline design once, groups
+    the entities by their exact tariff column and fits every group in one
+    penalized_lstsq call. Profiles and lambdas are bit-identical to
+    fit_entity + tariff_profile per entity. Errors name the first entity of
+    the group that cannot be fitted.
+    """
+    kwh = np.asarray(kwh, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    tariff = np.asarray(tariff)
+    n_days = tau.shape[0]
+    if tau.shape != (n_days, HALF_HOURS) or not (
+        kwh.shape == tariff.shape == (len(ids), n_days, HALF_HOURS)
+    ):
+        raise FitError("need (N, T, 48) consumption and tariff grids and (T, 48) temperatures")
+    mu = np.empty((len(ids), 3, HALF_HOURS))
+    sigma = np.empty((len(ids), 3, HALF_HOURS))
+    lam = np.empty((len(ids), HALF_HOURS))
+    for h in range(HALF_HOURS):
+        basis = CubicSplineBasis.from_quantiles(tau[:, h])
+        spline, design = CenteredSplineBlock.fit(basis, tau[:, h])
+        penalty = spline.penalty()
+        groups = {}
+        for i in range(len(ids)):
+            groups.setdefault(tariff[i, :, h].tobytes(), []).append(i)
+        for members in groups.values():
+            column = tariff[members[0], :, h]
+            if n_days < basis.dim + 3:
+                raise FitError(f"{ids[members[0]]}: need at least {basis.dim + 3} "
+                               f"observations in half-hour {h + 1}, got {n_days}")
+            if not np.any(column == NORMAL):
+                raise FitError(f"{ids[members[0]]}: Normal tariff never observed "
+                               f"in half-hour {h + 1}")
+            coef, tariff_coef, scale, lam[members, h] = _fit_rows(
+                design, penalty, kwh[members, :, h], column, lam_grid
+            )
+            group_mu, group_sigma = _day_average(matvec_rows(design, coef), tariff_coef, scale)
+            mu[members, :, h] = group_mu.T
+            sigma[members, :, h] = group_sigma.T
+    return [TariffResponseProfile(ids[i], mu[i], sigma[i], lam[i]) for i in range(len(ids))]
 
 
 def export_profiles_csv(profiles, path):

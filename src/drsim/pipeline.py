@@ -302,10 +302,9 @@ def stage_cluster(config, paths, force=False):
     if not tou:
         raise PipelineError("no time-of-use households to cluster")
 
-    profiles = []
-    for i in tou:
-        models = causality.fit_entity(ds.kwh[i], ds.tau, ds.tariff[i])
-        profiles.append(causality.tariff_profile(ds.household_ids[i], models, ds.tau))
+    profiles = causality.fit_profiles(
+        [ds.household_ids[i] for i in tou], ds.kwh[tou], ds.tau, ds.tariff[tou]
+    )
     causality.export_profiles_csv(profiles, paths.profiles)
 
     pm = clustering.build_profile_matrix(profiles)

@@ -138,6 +138,9 @@ class CenteredSplineBlock:
 
 @dataclass
 class PenalizedFit:
+    """Result of penalized_lstsq; coef, lam, gcv and edof gain a trailing
+    response axis when several responses were fitted together."""
+
     coef: np.ndarray
     lam: float
     gcv: np.ndarray
@@ -150,43 +153,70 @@ class PenalizedFit:
         return self.coef[self.block_slices[index]]
 
 
+def matvec_rows(a, rows):
+    """a (n, k) @ rows[j] for every row of rows (m, k); returns (m, n).
+
+    Each product goes through the same one-vector kernel as a lone
+    `a @ rows[j]`, so row j is bit-identical to it whatever m is; a single
+    matrix product would round differently per column.
+    """
+    return (a @ rows[..., None])[..., 0]
+
+
+def _solve_each(a, rhs):
+    """Solve a b_j = rhs[j] for every row of rhs (m, p), one right-hand side at a time.
+
+    b_j then does not depend on the other rows.
+    """
+    return np.linalg.solve(np.broadcast_to(a, rhs.shape + a.shape[1:]), rhs[..., None])[..., 0]
+
+
 def _solve_penalized(xtx, xty, penalty, lam):
-    """Solve (X'X + lam*S) b = X'y with a small ridge fallback."""
+    """Solve (X'X + lam*S) b_j = X'y_j for each row of xty, with a small ridge fallback."""
     a = xtx + lam * penalty
     ridge = False
     try:
-        coef = np.linalg.solve(a, xty)
+        coef = _solve_each(a, xty)
     except np.linalg.LinAlgError:
         coef = None
     if coef is None or not np.isfinite(coef).all():
         ridge = True
         a = a + RIDGE_EPS * np.eye(a.shape[0])
-        coef = np.linalg.solve(a, xty)
+        coef = _solve_each(a, xty)
     return coef, a, ridge
 
 
 def penalized_lstsq(blocks, penalties, y, lam_grid=None):
-    """Penalized least squares with GCV selection of one shared lambda.
+    """Penalized least squares with GCV selection of the lambda.
 
     Parameters
     ----------
     blocks : list of (n, p_i) design blocks, concatenated column-wise.
     penalties : list matching blocks; each entry a (p_i, p_i) penalty or None
         for unpenalized (parametric) columns. One lambda multiplies them all.
-    y : (n,) response.
+    y : (n,) response, or (n, m) responses that share the design.
     lam_grid : candidate lambdas; defaults to the module grid.
 
     Returns a PenalizedFit. GCV(lam) = n * RSS / (n - edof)^2 with
     edof = tr((X'X + lam*S)^-1 X'X); lambda with n - edof <= 0 scores inf.
+    With (n, m) responses X'X is formed once and each lambda makes one solve
+    call for all columns: edof per lambda and the ridge fallback are shared,
+    while RSS, GCV and the chosen lambda are per column, so coef is (p, m),
+    lam and edof are (m,) and gcv is (len(lam_grid), m). Column j is
+    bit-identical to the fit of y[:, j] alone.
     """
     blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
     y = np.asarray(y, dtype=float)
     x = np.hstack(blocks)
     n, p = x.shape
-    if y.shape != (n,):
+    if y.ndim not in (1, 2) or y.shape[0] != n:
         raise SplineError("response length does not match the design")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise SplineError("non-finite values in the regression inputs")
+    # one contiguous row per response, so every per-response kernel sees the
+    # same memory layout as a lone 1-d fit
+    rows = np.ascontiguousarray(y.reshape(n, -1).T)
+    m = rows.shape[0]
 
     slices = []
     start = 0
@@ -206,29 +236,32 @@ def penalized_lstsq(blocks, penalties, y, lam_grid=None):
         DEFAULT_LAMBDA_GRID if lam_grid is None else lam_grid, dtype=float
     )
     xtx = x.T @ x
-    xty = x.T @ y
+    xty = matvec_rows(x.T, rows)
 
-    gcv = np.full(len(lam_grid), np.inf)
-    fits = []
+    gcv = np.full((len(lam_grid), m), np.inf)
+    coefs = np.empty((len(lam_grid), m, p))
+    edofs = np.empty(len(lam_grid))
     any_ridge = False
     for j, lam in enumerate(lam_grid):
-        coef, a, ridge = _solve_penalized(xtx, xty, s, lam)
+        coefs[j], a, ridge = _solve_penalized(xtx, xty, s, lam)
         any_ridge = any_ridge or ridge
-        edof = float(np.trace(np.linalg.solve(a, xtx)))
-        resid = y - x @ coef
-        rss = float(resid @ resid)
-        denom = n - edof
+        edofs[j] = np.trace(np.linalg.solve(a, xtx))
+        resid = rows - matvec_rows(x, coefs[j])
+        # a stack of dot products, each rounded like a lone resid @ resid
+        rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+        denom = n - edofs[j]
         if denom > 0:
             gcv[j] = n * rss / denom**2
-        fits.append((coef, edof))
 
     if any_ridge:
         warnings.warn("singular penalized design; ridge fallback engaged")
-    best = int(np.argmin(gcv))
-    coef, edof = fits[best]
+    best = np.argmin(gcv, axis=0)
+    coef, lam, edof = coefs[best, np.arange(m)].T, lam_grid[best], edofs[best]
+    if y.ndim == 1:
+        coef, lam, gcv, edof = coef[:, 0], float(lam[0]), gcv[:, 0], float(edof[0])
     return PenalizedFit(
         coef=coef,
-        lam=float(lam_grid[best]),
+        lam=lam,
         gcv=gcv,
         lam_grid=lam_grid,
         edof=edof,

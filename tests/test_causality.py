@@ -154,3 +154,67 @@ class TestEndToEndRecovery:
         flat_shift = (profiles[flat].mu[LOW] - profiles[flat].mu[NORMAL])[window].mean()
         assert saver_shift == pytest.approx(0.5, abs=0.1)
         assert abs(flat_shift) < 0.1
+
+
+class TestFitProfiles:
+    """The batched fitter against the per-household functions it shares a core with."""
+
+    @pytest.fixture(scope="class")
+    def mixed_schedules(self, small_population):
+        """TOU households on two schedules plus all-Normal Std households.
+
+        tou006/tou007 take a third schedule in which the first four Low cells
+        of every slot turn High, so some slots hold three tariff groups; the
+        Std group never sees Low or High and must fall back to Normal.
+        """
+        pop = small_population
+        tariff = pop.tariff.copy()
+        for i in (6, 7):
+            for h in range(48):
+                low_days = np.flatnonzero(tariff[i, :, h] == LOW)[:4]
+                tariff[i, low_days, h] = HIGH
+        return pop.household_ids, pop.kwh, pop.tau, tariff
+
+    def test_slots_hold_several_schedule_groups(self, mixed_schedules):
+        _, _, _, tariff = mixed_schedules
+        groups = [len({tariff[i, :, h].tobytes() for i in range(len(tariff))})
+                  for h in range(48)]
+        assert max(groups) == 3 and min(groups) >= 1
+
+    def test_matches_per_household_fits(self, mixed_schedules):
+        ids, kwh, tau, tariff = mixed_schedules
+        batched = causality.fit_profiles(ids, kwh, tau, tariff)
+        assert [p.entity for p in batched] == list(ids)
+        for i, prof in enumerate(batched):
+            models = causality.fit_entity(kwh[i], tau, tariff[i])
+            ref = causality.tariff_profile(ids[i], models, tau)
+            np.testing.assert_allclose(prof.mu, ref.mu, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(prof.sigma, ref.sigma, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(prof.lam, [m.lam for m in models])
+
+    def test_group_without_special_tariffs_falls_back_to_normal(self, mixed_schedules):
+        ids, kwh, tau, tariff = mixed_schedules
+        std = [i for i, hid in enumerate(ids) if hid.startswith("std")]
+        assert std and all((tariff[i] == NORMAL).all() for i in std)
+        batched = causality.fit_profiles(ids, kwh, tau, tariff)
+        for i in std:
+            for code in (LOW, HIGH):
+                np.testing.assert_array_equal(batched[i].mu[code], batched[i].mu[NORMAL])
+                np.testing.assert_array_equal(batched[i].sigma[code], batched[i].sigma[NORMAL])
+
+    def test_missing_normal_names_the_household(self, mixed_schedules):
+        ids, kwh, tau, tariff = mixed_schedules
+        tariff = tariff.copy()
+        tariff[3, :, 5] = LOW
+        with pytest.raises(causality.FitError, match=rf"{ids[3]}: .*half-hour 6"):
+            causality.fit_profiles(ids, kwh, tau, tariff)
+
+    def test_too_few_days_names_the_household(self, mixed_schedules):
+        ids, kwh, tau, tariff = mixed_schedules
+        with pytest.raises(causality.FitError, match=rf"{ids[0]}: need at least"):
+            causality.fit_profiles(ids, kwh[:, :6], tau[:6], tariff[:, :6])
+
+    def test_shape_mismatch_raises(self, mixed_schedules):
+        ids, kwh, tau, tariff = mixed_schedules
+        with pytest.raises(causality.FitError):
+            causality.fit_profiles(ids[:-1], kwh, tau, tariff)

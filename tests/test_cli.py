@@ -255,6 +255,26 @@ class TestValidation:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"]
 
+    def test_cluster_error_names_household_without_normal(self, workdir, capsys):
+        tmp, cfg = workdir
+        assert run_cli("synth", "--config", str(cfg)) == 0
+        # tou004 sees Low instead of Normal at 00:00 on every day
+        consumption = tmp / "run" / "consumption.csv"
+        lines = consumption.read_text().splitlines(keepends=True)
+        consumption.write_text("".join(
+            line.replace(",NORMAL,", ",LOW,")
+            if line.startswith("tou004,") and "T00:00," in line else line
+            for line in lines
+        ))
+        assert run_cli("ingest", "--config", str(cfg)) == 0
+        capsys.readouterr()
+        assert run_cli("cluster", "--config", str(cfg)) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {
+            "error": "tou004: Normal tariff never observed in half-hour 1",
+            "type": "FitError",
+        }
+
     def test_generator_flag_restricts_training(self, workdir):
         tmp, cfg = workdir
         for stage in ("synth", "ingest", "cluster"):

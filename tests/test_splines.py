@@ -190,3 +190,74 @@ def test_ridge_fallback_on_singular_design_warns():
 def test_penalized_lstsq_length_mismatch_raises():
     with pytest.raises(splines.SplineError):
         splines.penalized_lstsq([np.ones((5, 1))], [None], np.ones(6))
+
+
+def _shared_design_problem(seed=23, n=90, m=7):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 1.0, size=n))
+    basis = splines.CubicSplineBasis.from_quantiles(x)
+    block, design = splines.CenteredSplineBlock.fit(basis, x)
+    ones = np.ones((n, 1))
+    # columns from pure noise to a smooth signal, so GCV picks different lambdas
+    signal = np.sin(2 * np.pi * x)[:, None] * np.linspace(0.0, 3.0, m)
+    y = 1.0 + signal + 0.2 * rng.normal(size=(n, m))
+    return [design, ones], [block.penalty(), None], y
+
+
+def test_penalized_lstsq_columns_equal_one_dimensional_fits():
+    blocks, penalties, y = _shared_design_problem()
+    fit = splines.penalized_lstsq(blocks, penalties, y)
+    m = y.shape[1]
+    assert fit.coef.shape == (blocks[0].shape[1] + 1, m)
+    assert fit.lam.shape == fit.edof.shape == (m,)
+    assert fit.gcv.shape == (len(fit.lam_grid), m)
+    assert len(set(fit.lam)) > 1
+    for j in range(m):
+        single = splines.penalized_lstsq(blocks, penalties, y[:, j])
+        np.testing.assert_allclose(fit.coef[:, j], single.coef, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fit.gcv[:, j], single.gcv, rtol=1e-12)
+        assert fit.lam[j] == single.lam
+        assert fit.edof[j] == pytest.approx(single.edof, rel=1e-12)
+        np.testing.assert_allclose(fit.block_coef(1)[:, j], single.block_coef(1), rtol=1e-12)
+
+
+def test_penalized_lstsq_columns_are_bit_identical_to_lone_fits():
+    # every per-column product and solve runs through the one-vector kernels
+    blocks, penalties, y = _shared_design_problem(seed=29, n=91, m=5)
+    fit = splines.penalized_lstsq(blocks, penalties, y)
+    for j in range(y.shape[1]):
+        single = splines.penalized_lstsq(blocks, penalties, y[:, j])
+        np.testing.assert_array_equal(fit.coef[:, j], single.coef)
+        np.testing.assert_array_equal(fit.gcv[:, j], single.gcv)
+
+
+def test_penalized_lstsq_single_column_matrix_keeps_the_axis():
+    blocks, penalties, y = _shared_design_problem(m=1)
+    fit = splines.penalized_lstsq(blocks, penalties, y)
+    single = splines.penalized_lstsq(blocks, penalties, y[:, 0])
+    assert fit.coef.shape == (single.coef.shape[0], 1) and fit.lam.shape == (1,)
+    np.testing.assert_array_equal(fit.coef[:, 0], single.coef)
+    assert isinstance(single.lam, float) and isinstance(single.edof, float)
+
+
+def test_ridge_fallback_with_several_columns_warns_once():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(30, 3))
+    x[:, 2] = 0.0
+    y = rng.normal(size=(30, 4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = splines.penalized_lstsq([x], [None], y)
+    assert type(fit.ridge_used) is bool and fit.ridge_used
+    assert sum("ridge" in str(w.message) for w in caught) == 1
+    assert np.isfinite(fit.coef).all()
+    for j in range(4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            single = splines.penalized_lstsq([x], [None], y[:, j])
+        np.testing.assert_allclose(fit.coef[:, j], single.coef, rtol=1e-12, atol=1e-12)
+
+
+def test_penalized_lstsq_rejects_a_three_dimensional_response():
+    with pytest.raises(splines.SplineError):
+        splines.penalized_lstsq([np.ones((5, 1))], [None], np.ones((5, 2, 2)))

@@ -54,15 +54,15 @@ def main():
     cfg.write_text(CONFIG.format(out=run))
     print(f"config: {cfg}")
 
-    for stage in ("synth", "ingest", "cluster", "train", "evaluate", "scenario"):
+    for stage in ("synth", "ingest", "cluster", "train", "generate", "evaluate", "scenario"):
         code = cli.main([stage, "--config", str(cfg)])
         if code != 0:
             raise SystemExit(f"stage {stage} failed with exit code {code}")
     files = sorted(p.name for p in run.iterdir())
-    print(f"\nall six stages completed; {len(files)} artifacts under {run}:")
+    print(f"\nall seven stages completed; {len(files)} artifacts under {run}:")
     for prefix in ("consumption", "temperature", "ground_truth", "prepared",
                    "profiles", "assignments", "cluster_scores", "gam_",
-                   "report_", "summary_", "scenario_"):
+                   "samples_", "report_", "summary_", "scenario_"):
         group = [f for f in files if f.startswith(prefix)]
         if group:
             tail = f" ... x{len(group)}" if len(group) > 1 else ""

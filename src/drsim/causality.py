@@ -9,14 +9,14 @@ a counterfactual tariff gives the household's response profile mu_i^h(p),
 the quantity the clustering stage consumes.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, TARIFF_NAMES
+from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, TARIFF_NAMES, read_csv, write_csv
 from .splines import CenteredSplineBlock, CubicSplineBasis, matvec_rows, penalized_lstsq
 
+PROFILE_HEADER = ["entity", "tariff", "h", "mu", "sigma"]
 SCALE_FLOOR = 1e-6
 HALF_NORMAL_FACTOR = np.sqrt(np.pi / 2.0)
 
@@ -44,11 +44,6 @@ class LocationScaleModel:
         if not self.available(code):
             raise FitError(f"tariff {TARIFF_NAMES[code]} unavailable for this series")
         return self.spline.design(tau) @ self.spline_coef + self.tariff_coef[code]
-
-    def predict_scale(self, code):
-        if not self.available(code):
-            raise FitError(f"tariff {TARIFF_NAMES[code]} unavailable for this series")
-        return float(self.scale[code])
 
 
 def _fit_rows(spline_design, penalty, rows, tariff, lam_grid):
@@ -218,39 +213,25 @@ def fit_profiles(ids, kwh, tau, tariff, lam_grid=None):
 
 def export_profiles_csv(profiles, path):
     """Write profiles as entity,tariff,h,mu,sigma rows (h is 1-based)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity", "tariff", "h", "mu", "sigma"])
-        for prof in profiles:
-            for code in (LOW, NORMAL, HIGH):
-                for h in range(HALF_HOURS):
-                    writer.writerow(
-                        [
-                            prof.entity,
-                            TARIFF_NAMES[code],
-                            h + 1,
-                            repr(float(prof.mu[code, h])),
-                            repr(float(prof.sigma[code, h])),
-                        ]
-                    )
+    write_csv(path, PROFILE_HEADER, (
+        [prof.entity, TARIFF_NAMES[code], h, mu, sigma]
+        for prof in profiles
+        for code in (LOW, NORMAL, HIGH)
+        for h, mu, sigma in zip(range(1, HALF_HOURS + 1),
+                                prof.mu[code].tolist(), prof.sigma[code].tolist())
+    ))
 
 
 def read_profiles_csv(path):
     """Inverse of export_profiles_csv."""
     per_entity = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["entity", "tariff", "h", "mu", "sigma"]:
-            raise FitError("unexpected profile CSV header")
-        for row in reader:
-            entity, tariff, h, mu, sigma = row
-            code = TARIFF_NAMES.index(tariff)
-            slot = per_entity.setdefault(
-                entity, (np.full((3, HALF_HOURS), np.nan), np.full((3, HALF_HOURS), np.nan))
-            )
-            slot[0][code, int(h) - 1] = float(mu)
-            slot[1][code, int(h) - 1] = float(sigma)
+    for entity, tariff, h, mu, sigma in read_csv(path, PROFILE_HEADER, FitError):
+        code = TARIFF_NAMES.index(tariff)
+        slot = per_entity.setdefault(
+            entity, (np.full((3, HALF_HOURS), np.nan), np.full((3, HALF_HOURS), np.nan))
+        )
+        slot[0][code, int(h) - 1] = float(mu)
+        slot[1][code, int(h) - 1] = float(sigma)
     return [
         TariffResponseProfile(entity, mu, sigma)
         for entity, (mu, sigma) in per_entity.items()

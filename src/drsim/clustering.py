@@ -8,16 +8,16 @@ Calinski-Harabasz statistic in the variant used throughout this project
 averaged per cluster); the textbook weighting is available behind a flag.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataio import HALF_HOURS, LOW, NORMAL, HIGH
+from .dataio import LOW, NORMAL, HIGH, read_csv, write_csv
 
 NMF_EPS = 1e-12
+ASSIGNMENTS_HEADER = ["household_id", "cluster"]
 
 
 class ClusteringError(ValueError):
@@ -134,14 +134,12 @@ def _assign(dist, medoids):
     return np.argmin(sub, axis=1)
 
 
-def kmedoids(points, k, seed=None):
+def kmedoids(points, k):
     """Full PAM: greedy BUILD then best-improvement SWAP passes.
 
-    Distances are unsquared Euclidean. The algorithm is deterministic; seed
-    is accepted for interface symmetry only. Fewer distinct rows than k is
-    an error.
+    Distances are unsquared Euclidean and the algorithm is deterministic.
+    Fewer distinct rows than k is an error.
     """
-    del seed
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -337,7 +335,7 @@ def classical_features(kwh, dates):
     return features
 
 
-def classical_feature_clustering(features, k, seed=None):
+def classical_feature_clustering(features, k):
     """Standardize the features (dropping zero-variance columns) and PAM."""
     features = np.asarray(features, dtype=float)
     std = features.std(axis=0)
@@ -347,26 +345,15 @@ def classical_feature_clustering(features, k, seed=None):
     if not keep.any():
         raise ClusteringError("every feature is constant")
     z = (features[:, keep] - features[:, keep].mean(axis=0)) / std[keep]
-    return kmedoids(z, k, seed=seed)
+    return kmedoids(z, k)
 
 
 def export_assignments_csv(household_ids, clustering, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", "cluster"])
-        for hid, label in zip(household_ids, clustering.labels):
-            writer.writerow([hid, int(label)])
+    write_csv(path, ASSIGNMENTS_HEADER, (
+        [hid, int(label)] for hid, label in zip(household_ids, clustering.labels)
+    ))
 
 
 def read_assignments_csv(path):
-    ids = []
-    labels = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["household_id", "cluster"]:
-            raise ClusteringError("unexpected assignments CSV header")
-        for row in reader:
-            ids.append(row[0])
-            labels.append(int(row[1]))
-    return ids, np.array(labels)
+    rows = read_csv(path, ASSIGNMENTS_HEADER, ClusteringError)
+    return [row[0] for row in rows], np.array([int(row[1]) for row in rows])

@@ -6,10 +6,15 @@ timestamp,temp_c rows. Half-hour h in 1..48 covers [(h-1)/2, h/2) hours of
 the day. Tariffs are LOW/NORMAL/HIGH for time-of-use households and FLAT for
 standard ones; FLAT maps to NORMAL internally so every series lives on the
 same three-level code.
+
+Run artifacts are written through replacing (CSVs through write_csv), so a
+file appears whole or not at all; read_csv reads them back, header checked.
 """
 
+import contextlib
 import csv
 import datetime
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -205,6 +210,41 @@ def read_temperature_csv(path):
     if not timestamps:
         raise DataValidationError("no temperature rows")
     return TemperatureSeries(timestamps, np.asarray(temps))
+
+
+@contextlib.contextmanager
+def replacing(path, mode="w"):
+    """Open a temporary file beside path and rename it over path on a clean
+    exit; if the block raises, the temporary file goes and path is untouched."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def write_csv(path, header, rows):
+    """A header row (none if None), then rows streamed from any iterable; floats by repr."""
+    with replacing(path) as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header, error):
+    """The rows after header as string lists; error, naming path, if the header differs."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found != header:
+            what = "empty file" if found is None else f"header {','.join(found)}"
+            raise error(f"{path}: {what}, expected header {','.join(header)}")
+        return list(reader)
 
 
 def temperature_grid(series, dates):
@@ -430,15 +470,6 @@ def build_conditional_vector(pca_scores, kappa, w, tariffs):
     )
 
 
-def build_gam_features(tau, tau_bar_daily, calendar, t, h):
-    """Per-(day, half-hour) regressors (tau_t^h, taubar_t, w_t, kappa_t); h is 1-based."""
-    if not 1 <= h <= HALF_HOURS:
-        raise IndexError(f"half-hour {h} outside 1..{HALF_HOURS}")
-    return np.array(
-        [tau[t, h - 1], tau_bar_daily[t], calendar.w[t], calendar.kappa[t]]
-    )
-
-
 @dataclass
 class PreparedDataset:
     """Repaired grids plus every derived feature the models consume."""
@@ -512,31 +543,32 @@ def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
 
 
 def save_prepared(dataset, path):
-    np.savez_compressed(
-        path,
-        household_ids=np.array(dataset.household_ids),
-        groups=np.array(dataset.groups),
-        kwh=dataset.kwh,
-        tariff=dataset.tariff,
-        dates=np.array([d.isoformat() for d in dataset.dates]),
-        tau=dataset.tau,
-        tau_bar=dataset.tau_bar,
-        tau_bar_daily=dataset.tau_bar_daily,
-        w=dataset.calendar.w,
-        kappa=dataset.calendar.kappa,
-        pca_mean=dataset.pca.mean,
-        pca_components=dataset.pca.components,
-        pca_explained=dataset.pca.explained,
-        pca_score_min=dataset.pca.score_min,
-        pca_score_max=dataset.pca.score_max,
-        pca_scores=dataset.pca_scores,
-        train=dataset.partition.train,
-        test=dataset.partition.test,
-        fraction=np.array(dataset.partition.fraction),
-        seed=np.array(dataset.partition.seed),
-        flagged=np.array(dataset.flagged, dtype=str),
-        smoothing_a=np.array(dataset.smoothing_a),
-    )
+    with replacing(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            household_ids=np.array(dataset.household_ids),
+            groups=np.array(dataset.groups),
+            kwh=dataset.kwh,
+            tariff=dataset.tariff,
+            dates=np.array([d.isoformat() for d in dataset.dates]),
+            tau=dataset.tau,
+            tau_bar=dataset.tau_bar,
+            tau_bar_daily=dataset.tau_bar_daily,
+            w=dataset.calendar.w,
+            kappa=dataset.calendar.kappa,
+            pca_mean=dataset.pca.mean,
+            pca_components=dataset.pca.components,
+            pca_explained=dataset.pca.explained,
+            pca_score_min=dataset.pca.score_min,
+            pca_score_max=dataset.pca.score_max,
+            pca_scores=dataset.pca_scores,
+            train=dataset.partition.train,
+            test=dataset.partition.test,
+            fraction=np.array(dataset.partition.fraction),
+            seed=np.array(dataset.partition.seed),
+            flagged=np.array(dataset.flagged, dtype=str),
+            smoothing_a=np.array(dataset.smoothing_a),
+        )
 
 
 def load_prepared(path):

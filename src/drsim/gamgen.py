@@ -14,14 +14,13 @@ Sampled profiles clamp at zero by default; mean_profile exposes the
 noise-free, clamp-free mean for diagnostics.
 """
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import fit_entity, tariff_profile
-from .dataio import HALF_HOURS, LOW, NORMAL, HIGH
+from .causality import fit_profiles
+from .dataio import HALF_HOURS, LOW, HIGH, replacing, write_csv
 from .splines import CenteredSplineBlock, CubicSplineBasis, penalized_lstsq
 
 EIG_FLOOR = 1e-8
@@ -173,9 +172,9 @@ def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partiti
         models.append(model)
         fitted[:, h] = f
 
-    ls_models = fit_entity(kwh[train], tau[train], tariffs[train], lam_grid=lam_grid)
-    profile = tariff_profile(entity, ls_models, tau[train])
-    sigma = profile.sigma
+    sigma = fit_profiles(
+        [entity], kwh[train][None], tau[train], tariffs[train][None], lam_grid=lam_grid
+    )[0].sigma
 
     scale = sigma[tariffs[train], np.arange(HALF_HOURS)]
     residuals = (kwh[train] - fitted) / scale
@@ -199,24 +198,19 @@ def _term_names(model):
 
 def export_coefficients_csv(gen, path):
     """One h,term,coef row per coefficient of each half-hour model."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "term", "coef"])
-        for h, model in enumerate(gen.models, start=1):
-            values = np.concatenate(
-                model.spline_coef
-                + [[model.intercept, model.alpha_w, model.xi[LOW], model.xi[HIGH]]]
-            )
-            for term, value in zip(_term_names(model), values):
-                writer.writerow([h, term, repr(float(value))])
+    write_csv(path, ["h", "term", "coef"], (
+        [h, term, value]
+        for h, model in enumerate(gen.models, start=1)
+        for term, value in zip(_term_names(model), np.concatenate(
+            model.spline_coef
+            + [[model.intercept, model.alpha_w, model.xi[LOW], model.xi[HIGH]]]
+        ).tolist())
+    ))
 
 
 def export_sigma_matrix_csv(gen, path):
     """Dense 48x48 correlation matrix, one row per line."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in gen.corr:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, None, gen.corr.tolist())
 
 
 def save_generator(gen, path):
@@ -233,7 +227,8 @@ def save_generator(gen, path):
         )
         lams.append(model.lam)
     meta = {"entity": gen.entity, "lams": lams}
-    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+    with replacing(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_generator(path):

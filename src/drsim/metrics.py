@@ -9,15 +9,17 @@ half-hour pairs with scalar accumulation so its value is reproducible
 against an independent implementation bit for bit.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dataio import read_csv, write_csv
 
 DEFAULT_ENSEMBLE = 200
 DEFAULT_VARIOGRAM_P = 0.5
 
 REPORT_HEADER = ["day", "generator", "rmse", "energy", "variogram_p05"]
+SUMMARY_HEADER = ["generator", "score", "mean", "min", "q25", "median", "q75", "max"]
 
 
 class ScoringError(ValueError):
@@ -174,36 +176,24 @@ def evaluate_generators(observations, generators, day_labels=None,
 
 
 def write_report_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for row in report.rows:
-            writer.writerow(
-                [row.day, row.generator, repr(row.rmse), repr(row.energy), repr(row.variogram)]
-            )
+    write_csv(path, REPORT_HEADER, (
+        [row.day, row.generator, float(row.rmse), float(row.energy), float(row.variogram)]
+        for row in report.rows
+    ))
 
 
 def read_report_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != REPORT_HEADER:
-            raise ScoringError("unexpected report CSV header")
-        for day, generator, r, e, v in reader:
-            rows.append(ScoreRow(int(day), generator, float(r), float(e), float(v)))
+    rows = [
+        ScoreRow(int(day), generator, float(r), float(e), float(v))
+        for day, generator, r, e, v in read_csv(path, REPORT_HEADER, ScoringError)
+    ]
     return ScoreReport(rows=rows, n_samples=0, variogram_p=DEFAULT_VARIOGRAM_P, seed=0)
 
 
 def write_summary_csv(report, path):
     """Per-generator quartile summary, one row per (generator, score)."""
-    summary = report.summary()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generator", "score", "mean", "min", "q25", "median", "q75", "max"])
-        for name, scores in summary.items():
-            for which, stats in scores.items():
-                writer.writerow(
-                    [name, which]
-                    + [repr(stats[k]) for k in ("mean", "min", "q25", "median", "q75", "max")]
-                )
+    write_csv(path, SUMMARY_HEADER, (
+        [name, which] + [stats[k] for k in SUMMARY_HEADER[2:]]
+        for name, scores in report.summary().items()
+        for which, stats in scores.items()
+    ))

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
+from .dataio import replacing
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -457,7 +459,8 @@ def save_model(model, path):
         for i, layer in enumerate(net.layers):
             arrays[f"{tag}_w{i}"] = layer.weights
             arrays[f"{tag}_b{i}"] = layer.bias
-    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+    with replacing(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_model(path):

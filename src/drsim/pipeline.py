@@ -3,11 +3,13 @@
 Each stage reads files written by earlier stages and writes its own outputs
 under one run directory, so stages stay decoupled and reruns are
 cache-by-file-presence (--force regenerates; synth refuses to overwrite
-without it). A single config seed fans out into per-stage streams, which
-makes every stage deterministic given the config.
+without it). Every output goes through dataio.replacing (a temporary file
+renamed over the target), so it appears whole or not at all: a stage that
+dies mid-write leaves no file that a rerun would take as done. A single
+config seed fans out into per-stage streams, which makes every stage
+deterministic given the config.
 """
 
-import csv
 import datetime
 import json
 import warnings
@@ -23,7 +25,6 @@ from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, ConfigError
 # stage codes for seed derivation; synthdata uses (seed, 1..3) internally
 SEED_PARTITION = 12
 SEED_NMF = 13
-SEED_KMEDOIDS = 14
 SEED_RANDOM_BASELINE = 15
 SEED_CVAE = 20
 SEED_EVALUATE = 30
@@ -311,9 +312,7 @@ def stage_cluster(config, paths, force=False):
     factors = clustering.nmf_factorize(
         pm.matrix, r=config.cluster.nmf_rank, seed=derive_seed(config.seed, SEED_NMF)
     )
-    result = clustering.kmedoids(
-        factors.w, config.cluster.k, seed=derive_seed(config.seed, SEED_KMEDOIDS)
-    )
+    result = clustering.kmedoids(factors.w, config.cluster.k)
     clustering.export_assignments_csv(pm.household_ids, result, paths.assignments)
 
     index = {hid: i for i, hid in enumerate(ds.household_ids)}
@@ -348,7 +347,7 @@ def stage_cluster(config, paths, force=False):
             "classical_features": _variant_dict(classical_variants),
         },
     }
-    with open(paths.cluster_scores, "w") as fh:
+    with dataio.replacing(paths.cluster_scores) as fh:
         json.dump(scores, fh, indent=2, sort_keys=True)
     return targets
 
@@ -422,7 +421,7 @@ def stage_train(config, paths, force=False, generator=None):
                 )
                 model = neuralgen.train_cvae(bundle["series"], x, ds.partition, cvae_config)
                 neuralgen.save_model(model, paths.cvae_model(label))
-                with open(paths.cvae_log(label), "w") as fh:
+                with dataio.replacing(paths.cvae_log(label)) as fh:
                     json.dump(
                         {
                             "restart_mses": model.restart_mses,
@@ -501,13 +500,12 @@ def stage_evaluate(config, paths, force=False, generator=None):
 
 def write_samples_csv(ensembles, day_labels, path):
     """day,sample,h,kwh rows for a list of (n, 48) ensembles."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "sample", "h", "kwh"])
-        for label, ensemble in zip(day_labels, ensembles):
-            for s, row in enumerate(ensemble):
-                for h, value in enumerate(row, start=1):
-                    writer.writerow([int(label), s, h, repr(float(value))])
+    dataio.write_csv(path, ["day", "sample", "h", "kwh"], (
+        (day, s, h, value)
+        for day, ensemble in zip(map(int, day_labels), ensembles)
+        for s, row in enumerate(np.asarray(ensemble).tolist())
+        for h, value in enumerate(row, start=1)
+    ))
 
 
 def stage_generate(config, paths, force=False, generator=None):
@@ -564,11 +562,8 @@ def stage_scenario(config, paths, force=False, generator=None):
                 sample = _sampler(name, paths, label, ds)
             seed = derive_seed(config.seed, SEED_SCENARIO, label, si)
             ensemble = sample(day, scenario_tariffs(scen), config.scenario.n_samples, seed)
-            with open(paths.scenario_mean(scen, name, label), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["h", "kwh"])
-                for h, value in enumerate(ensemble.mean(axis=0), start=1):
-                    writer.writerow([h, repr(float(value))])
+            dataio.write_csv(paths.scenario_mean(scen, name, label), ["h", "kwh"],
+                             enumerate(ensemble.mean(axis=0).tolist(), start=1))
             write_samples_csv([ensemble], [day], paths.scenario_samples(scen, name, label))
             written.extend(targets)
     return written

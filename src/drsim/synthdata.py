@@ -14,7 +14,6 @@ Everything is driven by a single seed fanned out into independent streams,
 so a population regenerates bit for bit.
 """
 
-import csv
 import datetime
 import warnings
 from dataclasses import dataclass
@@ -22,14 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import (
+    CONSUMPTION_HEADER,
     HALF_HOURS,
     LOW,
     NORMAL,
     HIGH,
     TARIFF_NAMES,
+    TEMPERATURE_HEADER,
     TemperatureSeries,
     build_calendar,
+    read_csv,
     temperature_grid,
+    write_csv,
 )
 
 TEMP_REF_C = 15.0
@@ -365,53 +368,36 @@ def _slot_timestamp(date, h):
 
 def write_consumption_csv(pop, path):
     """household_id,timestamp,kwh,tariff,group rows; Std tariffs export as FLAT."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", "timestamp", "kwh", "tariff", "group"])
-        for i, hid in enumerate(pop.household_ids):
-            std = pop.groups[i] == "STD"
-            for t, date in enumerate(pop.dates):
-                for h in range(HALF_HOURS):
-                    label = "FLAT" if std else TARIFF_NAMES[pop.tariff[i, t, h]]
-                    writer.writerow(
-                        [
-                            hid,
-                            _slot_timestamp(date, h).isoformat(timespec="minutes"),
-                            f"{pop.kwh[i, t, h]:.6f}",
-                            label,
-                            pop.groups[i],
-                        ]
-                    )
+    stamps = [_slot_timestamp(date, h).isoformat(timespec="minutes")
+              for date in pop.dates for h in range(HALF_HOURS)]
+    write_csv(path, CONSUMPTION_HEADER, (
+        [hid, stamp, f"{kwh:.6f}", "FLAT" if group == "STD" else TARIFF_NAMES[code], group]
+        for hid, group, kwh_grid, tariff_grid in zip(
+            pop.household_ids, pop.groups, pop.kwh, pop.tariff
+        )
+        for stamp, kwh, code in zip(stamps, kwh_grid.ravel().tolist(),
+                                    tariff_grid.ravel().tolist())
+    ))
 
 
 def write_temperature_csv(weather, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "temp_c"])
-        for ts, value in zip(weather.timestamps, weather.temp_c):
-            writer.writerow([ts.isoformat(timespec="minutes"), f"{value:.4f}"])
+    write_csv(path, TEMPERATURE_HEADER, (
+        [ts.isoformat(timespec="minutes"), f"{value:.4f}"]
+        for ts, value in zip(weather.timestamps, weather.temp_c.tolist())
+    ))
 
 
 def write_ground_truth_csv(pop, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GROUND_TRUTH_HEADER)
-        by_name = {a.name: a for a in pop.archetypes}
-        for hid, name in zip(pop.household_ids, pop.archetype_names):
-            arch = by_name[name]
-            writer.writerow(
-                [hid, name, repr(arch.delta_low), repr(arch.delta_high), repr(arch.rebound)]
-            )
+    by_name = {a.name: a for a in pop.archetypes}
+    write_csv(path, GROUND_TRUTH_HEADER, (
+        [hid, name, by_name[name].delta_low, by_name[name].delta_high, by_name[name].rebound]
+        for hid, name in zip(pop.household_ids, pop.archetype_names)
+    ))
 
 
 def read_ground_truth_csv(path):
     """Rows as (household_id, archetype, delta_low, delta_high, rebound)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != GROUND_TRUTH_HEADER:
-            raise SynthError("unexpected ground truth CSV header")
-        for hid, name, dl, dh, rb in reader:
-            rows.append((hid, name, float(dl), float(dh), float(rb)))
-    return rows
+    return [
+        (hid, name, float(dl), float(dh), float(rb))
+        for hid, name, dl, dh, rb in read_csv(path, GROUND_TRUTH_HEADER, SynthError)
+    ]

@@ -284,6 +284,47 @@ class TestValidation:
         assert not list((tmp / "run").glob("cvae_cluster*.npz"))
 
 
+class TestInterruptedWrites:
+    def test_generate_dying_mid_write_leaves_no_samples(self, workdir, monkeypatch, capsys):
+        tmp, cfg = workdir
+        for stage in ("synth", "ingest", "cluster", "train"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+        write = pipeline.write_samples_csv
+
+        def dies_after_first_day(ensembles, day_labels, path):
+            def first_day_then_fail():
+                yield ensembles[0]
+                raise OSError(28, "No space left on device")
+
+            write(first_day_then_fail(), day_labels, path)
+
+        monkeypatch.setattr(pipeline, "write_samples_csv", dies_after_first_day)
+        capsys.readouterr()
+        assert run_cli("generate", "--config", str(cfg)) == 2
+        assert json.loads(capsys.readouterr().err.strip())["type"] == "OSError"
+        run = tmp / "run"
+        assert not list(run.glob("samples_*")) and not list(run.glob(".*"))
+
+        monkeypatch.undo()
+        assert run_cli("generate", "--config", str(cfg)) == 0
+        out = capsys.readouterr().out
+        assert "nothing to do" not in out
+        assert str(run / "samples_gam_cluster0.csv") in out.splitlines()
+        for path in sorted(run.glob("samples_gam_cluster*.csv")):
+            assert len(path.read_text().splitlines()) == 1 + 10 * 20 * HALF_HOURS
+
+    def test_train_on_empty_assignments_names_the_file(self, workdir, capsys):
+        tmp, cfg = workdir
+        for stage in ("synth", "ingest"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+        (tmp / "run" / "assignments.csv").write_text("")
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg)) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["type"] == "ClusteringError"
+        assert "assignments.csv: empty file" in payload["error"]
+
+
 class TestDeterminism:
     def test_rerun_is_bit_identical(self, tmp_path):
         reports = []

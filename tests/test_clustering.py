@@ -140,11 +140,13 @@ class TestKmedoids:
         for pos, m in enumerate(result.medoids):
             assert result.labels[m] == pos
 
-    def test_medoids_sorted_and_seed_ignored(self, rng):
+    def test_medoids_sorted_and_deterministic(self, rng):
         points = rng.normal(size=(30, 2))
-        a = clustering.kmedoids(points, 3, seed=1)
-        b = clustering.kmedoids(points, 3, seed=999)
+        a = clustering.kmedoids(points, 3)
+        b = clustering.kmedoids(points, 3)
         np.testing.assert_array_equal(a.medoids, b.medoids)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert a.cost == b.cost
         np.testing.assert_array_equal(a.medoids, np.sort(a.medoids))
 
     def test_too_few_distinct_rows_raises(self):

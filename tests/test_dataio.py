@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsim import dataio
+from drsim import causality, clustering, dataio, metrics, synthdata
 from drsim.dataio import HIGH, LOW, NORMAL
 
 
@@ -244,19 +244,6 @@ class TestCalendarFeatures:
         assert v[5 + 5] == 1.0 and v[5:53].sum() == 1.0
         assert v[53 + 40] == 1.0 and v[53:].sum() == 1.0
 
-    def test_gam_features_oracle(self):
-        tau = np.arange(96, dtype=float).reshape(2, 48)
-        cal = dataio.build_calendar([D1, D2])
-        feats = dataio.build_gam_features(tau, np.array([1.5, 2.5]), cal, t=1, h=3)
-        np.testing.assert_array_equal(feats, [tau[1, 2], 2.5, cal.w[1], 1.0])
-
-    @pytest.mark.parametrize("h", [0, 49])
-    def test_gam_features_h_bounds(self, h):
-        tau = np.zeros((1, 48))
-        cal = dataio.build_calendar([D1])
-        with pytest.raises(IndexError):
-            dataio.build_gam_features(tau, np.zeros(1), cal, 0, h)
-
 
 class TestPca:
     def rank3_rows(self, n=40):
@@ -375,3 +362,54 @@ class TestPreparedDataset:
             # only two days: the PCA cannot be fit, but the flagged household
             # must already be gone by the time that error surfaces
             dataio.prepare_dataset(data, temperature, train_fraction=0.5, seed=0)
+
+
+class TestArtifactFiles:
+    HEADER = ["a", "b"]
+
+    def test_round_trip_writes_floats_by_repr(self, tmp_path):
+        path = tmp_path / "x.csv"
+        dataio.write_csv(path, self.HEADER, ([i, 0.1 * i] for i in range(3)))
+        assert path.read_bytes() == b"a,b\r\n0,0.0\r\n1,0.1\r\n2,0.2\r\n"
+        assert dataio.read_csv(path, self.HEADER, ValueError) == [
+            ["0", "0.0"], ["1", "0.1"], ["2", "0.2"]
+        ]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        dataio.write_csv(path, self.HEADER, [[1, 2.5]])
+        before = path.read_bytes()
+
+        def rows():
+            yield [3, 4.5]
+            raise RuntimeError("generator died")
+
+        with pytest.raises(RuntimeError, match="generator died"):
+            dataio.write_csv(path, self.HEADER, rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with dataio.replacing(tmp_path / "m.npz", "wb") as fh:
+                np.savez(fh, a=np.arange(3))
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+
+    def test_wrong_header_names_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,c\n1,2\n")
+        with pytest.raises(dataio.DataParseError, match="x.csv: header a,c, expected header a,b"):
+            dataio.read_csv(path, self.HEADER, dataio.DataParseError)
+
+    @pytest.mark.parametrize("reader, error", [
+        (causality.read_profiles_csv, causality.FitError),
+        (clustering.read_assignments_csv, clustering.ClusteringError),
+        (metrics.read_report_csv, metrics.ScoringError),
+        (synthdata.read_ground_truth_csv, synthdata.SynthError),
+    ])
+    def test_empty_artifact_raises_module_error(self, tmp_path, reader, error):
+        path = tmp_path / "artifact.csv"
+        path.write_text("")
+        with pytest.raises(error, match="artifact.csv: empty file"):
+            reader(path)

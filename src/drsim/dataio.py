@@ -8,7 +8,8 @@ standard ones; FLAT maps to NORMAL internally so every series lives on the
 same three-level code.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
-file appears whole or not at all; read_csv reads them back, header checked.
+file appears whole or not at all; replacing_all does the same for a set of
+files that must appear together. read_csv reads them back, header checked.
 """
 
 import contextlib
@@ -225,6 +226,23 @@ def replacing(path, mode="w"):
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+
+
+@contextlib.contextmanager
+def replacing_all(paths):
+    """Temporary paths beside paths for the block to write; each is renamed
+    over its target only after the block has written all of them. If the
+    block raises, the temporary files go and every target is untouched."""
+    tmps = [os.path.join(head, f".{name}.{os.getpid()}.all.tmp")
+            for head, name in map(os.path.split, map(os.fspath, paths))]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def write_csv(path, header, rows):

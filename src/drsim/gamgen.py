@@ -11,7 +11,8 @@ correlation matrix whose Cholesky factor drives sampling:
     y^h = f^h + sigma^h(p^h) * (L eps)^h,   eps ~ N(0, I).
 
 Sampled profiles clamp at zero by default; mean_profile exposes the
-noise-free, clamp-free mean for diagnostics.
+noise-free, clamp-free mean for diagnostics, and mean_profiles the means of
+many days at once, which draw then turns into ensembles.
 """
 
 import json
@@ -30,6 +31,10 @@ class CorrelationError(ValueError):
     pass
 
 
+class GamModelError(ValueError):
+    """A model file that load_generator cannot read."""
+
+
 @dataclass
 class HalfHourGam:
     """Fitted additive mean model for one half-hour slot."""
@@ -40,13 +45,6 @@ class HalfHourGam:
     alpha_w: float
     xi: np.ndarray           # (3,) tariff offsets, xi[NORMAL] = 0
     lam: float
-
-    def predict(self, tau, taubar, kappa, w, tariff):
-        """Mean consumption for scalar regressors and a tariff code."""
-        parts = self.intercept + self.alpha_w * w + self.xi[tariff]
-        for block, coef, v in zip(self.splines, self.spline_coef, (tau, taubar, kappa)):
-            parts += float((block.design(v) @ coef)[0])
-        return parts
 
 
 def _fit_half_hour(y, tau, taubar, kappa, w, tariff, lam_grid):
@@ -123,29 +121,48 @@ class GamGenerator:
     corr: np.ndarray           # (48, 48)
     chol: np.ndarray           # lower Cholesky factor of corr
 
+    def mean_profiles(self, tau_rows, taubar, kappa, w, tariffs):
+        """Noise-free daily means (D, 48) of D days, before any clamping.
+
+        tau_rows and tariffs are (D, 48); taubar, kappa and w are (D,). Each
+        slot makes one design call per spline block for all D days. Every
+        per-day product is its own row-times-matrix product and the terms
+        are added in one fixed order, so row d does not depend on the other
+        days: a one-day call gives the same bits.
+        """
+        tau_rows = np.asarray(tau_rows, dtype=float)
+        tariffs = np.asarray(tariffs)
+        means = np.empty(tau_rows.shape)
+        for h, model in enumerate(self.models):
+            f = model.intercept + model.alpha_w * np.asarray(w) + model.xi[tariffs[:, h]]
+            for block, coef, v in zip(model.splines, model.spline_coef,
+                                      (tau_rows[:, h], taubar, kappa)):
+                d = ((block.basis.design(v) - block.center)[:, None, :] @ block.z)[:, 0, :]
+                f = f + (d[:, None, :] @ coef[:, None])[:, 0, 0]
+            means[:, h] = f
+        return means
+
     def mean_profile(self, tau_row, taubar, kappa, w, tariffs):
         """Noise-free daily mean f (48,), before any clamping."""
-        tariffs = np.asarray(tariffs)
-        return np.array(
-            [
-                self.models[h].predict(tau_row[h], taubar, kappa, w, tariffs[h])
-                for h in range(HALF_HOURS)
-            ]
-        )
+        return self.mean_profiles([tau_row], [taubar], [kappa], [w], [tariffs])[0]
 
     def sigma_profile(self, tariffs):
         tariffs = np.asarray(tariffs)
         return self.sigma[tariffs, np.arange(HALF_HOURS)]
 
-    def sample(self, tau_row, taubar, kappa, w, tariffs, n_samples, seed, clamp=True):
-        """Draw n_samples correlated daily profiles (kWh)."""
-        f = self.mean_profile(tau_row, taubar, kappa, w, tariffs)
+    def draw(self, f, tariffs, n_samples, seed, clamp=True):
+        """n_samples correlated daily profiles (kWh) around the mean f (48,)."""
         s = self.sigma_profile(tariffs)
         eps = np.random.default_rng(seed).standard_normal((n_samples, HALF_HOURS))
         y = f + s * (eps @ self.chol.T)
         if clamp:
             y = np.maximum(y, 0.0)
         return y
+
+    def sample(self, tau_row, taubar, kappa, w, tariffs, n_samples, seed, clamp=True):
+        """Draw n_samples correlated daily profiles (kWh)."""
+        f = self.mean_profile(tau_row, taubar, kappa, w, tariffs)
+        return self.draw(f, tariffs, n_samples, seed, clamp)
 
 
 def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partition,
@@ -213,45 +230,72 @@ def export_sigma_matrix_csv(gen, path):
     write_csv(path, None, gen.corr.tolist())
 
 
+# the arrays of a model file; each (slot, block) entry of the padded ones is
+# NaN past the block's own length
+MODEL_KEYS = ("meta", "ranges", "counts", "interiors", "centers", "coefs",
+              "scalars", "sigma", "corr", "chol")
+
+
+def _stacked(rows, width, n_slots):
+    """rows as one (n_slots, rows per slot, width) array, NaN past each row's end."""
+    out = np.full((len(rows), width), np.nan)
+    for r, values in zip(out, rows):
+        r[:len(values)] = values
+    return out.reshape(n_slots, len(rows) // n_slots, width)
+
+
 def save_generator(gen, path):
-    arrays = {"sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol}
-    lams = []
-    for h, model in enumerate(gen.models):
-        for i, (block, coef) in enumerate(zip(model.splines, model.spline_coef)):
-            arrays[f"h{h}_range{i}"] = np.array([block.basis.lo, block.basis.hi])
-            arrays[f"h{h}_interior{i}"] = block.basis.interior
-            arrays[f"h{h}_center{i}"] = block.center
-            arrays[f"h{h}_coef{i}"] = coef
-        arrays[f"h{h}_scalars"] = np.array(
-            [model.intercept, model.alpha_w, model.xi[LOW], model.xi[HIGH]]
-        )
-        lams.append(model.lam)
-    meta = {"entity": gen.entity, "lams": lams}
+    """One npz of (48, 3, ...) arrays for the spline blocks of all slots,
+    padded to the longest block, plus the noise side."""
+    n = len(gen.models)
+    blocks = [block for model in gen.models for block in model.splines]
+    coefs = [coef for model in gen.models for coef in model.spline_coef]
+    counts = np.array([len(block.basis.interior) for block in blocks])
+    k = int(counts.max(initial=0))
+    arrays = {
+        "ranges": _stacked([(b.basis.lo, b.basis.hi) for b in blocks], 2, n),
+        "counts": counts.reshape(n, -1),
+        "interiors": _stacked([b.basis.interior for b in blocks], k, n),
+        "centers": _stacked([b.center for b in blocks], k + 4, n),
+        "coefs": _stacked(coefs, k + 3, n),
+        "scalars": np.array([[m.intercept, m.alpha_w, m.xi[LOW], m.xi[HIGH]]
+                             for m in gen.models]),
+        "sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol,
+    }
+    meta = {"entity": gen.entity, "lams": [model.lam for model in gen.models]}
     with replacing(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_generator(path):
     with np.load(path, allow_pickle=False) as z:
+        missing = [key for key in MODEL_KEYS if key not in z.files]
+        if missing:
+            raise GamModelError(
+                f"{path}: not a GAM model file of this version (no {', '.join(missing)}); "
+                "rerun `drsim train --force`"
+            )
         meta = json.loads(str(z["meta"]))
+        ranges, counts, interiors = z["ranges"], z["counts"], z["interiors"]
+        centers, coefs, scalars = z["centers"], z["coefs"], z["scalars"]
         models = []
-        for h in range(HALF_HOURS):
-            splines = []
-            for i in range(3):
-                lo, hi = z[f"h{h}_range{i}"]
-                basis = CubicSplineBasis(float(lo), float(hi), z[f"h{h}_interior{i}"])
-                splines.append(CenteredSplineBlock(basis, z[f"h{h}_center{i}"]))
-            scalars = z[f"h{h}_scalars"]
+        for h, lam in enumerate(meta["lams"]):
+            splines, spline_coef = [], []
+            for i, n in enumerate(counts[h].tolist()):
+                lo, hi = ranges[h, i].tolist()
+                basis = CubicSplineBasis(lo, hi, interiors[h, i, :n])
+                splines.append(CenteredSplineBlock(basis, centers[h, i, :n + 4].copy()))
+                spline_coef.append(coefs[h, i, :n + 3].copy())
             xi = np.zeros(3)
-            xi[LOW], xi[HIGH] = scalars[2], scalars[3]
+            xi[LOW], xi[HIGH] = scalars[h, 2], scalars[h, 3]
             models.append(
                 HalfHourGam(
                     splines=splines,
-                    spline_coef=[z[f"h{h}_coef{i}"] for i in range(3)],
-                    intercept=float(scalars[0]),
-                    alpha_w=float(scalars[1]),
+                    spline_coef=spline_coef,
+                    intercept=float(scalars[h, 0]),
+                    alpha_w=float(scalars[h, 1]),
                     xi=xi,
-                    lam=float(meta["lams"][h]),
+                    lam=float(lam),
                 )
             )
         return GamGenerator(

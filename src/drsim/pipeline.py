@@ -5,9 +5,10 @@ under one run directory, so stages stay decoupled and reruns are
 cache-by-file-presence (--force regenerates; synth refuses to overwrite
 without it). Every output goes through dataio.replacing (a temporary file
 renamed over the target), so it appears whole or not at all: a stage that
-dies mid-write leaves no file that a rerun would take as done. A single
-config seed fans out into per-stage streams, which makes every stage
-deterministic given the config.
+dies mid-write leaves no file that a rerun would take as done. Synth renames
+its three files only once all three are written, so it never leaves a part
+of its set for a plain rerun to refuse. A single config seed fans out into
+per-stage streams, which makes every stage deterministic given the config.
 """
 
 import datetime
@@ -259,9 +260,10 @@ def stage_synth(config, paths, force=False):
         std_count=s.std_households,
         policy=synthdata.SchedulePolicy(s.special_fraction, s.window_shapes),
     )
-    synthdata.write_consumption_csv(pop, paths.consumption)
-    synthdata.write_temperature_csv(pop.weather, paths.temperature)
-    synthdata.write_ground_truth_csv(pop, paths.ground_truth)
+    with dataio.replacing_all(targets) as (consumption, temperature, ground_truth):
+        synthdata.write_consumption_csv(pop, consumption)
+        synthdata.write_temperature_csv(pop.weather, temperature)
+        synthdata.write_ground_truth_csv(pop, ground_truth)
     return targets
 
 
@@ -439,25 +441,27 @@ def stage_train(config, paths, force=False, generator=None):
     return written
 
 
-def _sampler(name, paths, label, ds):
-    """Load one cluster's generator; returns (day, tariffs, n, seed) -> (n, 48)."""
+def _sampler(name, paths, label, ds, days, tariffs):
+    """Load one cluster's generator for days (D,) under tariffs (D, 48).
+
+    Returns (i, n, seed) -> (n, 48), the ensemble for days[i] under
+    tariffs[i]. The GAM computes the means of all D days in one pass.
+    """
     if name == "gam":
         _require(paths.gam_model(label), "train --generator gam")
         gen = gamgen.load_generator(paths.gam_model(label))
-
-        def sample(day, tariffs, n, seed):
-            return gen.sample(
-                ds.tau[day], ds.tau_bar_daily[day], ds.calendar.kappa[day],
-                ds.calendar.w[day], tariffs, n, seed,
-            )
-
-        return sample
+        means = gen.mean_profiles(
+            ds.tau[days], ds.tau_bar_daily[days], ds.calendar.kappa[days],
+            ds.calendar.w[days], tariffs,
+        )
+        return lambda i, n, seed: gen.draw(means[i], tariffs[i], n, seed)
     _require(paths.cvae_model(label), "train --generator cvae")
     model = neuralgen.load_model(paths.cvae_model(label))
 
-    def sample(day, tariffs, n, seed):
+    def sample(i, n, seed):
+        day = days[i]
         x = dataio.build_conditional_vector(
-            ds.pca_scores[day], ds.calendar.kappa[day], ds.calendar.w[day], tariffs
+            ds.pca_scores[day], ds.calendar.kappa[day], ds.calendar.w[day], tariffs[i]
         )
         return neuralgen.generate(model, x, n, seed)
 
@@ -466,9 +470,8 @@ def _sampler(name, paths, label, ds):
 
 def _test_day_ensembles(name, paths, label, ds, schedule):
     """(test_day_position, n, seed) -> (n, 48) under the cluster's own schedule."""
-    sample = _sampler(name, paths, label, ds)
     days = ds.partition.test
-    return lambda pos, n, seed: sample(days[pos], schedule[days[pos]], n, seed)
+    return _sampler(name, paths, label, ds, days, schedule[days])
 
 
 def stage_evaluate(config, paths, force=False, generator=None):
@@ -498,14 +501,20 @@ def stage_evaluate(config, paths, force=False, generator=None):
     return written
 
 
+# one ensemble member's 48 lines: {0} day, {1} sample, then the kWh values by
+# repr, byte for byte what csv.writer writes
+_SAMPLE_LINES = "".join(f"{{0}},{{1}},{h},{{{h + 1}!r}}\r\n" for h in range(1, HALF_HOURS + 1))
+
+
 def write_samples_csv(ensembles, day_labels, path):
     """day,sample,h,kwh rows for a list of (n, 48) ensembles."""
-    dataio.write_csv(path, ["day", "sample", "h", "kwh"], (
-        (day, s, h, value)
-        for day, ensemble in zip(map(int, day_labels), ensembles)
-        for s, row in enumerate(np.asarray(ensemble).tolist())
-        for h, value in enumerate(row, start=1)
-    ))
+    with dataio.replacing(path) as fh:
+        fh.write("day,sample,h,kwh\r\n")
+        for day, ensemble in zip(map(int, day_labels), ensembles):
+            fh.write("".join(
+                _SAMPLE_LINES.format(day, s, *row)
+                for s, row in enumerate(np.asarray(ensemble).tolist())
+            ))
 
 
 def stage_generate(config, paths, force=False, generator=None):
@@ -548,10 +557,11 @@ def stage_scenario(config, paths, force=False, generator=None):
     name = generator or config.scenario.generator
     ds, clusters = _cluster_inputs(paths)
     day = int(ds.partition.test[0])   # representative conditions
+    scenarios = config.scenario.scenarios
     written = []
     for label in clusters:
         sample = None
-        for si, scen in enumerate(config.scenario.scenarios):
+        for si, scen in enumerate(scenarios):
             targets = [
                 paths.scenario_mean(scen, name, label),
                 paths.scenario_samples(scen, name, label),
@@ -559,9 +569,12 @@ def stage_scenario(config, paths, force=False, generator=None):
             if _fresh(force, targets):
                 continue
             if sample is None:
-                sample = _sampler(name, paths, label, ds)
+                sample = _sampler(
+                    name, paths, label, ds, np.full(len(scenarios), day),
+                    np.stack([scenario_tariffs(sc) for sc in scenarios]),
+                )
             seed = derive_seed(config.seed, SEED_SCENARIO, label, si)
-            ensemble = sample(day, scenario_tariffs(scen), config.scenario.n_samples, seed)
+            ensemble = sample(si, config.scenario.n_samples, seed)
             dataio.write_csv(paths.scenario_mean(scen, name, label), ["h", "kwh"],
                              enumerate(ensemble.mean(axis=0).tolist(), start=1))
             write_samples_csv([ensemble], [day], paths.scenario_samples(scen, name, label))

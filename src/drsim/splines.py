@@ -7,6 +7,7 @@ coefficients with the smoothing weight chosen by generalized cross validation
 over a fixed log-spaced grid.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -92,10 +93,15 @@ class CubicSplineBasis:
         return d2.T @ d2
 
 
+@functools.lru_cache(maxsize=None)
 def constant_complement(p):
-    """Orthonormal (p, p-1) basis of the complement of the all-ones direction."""
-    q = np.linalg.qr(np.ones((p, 1)), mode="complete")[0]
-    return q[:, 1:]
+    """Orthonormal (p, p-1) basis of the complement of the all-ones direction.
+
+    Computed once per p and shared, so the array is read-only.
+    """
+    q = np.linalg.qr(np.ones((p, 1)), mode="complete")[0][:, 1:]
+    q.setflags(write=False)
+    return q
 
 
 @dataclass

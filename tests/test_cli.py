@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from drsim import cli, metrics, pipeline
+from drsim import cli, metrics, pipeline, synthdata
 from drsim.dataio import HALF_HOURS
 
 
@@ -313,6 +313,24 @@ class TestInterruptedWrites:
         for path in sorted(run.glob("samples_gam_cluster*.csv")):
             assert len(path.read_text().splitlines()) == 1 + 10 * 20 * HALF_HOURS
 
+    def test_synth_dying_before_its_last_file_leaves_none(self, workdir, monkeypatch, capsys):
+        tmp, cfg = workdir
+
+        def no_space(pop, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(synthdata, "write_ground_truth_csv", no_space)
+        assert run_cli("synth", "--config", str(cfg)) == 2
+        assert json.loads(capsys.readouterr().err.strip())["type"] == "OSError"
+        run = tmp / "run"
+        assert list(run.iterdir()) == []
+
+        monkeypatch.undo()
+        assert run_cli("synth", "--config", str(cfg)) == 0
+        assert sorted(p.name for p in run.iterdir()) == [
+            "consumption.csv", "ground_truth.csv", "temperature.csv",
+        ]
+
     def test_train_on_empty_assignments_names_the_file(self, workdir, capsys):
         tmp, cfg = workdir
         for stage in ("synth", "ingest"):
@@ -323,6 +341,28 @@ class TestInterruptedWrites:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ClusteringError"
         assert "assignments.csv: empty file" in payload["error"]
+
+
+def test_samples_writer_matches_csv_writer_bytes(tmp_path):
+    ensembles = [
+        np.array([[0.0, 1e-05, 5e-324, 1e16, 0.1, -0.0] * 8,
+                  [1 / 3, 2.5e-300, 123456789.125, 1e-7, 7.0, 0.30000000000000004] * 8]),
+        np.full((3, HALF_HOURS), 0.1),
+    ]
+    path = tmp_path / "samples.csv"
+    pipeline.write_samples_csv(ensembles, [5, 117], path)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["day", "sample", "h", "kwh"])
+        for day, ensemble in zip((5, 117), ensembles):
+            for s, row in enumerate(ensemble.tolist()):
+                for h, value in enumerate(row, start=1):
+                    writer.writerow([day, s, h, value])
+    written = path.read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\r\n") == 1 + 5 * HALF_HOURS
+    for line in (b"5,0,2,1e-05", b"5,0,3,5e-324", b"5,0,4,1e+16", b"5,0,5,0.1"):
+        assert line + b"\r\n" in written
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import datetime
+import json
 
 import numpy as np
 import pytest
@@ -37,6 +38,67 @@ def planted_setup(n_days=240, seed=0, xi_low=0.3, xi_high=-0.2, sigma=0.05,
     kwh = mean + sigma * eps
     partition = dataio.partition_days(n_days, 0.75, seed=1)
     return kwh, tau, taubar_daily, calendar, tariffs, partition
+
+
+def scalar_mean(model, tau, taubar, kappa, w, tariff):
+    """One slot of one day by the per-slot scalar formula: one design call
+    per block, terms added intercept, w, xi, then tau, taubar, kappa."""
+    parts = model.intercept + model.alpha_w * w + model.xi[tariff]
+    for block, coef, v in zip(model.splines, model.spline_coef, (tau, taubar, kappa)):
+        parts += float((block.design(v) @ coef)[0])
+    return parts
+
+
+def scalar_means(gen, tau_rows, taubar, kappa, w, tariffs):
+    return np.array([
+        [scalar_mean(model, tau_row[h], tb, k, wd, tar[h]) for h, model in enumerate(gen.models)]
+        for tau_row, tb, k, wd, tar in zip(tau_rows, taubar, kappa, w, tariffs)
+    ])
+
+
+def wide_days(tau, taubar, n_days=40, seed=11):
+    """Regressors for n_days days under random tariffs of all three kinds,
+    with a third of the temperatures and kappas beyond their knot ranges."""
+    r = np.random.default_rng(seed)
+    rows = r.integers(0, len(taubar), n_days)
+    tau_rows = tau[rows] + r.choice([0.0, -40.0, 40.0], size=(n_days, 1))
+    taubar_days = taubar[rows] + r.choice([0.0, -40.0, 40.0], size=n_days)
+    kappa = r.uniform(-0.5, 1.5, n_days)
+    w = r.integers(0, 2, n_days).astype(float)
+    tariffs = r.integers(0, 3, size=(n_days, 48)).astype(np.int8)
+    return tau_rows, taubar_days, kappa, w, tariffs
+
+
+def old_layout_arrays(gen):
+    """The per-key npz layout that model files had before the stacked one."""
+    arrays = {"sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol}
+    for h, model in enumerate(gen.models):
+        for i, (block, coef) in enumerate(zip(model.splines, model.spline_coef)):
+            arrays[f"h{h}_range{i}"] = np.array([block.basis.lo, block.basis.hi])
+            arrays[f"h{h}_interior{i}"] = block.basis.interior
+            arrays[f"h{h}_center{i}"] = block.center
+            arrays[f"h{h}_coef{i}"] = coef
+        arrays[f"h{h}_scalars"] = np.array(
+            [model.intercept, model.alpha_w, model.xi[LOW], model.xi[HIGH]]
+        )
+    meta = {"entity": gen.entity, "lams": [model.lam for model in gen.models]}
+    return {"meta": np.array(json.dumps(meta)), **arrays}
+
+
+def assert_same_generator(a, b):
+    assert a.entity == b.entity
+    for name in ("sigma", "corr", "chol"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for ma, mb in zip(a.models, b.models, strict=True):
+        assert (ma.intercept, ma.alpha_w, ma.lam) == (mb.intercept, mb.alpha_w, mb.lam)
+        np.testing.assert_array_equal(ma.xi, mb.xi)
+        for ba, bb, ca, cb in zip(ma.splines, mb.splines, ma.spline_coef, mb.spline_coef,
+                                  strict=True):
+            assert (ba.basis.lo, ba.basis.hi) == (bb.basis.lo, bb.basis.hi)
+            np.testing.assert_array_equal(ba.basis.interior, bb.basis.interior)
+            np.testing.assert_array_equal(ba.center, bb.center)
+            np.testing.assert_array_equal(ba.z, bb.z)
+            np.testing.assert_array_equal(ca, cb)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +144,37 @@ class TestFit:
         gen, _ = fitted
         assert gen.sigma.shape == (3, 48)
         assert (gen.sigma > 0).all()
+
+
+class TestMeanProfiles:
+    def test_bit_identical_to_scalar_formula(self, fitted):
+        gen, (kwh, tau, taubar, calendar, tariffs, partition) = fitted
+        days = wide_days(tau, taubar)
+        tau_rows, taubar_days, kappa, _, day_tariffs = days
+        # clamping and every tariff are exercised
+        assert (tau_rows < tau.min()).any() and (tau_rows > tau.max()).any()
+        assert (taubar_days < taubar.min()).any() and (taubar_days > taubar.max()).any()
+        assert (kappa < 0).any() and (kappa > 1).any()
+        assert set(np.unique(day_tariffs[:, 9:19])) == {LOW, NORMAL, HIGH}
+        expected = scalar_means(gen, *days)
+        assert np.array_equal(gen.mean_profiles(*days), expected)
+        for d, args in enumerate(zip(*days)):
+            assert np.array_equal(gen.mean_profile(*args), expected[d])
+
+    def test_rows_do_not_depend_on_the_other_days(self, fitted):
+        gen, (kwh, tau, taubar, calendar, tariffs, partition) = fitted
+        days = wide_days(tau, taubar, n_days=30, seed=12)
+        full = gen.mean_profiles(*days)
+        assert np.array_equal(gen.mean_profiles(*(a[7:9] for a in days)), full[7:9])
+
+    def test_sample_is_mean_plus_draw(self, fitted):
+        gen, (kwh, tau, taubar, calendar, tariffs, partition) = fitted
+        t = int(partition.test[0])
+        args = (tau[t], taubar[t], calendar.kappa[t], calendar.w[t], tariffs[t])
+        np.testing.assert_array_equal(
+            gen.sample(*args, n_samples=6, seed=8),
+            gen.draw(gen.mean_profile(*args), tariffs[t], 6, 8),
+        )
 
 
 class TestEstimateCorrelation:
@@ -198,6 +291,31 @@ class TestPersistence:
         f_orig = gen.mean_profile(*args)
         f_back = loaded.mean_profile(*args)
         np.testing.assert_array_equal(f_back, f_orig)
+        assert_same_generator(loaded, gen)
+
+    def test_round_trip_with_unequal_knot_counts(self, tmp_path):
+        kwh, tau, taubar, calendar, tariffs, partition = planted_setup(n_days=120, seed=3)
+        # three temperature levels in some slots: quantile knots merge or
+        # land on the range ends, so those blocks keep fewer interior knots
+        for h in (0, 20, 47):
+            tau[:, h] = np.digitize(tau[:, h], np.quantile(tau[:, h], [0.15, 0.5])).astype(float)
+        gen = gamgen.fit_gam_generator("cluster3", kwh, tau, taubar, calendar,
+                                       tariffs, partition)
+        counts = [len(b.basis.interior) for m in gen.models for b in m.splines]
+        assert min(counts) < max(counts) == 5
+        path = tmp_path / "gam.npz"
+        gamgen.save_generator(gen, path)
+        loaded = gamgen.load_generator(path)
+        assert_same_generator(loaded, gen)
+        days = wide_days(tau, taubar, n_days=12)
+        assert np.array_equal(loaded.mean_profiles(*days), gen.mean_profiles(*days))
+
+    def test_old_per_key_layout_names_the_file(self, fitted, tmp_path):
+        gen, _ = fitted
+        path = tmp_path / "gam_cluster0.npz"
+        np.savez(path, **old_layout_arrays(gen))
+        with pytest.raises(gamgen.GamModelError, match=r"gam_cluster0\.npz.*train --force"):
+            gamgen.load_generator(path)
 
     def test_coefficient_export_layout(self, fitted, tmp_path):
         gen, _ = fitted

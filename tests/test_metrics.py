@@ -87,6 +87,14 @@ class TestVariogramScore:
         y = rng.uniform(0.0, 2.0, size=10)
         assert metrics.variogram_score(ensemble, y, p=p) == variogram_oracle(ensemble, y, p)
 
+    @pytest.mark.parametrize("n", [2, 3, 200, 1000])
+    @pytest.mark.parametrize("p", [0.5, 0.7, 1.0, 2.0])
+    def test_bitwise_matches_oracle_at_pipeline_width(self, n, p, rng):
+        # 48 half-hours as the pipeline scores them, small to large ensembles
+        ensemble = rng.gamma(2.0, 0.3, size=(n, 48))
+        y = rng.gamma(2.0, 0.3, size=48)
+        assert metrics.variogram_score(ensemble, y, p=p) == variogram_oracle(ensemble, y, p)
+
     def test_zero_when_ensemble_replicates_observation(self, rng):
         y = rng.uniform(0.5, 1.5, size=6)
         ensemble = np.tile(y, (8, 1))

@@ -12,9 +12,12 @@ file appears whole or not at all; replacing_all does the same for a set of
 files that must appear together. read_csv reads them back, header checked.
 """
 
+import array
+import bisect
 import contextlib
 import csv
 import datetime
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -87,16 +90,54 @@ def _parse_timestamp(text, line_no):
     return ts
 
 
+def _half_hour_slot(text, line_no):
+    """(date, half-hour index) of a consumption timestamp."""
+    ts = _parse_timestamp(text, line_no)
+    if ts.minute not in (0, 30):
+        raise DataValidationError(f"line {line_no}: timestamp {text!r} not on the half-hour grid")
+    return ts.date(), ts.hour * 2 + ts.minute // 30
+
+
+def _raise_duplicate(hh_col, text_col, text_slot, index_of, texts, blanks):
+    """Raise for the first row whose (household, slot) an earlier row holds.
+
+    Row r came from line r + 2 plus the blank lines read before it; blanks
+    holds the number of rows read before each blank line.
+    """
+    slot = np.asarray(text_slot, dtype=np.int64)[np.frombuffer(text_col, np.intc)]
+    key = np.frombuffer(hh_col, np.intc) * np.int64(len(text_slot)) + slot
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        row = int(repeats.min())
+        line_no = row + 2 + bisect.bisect_right(blanks, row)
+        raise DataValidationError(
+            f"line {line_no}: duplicate reading for {list(index_of)[hh_col[row]]} "
+            f"at {texts[text_col[row]]}"
+        ) from None
+
+
 def read_consumption_csv(path):
     """Parse and validate a consumption CSV into aligned (T, 48) grids.
 
     Households with less than 95% slot coverage over the file's date range
     are listed in .flagged (they stay in the record set; callers decide).
-    Raises DataParseError / DataValidationError with the offending line.
+    Raises DataParseError / DataValidationError with the offending line;
+    of several faults the one on the earliest line wins.
+
+    One pass streams the rows into flat columns, parsing each distinct
+    timestamp text once; the columns are scattered into the grids at the
+    end. Duplicate readings are found in bulk, after the pass or before
+    any error the pass raises, since a duplicate on an earlier line wins.
     """
-    per_household = {}
-    groups = {}
-    order = []
+    index_of = {}              # household id -> index, in order of first appearance
+    groups = []
+    text_ids = {}              # timestamp text -> index into texts
+    texts, text_slot = [], []  # distinct timestamp texts and their slot ids
+    slots = {}                 # (date, half-hour) -> slot id
+    hh_col, text_col = array.array("i"), array.array("i")
+    kwh_col, code_col = array.array("d"), array.array("b")
+    blanks = []                # rows read before each blank line
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -107,71 +148,78 @@ def read_consumption_csv(path):
             raise DataParseError(
                 f"line 1: expected header {','.join(CONSUMPTION_HEADER)}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataParseError(f"line {line_no}: expected 5 fields, got {len(row)}")
-            hid, ts_text, kwh_text, tariff, group = row
-            ts = _parse_timestamp(ts_text, line_no)
-            if ts.minute not in (0, 30):
-                raise DataValidationError(
-                    f"line {line_no}: timestamp {ts_text!r} not on the half-hour grid"
-                )
-            try:
-                kwh = float(kwh_text)
-            except ValueError:
-                raise DataParseError(f"line {line_no}: bad kwh value {kwh_text!r}") from None
-            if not np.isfinite(kwh):
-                raise DataValidationError(f"line {line_no}: non-finite kwh")
-            if kwh < 0:
-                raise DataValidationError(f"line {line_no}: negative kwh {kwh!r}")
-            if tariff not in TARIFF_CODES:
-                raise DataValidationError(
-                    f"line {line_no}: unknown tariff {tariff!r} "
-                    f"(expected one of {', '.join(sorted(set(TARIFF_CODES)))})"
-                )
-            if group not in GROUPS:
-                raise DataValidationError(f"line {line_no}: unknown group {group!r}")
-            if hid in groups and groups[hid] != group:
-                raise DataValidationError(
-                    f"line {line_no}: household {hid} changes group {groups[hid]} -> {group}"
-                )
-            if hid not in per_household:
-                per_household[hid] = {}
-                groups[hid] = group
-                order.append(hid)
-            slot = (ts.date(), ts.hour * 2 + ts.minute // 30)
-            if slot in per_household[hid]:
-                raise DataValidationError(
-                    f"line {line_no}: duplicate reading for {hid} at {ts_text}"
-                )
-            per_household[hid][slot] = (kwh, TARIFF_CODES[tariff])
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    blanks.append(len(hh_col))
+                    continue
+                if len(row) != 5:
+                    raise DataParseError(f"line {line_no}: expected 5 fields, got {len(row)}")
+                hid, ts_text, kwh_text, tariff, group = row
+                text_id = text_ids.get(ts_text)
+                if text_id is None:
+                    slot = _half_hour_slot(ts_text, line_no)
+                    text_id = text_ids[ts_text] = len(texts)
+                    texts.append(ts_text)
+                    text_slot.append(slots.setdefault(slot, len(slots)))
+                try:
+                    kwh = float(kwh_text)
+                except ValueError:
+                    raise DataParseError(f"line {line_no}: bad kwh value {kwh_text!r}") from None
+                if not 0.0 <= kwh < math.inf:
+                    if not math.isfinite(kwh):
+                        raise DataValidationError(f"line {line_no}: non-finite kwh")
+                    raise DataValidationError(f"line {line_no}: negative kwh {kwh!r}")
+                code = TARIFF_CODES.get(tariff)
+                if code is None:
+                    raise DataValidationError(
+                        f"line {line_no}: unknown tariff {tariff!r} "
+                        f"(expected one of {', '.join(sorted(set(TARIFF_CODES)))})"
+                    )
+                if group not in GROUPS:
+                    raise DataValidationError(f"line {line_no}: unknown group {group!r}")
+                index = index_of.get(hid)
+                if index is None:
+                    index = index_of[hid] = len(groups)
+                    groups.append(group)
+                elif groups[index] != group:
+                    raise DataValidationError(
+                        f"line {line_no}: household {hid} changes group {groups[index]} -> {group}"
+                    )
+                hh_col.append(index)
+                text_col.append(text_id)
+                kwh_col.append(kwh)
+                code_col.append(code)
+        except (ValueError, csv.Error):
+            _raise_duplicate(hh_col, text_col, text_slot, index_of, texts, blanks)
+            raise
 
-    if not per_household:
+    if not hh_col:
         raise DataValidationError("no data rows")
+    _raise_duplicate(hh_col, text_col, text_slot, index_of, texts, blanks)
 
-    all_dates = [d for rows in per_household.values() for d, _ in rows]
-    first, last = min(all_dates), max(all_dates)
-    n_days = (last - first).days + 1
-    dates = [first + datetime.timedelta(days=i) for i in range(n_days)]
-    day_index = {d: i for i, d in enumerate(dates)}
+    day = np.array([d.toordinal() for d, _ in slots])
+    first, last = int(day.min()), int(day.max())
+    dates = [datetime.date.fromordinal(n) for n in range(first, last + 1)]
+    n_days = len(dates)
+    slot_cell = (day - first) * HALF_HOURS + np.array([h for _, h in slots])
+    cells = (np.frombuffer(hh_col, np.intc).astype(np.int64) * (n_days * HALF_HOURS)
+             + slot_cell[np.asarray(text_slot)[np.frombuffer(text_col, np.intc)]])
+    kwh = np.full((len(groups), n_days, HALF_HOURS), np.nan)
+    tariff = np.full(kwh.shape, -1, dtype=np.int8)
+    kwh.reshape(-1)[cells] = np.frombuffer(kwh_col)
+    tariff.reshape(-1)[cells] = np.frombuffer(code_col, np.int8)
+    observed = ~np.isnan(kwh)
 
     households = []
     coverage = {}
     flagged = []
-    for hid in order:
-        kwh = np.full((n_days, HALF_HOURS), np.nan)
-        tar = np.full((n_days, HALF_HOURS), -1, dtype=np.int8)
-        for (d, h), (value, code) in per_household[hid].items():
-            kwh[day_index[d], h] = value
-            tar[day_index[d], h] = code
-        observed = ~np.isnan(kwh)
-        cov = observed.sum() / observed.size
+    for i, hid in enumerate(index_of):
+        cov = observed[i].sum() / observed[i].size
         coverage[hid] = cov
         if cov < COVERAGE_THRESHOLD:
             flagged.append(hid)
-        households.append(HouseholdData(hid, groups[hid], kwh, tar, observed))
+        households.append(HouseholdData(hid, groups[i], kwh[i], tariff[i], observed[i]))
 
     if flagged:
         warnings.warn(f"{len(flagged)} household(s) below {COVERAGE_THRESHOLD:.0%} coverage")
@@ -202,7 +250,7 @@ def read_temperature_csv(path):
                 value = float(row[1])
             except ValueError:
                 raise DataParseError(f"line {line_no}: bad temp_c value {row[1]!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DataValidationError(f"line {line_no}: non-finite temperature")
             if timestamps and ts <= timestamps[-1]:
                 raise DataValidationError(f"line {line_no}: timestamps not increasing")

@@ -1,3 +1,4 @@
+import csv
 import datetime
 import warnings
 
@@ -30,6 +31,44 @@ def day_rows(hid, date, kwh=0.4, tariff="NORMAL", group="TOU", skip=()):
 
 D1 = datetime.date(2024, 3, 4)
 D2 = datetime.date(2024, 3, 5)
+
+
+def reference_read_consumption(path):
+    """The row-at-a-time reader the streaming one replaced, kept as the
+    oracle for valid input: one datetime parse and one dict entry per row.
+    Its error checks are left out; the message tests pin those."""
+    per_household, groups = {}, {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            hid, ts_text, kwh_text, tariff, group = row
+            ts = datetime.datetime.fromisoformat(ts_text)
+            if hid not in per_household:
+                per_household[hid] = {}
+                groups[hid] = group
+            slot = (ts.date(), ts.hour * 2 + ts.minute // 30)
+            per_household[hid][slot] = (float(kwh_text), dataio.TARIFF_CODES[tariff])
+    all_dates = [d for rows in per_household.values() for d, _ in rows]
+    first, last = min(all_dates), max(all_dates)
+    n_days = (last - first).days + 1
+    dates = [first + datetime.timedelta(days=i) for i in range(n_days)]
+    day_index = {d: i for i, d in enumerate(dates)}
+    households, coverage, flagged = [], {}, []
+    for hid, rows in per_household.items():
+        kwh = np.full((n_days, 48), np.nan)
+        tar = np.full((n_days, 48), -1, dtype=np.int8)
+        for (d, h), (value, code) in rows.items():
+            kwh[day_index[d], h] = value
+            tar[day_index[d], h] = code
+        observed = ~np.isnan(kwh)
+        coverage[hid] = observed.sum() / observed.size
+        if coverage[hid] < dataio.COVERAGE_THRESHOLD:
+            flagged.append(hid)
+        households.append(dataio.HouseholdData(hid, groups[hid], kwh, tar, observed))
+    return dataio.ConsumptionData(households, dates, coverage, flagged)
 
 
 class TestReadConsumption:
@@ -118,6 +157,72 @@ class TestReadConsumption:
         assert data.flagged == []
         hh = data.households[0]
         assert not hh.observed[1, 7] and hh.observed.sum() == 95
+
+    @pytest.mark.parametrize("body, error, match", [
+        pytest.param(day_rows("a", D1) + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n"
+                     + day_rows("a", D2, tariff="PEAK"),
+                     dataio.DataValidationError, "line 50: duplicate reading for a at ",
+                     id="duplicate-before-unknown-tariff"),
+        pytest.param(day_rows("a", D1) + "a,2024-03-05T00:00,0.5,PEAK,TOU\n"
+                     + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n",
+                     dataio.DataValidationError, "line 50: unknown tariff",
+                     id="unknown-tariff-before-duplicate"),
+        pytest.param(day_rows("a", D1).replace("a,2024-03-04T05:00,0.4", "a,2024-03-04T05:00,-0.4")
+                     + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n",
+                     dataio.DataValidationError, "line 12: negative kwh",
+                     id="negative-kwh-before-duplicate"),
+        pytest.param(day_rows("a", D1) + "\n\n" + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n"
+                     + "a,2024-03-05T00:00,x,NORMAL,TOU\n",
+                     dataio.DataValidationError, "line 52: duplicate",
+                     id="blank-lines-count-toward-the-line"),
+    ])
+    def test_earliest_line_wins(self, tmp_path, body, error, match):
+        with pytest.raises(error, match=match):
+            dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
+
+    def test_two_spellings_of_one_slot_are_a_duplicate(self, tmp_path):
+        body = day_rows("a", D1) + "a,2024-03-04 00:30,0.5,NORMAL,TOU\n"
+        with pytest.raises(dataio.DataValidationError,
+                           match="line 50: duplicate reading for a at 2024-03-04 00:30$"):
+            dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
+
+    def test_matches_row_at_a_time_reader_bit_for_bit(self, tmp_path):
+        # interleaved and out of order, gaps, a low-coverage STD/FLAT
+        # household, both timestamp spellings, blank lines and CRLF endings
+        rng = np.random.default_rng(3)
+        rows = []
+        for hid, group, sep, skip in (("a", "TOU", "T", {(1, 5), (1, 6), (2, 47)}),
+                                      ("s", "STD", " ", {(1, h) for h in range(10, 30)}),
+                                      ("c", "TOU", " ", set())):
+            for t in range(3):
+                for h in range(48):
+                    if (t, h) in skip or (hid == "c" and t == 0 and h < 4):
+                        continue
+                    ts = datetime.datetime.combine(D1, datetime.time(h // 2, 30 * (h % 2)))
+                    ts += datetime.timedelta(days=t)
+                    tariff = "FLAT" if group == "STD" else ("LOW", "NORMAL", "HIGH")[(h + t) % 3]
+                    kwh = rng.uniform(0.0, 3.0)
+                    kwh_text = "0" if h == 7 else f"{kwh:.6e}" if h % 5 == 0 else repr(kwh)
+                    rows.append(f"{hid},{ts.isoformat(sep, 'minutes')},{kwh_text},{tariff},{group}")
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        for at in (0, 17, 200):
+            rows.insert(at, "")
+        path = tmp_path / "c.csv"
+        path.write_bytes("\r\n".join([HEADER.strip()] + rows + [""]).encode())
+
+        with pytest.warns(UserWarning, match="1 household"):
+            got = dataio.read_consumption_csv(path)
+        want = reference_read_consumption(path)
+        for name in ("household_id", "group"):
+            assert [getattr(hh, name) for hh in got.households] == \
+                [getattr(hh, name) for hh in want.households]
+        assert got.dates == want.dates and len(got.dates) == 3
+        assert got.coverage == want.coverage
+        assert got.flagged == want.flagged == ["s"]
+        for g, w in zip(got.households, want.households):
+            for name in ("kwh", "tariff", "observed"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 class TestTemperature:

@@ -10,13 +10,15 @@ live in [0, 1] and generated profiles in the training min/max range exactly.
 Training minimizes mean_batch(||y - yhat||^2 + eta * KL) with KL against the
 standard Normal in closed form. Each restart reruns init, shuffling and
 reparameterization draws under seed + restart_index; the restart with the
-lowest test reconstruction MSE wins. Restarts depend only on their seed, so
-they run in parallel over the usable CPUs where the platform can fork, with
-results identical to a serial run.
+lowest test reconstruction MSE wins. Restarts depend only on their seed and
+data, so many of them train together: a stack of K restarts that share
+shapes and config keeps every array with a leading K axis, and one numpy call
+serves all K. Stacks run in parallel over the usable CPUs where the platform
+can fork. Each restart does the unstacked arithmetic op for op, so its
+results are the same bits however the restarts are stacked or split.
 """
 
 import hashlib
-import itertools
 import json
 import multiprocessing
 import os
@@ -59,28 +61,21 @@ class DenseLayer:
     activation: str        # relu | linear | sigmoid
 
 
+def _sigmoid(pre):
+    """1 / (1 + exp(-pre)) in one pass: exp only sees -|pre|, so it never
+    overflows, and each sign gets its own textbook form."""
+    e = np.exp(-np.abs(pre))
+    return np.where(pre >= 0, 1.0, e) / (1.0 + e)
+
+
 def _activate(name, pre):
     if name == "relu":
         return np.maximum(pre, 0.0)
     if name == "sigmoid":
-        # split by sign so exp never overflows
-        out = np.empty_like(pre)
-        pos = pre >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
-        e = np.exp(pre[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        return _sigmoid(pre)
     if name == "linear":
         return pre
     raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name, pre, out):
-    if name == "relu":
-        return (pre > 0).astype(float)
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    return np.ones_like(pre)
 
 
 def glorot_uniform(n_out, n_in, rng):
@@ -104,25 +99,6 @@ class DenseNet:
         for layer in self.layers:
             x = _activate(layer.activation, x @ layer.weights.T + layer.bias)
         return x
-
-    def forward_trace(self, x):
-        caches = []
-        for layer in self.layers:
-            pre = x @ layer.weights.T + layer.bias
-            out = _activate(layer.activation, pre)
-            caches.append((x, pre, out))
-            x = out
-        return x, caches
-
-    def backward(self, caches, grad_out):
-        """Gradients of a scalar loss; returns (grad_input, [(dW, db), ...])."""
-        grads = [None] * len(self.layers)
-        for i in reversed(range(len(self.layers))):
-            x_in, pre, out = caches[i]
-            grad_pre = grad_out * _activation_grad(self.layers[i].activation, pre, out)
-            grads[i] = (grad_pre.T @ x_in, grad_pre.sum(axis=0))
-            grad_out = grad_pre @ self.layers[i].weights
-        return grad_out, grads
 
     def params(self):
         out = []
@@ -185,38 +161,123 @@ def cvae_loss(encoder, decoder, config, y_scaled, x, eps):
     return loss, float(np.mean(recon)), float(np.mean(kl))
 
 
+def _layer_views(flat, shapes):
+    """(K, out, in) weight and (K, 1, out) bias views of a (K, P) buffer, for
+    layers of the given (out, in) shapes, in params() order."""
+    k = flat.shape[0]
+    views = []
+    offset = 0
+    for n_out, n_in in shapes:
+        views.append(flat[:, offset : offset + n_out * n_in].reshape(k, n_out, n_in))
+        offset += n_out * n_in
+        views.append(flat[:, offset : offset + n_out].reshape(k, 1, n_out))
+        offset += n_out
+    return views
+
+
+def _dense(h, w, b):
+    pre = np.matmul(h, w.transpose(0, 2, 1))
+    pre += b
+    return pre
+
+
+def _relu_layers(layers, h):
+    """Run h through ReLU layers; returns the input of every layer plus the
+    last output, which feeds the next (output) layer."""
+    inputs = [h]
+    for w, b in layers:
+        h = _dense(h, w, b)
+        np.maximum(h, 0.0, out=h)
+        inputs.append(h)
+    return inputs
+
+
+def _backprop(g, layers, inputs, grads):
+    """Write each layer's (dW, db) into grads, starting from g, the gradient at
+    the last layer's pre-activation; inputs[i] is layer i's input and, for
+    i > 0, layer i - 1's ReLU output. Returns the gradient at the first
+    layer's pre-activation."""
+    for i in reversed(range(len(layers))):
+        np.matmul(g.transpose(0, 2, 1), inputs[i], out=grads[2 * i])
+        np.sum(g, axis=1, keepdims=True, out=grads[2 * i + 1])
+        if i > 0:
+            g = g @ layers[i][0]
+            g *= inputs[i] > 0
+    return g
+
+
+def _stack_loss_and_grads(params, grads, n_enc, eta, enc_in, eps, dec_in):
+    """Losses (K,) of K stacked CVAEs on one batch each; gradients go into grads.
+
+    params and grads hold (K, out, in) weights and (K, 1, out) biases in
+    params() order, the n_enc encoder layers first. Hidden layers are ReLU,
+    the encoder ends linear and the decoder in a sigmoid. enc_in (K, n, F + C)
+    holds the scaled profiles in its first F columns, eps is (K, n, d), and
+    dec_in is a (K, n, d + C) buffer that arrives with the conditionals in
+    its last C columns; z is written into the first d. Each job's numbers go
+    through the unstacked formula's operations in the same order, so a job
+    gets the same bits whatever shares its stack.
+    """
+    layers = list(zip(params[0::2], params[1::2]))
+    enc, dec = layers[:n_enc], layers[n_enc:]
+    n = enc_in.shape[1]
+    d = eps.shape[2]
+
+    enc_inputs = _relu_layers(enc[:-1], enc_in)
+    raw = _dense(enc_inputs[-1], *enc[-1])
+    mu, log_var = raw[..., :d], raw[..., d:]
+    std = np.exp(log_var / 2.0)
+    z = dec_in[..., :d]
+    np.multiply(std, eps, out=z)
+    z += mu  # mu + std * eps: IEEE addition commutes exactly
+    dec_inputs = _relu_layers(dec[:-1], dec_in)
+    y_hat = _sigmoid(_dense(dec_inputs[-1], *dec[-1]))
+
+    diff = enc_in[..., : y_hat.shape[2]] - y_hat
+    recon = (diff**2).sum(axis=2)
+    var = np.exp(log_var)
+    kl = 0.5 * (var + mu**2 - 1.0 - log_var).sum(axis=2)
+    loss = np.mean(recon + eta * kl, axis=1)
+
+    g = -2.0 * diff / n
+    g *= y_hat * (1.0 - y_hat)
+    g = _backprop(g, dec, dec_inputs, grads[2 * n_enc :])
+    # the whole input gradient, then sliced: BLAS may sum a column subset in another order
+    d_z = (g @ dec[0][0])[..., :d]
+
+    # d_mu | d_log_var, with d_log_var = d_z * eps * 0.5 * std + (eta / n) * 0.5 * (var - 1)
+    g = np.empty_like(raw)
+    np.add(d_z, (eta / n) * mu, out=g[..., :d])
+    t = d_z * eps
+    t *= 0.5
+    t *= std
+    var -= 1.0
+    var *= (eta / n) * 0.5
+    np.add(t, var, out=g[..., d:])
+    _backprop(g, enc, enc_inputs, grads[: 2 * n_enc])
+    return loss
+
+
+def _net_shapes(nets):
+    return [layer.weights.shape for net in nets for layer in net.layers]
+
+
 def cvae_loss_and_grads(encoder, decoder, config, y_scaled, x, eps):
-    """Loss plus backprop gradients for every encoder/decoder parameter."""
+    """Loss plus backprop gradients for every encoder/decoder parameter, in
+    params() order: the one-job case of _stack_loss_and_grads."""
     y = np.atleast_2d(y_scaled)
     x = np.atleast_2d(x)
-    n = y.shape[0]
     d = config.latent_dim
-
-    enc_in = np.hstack([y, x])
-    enc_raw, enc_caches = encoder.forward_trace(enc_in)
-    mu, log_var = enc_raw[:, :d], enc_raw[:, d:]
-    std = np.exp(log_var / 2.0)
-    z = mu + std * eps
-
-    dec_in = np.hstack([z, x])
-    y_hat, dec_caches = decoder.forward_trace(dec_in)
-
-    recon = ((y - y_hat) ** 2).sum(axis=1)
-    kl = 0.5 * (np.exp(log_var) + mu**2 - 1.0 - log_var).sum(axis=1)
-    loss = float(np.mean(recon + config.eta * kl))
-
-    d_y_hat = -2.0 * (y - y_hat) / n
-    d_dec_in, dec_grads = decoder.backward(dec_caches, d_y_hat)
-    d_z = d_dec_in[:, :d]
-
-    d_mu = d_z + (config.eta / n) * mu
-    d_log_var = d_z * eps * 0.5 * std + (config.eta / n) * 0.5 * (np.exp(log_var) - 1.0)
-    _, enc_grads = encoder.backward(enc_caches, np.hstack([d_mu, d_log_var]))
-
-    grads = []
-    for dw, db in enc_grads + dec_grads:
-        grads.extend([dw, db])
-    return loss, grads
+    nets = (encoder, decoder)
+    params = [p for net in nets for p in net.params()]
+    grads = _layer_views(np.empty((1, sum(p.size for p in params))), _net_shapes(nets))
+    dec_in = np.empty((1, y.shape[0], d + x.shape[1]))
+    dec_in[0, :, d:] = x
+    loss = _stack_loss_and_grads(
+        [p.reshape(1, -1, p.shape[-1]) for p in params], grads, len(encoder.layers),
+        config.eta, np.hstack([y, x])[None], np.atleast_2d(eps)[None], dec_in,
+    )
+    return float(loss[0]), [g[0].reshape(p.shape) for g, p in zip(grads, params)]
 
 
 @dataclass
@@ -274,59 +335,104 @@ def _test_mse(encoder, decoder, d, y_scaled, x, rng):
     return float(np.mean(((y_scaled - y_hat) ** 2).sum(axis=1)))
 
 
-def _flatten_params(nets):
-    """Copy every weight and bias of nets into one contiguous buffer and
-    rebind each layer's arrays as views of it, in params() order."""
-    layers = [layer for net in nets for layer in net.layers]
-    flat = np.concatenate([p.ravel() for net in nets for p in net.params()])
+def _bind_params(nets, flat):
+    """Rebind every weight and bias of nets as a view of the 1-d buffer flat,
+    in params() order."""
     offset = 0
-    for layer in layers:
+    for layer in (layer for net in nets for layer in net.layers):
         for name in ("weights", "bias"):
             a = getattr(layer, name)
             setattr(layer, name, flat[offset : offset + a.size].reshape(a.shape))
             offset += a.size
-    return flat
 
 
 def _train_once(y_train, x_train, y_test, x_test, config, seed):
-    """One restart; returns (encoder, decoder, test_mse, epoch_losses) or an
-    error string when the loss degenerates.
+    """One restart; returns (encoder, decoder, test_mse, epoch_losses, error),
+    with error a string and no nets when the loss degenerates. It is the
+    one-job case of _train_stack."""
+    return _train_stack([(y_train, x_train, y_test, x_test, config, seed)])[0]
 
-    All parameters live in one flat buffer, so each step is a single Adam
-    update on it; elementwise Adam gives the same bits as per-array updates.
+
+def _train_stack(jobs):
+    """_train_once for each (y_train, x_train, y_test, x_test, config, seed)
+    job, trained together; results in job order.
+
+    The jobs share array shapes and every config field but seed. The K jobs'
+    parameters are the rows of one (K, P) buffer, so each batch step is one
+    _stack_loss_and_grads and one Adam update for all of them (elementwise
+    Adam gives the same bits as per-array updates). Each job keeps its own
+    Generator: one permutation per epoch, one standard_normal per batch, and
+    its test-MSE draw right after its own last epoch. A job that stops, by
+    patience or by a non-finite loss, leaves the stack at the end of that
+    epoch.
     """
-    rng = np.random.default_rng(seed)
-    encoder, decoder = _build_nets(y_train.shape[1], x_train.shape[1], config, rng)
-    flat = _flatten_params((encoder, decoder))
+    if not jobs:
+        return []
+    config = jobs[0][4]
+    n, n_features = jobs[0][0].shape
+    d, n_enc = config.latent_dim, len(config.hidden) + 1
+    rngs = [np.random.default_rng(job[5]) for job in jobs]
+    nets = [_build_nets(n_features, job[1].shape[1], config, rng) for job, rng in zip(jobs, rngs)]
+    shapes = _net_shapes(nets[0])
+    flat = np.stack([np.concatenate([p.ravel() for net in pair for p in net.params()])
+                     for pair in nets])
     state = adam_init([flat])
+    data = np.stack([np.hstack([job[0], job[1]]) for job in jobs])
+    n_cond = data.shape[2] - n_features
 
-    n = y_train.shape[0]
-    best = np.inf
-    stale = 0
-    losses = []
+    results = [None] * len(jobs)
+    losses = [[] for _ in jobs]
+    best = [np.inf] * len(jobs)
+    stale = [0] * len(jobs)
+    live = list(range(len(jobs)))  # job index of each stack row
+    grad = np.empty_like(flat)
+    params, grads = _layer_views(flat, shapes), _layer_views(grad, shapes)
     for _ in range(config.max_epochs):
-        order = rng.permutation(n)
-        total = 0.0
+        orders = np.stack([rngs[j].permutation(n) for j in live])
+        totals = np.zeros(len(live))
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            eps = rng.standard_normal((len(idx), config.latent_dim))
-            loss, grads = cvae_loss_and_grads(
-                encoder, decoder, config, y_train[idx], x_train[idx], eps
-            )
-            grad = np.concatenate([g.ravel() for g in grads])
+            idx = orders[:, start : start + config.batch_size]
+            enc_in = data[np.arange(len(live))[:, None], idx]
+            eps = np.empty((len(live), idx.shape[1], d))
+            for r, j in enumerate(live):
+                rngs[j].standard_normal(out=eps[r])
+            dec_in = np.empty((len(live), idx.shape[1], d + n_cond))
+            dec_in[..., d:] = enc_in[..., n_features:]
+            loss = _stack_loss_and_grads(params, grads, n_enc, config.eta, enc_in, eps, dec_in)
             adam_step([flat], [grad], state, config.learning_rate)
-            total += loss * len(idx)
-        epoch_loss = total / n
-        if not np.isfinite(epoch_loss):
-            return None, None, np.inf, losses, "non-finite training loss"
-        losses.append(epoch_loss)
-        if epoch_loss < best:
-            best = epoch_loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+            totals += loss * idx.shape[1]
+        keep = []
+        for r, (j, epoch_loss) in enumerate(zip(live, (totals / n).tolist())):
+            if not np.isfinite(epoch_loss):
+                results[j] = (None, None, np.inf, losses[j], "non-finite training loss")
+                continue
+            losses[j].append(epoch_loss)
+            if epoch_loss < best[j]:
+                best[j], stale[j] = epoch_loss, 0
+            else:
+                stale[j] += 1
+                if stale[j] >= config.patience:
+                    results[j] = _finished(nets[j], flat[r], jobs[j], rngs[j], losses[j])
+                    continue
+            keep.append(r)
+        if len(keep) < len(live):
+            if not keep:
+                return results
+            live = [live[r] for r in keep]
+            flat, data = flat[keep], data[keep]
+            state.m, state.v = [state.m[0][keep]], [state.v[0][keep]]
+            grad = np.empty_like(flat)
+            params, grads = _layer_views(flat, shapes), _layer_views(grad, shapes)
+    for r, j in enumerate(live):
+        results[j] = _finished(nets[j], flat[r], jobs[j], rngs[j], losses[j])
+    return results
+
+
+def _finished(nets, params, job, rng, losses):
+    """Result tuple of a job that stopped with params, its row of the stack."""
+    _, _, y_test, x_test, config, _ = job
+    _bind_params(nets, params.copy())
+    encoder, decoder = nets
     mse = _test_mse(encoder, decoder, config.latent_dim, y_test, x_test, rng)
     if not np.isfinite(mse):
         return None, None, np.inf, losses, "non-finite test MSE"
@@ -338,6 +444,8 @@ def _scaled_split(y, x, partition):
     (y_train, x_train, y_test, x_test))."""
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    if y.ndim != 2 or x.ndim != 2 or y.shape[0] != x.shape[0]:
+        raise TrainingError("profiles and conditionals must be matching 2-d arrays")
     y_min = float(y[partition.train].min())
     y_max = float(y[partition.train].max())
     if y_max <= y_min:
@@ -353,17 +461,51 @@ def train_cvae(y, x, partition, config=None):
 
     Scaling bounds are the train-period min/max of y. Restart j runs under
     seed config.seed + j; the restart with the lowest test MSE (ties to the
-    lower index) is returned with all restart MSEs attached.
+    lower index) is returned with all restart MSEs attached. This is the
+    one-problem case of train_cvaes.
     """
-    config = config or CvaeConfig()
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.ndim != 2 or x.ndim != 2 or y.shape[0] != x.shape[0]:
-        raise TrainingError("profiles and conditionals must be matching 2-d arrays")
+    (model,) = train_cvaes([(y, x, config or CvaeConfig())], partition)
+    if isinstance(model, TrainingError):
+        raise model
+    return model
 
-    y_min, y_max, split = _scaled_split(y, x, partition)
-    results = _run_jobs([(*split, config, config.seed + j) for j in range(config.restarts)])
-    return select_best(results, y_min, y_max, config)
+
+def train_cvaes(problems, partition):
+    """train_cvae for each (y, x, config) problem, with one set of restarts.
+
+    The restarts of all problems are jobs of one _run_jobs call, so restarts
+    of different problems share stacks and CPUs. The problems must agree in
+    array shapes and in every config field but seed. Returns one entry per
+    problem, in order: its TrainedCvae, or the TrainingError that stopped it
+    (mismatched arrays, constant training data, every restart failed).
+    """
+    splits, jobs = [], []
+    for y, x, config in problems:
+        try:
+            y_min, y_max, split = _scaled_split(y, x, partition)
+        except TrainingError as exc:
+            splits.append(exc)
+            continue
+        splits.append((y_min, y_max, len(jobs)))
+        jobs.extend((*split, config, config.seed + j) for j in range(config.restarts))
+    keys = [(job[0].shape, job[1].shape, replace(job[4], seed=0)) for job in jobs]
+    if any(key != keys[0] for key in keys):
+        raise TrainingError(
+            "problems trained together must share array shapes and every config field but seed"
+        )
+    results = _run_jobs(jobs)
+    models = []
+    for split, (_, _, config) in zip(splits, problems):
+        if isinstance(split, TrainingError):
+            models.append(split)
+            continue
+        y_min, y_max, start = split
+        try:
+            models.append(select_best(results[start : start + config.restarts],
+                                      y_min, y_max, config))
+        except TrainingError as exc:
+            models.append(exc)
+    return models
 
 
 def _usable_cpus():
@@ -373,18 +515,21 @@ def _usable_cpus():
 
 
 def _run_jobs(jobs):
-    """_train_once(*args) for each args tuple in jobs; results in job order.
+    """_train_once(*job) for each job tuple; results in job order.
 
-    Jobs run on a fork pool of min(len(jobs), usable CPUs) workers, and
-    in-process when that is one worker or the platform cannot fork. A job
-    depends only on its arguments, so both paths give the same bits. Fork,
+    The jobs split into min(len(jobs), usable CPUs) contiguous stacks, each
+    trained by one _train_stack call on a fork pool worker; a single stack,
+    or a platform that cannot fork, trains in-process. A job's bits depend
+    only on its own arguments, so every split gives the same results. Fork,
     unlike spawn or forkserver, needs no __main__ guard in the calling script.
     """
     workers = min(len(jobs), _usable_cpus())
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_train_once(*args) for args in jobs]
+        return _train_stack(jobs)
+    bounds = [len(jobs) * i // workers for i in range(workers + 1)]
+    stacks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.starmap(_train_once, jobs, chunksize=1)
+        return [r for stack in pool.map(_train_stack, stacks, chunksize=1) for r in stack]
 
 
 def select_best(results, y_min, y_max, config):
@@ -420,26 +565,6 @@ def generate(model, x, n_samples, seed, latent_scale=1.0):
     z = latent_scale * rng.standard_normal((n_samples, model.config.latent_dim))
     scaled = model.decoder.forward(np.hstack([z, np.repeat(x, n_samples, axis=0)]))
     return model.unscale(scaled)
-
-
-def hyperparameter_grid_search(y, x, partition, base_config, grid):
-    """Train one single-restart model per grid point and rank by test MSE.
-
-    grid maps CvaeConfig field names to candidate value lists; the cartesian
-    product is walked in the given order and ties keep the earlier point.
-    Returns (best_config, records) with one (config, mse) record per point.
-    """
-    keys = list(grid)
-    combos = list(itertools.product(*(grid[k] for k in keys)))
-    if not combos:
-        raise TrainingError("empty hyperparameter grid")
-
-    _, _, split = _scaled_split(y, x, partition)
-    configs = [replace(base_config, **dict(zip(keys, combo))) for combo in combos]
-    results = _run_jobs([(*split, config, config.seed) for config in configs])
-    records = [(config, result[2]) for config, result in zip(configs, results)]
-    best = min(range(len(records)), key=lambda i: (records[i][1], i))
-    return records[best][0], records
 
 
 def save_model(model, path):

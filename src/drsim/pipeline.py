@@ -395,6 +395,17 @@ def _pick_generators(config, restrict):
 def stage_train(config, paths, force=False, generator=None):
     names = _pick_generators(config, generator)
     ds, clusters = _cluster_inputs(paths)
+    cvaes = {}
+    if "cvae" in names:
+        # the CVAEs of all stale clusters train together, so their restarts share stacks
+        stale = [label for label in clusters
+                 if not _fresh(force, [paths.cvae_model(label), paths.cvae_log(label)])]
+        problems = [
+            (clusters[label]["series"], ds.conditional_matrix(clusters[label]["schedule"]),
+             replace(config.train.cvae, seed=derive_seed(config.seed, SEED_CVAE, label)))
+            for label in stale
+        ]
+        cvaes = dict(zip(stale, neuralgen.train_cvaes(problems, ds.partition)))
     written = []
     for label, bundle in clusters.items():
         if "gam" in names:
@@ -414,30 +425,26 @@ def stage_train(config, paths, force=False, generator=None):
                 gamgen.export_coefficients_csv(gen, paths.gam_coefficients(label))
                 gamgen.export_sigma_matrix_csv(gen, paths.gam_sigma(label))
                 written.extend(targets)
-        if "cvae" in names:
-            targets = [paths.cvae_model(label), paths.cvae_log(label)]
-            if not _fresh(force, targets):
-                x = ds.conditional_matrix(bundle["schedule"])
-                cvae_config = replace(
-                    config.train.cvae, seed=derive_seed(config.seed, SEED_CVAE, label)
+        if label in cvaes:
+            model = cvaes[label]
+            if isinstance(model, neuralgen.TrainingError):
+                raise neuralgen.TrainingError(f"cluster {label}: {model}")
+            neuralgen.save_model(model, paths.cvae_model(label))
+            with dataio.replacing(paths.cvae_log(label)) as fh:
+                json.dump(
+                    {
+                        "restart_mses": model.restart_mses,
+                        "restart_epochs": model.restart_epochs,
+                        "best_restart": model.restart_index,
+                        # the winner is picked on the days evaluate scores
+                        "selected_on": "test",
+                        "test_mse": model.test_mse,
+                        "epochs": len(model.epoch_losses),
+                    },
+                    fh,
+                    indent=2,
                 )
-                model = neuralgen.train_cvae(bundle["series"], x, ds.partition, cvae_config)
-                neuralgen.save_model(model, paths.cvae_model(label))
-                with dataio.replacing(paths.cvae_log(label)) as fh:
-                    json.dump(
-                        {
-                            "restart_mses": model.restart_mses,
-                            "restart_epochs": model.restart_epochs,
-                            "best_restart": model.restart_index,
-                            # the winner is picked on the days evaluate scores
-                            "selected_on": "test",
-                            "test_mse": model.test_mse,
-                            "epochs": len(model.epoch_losses),
-                        },
-                        fh,
-                        indent=2,
-                    )
-                written.extend(targets)
+            written.extend([paths.cvae_model(label), paths.cvae_log(label)])
     return written
 
 

@@ -1,10 +1,11 @@
 import csv
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from drsim import cli, metrics, pipeline, synthdata
+from drsim import cli, metrics, neuralgen, pipeline, synthdata
 from drsim.dataio import HALF_HOURS
 
 
@@ -213,6 +214,70 @@ class TestCvae:
                 ensemble = read_samples(stem.with_suffix(".csv"))
                 assert len(ensemble) == 1
                 assert next(iter(ensemble.values())).shape == (16, HALF_HOURS)
+
+
+def cvae_workdir(tmp_path, cvae):
+    """Synth, ingest and cluster done on the two-cluster config, CVAE set to cvae."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(CONFIG.replace(
+        "  generators: [gam]\n", f"  generators: [gam, cvae]\n  cvae: {{{{{cvae}}}}}\n"
+    ).format(out=tmp_path / "run"))
+    for stage in ("synth", "ingest", "cluster"):
+        assert run_cli(stage, "--config", str(cfg)) == 0
+    return tmp_path / "run", cfg
+
+
+class TestCvaeStacks:
+    def test_retraining_one_cluster_rewrites_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        run, cfg = cvae_workdir(tmp_path, "restarts: 2, max_epochs: 30, patience: 3")
+        # first run: both clusters' restarts in one stack
+        monkeypatch.setattr(neuralgen, "_usable_cpus", lambda: 1)
+        assert run_cli("train", "--config", str(cfg), "--generator", "cvae") == 0
+        first = {p.name: p.read_bytes() for p in run.glob("cvae_cluster*")}
+        assert len(first) == 4
+        epochs = [json.loads(first[f"cvae_cluster{k}_restarts.json"])["restart_epochs"]
+                  for k in (0, 1)]
+        assert len({e for pair in epochs for e in pair}) > 1  # stacks shrink mid-training
+
+        # rerun: cluster 1 alone, one restart per stack where the CPUs allow it
+        monkeypatch.undo()
+        retrained = [run / "cvae_cluster1.npz", run / "cvae_cluster1_restarts.json"]
+        for path in retrained:
+            path.unlink()
+        kept = {p: p.stat().st_mtime_ns for p in run.glob("cvae_cluster0*")}
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg), "--generator", "cvae") == 0
+        assert capsys.readouterr().out.splitlines() == [str(p) for p in retrained]
+        assert {p: p.stat().st_mtime_ns for p in run.glob("cvae_cluster0*")} == kept
+        assert {p.name: p.read_bytes() for p in run.glob("cvae_cluster*")} == first
+
+    def test_cluster_whose_restarts_all_fail_names_itself(self, tmp_path, monkeypatch, capsys):
+        run, cfg = cvae_workdir(tmp_path, "restarts: 2, max_epochs: 5")
+        doomed = pipeline.derive_seed(21, pipeline.SEED_CVAE, 1)
+        train_stack = neuralgen._train_stack
+
+        @functools.wraps(train_stack)  # pickles by name into the fork pool's workers
+        def cluster1_fails(jobs):
+            return [(None, None, np.inf, r[3], "non-finite training loss")
+                    if job[4].seed == doomed else r
+                    for job, r in zip(jobs, train_stack(jobs))]
+
+        monkeypatch.setattr(neuralgen, "_train_stack", cluster1_fails)
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "cluster 1: every restart failed: non-finite training loss",
+            "type": "TrainingError",
+        }
+        # earlier labels are saved, and cluster 1's GAM comes before its CVAE
+        assert (run / "cvae_cluster0.npz").exists() and (run / "gam_cluster1.npz").exists()
+        assert not list(run.glob("cvae_cluster1*"))
+
+        monkeypatch.undo()
+        assert run_cli("train", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(run / "cvae_cluster1.npz"), str(run / "cvae_cluster1_restarts.json"),
+        ]
 
 
 class TestValidation:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import multiprocessing
 import os
@@ -232,18 +231,18 @@ def all_params(model):
 
 
 def force_cpus(monkeypatch, tmp_path, cpus):
-    """Pretend cpus CPUs are usable; returns a file logging each restart's pid."""
+    """Pretend cpus CPUs are usable; returns a file logging each stack's pid."""
     monkeypatch.setattr(neuralgen, "_usable_cpus", lambda: cpus)
     log = tmp_path / f"pids{cpus}.txt"
-    train_once = neuralgen._train_once
+    train_stack = neuralgen._train_stack
 
-    @functools.wraps(train_once)
-    def logged(*args):
+    @functools.wraps(train_stack)
+    def logged(jobs):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return train_once(*args)
+        return train_stack(jobs)
 
-    monkeypatch.setattr(neuralgen, "_train_once", logged)
+    monkeypatch.setattr(neuralgen, "_train_stack", logged)
     return log
 
 
@@ -276,28 +275,194 @@ class TestParallelRestarts:
         assert model.restart_epochs == serial.restart_epochs
         assert model.test_mse == serial.test_mse
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_grid_search_pool_matches_in_process(self, monkeypatch, tmp_path, cpus):
-        y, x, partition = tiny_dataset()
-        base = tiny_config(restarts=1, max_epochs=8)
-        grid = {"latent_dim": [1, 2], "eta": [1.0, 4.0]}
-        _, _, split = neuralgen._scaled_split(y, x, partition)
-        expected = []
-        for latent_dim, eta in [(1, 1.0), (1, 4.0), (2, 1.0), (2, 4.0)]:
-            config = dataclasses.replace(base, latent_dim=latent_dim, eta=eta)
-            expected.append((config, neuralgen._train_once(*split, config, config.seed)[2]))
-        log = force_cpus(monkeypatch, tmp_path, cpus)
-        best, records = neuralgen.hyperparameter_grid_search(y, x, partition, base, grid)
-        assert_ran_in(log, cpus)
-        assert records == expected
-        assert best == min(expected, key=lambda r: r[1])[0]
-
     def test_restart_epochs_recorded(self):
         y, x, partition = tiny_dataset()
         model = neuralgen.train_cvae(y, x, partition, tiny_config(restarts=3, max_epochs=30))
         assert len(model.restart_epochs) == 3
         assert all(0 < e <= 30 for e in model.restart_epochs)
         assert model.restart_epochs[model.restart_index] == len(model.epoch_losses)
+
+
+def masked_sigmoid(pre):
+    """The sign-split sigmoid the CVAE used before the one-pass form."""
+    out = np.empty_like(pre)
+    pos = pre >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
+    e = np.exp(pre[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_one_pass_sigmoid_matches_masked_formula(rng):
+    edges = np.array([0.0, 1e-300, 36.7, 709.8, 745.2, 1e308, np.inf])
+    pre = np.concatenate([edges, -edges, rng.normal(scale=30.0, size=5_000),
+                          rng.uniform(-800.0, 800.0, size=5_000)])
+    expected = masked_sigmoid(pre)
+    for got in (neuralgen._sigmoid(pre), neuralgen._activate("sigmoid", pre)):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+# The training loop as it was before restarts were stacked: per-layer
+# forward caches, a backward pass per net and one concatenated gradient per
+# step. train_cvaes must reproduce it bit for bit.
+def oracle_forward(net, x):
+    caches = []
+    for layer in net.layers:
+        pre = x @ layer.weights.T + layer.bias
+        if layer.activation == "relu":
+            out = np.maximum(pre, 0.0)
+        elif layer.activation == "sigmoid":
+            out = masked_sigmoid(pre)
+        else:
+            out = pre
+        caches.append((x, pre, out))
+        x = out
+    return x, caches
+
+
+def oracle_backward(net, caches, grad_out):
+    grads = [None] * len(net.layers)
+    for i in reversed(range(len(net.layers))):
+        x_in, pre, out = caches[i]
+        activation = net.layers[i].activation
+        if activation == "relu":
+            local = (pre > 0).astype(float)
+        elif activation == "sigmoid":
+            local = out * (1.0 - out)
+        else:
+            local = np.ones_like(pre)
+        grad_pre = grad_out * local
+        grads[i] = (grad_pre.T @ x_in, grad_pre.sum(axis=0))
+        grad_out = grad_pre @ net.layers[i].weights
+    return grad_out, grads
+
+
+def oracle_loss_and_grad(encoder, decoder, config, y, x, eps):
+    n, d = y.shape[0], config.latent_dim
+    enc_raw, enc_caches = oracle_forward(encoder, np.hstack([y, x]))
+    mu, log_var = enc_raw[:, :d], enc_raw[:, d:]
+    std = np.exp(log_var / 2.0)
+    z = mu + std * eps
+    y_hat, dec_caches = oracle_forward(decoder, np.hstack([z, x]))
+    recon = ((y - y_hat) ** 2).sum(axis=1)
+    kl = 0.5 * (np.exp(log_var) + mu**2 - 1.0 - log_var).sum(axis=1)
+    loss = float(np.mean(recon + config.eta * kl))
+    d_dec_in, dec_grads = oracle_backward(decoder, dec_caches, -2.0 * (y - y_hat) / n)
+    d_z = d_dec_in[:, :d]
+    d_mu = d_z + (config.eta / n) * mu
+    d_log_var = d_z * eps * 0.5 * std + (config.eta / n) * 0.5 * (np.exp(log_var) - 1.0)
+    _, enc_grads = oracle_backward(encoder, enc_caches, np.hstack([d_mu, d_log_var]))
+    return loss, np.concatenate([g.ravel() for pair in enc_grads + dec_grads for g in pair])
+
+
+def oracle_train_once(y_train, x_train, y_test, x_test, config, seed):
+    rng = np.random.default_rng(seed)
+    encoder, decoder = neuralgen._build_nets(y_train.shape[1], x_train.shape[1], config, rng)
+    params = encoder.params() + decoder.params()
+    flat = np.concatenate([p.ravel() for p in params])
+    state = neuralgen.adam_init([flat])
+    n = y_train.shape[0]
+    best, stale, losses = np.inf, 0, []
+    for _ in range(config.max_epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            eps = rng.standard_normal((len(idx), config.latent_dim))
+            loss, grad = oracle_loss_and_grad(encoder, decoder, config, y_train[idx],
+                                              x_train[idx], eps)
+            neuralgen.adam_step([flat], [grad], state, config.learning_rate)
+            offset = 0
+            for p in params:
+                p[...] = flat[offset : offset + p.size].reshape(p.shape)
+                offset += p.size
+            total += loss * len(idx)
+        epoch_loss = total / n
+        if not np.isfinite(epoch_loss):
+            return None, None, np.inf, losses, "non-finite training loss"
+        losses.append(epoch_loss)
+        if epoch_loss < best:
+            best, stale = epoch_loss, 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    enc_raw, _ = oracle_forward(encoder, np.hstack([y_test, x_test]))
+    d = config.latent_dim
+    eps = rng.standard_normal(enc_raw[:, :d].shape)
+    z = enc_raw[:, :d] + np.exp(enc_raw[:, d:] / 2.0) * eps
+    y_hat, _ = oracle_forward(decoder, np.hstack([z, x_test]))
+    mse = float(np.mean(((y_test - y_hat) ** 2).sum(axis=1)))
+    return encoder, decoder, mse, losses, None
+
+
+class TestStackedTraining:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_train_cvaes_matches_unstacked_oracle(self, monkeypatch, tmp_path, cpus):
+        problems = []
+        for data_seed, seed in ((4, 0), (5, 100), (6, 200)):
+            y, x, partition = tiny_dataset(seed=data_seed)
+            # eta / n is no power of two, and the last batch of an epoch is short
+            config = tiny_config(restarts=3, max_epochs=40, patience=3, eta=3.0, batch_size=10,
+                                 seed=seed)
+            problems.append((y, x, config))
+        # one huge conditional value: some restarts of this problem overflow in
+        # their first epoch, the others train on
+        x = problems[2][1].copy()
+        x[partition.train[0], 0] = 1e5
+        problems[2] = (problems[2][0], x, problems[2][2])
+
+        expected = []
+        for y, x, config in problems:
+            y_min, y_max, split = neuralgen._scaled_split(y, x, partition)
+            results = [oracle_train_once(*split, config, config.seed + j) for j in range(3)]
+            expected.append(neuralgen.select_best(results, y_min, y_max, config))
+        errors = [r[4] for r in results]
+        assert "non-finite training loss" in errors and None in errors
+        epochs = {e for model in expected for e in model.restart_epochs}
+        assert len(epochs) > 2 and 40 in epochs
+
+        log = force_cpus(monkeypatch, tmp_path, cpus)
+        models = neuralgen.train_cvaes(problems, partition)
+        assert_ran_in(log, cpus)
+        stacks = cpus if "fork" in multiprocessing.get_all_start_methods() else 1
+        assert len(log.read_text().split()) == stacks
+        for model, oracle in zip(models, expected, strict=True):
+            for a, b in zip(all_params(model), all_params(oracle), strict=True):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+            assert model.restart_mses == oracle.restart_mses
+            assert model.restart_index == oracle.restart_index
+            assert model.epoch_losses == oracle.epoch_losses
+            assert model.restart_epochs == oracle.restart_epochs
+            assert model.test_mse == oracle.test_mse
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_problem_is_returned_in_place(self):
+        y, x, partition = tiny_dataset()
+        config = tiny_config(restarts=2, max_epochs=5)
+        huge = x.copy()
+        huge[:, 0] = 1e100
+        models = neuralgen.train_cvaes(
+            [(y, x, config), (np.ones_like(y), x, config), (y, huge, config)], partition
+        )
+        alone = neuralgen.train_cvae(y, x, partition, config)
+        for a, b in zip(all_params(models[0]), all_params(alone), strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert isinstance(models[1], neuralgen.TrainingError)
+        assert "degenerate" in str(models[1])
+        assert isinstance(models[2], neuralgen.TrainingError)
+        assert str(models[2]) == "every restart failed: non-finite training loss"
+
+    def test_problems_must_share_config_and_shapes(self):
+        y, x, partition = tiny_dataset()
+        config = tiny_config(restarts=1, max_epochs=2)
+        with pytest.raises(neuralgen.TrainingError, match="every config field but seed"):
+            neuralgen.train_cvaes([(y, x, config), (y, x, tiny_config(eta=1.0))], partition)
+        with pytest.raises(neuralgen.TrainingError, match="shapes"):
+            neuralgen.train_cvaes([(y, x, config), (y, x[:, :1], config)], partition)
+        assert neuralgen.train_cvaes([], partition) == []
 
 
 @pytest.fixture(scope="module")
@@ -330,26 +495,6 @@ class TestGenerate:
         low = neuralgen.generate(model, np.array([0.05, 0.5]), 400, seed=5).mean()
         high = neuralgen.generate(model, np.array([0.95, 0.5]), 400, seed=5).mean()
         assert high - low > 0.15
-
-
-class TestGridSearch:
-    def test_records_and_best(self):
-        y, x, partition = tiny_dataset()
-        base = tiny_config(restarts=1, max_epochs=8)
-        grid = {"latent_dim": [1, 2], "eta": [1.0]}
-        best, records = neuralgen.hyperparameter_grid_search(y, x, partition, base, grid)
-        assert len(records) == 2
-        assert {c.latent_dim for c, _ in records} == {1, 2}
-        mses = [m for _, m in records]
-        assert best in [c for c, _ in records]
-        assert records[int(np.argmin(mses))][0] == best
-
-    def test_empty_grid_raises(self):
-        y, x, partition = tiny_dataset()
-        with pytest.raises(neuralgen.TrainingError, match="empty"):
-            neuralgen.hyperparameter_grid_search(
-                y, x, partition, tiny_config(), {"latent_dim": []}
-            )
 
 
 class TestPersistence:

@@ -14,18 +14,18 @@ lowest test reconstruction MSE wins. Restarts depend only on their seed and
 data, so many of them train together: a stack of K restarts that share
 shapes and config keeps every array with a leading K axis, and one numpy call
 serves all K. Stacks run in parallel over the usable CPUs where the platform
-can fork. Each restart does the unstacked arithmetic op for op, so its
-results are the same bits however the restarts are stacked or split.
+can fork (parallel.map_forked). Each restart does the unstacked arithmetic
+op for op, so its results are the same bits however the restarts are
+stacked or split.
 """
 
 import hashlib
 import json
-import multiprocessing
-import os
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
+from . import parallel
 from .dataio import replacing
 
 ADAM_BETA1 = 0.9
@@ -508,28 +508,18 @@ def train_cvaes(problems, partition):
     return models
 
 
-def _usable_cpus():
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _run_jobs(jobs):
     """_train_once(*job) for each job tuple; results in job order.
 
-    The jobs split into min(len(jobs), usable CPUs) contiguous stacks, each
-    trained by one _train_stack call on a fork pool worker; a single stack,
-    or a platform that cannot fork, trains in-process. A job's bits depend
-    only on its own arguments, so every split gives the same results. Fork,
-    unlike spawn or forkserver, needs no __main__ guard in the calling script.
+    The jobs split into one contiguous stack per parallel worker, each
+    trained by one _train_stack call; in-process, they train as one stack.
+    A job's bits depend only on its own arguments, so every split gives the
+    same results.
     """
-    workers = min(len(jobs), _usable_cpus())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return _train_stack(jobs)
-    bounds = [len(jobs) * i // workers for i in range(workers + 1)]
-    stacks = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return [r for stack in pool.map(_train_stack, stacks, chunksize=1) for r in stack]
+    stacks = max(parallel.worker_count(len(jobs)), 1)
+    bounds = [len(jobs) * i // stacks for i in range(stacks + 1)]
+    stacked = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [r for stack in parallel.map_forked(_train_stack, stacked) for r in stack]
 
 
 def select_best(results, y_min, y_max, config):

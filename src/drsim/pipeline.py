@@ -9,6 +9,13 @@ dies mid-write leaves no file that a rerun would take as done. Synth renames
 its three files only once all three are written, so it never leaves a part
 of its set for a plain rerun to refuse. A single config seed fans out into
 per-stage streams, which makes every stage deterministic given the config.
+
+Clusters are independent once clustered, so the per-cluster stages (the GAM
+fits of train, generate, evaluate, scenario) run one cluster per usable CPU
+on a fork pool (parallel.map_forked). Each cluster's job writes its own
+files; the stage picks the stale clusters first and lists what was written
+in cluster order, so the files and the printed paths are the same whatever
+the CPU count.
 """
 
 import datetime
@@ -20,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import causality, clustering, dataio, gamgen, metrics, neuralgen, synthdata
+from . import causality, clustering, dataio, gamgen, metrics, neuralgen, parallel, synthdata
 from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, ConfigError
 
 # stage codes for seed derivation; synthdata uses (seed, 1..3) internally
@@ -213,6 +220,9 @@ class RunPaths:
     def gam_sigma(self, label):
         return self.out / f"gam_cluster{label}_sigma.csv"
 
+    def gam_files(self, label):
+        return [self.gam_model(label), self.gam_coefficients(label), self.gam_sigma(label)]
+
     def cvae_model(self, label):
         return self.out / f"cvae_cluster{label}.npz"
 
@@ -233,6 +243,10 @@ class RunPaths:
 
     def scenario_samples(self, name, generator, label):
         return self.out / f"scenario_{name}_{generator}_cluster{label}.csv"
+
+    def scenario_files(self, name, generator, label):
+        return [self.scenario_mean(name, generator, label),
+                self.scenario_samples(name, generator, label)]
 
 
 def _fresh(force, targets):
@@ -392,9 +406,35 @@ def _pick_generators(config, restrict):
     return names
 
 
+def _map_written(fn, items):
+    """fn(item) for each stale item on the fork pool; the paths written, in item order."""
+    return [path for written in parallel.map_forked(fn, items) for path in written]
+
+
+def _train_gam(paths, ds, label, bundle):
+    gen = gamgen.fit_gam_generator(
+        f"cluster{label}",
+        bundle["series"],
+        ds.tau,
+        ds.tau_bar_daily,
+        ds.calendar,
+        bundle["schedule"],
+        ds.partition,
+    )
+    gamgen.save_generator(gen, paths.gam_model(label))
+    gamgen.export_coefficients_csv(gen, paths.gam_coefficients(label))
+    gamgen.export_sigma_matrix_csv(gen, paths.gam_sigma(label))
+    return paths.gam_files(label)
+
+
 def stage_train(config, paths, force=False, generator=None):
     names = _pick_generators(config, generator)
     ds, clusters = _cluster_inputs(paths)
+    gams = {}
+    if "gam" in names:
+        stale = [label for label in clusters if not _fresh(force, paths.gam_files(label))]
+        gams = dict(zip(stale, parallel.map_forked(
+            lambda label: _train_gam(paths, ds, label, clusters[label]), stale)))
     cvaes = {}
     if "cvae" in names:
         # the CVAEs of all stale clusters train together, so their restarts share stacks
@@ -407,24 +447,8 @@ def stage_train(config, paths, force=False, generator=None):
         ]
         cvaes = dict(zip(stale, neuralgen.train_cvaes(problems, ds.partition)))
     written = []
-    for label, bundle in clusters.items():
-        if "gam" in names:
-            targets = [paths.gam_model(label), paths.gam_coefficients(label),
-                       paths.gam_sigma(label)]
-            if not _fresh(force, targets):
-                gen = gamgen.fit_gam_generator(
-                    f"cluster{label}",
-                    bundle["series"],
-                    ds.tau,
-                    ds.tau_bar_daily,
-                    ds.calendar,
-                    bundle["schedule"],
-                    ds.partition,
-                )
-                gamgen.save_generator(gen, paths.gam_model(label))
-                gamgen.export_coefficients_csv(gen, paths.gam_coefficients(label))
-                gamgen.export_sigma_matrix_csv(gen, paths.gam_sigma(label))
-                written.extend(targets)
+    for label in clusters:
+        written.extend(gams.get(label, []))
         if label in cvaes:
             model = cvaes[label]
             if isinstance(model, neuralgen.TrainingError):
@@ -481,31 +505,32 @@ def _test_day_ensembles(name, paths, label, ds, schedule):
     return _sampler(name, paths, label, ds, days, schedule[days])
 
 
+def _evaluate_cluster(config, paths, ds, names, label, bundle):
+    test_days = ds.partition.test
+    generators = {
+        name: _test_day_ensembles(name, paths, label, ds, bundle["schedule"])
+        for name in names
+    }
+    report = metrics.evaluate_generators(
+        bundle["series"][test_days],
+        generators,
+        day_labels=[int(t) for t in test_days],
+        n_samples=config.evaluate.n_samples,
+        variogram_p=config.evaluate.variogram_p,
+        seed=derive_seed(config.seed, SEED_EVALUATE, label),
+    )
+    metrics.write_report_csv(report, paths.report(label))
+    metrics.write_summary_csv(report, paths.summary(label))
+    return [paths.report(label), paths.summary(label)]
+
+
 def stage_evaluate(config, paths, force=False, generator=None):
     names = _pick_generators(config, generator)
     ds, clusters = _cluster_inputs(paths)
-    test_days = ds.partition.test
-    written = []
-    for label, bundle in clusters.items():
-        targets = [paths.report(label), paths.summary(label)]
-        if _fresh(force, targets):
-            continue
-        generators = {
-            name: _test_day_ensembles(name, paths, label, ds, bundle["schedule"])
-            for name in names
-        }
-        report = metrics.evaluate_generators(
-            bundle["series"][test_days],
-            generators,
-            day_labels=[int(t) for t in test_days],
-            n_samples=config.evaluate.n_samples,
-            variogram_p=config.evaluate.variogram_p,
-            seed=derive_seed(config.seed, SEED_EVALUATE, label),
-        )
-        metrics.write_report_csv(report, paths.report(label))
-        metrics.write_summary_csv(report, paths.summary(label))
-        written.extend(targets)
-    return written
+    stale = [label for label in clusters
+             if not _fresh(force, [paths.report(label), paths.summary(label)])]
+    return _map_written(
+        lambda label: _evaluate_cluster(config, paths, ds, names, label, clusters[label]), stale)
 
 
 # one ensemble member's 48 lines: {0} day, {1} sample, then the kWh values by
@@ -524,26 +549,26 @@ def write_samples_csv(ensembles, day_labels, path):
             ))
 
 
+def _generate_samples(config, paths, ds, name, label, bundle):
+    test_days = ds.partition.test
+    root = derive_seed(config.seed, SEED_EVALUATE, label)
+    make = _test_day_ensembles(name, paths, label, ds, bundle["schedule"])
+    ensembles = [
+        make(pos, config.evaluate.n_samples, metrics.day_seed(root, pos))
+        for pos in range(len(test_days))
+    ]
+    write_samples_csv(ensembles, [int(t) for t in test_days], paths.samples(name, label))
+    return [paths.samples(name, label)]
+
+
 def stage_generate(config, paths, force=False, generator=None):
     """Write the ensembles stage_evaluate scores: same samplers, same day seeds."""
     names = _pick_generators(config, generator)
     ds, clusters = _cluster_inputs(paths)
-    test_days = ds.partition.test
-    written = []
-    for label, bundle in clusters.items():
-        root = derive_seed(config.seed, SEED_EVALUATE, label)
-        for name in names:
-            target = paths.samples(name, label)
-            if _fresh(force, [target]):
-                continue
-            make = _test_day_ensembles(name, paths, label, ds, bundle["schedule"])
-            ensembles = [
-                make(pos, config.evaluate.n_samples, metrics.day_seed(root, pos))
-                for pos in range(len(test_days))
-            ]
-            write_samples_csv(ensembles, [int(t) for t in test_days], target)
-            written.append(target)
-    return written
+    stale = [(name, label) for label in clusters for name in names
+             if not _fresh(force, [paths.samples(name, label)])]
+    return _map_written(
+        lambda job: _generate_samples(config, paths, ds, *job, clusters[job[1]]), stale)
 
 
 def scenario_tariffs(name):
@@ -560,33 +585,36 @@ def scenario_tariffs(name):
     return tariffs
 
 
+def _write_scenarios(config, paths, ds, name, label, stale):
+    """One cluster's ensembles for the scenarios at indices stale."""
+    scenarios = config.scenario.scenarios
+    day = int(ds.partition.test[0])   # representative conditions
+    sample = _sampler(
+        name, paths, label, ds, np.full(len(scenarios), day),
+        np.stack([scenario_tariffs(sc) for sc in scenarios]),
+    )
+    written = []
+    for si in stale:
+        scen = scenarios[si]
+        ensemble = sample(si, config.scenario.n_samples,
+                          derive_seed(config.seed, SEED_SCENARIO, label, si))
+        dataio.write_csv(paths.scenario_mean(scen, name, label), ["h", "kwh"],
+                         enumerate(ensemble.mean(axis=0).tolist(), start=1))
+        write_samples_csv([ensemble], [day], paths.scenario_samples(scen, name, label))
+        written.extend(paths.scenario_files(scen, name, label))
+    return written
+
+
 def stage_scenario(config, paths, force=False, generator=None):
     name = generator or config.scenario.generator
     ds, clusters = _cluster_inputs(paths)
-    day = int(ds.partition.test[0])   # representative conditions
-    scenarios = config.scenario.scenarios
-    written = []
+    jobs = []
     for label in clusters:
-        sample = None
-        for si, scen in enumerate(scenarios):
-            targets = [
-                paths.scenario_mean(scen, name, label),
-                paths.scenario_samples(scen, name, label),
-            ]
-            if _fresh(force, targets):
-                continue
-            if sample is None:
-                sample = _sampler(
-                    name, paths, label, ds, np.full(len(scenarios), day),
-                    np.stack([scenario_tariffs(sc) for sc in scenarios]),
-                )
-            seed = derive_seed(config.seed, SEED_SCENARIO, label, si)
-            ensemble = sample(si, config.scenario.n_samples, seed)
-            dataio.write_csv(paths.scenario_mean(scen, name, label), ["h", "kwh"],
-                             enumerate(ensemble.mean(axis=0).tolist(), start=1))
-            write_samples_csv([ensemble], [day], paths.scenario_samples(scen, name, label))
-            written.extend(targets)
-    return written
+        stale = [si for si, scen in enumerate(config.scenario.scenarios)
+                 if not _fresh(force, paths.scenario_files(scen, name, label))]
+        if stale:
+            jobs.append((label, stale))
+    return _map_written(lambda job: _write_scenarios(config, paths, ds, name, *job), jobs)
 
 
 STAGES = {

@@ -1,11 +1,13 @@
 import csv
-import functools
 import json
+import multiprocessing
+import os
+import shutil
 
 import numpy as np
 import pytest
 
-from drsim import cli, metrics, neuralgen, pipeline, synthdata
+from drsim import cli, metrics, neuralgen, parallel, pipeline, synthdata
 from drsim.dataio import HALF_HOURS
 
 
@@ -231,7 +233,7 @@ class TestCvaeStacks:
     def test_retraining_one_cluster_rewrites_the_same_bytes(self, tmp_path, monkeypatch, capsys):
         run, cfg = cvae_workdir(tmp_path, "restarts: 2, max_epochs: 30, patience: 3")
         # first run: both clusters' restarts in one stack
-        monkeypatch.setattr(neuralgen, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         assert run_cli("train", "--config", str(cfg), "--generator", "cvae") == 0
         first = {p.name: p.read_bytes() for p in run.glob("cvae_cluster*")}
         assert len(first) == 4
@@ -256,7 +258,6 @@ class TestCvaeStacks:
         doomed = pipeline.derive_seed(21, pipeline.SEED_CVAE, 1)
         train_stack = neuralgen._train_stack
 
-        @functools.wraps(train_stack)  # pickles by name into the fork pool's workers
         def cluster1_fails(jobs):
             return [(None, None, np.inf, r[3], "non-finite training loss")
                     if job[4].seed == doomed else r
@@ -278,6 +279,88 @@ class TestCvaeStacks:
         assert capsys.readouterr().out.splitlines() == [
             str(run / "cvae_cluster1.npz"), str(run / "cvae_cluster1_restarts.json"),
         ]
+
+
+def run_at(cpus, *argv):
+    """One CLI call with the usable CPUs forced to cpus."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "usable_cpus", lambda: cpus)
+        return run_cli(*argv)
+
+
+class TestCpuCount:
+    """The per-cluster stages write the same bytes and print the same paths on any CPU count."""
+
+    def test_one_and_two_cpus_write_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        base, cfg = cvae_workdir(tmp_path, "restarts: 2, max_epochs: 20")
+        commands = [("train",), ("generate",), ("evaluate",), ("scenario",),
+                    ("scenario", "--generator", "cvae")]
+        pid_log = tmp_path / "pids.txt"
+        write = pipeline.write_samples_csv
+
+        def logged(ensembles, day_labels, path):
+            with open(pid_log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            write(ensembles, day_labels, path)
+
+        monkeypatch.setattr(pipeline, "write_samples_csv", logged)
+        runs = {}
+        for cpus in (1, 2):
+            run = tmp_path / f"cpus{cpus}"
+            shutil.copytree(base, run)
+            pid_log.unlink(missing_ok=True)
+            capsys.readouterr()
+            printed = []
+            for command in commands:
+                assert run_at(cpus, *command, "--config", str(cfg), "--out", str(run)) == 0
+                printed.append(capsys.readouterr().out.replace(str(run), "<run>").splitlines())
+            pids = set(pid_log.read_text().split())
+            if cpus == 1 or "fork" not in multiprocessing.get_all_start_methods():
+                assert pids == {str(os.getpid())}
+            else:
+                assert str(os.getpid()) not in pids
+            runs[cpus] = {p.name: p.read_bytes() for p in sorted(run.iterdir())}, printed
+        (files, printed), (files2, printed2) = runs[1], runs[2]
+        assert files2.keys() == files.keys()
+        for name, data in files.items():
+            assert files2[name] == data, name
+        assert printed2 == printed
+        assert [len(lines) for lines in printed] == [10, 4, 4, 12, 12]
+
+    def test_missing_model_gives_one_error_on_any_cpu_count(self, workdir, capsys):
+        tmp, cfg = workdir
+        for stage in ("synth", "ingest", "cluster", "train"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+        (tmp / "run" / "gam_cluster1.npz").unlink()
+        capsys.readouterr()
+        errors = []
+        for cpus in (1, 2):
+            assert run_at(cpus, "generate", "--config", str(cfg), "--generator", "gam",
+                          "--force") == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert json.loads(errors[0]) == {
+            "error": f"missing {tmp / 'run' / 'gam_cluster1.npz'}; "
+                     "run train --generator gam first",
+            "type": "PipelineError",
+        }
+
+    @pytest.mark.parametrize("stage", ["train", "generate", "evaluate", "scenario"])
+    def test_rerun_with_every_output_present_maps_no_clusters(
+            self, full_run, monkeypatch, capsys, stage):
+        _, cfg = full_run
+        calls = []
+        map_forked = parallel.map_forked
+
+        def spy(fn, items):
+            calls.append(list(items))
+            return map_forked(fn, items)
+
+        monkeypatch.setattr(parallel, "map_forked", spy)
+        capsys.readouterr()
+        assert run_cli(stage, "--config", str(cfg)) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        assert calls == [[]]
 
 
 class TestValidation:

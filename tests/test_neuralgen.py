@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsim import dataio, neuralgen
+from drsim import dataio, neuralgen, parallel
 from drsim.neuralgen import CvaeConfig, EncoderOutput
 
 
@@ -232,7 +232,7 @@ def all_params(model):
 
 def force_cpus(monkeypatch, tmp_path, cpus):
     """Pretend cpus CPUs are usable; returns a file logging each stack's pid."""
-    monkeypatch.setattr(neuralgen, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     log = tmp_path / f"pids{cpus}.txt"
     train_stack = neuralgen._train_stack
 
@@ -514,7 +514,7 @@ class TestPersistence:
         )
 
     def test_round_trip_exact_with_view_weights(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(neuralgen, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         y, x, partition = tiny_dataset()
         model = neuralgen.train_cvae(y, x, partition, tiny_config(restarts=2, max_epochs=10))
         params = all_params(model)

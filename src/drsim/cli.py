@@ -1,11 +1,19 @@
-"""Command-line front end: one subcommand per pipeline stage."""
+"""Command-line front end: one subcommand per pipeline stage.
+
+A stage that fails prints one JSON line on stderr and leaves the traceback
+in error.log in its run directory; a stage that succeeds removes that file,
+so it is there only while the last stage run has failed.
+"""
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+import traceback
 from dataclasses import replace
 
-from . import pipeline
+from . import dataio, pipeline
 
 
 def build_parser():
@@ -44,13 +52,30 @@ def run(argv=None):
         config = replace(config, seed=seed)
     if out is not None:
         config = replace(config, out=out)
-    written = pipeline.STAGES[command](config, pipeline.RunPaths(config.out), **options)
+    error_log = os.path.join(config.out, "error.log")
+    try:
+        written = pipeline.STAGES[command](config, pipeline.RunPaths(config.out), **options)
+    except Exception:
+        _save_traceback(error_log)
+        raise
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(error_log)
     if written:
         for path in written:
             print(path)
     else:
         print(f"{command}: outputs present, nothing to do (use --force)")
     return 0
+
+
+def _save_traceback(path):
+    """Write the traceback of the exception being handled to path; a failure to
+    write it must not hide that exception."""
+    text = traceback.format_exc()
+    with contextlib.suppress(OSError):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with dataio.replacing(path) as fh:
+            fh.write(text)
 
 
 def main(argv=None):

@@ -3,14 +3,16 @@
 map_forked(fn, items) is [fn(x) for x in items], spread over the usable
 CPUs. The job reaches the workers through fork: fn and items sit in a
 module-level slot while the pool runs, so nothing is pickled on the way in
-and closures over large arrays cost nothing to send. Only results and
-exceptions travel back. Fork, unlike spawn or forkserver, also needs no
-__main__ guard in the calling script.
+and closures over large arrays cost nothing to send. Only results,
+exceptions and warnings travel back; the parent issues each item's
+warnings again, in item order, under its own filters. Fork, unlike spawn or
+forkserver, also needs no __main__ guard in the calling script.
 """
 
 import multiprocessing
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 _job = None          # (fn, items) of the running map_forked call, read by workers
@@ -36,17 +38,33 @@ def _mark_worker():
     _in_worker = True
 
 
-def _call(index):
-    """(None, fn(items[index])) or (exception, None), run in a worker."""
-    fn, items = _job
+def _travels(obj):
     try:
-        return None, fn(items[index])
-    except Exception as exc:
+        pickle.loads(pickle.dumps(obj))
+    except Exception:
+        return False
+    return True
+
+
+def _call(index):
+    """(None, fn(items[index]), warnings) or (exception, None, warnings), run in
+    a worker; warnings are (category, message, filename, lineno) tuples."""
+    fn, items = _job
+    # filters are inherited from the parent through fork, so record what it would show
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:  # an exception that cannot travel back still names itself
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        return exc, None
+            outcome = None, fn(items[index])
+        except Exception as exc:
+            if not _travels(exc):  # an exception that cannot travel back still names itself
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            outcome = exc, None
+    sent = []
+    for w in caught:
+        category, message = w.category, str(w.message)
+        if not _travels(category):  # a warning class that cannot travel back names itself
+            category, message = UserWarning, f"{category.__name__}: {message}"
+        sent.append((category, message, w.filename, w.lineno))
+    return *outcome, sent
 
 
 def map_forked(fn, items):
@@ -54,7 +72,8 @@ def map_forked(fn, items):
 
     Results come back in item order. The call runs in-process when that is
     one worker, when the platform cannot fork, or when the caller is itself a
-    pool worker. Every item runs to the end; then the first exception in item
+    pool worker. Every item runs to the end; then the warnings the items
+    raised are issued again in item order, and the first exception in item
     order is raised, so which error surfaces does not depend on timing. A
     worker that dies raises BrokenProcessPool. The slot holds one job, so
     threads must not call this concurrently.
@@ -73,7 +92,11 @@ def map_forked(fn, items):
             outcomes = list(pool.map(_call, range(len(items))))
     finally:
         _job = None
-    for exc, _ in outcomes:
+    registry = {}  # as in-process, a "default" filter shows a repeat at one place once
+    for _, _, sent in outcomes:
+        for category, message, filename, lineno in sent:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+    for exc, _, _ in outcomes:
         if exc is not None:
             raise exc
-    return [result for _, result in outcomes]
+    return [result for _, result, _ in outcomes]

@@ -163,6 +163,28 @@ class TestStages:
         assert payload["type"] == "PipelineError"
         assert "--force" in payload["error"]
 
+    def test_failed_stage_keeps_its_traceback(self, workdir, capsys):
+        tmp, cfg = workdir
+        run = tmp / "run"
+        assert run_cli("synth", "--config", str(cfg)) == 0
+        lines = (run / "consumption.csv").read_text().splitlines(keepends=True)
+        hid, ts, kwh, tariff, group = lines[11].rstrip("\r\n").split(",")
+        lines[11] = f"{hid},{ts},-{kwh},{tariff},{group}\r\n"
+        (run / "consumption.csv").write_text("".join(lines), newline="")
+        capsys.readouterr()
+        assert run_cli("ingest", "--config", str(cfg)) == 2
+        out, err = capsys.readouterr()
+        message = f"line 12: negative kwh {-float(kwh)!r}"
+        assert out == ""
+        assert err == json.dumps({"error": message, "type": "DataValidationError"}) + "\n"
+        log = (run / "error.log").read_text()
+        assert log.startswith("Traceback (most recent call last):\n")
+        assert log.endswith(f"drsim.dataio.DataValidationError: {message}\n")
+        assert not list(run.glob(".*.tmp")) and not (run / "prepared.npz").exists()
+        # a stage that succeeds removes it
+        assert run_cli("synth", "--config", str(cfg), "--force") == 0
+        assert not (run / "error.log").exists()
+
     def test_force_regenerates(self, workdir, capsys):
         tmp, cfg = workdir
         assert run_cli("synth", "--config", str(cfg)) == 0
@@ -471,7 +493,7 @@ class TestInterruptedWrites:
         assert run_cli("synth", "--config", str(cfg)) == 2
         assert json.loads(capsys.readouterr().err.strip())["type"] == "OSError"
         run = tmp / "run"
-        assert list(run.iterdir()) == []
+        assert [p.name for p in run.iterdir()] == ["error.log"]   # the traceback only
 
         monkeypatch.undo()
         assert run_cli("synth", "--config", str(cfg)) == 0

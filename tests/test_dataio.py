@@ -1,5 +1,6 @@
 import csv
 import datetime
+import sys
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ def day_rows(hid, date, kwh=0.4, tariff="NORMAL", group="TOU", skip=()):
 
 D1 = datetime.date(2024, 3, 4)
 D2 = datetime.date(2024, 3, 5)
+D3 = datetime.date(2024, 3, 6)
 
 
 def reference_read_consumption(path):
@@ -223,6 +225,228 @@ class TestReadConsumption:
             for name in ("kwh", "tariff", "observed"):
                 a, b = getattr(g, name), getattr(w, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def assert_same_data(got, want):
+    """Two ConsumptionData hold the same ids, dates, coverage and grids, bit for bit."""
+    for name in ("household_id", "group"):
+        assert [getattr(hh, name) for hh in got.households] == \
+            [getattr(hh, name) for hh in want.households]
+    assert got.dates == want.dates
+    assert got.coverage == want.coverage and got.flagged == want.flagged
+    for g, w in zip(got.households, want.households):
+        for name in ("kwh", "tariff", "observed"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def outcome(path):
+    """What read_consumption_csv makes of path: its data, or its error's type and text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return dataio.read_consumption_csv(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+THREE_DAYS = day_rows("a", D1) + day_rows("b", D1) + day_rows("a", D2) + day_rows("b", D2)
+
+
+class TestChunkedRead:
+    """The bulk parse with chunks of ~100 bytes, so that faults fall in late
+    chunks, after the bulk parse has read the lines before them."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 100)
+
+    @pytest.fixture()
+    def row_loop_starts(self, monkeypatch):
+        """Line numbers at which the row loop took over, one per read."""
+        starts = []
+        read_rows = dataio._read_rows
+
+        def spy(reader, line_no, cols):
+            starts.append(line_no)
+            return read_rows(reader, line_no, cols)
+
+        monkeypatch.setattr(dataio, "_read_rows", spy)
+        return starts
+
+    def test_mixed_file_matches_reference_without_the_row_loop(self, tmp_path, row_loop_starts):
+        TestReadConsumption().test_matches_row_at_a_time_reader_bit_for_bit(tmp_path)
+        assert row_loop_starts == []
+
+    @pytest.mark.parametrize("body, error, message", [
+        pytest.param(day_rows("a", D1) + "a,2024-03-05T00:00,0.4,NORMAL\n",
+                     dataio.DataParseError, "line 50: expected 5 fields, got 4", id="short-row"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4", "T05:00,-0.4"),
+                     dataio.DataValidationError, "line 12: negative kwh -0.4", id="negative"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4", "T05:00,nan"),
+                     dataio.DataValidationError, "line 12: non-finite kwh", id="nan"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4", "T05:00,1e999"),
+                     dataio.DataValidationError, "line 12: non-finite kwh", id="overflow"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4", "T05:00,x"),
+                     dataio.DataParseError, "line 12: bad kwh value 'x'", id="unparseable"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4", "T05:00,1.2.3"),
+                     dataio.DataParseError, "line 12: bad kwh value '1.2.3'", id="two-points"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4", "T05:00,"),
+                     dataio.DataParseError, "line 12: bad kwh value ''", id="empty-kwh"),
+        pytest.param(day_rows("a", D1).replace("a,2024-03-04T05:00,", "a,2024-03-04T05:07,"),
+                     dataio.DataValidationError,
+                     "line 12: timestamp '2024-03-04T05:07' not on the half-hour grid", id="off-grid"),
+        pytest.param(day_rows("a", D1).replace("a,2024-03-04T05:00,", "a,2024-03-04T5,"),
+                     dataio.DataParseError, "line 12: bad timestamp '2024-03-04T5'",
+                     id="bad-timestamp"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4,NORMAL", "T05:00,0.4,PEAK"),
+                     dataio.DataValidationError,
+                     "line 12: unknown tariff 'PEAK' (expected one of FLAT, HIGH, LOW, NORMAL)",
+                     id="unknown-tariff"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4,NORMAL,TOU", "T05:00,0.4,NORMAL,VIP"),
+                     dataio.DataValidationError, "line 12: unknown group 'VIP'",
+                     id="unknown-group"),
+        pytest.param(day_rows("a", D1) + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n",
+                     dataio.DataValidationError,
+                     "line 50: duplicate reading for a at 2024-03-04T00:00", id="duplicate"),
+        pytest.param(day_rows("a", D1) + day_rows("a", D2, group="STD"),
+                     dataio.DataValidationError, "line 50: household a changes group TOU -> STD",
+                     id="group-change"),
+        pytest.param(day_rows("a", D1) + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n"
+                     + day_rows("a", D2, tariff="PEAK"),
+                     dataio.DataValidationError,
+                     "line 50: duplicate reading for a at 2024-03-04T00:00",
+                     id="duplicate-before-unknown-tariff"),
+        pytest.param(day_rows("a", D1) + "a,2024-03-05T00:00,0.5,PEAK,TOU\n"
+                     + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n",
+                     dataio.DataValidationError,
+                     "line 50: unknown tariff 'PEAK' (expected one of FLAT, HIGH, LOW, NORMAL)",
+                     id="unknown-tariff-before-duplicate"),
+        pytest.param(day_rows("a", D1) + "\n\n" + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n"
+                     + "a,2024-03-05T00:00,x,NORMAL,TOU\n",
+                     dataio.DataValidationError,
+                     "line 52: duplicate reading for a at 2024-03-04T00:00",
+                     id="blank-lines-count-toward-the-line"),
+        pytest.param(day_rows("a", D1) + "a,2024-03-04 00:30,0.5,NORMAL,TOU\n",
+                     dataio.DataValidationError,
+                     "line 50: duplicate reading for a at 2024-03-04 00:30",
+                     id="two-spellings-of-one-slot"),
+        pytest.param(day_rows("a", D1).replace("T05:00,0.4,NORMAL,TOU", "T05:00,0.4,NORMAL,TOU,x")
+                     .replace("T05:30,0.4,NORMAL,TOU", "T05:30,0.4,NORMAL"),
+                     dataio.DataParseError, "line 12: expected 5 fields, got 6",
+                     id="uneven-commas"),
+        pytest.param(day_rows("a", D1) + "a," + "2" * 40 + ",0.5,NORMAL,TOU\n",
+                     dataio.DataParseError, f"line 50: bad timestamp '{'2' * 40}'",
+                     id="field-wider-than-the-keys"),
+    ])
+    def test_error_cases_keep_their_messages(self, tmp_path, body, error, message):
+        assert outcome(write_csv(tmp_path / "c.csv", body)) == (error, message)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("", dataio.DataParseError, "line 1: empty file"),
+        ("household,timestamp,kwh,tariff,group\n" + day_rows("a", D1),
+         dataio.DataParseError, "line 1: expected header household_id,timestamp,kwh,tariff,group"),
+        (HEADER, dataio.DataValidationError, "no data rows"),
+        (HEADER + "\n\r\n", dataio.DataValidationError, "no data rows"),
+    ])
+    def test_header_and_empty_cases_keep_their_messages(self, tmp_path, text, error, message):
+        assert outcome(write_csv(tmp_path / "c.csv", text, header="")) == (error, message)
+
+    def test_field_wider_than_the_keys_before_narrow_ones(self, tmp_path, monkeypatch):
+        # one chunk of lines 2 to 20 ends in a narrow group field, while line 12's
+        # is wider than the bytes kept past the chunk
+        wide = "G" * (dataio._KEY_BYTES + 8)
+        body = day_rows("a", D1).replace("T05:00,0.4,NORMAL,TOU", f"T05:00,0.4,NORMAL,{wide}")
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", len("".join(body.splitlines(True)[:19])))
+        assert outcome(write_csv(tmp_path / "c.csv", body)) == (
+            dataio.DataValidationError, f"line 12: unknown group '{wide}'")
+
+    @pytest.mark.parametrize("chunk", [100, 300, 1000])
+    def test_faults_that_span_chunks(self, tmp_path, monkeypatch, chunk):
+        # the first reading and the fault fall in different chunks at 100
+        # bytes, and in one chunk for some of the larger sizes
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", chunk)
+        duplicate = write_csv(tmp_path / "d.csv", THREE_DAYS + "b,2024-03-04T23:30,1.0,LOW,TOU\n")
+        assert outcome(duplicate) == (
+            dataio.DataValidationError, "line 194: duplicate reading for b at 2024-03-04T23:30")
+        for changed_line, message in ((98, "line 98: household a changes group TOU -> STD"),
+                                      (75, "line 75: household b changes group TOU -> STD"),
+                                      (50, "line 51: household b changes group STD -> TOU")):
+            lines = THREE_DAYS.splitlines(keepends=True)
+            lines[changed_line - 2] = lines[changed_line - 2].replace(",TOU", ",STD")
+            path = write_csv(tmp_path / "g.csv", "".join(lines))
+            assert outcome(path) == (dataio.DataValidationError, message)
+
+    @pytest.mark.parametrize("variant, row_loop", [
+        ("quote-all", "from the header"), ("non-ascii-id", "late"), ("lone-cr", "late"),
+        ("nul-in-kwh", "late"), ("spaced-kwh", "late"), ("underscored-kwh", "late"),
+        ("negative-zero", "never"), ("signed-exponent", "never"), ("crlf", "never"),
+        ("quoted-id", "late"), ("cr-before-row", "late"),
+    ])
+    def test_variants_read_as_reference_or_keep_the_message(self, tmp_path, variant, row_loop,
+                                                            row_loop_starts):
+        # about 20 KB, so the row loop, which starts at the line holding the text
+        # reader's last 8 KiB boundary before the chunk, starts past line 400
+        body = "".join(day_rows(h, d) for d in (D1, D2, D3) for h in "abcd")
+        lines = (HEADER + body).splitlines(keepends=True)
+        late = 550                            # index of file line 551
+        fault = None
+        if variant == "quote-all":
+            rows = list(csv.reader(lines))
+            with open(tmp_path / "c.csv", "w", newline="") as fh:
+                csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+        else:
+            if variant == "non-ascii-id":
+                lines[late:] = [line.replace("d,", "dé,", 1) for line in lines[late:]]
+            elif variant == "lone-cr":
+                lines[late] = lines[late].replace("\n", "\r")
+            elif variant == "cr-before-row":       # csv reads a blank line there
+                lines[late] = "\r" + lines[late]
+            elif variant == "quoted-id":
+                lines[late] = '"d"' + lines[late][1:]
+            elif variant == "crlf":
+                lines = [line.replace("\n", "\r\n") for line in lines]
+            else:
+                kwh = {"nul-in-kwh": "1.5\0", "spaced-kwh": " 1.5 ", "underscored-kwh": "1_5",
+                       "negative-zero": "-0", "signed-exponent": "+.5e-3"}[variant]
+                lines[late] = lines[late].replace(",0.4,", f",{kwh},")
+                if variant == "nul-in-kwh":
+                    fault = ((dataio.DataParseError, f"line {late + 1}: bad kwh value '1.5\\x00'")
+                             if sys.version_info >= (3, 11)
+                             else (csv.Error, "line contains NUL"))
+            (tmp_path / "c.csv").write_bytes("".join(lines).encode())
+        got = outcome(tmp_path / "c.csv")
+        if fault:
+            assert got == fault
+        else:
+            assert_same_data(got, reference_read_consumption(tmp_path / "c.csv"))
+        if row_loop == "from the header":
+            assert row_loop_starts == [2]
+        elif row_loop == "never":
+            assert row_loop_starts == []
+        else:
+            assert 400 < row_loop_starts[0] <= late + 1
+
+    @pytest.mark.parametrize("duplicate_at, error", [
+        (6000, dataio.DataValidationError), (8192 + 200, UnicodeDecodeError),
+    ])
+    def test_undecodable_byte_fails_as_in_the_row_loop(self, tmp_path, monkeypatch,
+                                                       duplicate_at, error):
+        # the text reader decodes 8 KiB at a time, so a bad byte fails the rows
+        # of its whole block: a duplicate in an earlier block is reported, one in
+        # the same block is not
+        body = "".join(day_rows(h, d) for h in "abcd" for d in (D1, D2))
+        data = (HEADER + body).encode()
+        end = data.index(b"\n", duplicate_at) + 1
+        data = data[:end] + day_rows("a", D1).split("\n")[0].encode() + b"\n" + data[end:]
+        bad = data.index(b"\n", 8192 + 1000) + 10
+        data = data[:bad] + b"\xff" + data[bad:]
+        path = tmp_path / "c.csv"
+        path.write_bytes(data)
+        got = outcome(path)
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 20)   # one chunk, not plain
+        assert got == outcome(path)
+        assert got[0] is error
 
 
 class TestTemperature:

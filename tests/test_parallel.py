@@ -5,6 +5,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 import weakref
 from concurrent.futures.process import BrokenProcessPool
 
@@ -189,3 +190,79 @@ def test_no_reference_survives_a_failure(cpus):
     gc.collect()
     assert ref() is None
     assert parallel._job is None
+
+
+def warn_once(i):
+    warnings.warn(f"item {i} warns")
+    return i
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_warnings_of_pooled_items_reach_the_caller(cpus, n):
+    cpus(n)
+    with warnings.catch_warnings(record=True) as caught:
+        assert parallel.map_forked(warn_once, range(2)) == [0, 1]
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "item 0 warns"), (UserWarning, "item 1 warns")
+    ]
+    assert {w.filename for w in caught} == {__file__}
+
+
+def warn_the_same(i):
+    warnings.warn("every item warns", RuntimeWarning)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_default_filter_shows_a_repeat_once(cpus, n):
+    cpus(n)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        parallel.map_forked(warn_the_same, range(3))
+    assert [str(w.message) for w in caught] == ["every item warns"]
+
+
+@needs_fork
+def test_caller_filters_apply_to_pooled_warnings(cpus):
+    cpus(2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", message="item 1")
+        parallel.map_forked(warn_once, range(3))
+    assert [str(w.message) for w in caught] == ["item 0 warns", "item 2 warns"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="item 0 warns"):
+            parallel.map_forked(warn_once, range(2))
+
+
+@needs_fork
+def test_warnings_come_back_before_the_first_failure_is_raised(cpus):
+    cpus(2)
+
+    def job(i):
+        warnings.warn(f"item {i} warns")
+        if i == 1:
+            raise ValueError("item one")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="item one"):
+            parallel.map_forked(job, range(3))
+    assert [str(w.message) for w in caught] == [f"item {i} warns" for i in range(3)]
+
+
+@needs_fork
+def test_warning_class_that_cannot_travel_back_names_itself(cpus):
+    class LocalWarning(UserWarning):
+        pass
+
+    def job(i):
+        warnings.warn(f"item {i}", LocalWarning)
+
+    cpus(2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parallel.map_forked(job, range(2))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "LocalWarning: item 0"), (UserWarning, "LocalWarning: item 1")
+    ]

@@ -11,11 +11,11 @@ read_consumption_csv reads the file in byte chunks of about 1 MB, each cut
 at a line end. A plain chunk (ASCII without quotes, NUL or lone CR, 5 fields
 on every non-blank line, no field wider than the keys) becomes columns with
 numpy: the text fields become ids through packed byte keys, kwh goes through
-one bytes -> float64 cast, and every check runs on the whole chunk before
-it changes any state. The first chunk that is not plain, or that would fail
-a check, hands itself and the rest of the file to the csv row loop, which
-alone raises the parse and validation errors, with the messages and line
-numbers of a reader that reads every row that way.
+one bytes -> float64 cast, and every check runs on the whole chunk at once.
+If a chunk is not plain, or would fail a check, the bulk columns are dropped
+and the csv row loop reads the whole file again from its header; it alone
+raises the parse and validation errors, so their messages and line numbers
+are those of a reader that reads every row that way.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -27,7 +27,6 @@ import bisect
 import contextlib
 import csv
 import datetime
-import io
 import math
 import mmap
 import os
@@ -51,7 +50,6 @@ DEFAULT_SMOOTHING = 0.998
 
 _CHUNK_BYTES = 1 << 20  # bytes per bulk read of a consumption file, cut back to a line end
 _KEY_BYTES = 32         # widest field the bulk parse takes; a wider one goes to the row loop
-_TEXT_BLOCK = 8192      # bytes io.TextIOWrapper decodes at a time (its default _CHUNK_SIZE)
 _HEADER_LINE = ",".join(CONSUMPTION_HEADER).encode()
 _KWH_BYTES = np.zeros(256, dtype=bool)        # bytes a kwh field may hold in the bulk parse,
 _KWH_BYTES[list(b"\0.0123456789eE+-")] = True  # \0 only as padding: plain chunks hold none
@@ -150,8 +148,8 @@ class _Columns:
 
     Rows go to four columns: household index, timestamp id, kwh and tariff
     code. The bulk parse writes numpy columns sized ahead from the file size,
-    so they do not regrow chunk by chunk; the row loop appends its rows to
-    array columns after those.
+    so they do not regrow chunk by chunk; the row loop, which reads a file
+    the bulk parse gave up on, appends its rows to array columns instead.
     """
 
     DTYPES = (np.intc, np.intc, np.float64, np.int8)
@@ -159,7 +157,7 @@ class _Columns:
     def __init__(self):
         self.index_of = {}              # household id -> index, in order of first appearance
         self.groups = []
-        self.text_ids = {}              # timestamp text -> index into texts
+        self.text_ids = {}              # the row loop's timestamp text -> index into texts
         self.texts, self.text_slot = [], []   # distinct timestamp texts and their slot ids
         self.slots = {}                 # (date, half-hour) -> slot id
         self.bulk = [np.empty(0, dtype) for dtype in self.DTYPES]
@@ -182,16 +180,11 @@ class _Columns:
             col[self.n_bulk:end] = new
         self.n_bulk = end
 
-    def truncate(self, rows, blanks):
-        """Forget the bulk rows after the first rows and the blank lines after
-        the first blanks. Ids stay: rows read again get the same ones."""
-        self.n_bulk = rows
-        del self.blanks[blanks:]
-
     def columns(self):
         """The four columns of every row read, as numpy arrays."""
-        return [np.concatenate([col[:self.n_bulk], np.frombuffer(more, col.dtype)])
-                if more else col[:self.n_bulk] for col, more in zip(self.bulk, self.loop)]
+        if self.loop[0]:
+            return [np.frombuffer(col, dtype) for col, dtype in zip(self.loop, self.DTYPES)]
+        return [col[:self.n_bulk] for col in self.bulk]
 
     def raise_duplicate(self):
         hh, text, _, _ = self.columns()
@@ -220,11 +213,11 @@ def _decoded(keys):
 def _split_chunk(buf, size, mask):
     """Cut buf[:size], whole lines, into fields.
 
-    Returns None if the lines are not plain. Otherwise returns the line
-    count, the rows before each blank line, and the five fields of the rows,
-    each an array of NUL-padded bytes (none if every line is blank). buf ends
-    in _KEY_BYTES bytes past any chunk, the last of them never CR; mask is
-    scratch space as long as buf.
+    Returns None if the lines are not plain. Otherwise returns the rows
+    before each blank line and the five fields of the rows, each an array of
+    NUL-padded bytes (none if every line is blank). buf ends in _KEY_BYTES
+    bytes past any chunk, the last of them never CR; mask is scratch space
+    as long as buf.
     """
     if buf.find(b'"', 0, size) >= 0 or buf.find(b"\0", 0, size) >= 0:
         return None
@@ -240,10 +233,9 @@ def _split_chunk(buf, size, mask):
     line_end -= crlf
     blank = line_start == line_end
     rows_before_blank = np.cumsum(~blank)[blank]
-    n_lines = blank.size
-    n_rows = n_lines - rows_before_blank.size
+    n_rows = blank.size - rows_before_blank.size
     if not n_rows:
-        return n_lines, rows_before_blank, ()
+        return rows_before_blank, ()
     commas = np.flatnonzero(np.equal(chunk, ord(","), out=mask))
     if commas.size != 4 * n_rows:
         return None
@@ -265,40 +257,39 @@ def _split_chunk(buf, size, mask):
             out *= np.arange(w) < width[:, j, None]
         return out.view(f"S{w}").ravel()
 
-    return n_lines, rows_before_blank, [field(j) for j in range(5)]
+    return rows_before_blank, [field(j) for j in range(5)]
 
 
 def _parse_chunk(buf, size, cols, mask, bytes_left):
-    """Append the rows of buf[:size], whole lines, to cols and return its line
-    count, or return None and leave cols as they were if those lines are not
-    plain or a row in them would fail a check. bytes_left, the bytes of the
+    """Append the rows of buf[:size], whole lines, to cols and return True, or
+    return False if those lines are not plain or a row in them would fail a
+    check; cols is then only fit to be dropped. bytes_left, the bytes of the
     file after the chunk, sizes the columns."""
     split = _split_chunk(buf, size, mask)
     if split is None:
-        return None
-    n_lines, rows_before_blank, fields = split
+        return False
+    rows_before_blank, fields = split
+    cols.blanks.extend((cols.n_bulk + rows_before_blank).tolist())
     if not fields:
-        cols.blanks.extend([cols.n_bulk] * n_lines)
-        return n_lines
+        return True
     hid, ts, kwh_text, tariff, group = fields
     tariff_rows, tariff_id = _distinct(tariff)
     codes = [TARIFF_CODES.get(t) for t in _decoded(tariff[tariff_rows])]
     group_rows, group_id = _distinct(group)
     names = _decoded(group[group_rows])
     if None in codes or not set(names) <= set(GROUPS):
-        return None
+        return False
     hh_rows, hh_id = _distinct(hid)
     hh_group = group_id[hh_rows]
     if (group_id != hh_group[hh_id]).any():
-        return None                          # a household changes group inside the chunk
-    index, new_households = [], []
+        return False                         # a household changes group inside the chunk
+    index = []
     for h, g in zip(_decoded(hid[hh_rows]), hh_group.tolist()):
-        i = cols.index_of.get(h)
-        if i is None:
-            i = len(cols.groups) + len(new_households)
-            new_households.append((h, names[g]))
+        i = cols.index_of.setdefault(h, len(cols.groups))
+        if i == len(cols.groups):
+            cols.groups.append(names[g])
         elif cols.groups[i] != names[g]:
-            return None
+            return False
         index.append(i)
 
     text_id = np.full(ts.size, -1, np.intc)
@@ -312,93 +303,63 @@ def _parse_chunk(buf, size, cols, mask, bytes_left):
     try:
         new_slots = [_half_hour_slot(text, 0) for text in new_texts]
     except ValueError:
-        return None
+        return False
     text_id[unknown] = len(cols.texts) + new_id
 
     if not _KWH_BYTES[kwh_text.view(np.uint8)].all():
-        return None
+        return False
     try:
         # the cast ignores trailing NULs; the byte check keeps out whitespace,
         # underscores, inf and nan, so what it parses is what float() parses
         kwh = kwh_text.astype(np.float64)
     except ValueError:
-        return None
+        return False
     if not ((kwh >= 0.0) & (kwh < math.inf)).all():
-        return None
+        return False
 
-    for h, group in new_households:
-        cols.index_of[h] = len(cols.groups)
-        cols.groups.append(group)
     if new_texts:
         keys = np.concatenate([cols.ts_keys, ts[unknown[new_rows]]])
         ids = np.concatenate([cols.ts_key_ids, np.arange(len(new_texts)) + len(cols.texts)])
         order = np.argsort(keys)
         cols.ts_keys, cols.ts_key_ids = keys[order], ids[order].astype(np.intc)
     for text, slot in zip(new_texts, new_slots):
-        cols.text_ids[text] = len(cols.texts)
         cols.texts.append(text)
         cols.text_slot.append(cols.slots.setdefault(slot, len(cols.slots)))
-    cols.blanks.extend((cols.n_bulk + rows_before_blank).tolist())
     cols.append_bulk((np.array(index, np.intc)[hh_id], text_id, kwh,
                       np.array(codes, np.int8)[tariff_id]),
                      cols.n_bulk + kwh.size + kwh.size * bytes_left // size * 9 // 8)
-    return n_lines
+    return True
 
 
 def _read_plain_chunks(raw, cols):
-    """Read the plain chunks at the start of a consumption file into cols.
-
-    Returns None when they reach the end of the file. Otherwise returns a
-    checkpoint (byte offset, line number, rows, blank lines) at the start of
-    the file, of the first data line and of each chunk read, the last being
-    the chunk the row loop must take over.
-    """
+    """Read a consumption file into cols in plain chunks. Returns whether
+    they reached the end of the file: False if the header or a chunk is not
+    plain, or a chunk would fail a check."""
     head = raw.readline()
-    checkpoints = [(0, 1, 0, 0)]
     if head not in (_HEADER_LINE, _HEADER_LINE + b"\n", _HEADER_LINE + b"\r\n"):
-        return checkpoints
+        return False
     # one buffer and one mask for every chunk, so chunks add no large blocks to
     # the heap
     buf = mmap.mmap(-1, _CHUNK_BYTES + _KEY_BYTES)
     mask = _pages(len(buf), bool)
-    offset, line_no, kept = len(head), 2, 0   # kept: bytes of a partial line at buf's start
+    offset, kept = len(head), 0   # kept: bytes of a partial line at buf's start
     file_size = os.fstat(raw.fileno()).st_size
     while True:
-        checkpoints.append((offset, line_no, cols.n_bulk, len(cols.blanks)))
         got = raw.readinto(memoryview(buf)[kept:_CHUNK_BYTES])
         size = kept + got
         if not size:
-            return None
+            return True
         if got:
             cut = buf.rfind(b"\n", 0, size) + 1
         else:                                 # the last line has no line end: give it one
             buf[size] = ord("\n")
             cut = size + 1
         left = max(file_size - offset - cut, 0)
-        if not cut or (lines := _parse_chunk(buf, cut, cols, mask, left)) is None:
-            return checkpoints
+        if not cut or not _parse_chunk(buf, cut, cols, mask, left):
+            return False
         kept = max(size - cut, 0)
         buf[:kept] = buf[cut:size]
-        offset, line_no = offset + cut, line_no + lines
-
-
-def _row_loop_start(raw, cols, checkpoints):
-    """(offset, line number) where the row loop takes over from the bulk parse.
-
-    A text reader decodes the file in _TEXT_BLOCK pieces from its start and an
-    undecodable byte fails its whole piece, so the row loop starts at the line
-    holding the last piece boundary before the chunk that was not plain, and
-    cols forgets the rows after it: then the rows read before such an error are
-    the same as when the row loop reads the whole file.
-    """
-    boundary = checkpoints[-1][0] // _TEXT_BLOCK * _TEXT_BLOCK
-    at = bisect.bisect_right([c[0] for c in checkpoints], boundary) - 1
-    offset, line_no, rows, blanks = checkpoints[at]
-    raw.seek(offset)
-    lines = raw.read(boundary - offset).split(b"\n")[:-1]
-    n_blank = sum(line in (b"", b"\r") for line in lines)
-    cols.truncate(rows + len(lines) - n_blank, blanks + n_blank)
-    return offset + sum(len(line) + 1 for line in lines), line_no + len(lines)
+        offset += cut
 
 
 def _read_rows(reader, line_no, cols):
@@ -409,7 +370,7 @@ def _read_rows(reader, line_no, cols):
     blanks = cols.blanks
     for line_no, row in enumerate(reader, start=line_no):
         if not row:
-            blanks.append(cols.n_bulk + len(hh_col))
+            blanks.append(len(hh_col))
             continue
         if len(row) != 5:
             raise DataParseError(f"line {line_no}: expected 5 fields, got {len(row)}")
@@ -462,37 +423,27 @@ def read_consumption_csv(path):
     code), parsing each distinct timestamp text once; the columns are
     scattered into the grids at the end. The pass reads chunks of about
     _CHUNK_BYTES in bulk with numpy while they are plain and pass every
-    check. From the first chunk that does not, a csv row loop reads the rest
-    of the file, counting lines on from the rows read so far (it starts up
-    to 8 KiB earlier, see _row_loop_start); it raises every error, so
+    check. If a chunk does not, the bulk columns are dropped and a csv row
+    loop reads the whole file from its header; it raises every error, so
     messages and line numbers are those of a row-at-a-time reader. Duplicate
     readings are found in bulk, after the pass or before any error the row
     loop raises, since a duplicate on an earlier line wins.
     """
     cols = _Columns()
     with open(path, "rb") as raw:
-        checkpoints = _read_plain_chunks(raw, cols)
-        if checkpoints is not None:
-            offset, line_no = _row_loop_start(raw, cols, checkpoints)
-    if checkpoints is not None:
-        # a fresh file, so the text reader's pieces fall where they fall when it
-        # reads the whole file; what lies before offset is ASCII
-        with open(path, "rb") as raw, io.TextIOWrapper(raw, newline="") as fh:
-            raw.seek(offset // _TEXT_BLOCK * _TEXT_BLOCK)   # before the wrapper reads
-            fh.read(offset % _TEXT_BLOCK)
+        whole = _read_plain_chunks(raw, cols)
+    if not whole:
+        cols = _Columns()                     # the bulk columns' pages go back
+        with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            if line_no == 1:
-                try:
-                    header = next(reader)
-                except StopIteration:
-                    raise DataParseError("line 1: empty file") from None
-                if header != CONSUMPTION_HEADER:
-                    raise DataParseError(
-                        f"line 1: expected header {','.join(CONSUMPTION_HEADER)}"
-                    )
-                line_no = 2
             try:
-                _read_rows(reader, line_no, cols)
+                header = next(reader)
+            except StopIteration:
+                raise DataParseError("line 1: empty file") from None
+            if header != CONSUMPTION_HEADER:
+                raise DataParseError(f"line 1: expected header {','.join(CONSUMPTION_HEADER)}")
+            try:
+                _read_rows(reader, 2, cols)
             except (ValueError, csv.Error):
                 cols.raise_duplicate()
                 raise

@@ -108,6 +108,11 @@ class PipelineConfig:
 
 
 def _section(cls, raw, name, convert=None):
+    """cls from a config section's mapping; an empty section means its defaults."""
+    if raw is None:
+        raw = {}
+    elif not isinstance(raw, dict):
+        raise ConfigError(f"{name} section must be a mapping, got {type(raw).__name__}")
     known = cls.__dataclass_fields__
     unknown = set(raw) - set(known)
     if unknown:
@@ -149,16 +154,11 @@ def load_config(path):
     if "cluster" in raw:
         config.cluster = _section(ClusterSection, raw["cluster"], "cluster")
     if "train" in raw:
-        section = dict(raw["train"])
-        cvae_raw = section.pop("cvae", {})
-        config.train = _section(TrainSection, section, "train", convert={"generators": tuple})
-        cvae_known = neuralgen.CvaeConfig.__dataclass_fields__
-        bad = set(cvae_raw) - set(cvae_known)
-        if bad:
-            raise ConfigError(f"unknown key(s) in train.cvae: {sorted(bad)}")
-        if "hidden" in cvae_raw:
-            cvae_raw["hidden"] = tuple(cvae_raw["hidden"])
-        config.train = replace(config.train, cvae=replace(neuralgen.CvaeConfig(), **cvae_raw))
+        config.train = _section(TrainSection, raw["train"], "train", convert={
+            "generators": tuple,
+            "cvae": lambda v: _section(neuralgen.CvaeConfig, v, "train.cvae",
+                                       convert={"hidden": tuple}),
+        })
         bad = set(config.train.generators) - set(GENERATOR_NAMES)
         if bad:
             raise ConfigError(f"unknown generator(s): {sorted(bad)}")

@@ -408,6 +408,32 @@ class TestValidation:
         assert payload["type"] == "ConfigError"
         assert "n_samples" in payload["error"]
 
+    @pytest.mark.parametrize("text, named", [
+        pytest.param("cluster: 4\n", "cluster section", id="number-section"),
+        pytest.param("train: [gam]\n", "train section", id="list-section"),
+        pytest.param("train:\n  cvae: 3\n", "train.cvae section", id="number-cvae"),
+        pytest.param("train:\n  cvae: {turbo: 1}\n", "turbo", id="unknown-cvae-key"),
+    ])
+    def test_bad_section_rejected(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert run_cli("synth", "--config", str(cfg)) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["type"] == "ConfigError"
+        assert named in payload["error"]
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("train:\n", id="train"),
+        pytest.param("train: {cvae: }\n", id="cvae"),
+        pytest.param("cluster:\n", id="cluster"),
+        pytest.param("synth:\nscenario:\n", id="synth-and-scenario"),
+    ])
+    def test_empty_section_means_its_defaults(self, tmp_path, text):
+        cfg, empty = tmp_path / "c.yaml", tmp_path / "empty.yaml"
+        cfg.write_text(text)
+        empty.write_text("")
+        assert pipeline.load_config(cfg) == pipeline.load_config(empty)
+
     def test_generator_flag_only_on_generator_stages(self, workdir, capsys):
         _, cfg = workdir
         with pytest.raises(SystemExit) as exc:

@@ -46,7 +46,7 @@ class LocationScaleModel:
         return self.spline.design(tau) @ self.spline_coef + self.tariff_coef[code]
 
 
-def _fit_rows(spline_design, penalty, rows, tariff, lam_grid):
+def _fit_rows(spline_design, penalty, rows, tariff):
     """Fit the series in rows (m, n), which share one spline design and tariff column.
 
     The design is the centered spline block plus one indicator column per
@@ -58,7 +58,7 @@ def _fit_rows(spline_design, penalty, rows, tariff, lam_grid):
     observed = [code for code in (LOW, NORMAL, HIGH) if np.any(tariff == code)]
     blocks = [spline_design] + [(tariff == code).astype(float)[:, None] for code in observed]
     penalties = [penalty] + [None] * len(observed)
-    fit = penalized_lstsq(blocks, penalties, rows.T, lam_grid=lam_grid)
+    fit = penalized_lstsq(blocks, penalties, rows.T)
 
     tariff_coef = np.full((3, len(rows)), np.nan)
     scale = np.full((3, len(rows)), np.nan)
@@ -71,7 +71,7 @@ def _fit_rows(spline_design, penalty, rows, tariff, lam_grid):
     return fit.block_coef(0).T, tariff_coef, scale, fit.lam
 
 
-def fit_location_scale(y, tau, tariff, lam_grid=None, basis=None):
+def fit_location_scale(y, tau, tariff, basis=None):
     """Fit one half-hour series of (consumption, temperature, tariff) triples.
 
     The design is the column-centered cubic spline in temperature plus one
@@ -90,9 +90,7 @@ def fit_location_scale(y, tau, tariff, lam_grid=None, basis=None):
         raise FitError(f"need at least {basis.dim + 3} observations, got {y.size}")
 
     spline, design = CenteredSplineBlock.fit(basis, tau)
-    coef, tariff_coef, scale, lam = _fit_rows(
-        design, spline.penalty(), y[None, :], tariff, lam_grid
-    )
+    coef, tariff_coef, scale, lam = _fit_rows(design, spline.penalty(), y[None, :], tariff)
     return LocationScaleModel(
         spline=spline,
         spline_coef=coef[0],
@@ -103,7 +101,7 @@ def fit_location_scale(y, tau, tariff, lam_grid=None, basis=None):
     )
 
 
-def fit_entity(kwh, tau, tariff, lam_grid=None):
+def fit_entity(kwh, tau, tariff):
     """Fit all 48 half-hour models for one entity's (T, 48) grids.
 
     The spline basis depends only on the half-hour's temperature series, so
@@ -114,8 +112,7 @@ def fit_entity(kwh, tau, tariff, lam_grid=None):
     for h in range(HALF_HOURS):
         basis = CubicSplineBasis.from_quantiles(tau[:, h])
         models.append(
-            fit_location_scale(kwh[:, h], tau[:, h], tariff[:, h],
-                               lam_grid=lam_grid, basis=basis)
+            fit_location_scale(kwh[:, h], tau[:, h], tariff[:, h], basis=basis)
         )
     return models
 
@@ -166,7 +163,7 @@ def tariff_profile(entity, models, tau):
     return TariffResponseProfile(entity, mu, sigma, np.array([m.lam for m in models]))
 
 
-def fit_profiles(ids, kwh, tau, tariff, lam_grid=None):
+def fit_profiles(ids, kwh, tau, tariff):
     """Tariff response profiles of many entities, fitted together per half-hour.
 
     kwh and tariff are (N, T, 48) grids for the entities named by ids; tau
@@ -203,7 +200,7 @@ def fit_profiles(ids, kwh, tau, tariff, lam_grid=None):
                 raise FitError(f"{ids[members[0]]}: Normal tariff never observed "
                                f"in half-hour {h + 1}")
             coef, tariff_coef, scale, lam[members, h] = _fit_rows(
-                design, penalty, kwh[members, :, h], column, lam_grid
+                design, penalty, kwh[members, :, h], column
             )
             group_mu, group_sigma = _day_average(matvec_rows(design, coef), tariff_coef, scale)
             mu[members, :, h] = group_mu.T

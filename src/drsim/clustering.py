@@ -5,7 +5,7 @@ matrix, compress it with a rank-r NMF, then k-medoids (full PAM) on the
 household loading vectors. Cluster quality is scored with the
 Calinski-Harabasz statistic in the variant used throughout this project
 (between-cluster sum unweighted by cluster size, within-cluster variances
-averaged per cluster); the textbook weighting is available behind a flag.
+averaged per cluster).
 """
 
 import warnings
@@ -201,20 +201,19 @@ def random_clustering(n, k, seed):
     return Clustering(labels=labels, k=k)
 
 
-def calinski_harabasz(vectors, labels, k=None, literal=True):
+def calinski_harabasz(vectors, labels, k=None):
     """Cluster-separation score on the given record vectors.
 
-    The default form sums squared distances of cluster means to the overall
-    mean (unweighted) and divides by the sum over clusters of the average
+    It sums squared distances of cluster means to the overall mean
+    (unweighted) and divides by the sum over clusters of the average
     within-cluster squared distance:
 
         (n - k) * sum_l ||c_l - c||^2
         -----------------------------------------------
         (k - 1) * sum_l (1/|C_l|) sum_{i in l} ||y_i - c_l||^2
 
-    literal=False uses the textbook weighting (|C_l| on the between term,
-    raw sums within). A perfectly tight clustering (zero within-cluster
-    spread) has no finite score and raises.
+    A perfectly tight clustering (zero within-cluster spread) has no finite
+    score and raises.
     """
     vectors = np.asarray(vectors, dtype=float)
     labels = np.asarray(labels)
@@ -235,14 +234,8 @@ def calinski_harabasz(vectors, labels, k=None, literal=True):
     for l in range(k):
         members = vectors[labels == l]
         center = members.mean(axis=0)
-        sq = ((members - center) ** 2).sum()
-        d2 = float(((center - overall) ** 2).sum())
-        if literal:
-            between += d2
-            within += sq / len(members)
-        else:
-            between += len(members) * d2
-            within += sq
+        between += float(((center - overall) ** 2).sum())
+        within += ((members - center) ** 2).sum() / len(members)
     if within == 0.0:
         raise PerfectlyTightClusteringError("perfectly tight clustering")
     return (n - k) * between / ((k - 1) * within)

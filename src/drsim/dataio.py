@@ -12,10 +12,11 @@ at a line end. A plain chunk (ASCII without quotes, NUL or lone CR, 5 fields
 on every non-blank line, no field wider than the keys) becomes columns with
 numpy: the text fields become ids through packed byte keys, kwh goes through
 one bytes -> float64 cast, and every check runs on the whole chunk at once.
-If a chunk is not plain, or would fail a check, the bulk columns are dropped
-and the csv row loop reads the whole file again from its header; it alone
-raises the parse and validation errors, so their messages and line numbers
-are those of a reader that reads every row that way.
+If a chunk is not plain, or would fail a check, or two rows of a plain file
+hold one (household, half-hour) cell, the bulk columns are dropped and the
+csv row loop reads the whole file again from its header; it alone raises the
+parse and validation errors, duplicates included, so their messages and line
+numbers are those of a reader that reads every row that way.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -23,7 +24,6 @@ files that must appear together. read_csv reads them back, header checked.
 """
 
 import array
-import bisect
 import contextlib
 import csv
 import datetime
@@ -116,25 +116,6 @@ def _half_hour_slot(text, line_no):
     return ts.date(), ts.hour * 2 + ts.minute // 30
 
 
-def _raise_duplicate(hh_col, text_col, text_slot, index_of, texts, blanks):
-    """Raise for the first row whose (household, slot) an earlier row holds.
-
-    Row r came from line r + 2 plus the blank lines read before it; blanks
-    holds the number of rows read before each blank line.
-    """
-    slot = np.asarray(text_slot, dtype=np.int64)[np.frombuffer(text_col, np.intc)]
-    key = np.frombuffer(hh_col, np.intc) * np.int64(len(text_slot)) + slot
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if repeats.size:
-        row = int(repeats.min())
-        line_no = row + 2 + bisect.bisect_right(blanks, row)
-        raise DataValidationError(
-            f"line {line_no}: duplicate reading for {list(index_of)[hh_col[row]]} "
-            f"at {texts[text_col[row]]}"
-        ) from None
-
-
 def _pages(n, dtype):
     """An empty array of n items in pages mapped for it alone, not on the heap:
     its untouched pages take no memory, and all of it goes back to the system
@@ -163,7 +144,6 @@ class _Columns:
         self.bulk = [np.empty(0, dtype) for dtype in self.DTYPES]
         self.n_bulk = 0                 # rows in the bulk columns
         self.loop = [array.array(code) for code in "iidb"]
-        self.blanks = []                # rows read before each blank line
         # the bulk parse's timestamp texts as sorted bytes, and their ids
         self.ts_keys, self.ts_key_ids = np.array([], dtype="S1"), np.array([], np.intc)
 
@@ -185,10 +165,6 @@ class _Columns:
         if self.loop[0]:
             return [np.frombuffer(col, dtype) for col, dtype in zip(self.loop, self.DTYPES)]
         return [col[:self.n_bulk] for col in self.bulk]
-
-    def raise_duplicate(self):
-        hh, text, _, _ = self.columns()
-        _raise_duplicate(hh, text, self.text_slot, self.index_of, self.texts, self.blanks)
 
 
 def _distinct(keys):
@@ -213,11 +189,10 @@ def _decoded(keys):
 def _split_chunk(buf, size, mask):
     """Cut buf[:size], whole lines, into fields.
 
-    Returns None if the lines are not plain. Otherwise returns the rows
-    before each blank line and the five fields of the rows, each an array of
-    NUL-padded bytes (none if every line is blank). buf ends in _KEY_BYTES
-    bytes past any chunk, the last of them never CR; mask is scratch space
-    as long as buf.
+    Returns None if the lines are not plain. Otherwise returns the five
+    fields of the rows, each an array of NUL-padded bytes (none if every line
+    is blank). buf ends in _KEY_BYTES bytes past any chunk, the last of them
+    never CR; mask is scratch space as long as buf.
     """
     if buf.find(b'"', 0, size) >= 0 or buf.find(b"\0", 0, size) >= 0:
         return None
@@ -232,10 +207,9 @@ def _split_chunk(buf, size, mask):
     line_start = np.r_[0, line_end[:-1] + 1]
     line_end -= crlf
     blank = line_start == line_end
-    rows_before_blank = np.cumsum(~blank)[blank]
-    n_rows = blank.size - rows_before_blank.size
+    n_rows = blank.size - np.count_nonzero(blank)
     if not n_rows:
-        return rows_before_blank, ()
+        return ()
     commas = np.flatnonzero(np.equal(chunk, ord(","), out=mask))
     if commas.size != 4 * n_rows:
         return None
@@ -257,7 +231,7 @@ def _split_chunk(buf, size, mask):
             out *= np.arange(w) < width[:, j, None]
         return out.view(f"S{w}").ravel()
 
-    return rows_before_blank, [field(j) for j in range(5)]
+    return [field(j) for j in range(5)]
 
 
 def _parse_chunk(buf, size, cols, mask, bytes_left):
@@ -265,11 +239,9 @@ def _parse_chunk(buf, size, cols, mask, bytes_left):
     return False if those lines are not plain or a row in them would fail a
     check; cols is then only fit to be dropped. bytes_left, the bytes of the
     file after the chunk, sizes the columns."""
-    split = _split_chunk(buf, size, mask)
-    if split is None:
+    fields = _split_chunk(buf, size, mask)
+    if fields is None:
         return False
-    rows_before_blank, fields = split
-    cols.blanks.extend((cols.n_bulk + rows_before_blank).tolist())
     if not fields:
         return True
     hid, ts, kwh_text, tariff, group = fields
@@ -363,14 +335,14 @@ def _read_plain_chunks(raw, cols):
 
 
 def _read_rows(reader, line_no, cols):
-    """The row loop: append csv reader rows, the first from line line_no, to cols."""
+    """The row loop: append csv reader rows, the first from line line_no, to
+    cols, which holds no rows yet."""
     index_of, groups = cols.index_of, cols.groups
     text_ids, texts, text_slot, slots = cols.text_ids, cols.texts, cols.text_slot, cols.slots
     hh_col, text_col, kwh_col, code_col = cols.loop
-    blanks = cols.blanks
+    marks = []          # per household, one byte per slot id: 1 once a row holds it
     for line_no, row in enumerate(reader, start=line_no):
         if not row:
-            blanks.append(len(hh_col))
             continue
         if len(row) != 5:
             raise DataParseError(f"line {line_no}: expected 5 fields, got {len(row)}")
@@ -401,14 +373,46 @@ def _read_rows(reader, line_no, cols):
         if index is None:
             index = index_of[hid] = len(groups)
             groups.append(group)
+            marks.append(bytearray())
         elif groups[index] != group:
             raise DataValidationError(
                 f"line {line_no}: household {hid} changes group {groups[index]} -> {group}"
             )
+        held, slot = marks[index], text_slot[text_id]
+        if slot >= len(held):
+            held.extend(bytes(len(slots) - len(held)))
+        elif held[slot]:
+            raise DataValidationError(f"line {line_no}: duplicate reading for {hid} at {ts_text}")
+        held[slot] = 1
         hh_col.append(index)
         text_col.append(text_id)
         kwh_col.append(kwh)
         code_col.append(code)
+
+
+def _scatter(cols):
+    """(dates, kwh, tariff, observed) grids of the rows in cols, or None if
+    two rows hold one cell; every kwh read is finite, so the cells left NaN
+    are the unobserved ones."""
+    hh_col, text_col, kwh_col, code_col = cols.columns()
+    if not hh_col.size:
+        raise DataValidationError("no data rows")
+    slots = cols.slots
+    day = np.array([d.toordinal() for d, _ in slots])
+    first, last = int(day.min()), int(day.max())
+    dates = [datetime.date.fromordinal(n) for n in range(first, last + 1)]
+    n_days = len(dates)
+    slot_cell = (day - first) * HALF_HOURS + np.array([h for _, h in slots])
+    cells = (hh_col.astype(np.int64) * (n_days * HALF_HOURS)
+             + slot_cell[np.asarray(cols.text_slot)[text_col]])
+    kwh = np.full((len(cols.groups), n_days, HALF_HOURS), np.nan)
+    kwh.reshape(-1)[cells] = kwh_col
+    observed = ~np.isnan(kwh)
+    if np.count_nonzero(observed) < hh_col.size:
+        return None
+    tariff = np.full(kwh.shape, -1, dtype=np.int8)
+    tariff.reshape(-1)[cells] = code_col
+    return dates, kwh, tariff, observed
 
 
 def read_consumption_csv(path):
@@ -423,16 +427,16 @@ def read_consumption_csv(path):
     code), parsing each distinct timestamp text once; the columns are
     scattered into the grids at the end. The pass reads chunks of about
     _CHUNK_BYTES in bulk with numpy while they are plain and pass every
-    check. If a chunk does not, the bulk columns are dropped and a csv row
-    loop reads the whole file from its header; it raises every error, so
-    messages and line numbers are those of a row-at-a-time reader. Duplicate
-    readings are found in bulk, after the pass or before any error the row
-    loop raises, since a duplicate on an earlier line wins.
+    check. If a chunk does not, or the scatter fills fewer cells than there
+    are rows (a duplicate reading), the bulk columns are dropped and a csv
+    row loop reads the whole file from its header; it raises every error,
+    duplicates included, so messages and line numbers are those of a
+    row-at-a-time reader.
     """
     cols = _Columns()
     with open(path, "rb") as raw:
-        whole = _read_plain_chunks(raw, cols)
-    if not whole:
+        grids = _read_plain_chunks(raw, cols) and _scatter(cols)
+    if not grids:
         cols = _Columns()                     # the bulk columns' pages go back
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -442,30 +446,10 @@ def read_consumption_csv(path):
                 raise DataParseError("line 1: empty file") from None
             if header != CONSUMPTION_HEADER:
                 raise DataParseError(f"line 1: expected header {','.join(CONSUMPTION_HEADER)}")
-            try:
-                _read_rows(reader, 2, cols)
-            except (ValueError, csv.Error):
-                cols.raise_duplicate()
-                raise
-
-    hh_col, text_col, kwh_col, code_col = cols.columns()
-    if not hh_col.size:
-        raise DataValidationError("no data rows")
-    _raise_duplicate(hh_col, text_col, cols.text_slot, cols.index_of, cols.texts, cols.blanks)
-    index_of, groups, slots, text_slot = cols.index_of, cols.groups, cols.slots, cols.text_slot
-
-    day = np.array([d.toordinal() for d, _ in slots])
-    first, last = int(day.min()), int(day.max())
-    dates = [datetime.date.fromordinal(n) for n in range(first, last + 1)]
-    n_days = len(dates)
-    slot_cell = (day - first) * HALF_HOURS + np.array([h for _, h in slots])
-    cells = (hh_col.astype(np.int64) * (n_days * HALF_HOURS)
-             + slot_cell[np.asarray(text_slot)[text_col]])
-    kwh = np.full((len(groups), n_days, HALF_HOURS), np.nan)
-    tariff = np.full(kwh.shape, -1, dtype=np.int8)
-    kwh.reshape(-1)[cells] = kwh_col
-    tariff.reshape(-1)[cells] = code_col
-    observed = ~np.isnan(kwh)
+            _read_rows(reader, 2, cols)
+        grids = _scatter(cols)
+    dates, kwh, tariff, observed = grids
+    index_of, groups = cols.index_of, cols.groups
 
     households = []
     coverage = {}

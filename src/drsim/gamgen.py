@@ -47,7 +47,7 @@ class HalfHourGam:
     lam: float
 
 
-def _fit_half_hour(y, tau, taubar, kappa, w, tariff, lam_grid):
+def _fit_half_hour(y, tau, taubar, kappa, w, tariff):
     bases = (
         CubicSplineBasis.from_quantiles(tau),
         CubicSplineBasis.from_quantiles(taubar),
@@ -70,7 +70,7 @@ def _fit_half_hour(y, tau, taubar, kappa, w, tariff, lam_grid):
         blocks.append((tariff == code).astype(float)[:, None])
         penalties.append(None)
 
-    fit = penalized_lstsq(blocks, penalties, y, lam_grid=lam_grid)
+    fit = penalized_lstsq(blocks, penalties, y)
     xi = np.zeros(3)
     for i, code in enumerate(observed_special):
         xi[code] = fit.block_coef(5 + i)[0]
@@ -165,8 +165,7 @@ class GamGenerator:
         return self.draw(f, tariffs, n_samples, seed, clamp)
 
 
-def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partition,
-                      lam_grid=None):
+def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partition):
     """Fit the 48 half-hour models plus the noise side on training days.
 
     kwh is the (T, 48) cluster-average consumption; the per-tariff noise
@@ -184,14 +183,11 @@ def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partiti
             calendar.kappa[train],
             calendar.w[train],
             tariffs[train, h],
-            lam_grid,
         )
         models.append(model)
         fitted[:, h] = f
 
-    sigma = fit_profiles(
-        [entity], kwh[train][None], tau[train], tariffs[train][None], lam_grid=lam_grid
-    )[0].sigma
+    sigma = fit_profiles([entity], kwh[train][None], tau[train], tariffs[train][None])[0].sigma
 
     scale = sigma[tariffs[train], np.arange(HALF_HOURS)]
     residuals = (kwh[train] - fitted) / scale

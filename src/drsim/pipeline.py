@@ -136,7 +136,13 @@ def load_config(path):
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
 
-    config = PipelineConfig(seed=int(raw.get("seed", 0)), out=str(raw.get("out", "run")))
+    # an empty value means its default, as an empty section does
+    seed, out = raw.get("seed"), raw.get("out")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path, got {out!r}")
+    config = PipelineConfig(seed=0 if seed is None else seed, out="run" if out is None else out)
     if "synth" in raw:
         config.synth = _section(
             SynthSection, raw["synth"], "synth",

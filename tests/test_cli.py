@@ -413,8 +413,15 @@ class TestValidation:
         pytest.param("train: [gam]\n", "train section", id="list-section"),
         pytest.param("train:\n  cvae: 3\n", "train.cvae section", id="number-cvae"),
         pytest.param("train:\n  cvae: {turbo: 1}\n", "turbo", id="unknown-cvae-key"),
+        pytest.param("seed: abc\n", "seed", id="text-seed"),
+        pytest.param("seed: 1.5\n", "seed", id="fractional-seed"),
+        pytest.param("seed: true\n", "seed", id="boolean-seed"),
+        pytest.param("seed: -1\n", "seed", id="negative-seed"),
+        pytest.param("out: 3\n", "out", id="number-out"),
+        pytest.param("out: [a, b]\n", "out", id="list-out"),
     ])
-    def test_bad_section_rejected(self, tmp_path, capsys, text, named):
+    def test_bad_section_rejected(self, tmp_path, capsys, monkeypatch, text, named):
+        monkeypatch.chdir(tmp_path)           # a config taken by mistake runs synth here
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text)
         assert run_cli("synth", "--config", str(cfg)) == 2
@@ -427,6 +434,9 @@ class TestValidation:
         pytest.param("train: {cvae: }\n", id="cvae"),
         pytest.param("cluster:\n", id="cluster"),
         pytest.param("synth:\nscenario:\n", id="synth-and-scenario"),
+        pytest.param("seed:\n", id="seed"),
+        pytest.param("out:\n", id="out"),
+        pytest.param("seed:\nout:\ncluster:\n", id="seed-out-and-section"),
     ])
     def test_empty_section_means_its_defaults(self, tmp_path, text):
         cfg, empty = tmp_path / "c.yaml", tmp_path / "empty.yaml"

@@ -185,11 +185,6 @@ class TestCalinskiHarabasz:
         expected = (5 - 2) * (21.16 + 47.61) / ((2 - 1) * (2.0 / 3.0 + 0.25))
         assert score == pytest.approx(expected, rel=1e-12)
 
-    def test_textbook_variant_hand_oracle(self):
-        score = clustering.calinski_harabasz(self.POINTS, self.LABELS, literal=False)
-        expected = (5 - 2) * (3 * 21.16 + 2 * 47.61) / ((2 - 1) * (2.0 + 0.5))
-        assert score == pytest.approx(expected, rel=1e-12)
-
     def test_perfectly_tight_raises(self):
         points = np.array([[0.0], [0.0], [5.0], [5.0]])
         with pytest.raises(clustering.PerfectlyTightClusteringError, match="perfectly tight"):

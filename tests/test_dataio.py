@@ -377,6 +377,32 @@ class TestChunkedRead:
             path = write_csv(tmp_path / "g.csv", "".join(lines))
             assert outcome(path) == (dataio.DataValidationError, message)
 
+    @pytest.mark.parametrize("body, message", [
+        pytest.param(day_rows("a", D1) + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n",
+                     "line 50: duplicate reading for a at 2024-03-04T00:00", id="duplicate"),
+        pytest.param(day_rows("a", D1) + "a,2024-03-04 00:30,0.5,NORMAL,TOU\n",
+                     "line 50: duplicate reading for a at 2024-03-04 00:30",
+                     id="two-spellings-of-one-slot"),
+        pytest.param(day_rows("a", D1) + "\n\n" + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n",
+                     "line 52: duplicate reading for a at 2024-03-04T00:00",
+                     id="blank-lines-before-the-duplicate"),
+    ])
+    def test_plain_file_with_a_duplicate_is_read_again_by_the_row_loop(
+            self, tmp_path, row_loop_starts, body, message):
+        # the bulk parse reads every line; its scatter fills one cell fewer than
+        # it read rows, so the row loop reads the file again to name the line
+        assert outcome(write_csv(tmp_path / "c.csv", body)) == (
+            dataio.DataValidationError, message)
+        assert row_loop_starts == [2]
+
+    def test_duplicate_in_a_quoted_file_keeps_its_message(self, tmp_path, row_loop_starts):
+        body = day_rows("a", D1) + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n"
+        plain = outcome(write_csv(tmp_path / "plain.csv", body))
+        quoted = outcome(write_csv(tmp_path / "quoted.csv", body.replace("a,", '"a",')))
+        assert quoted == plain == (
+            dataio.DataValidationError, "line 50: duplicate reading for a at 2024-03-04T00:00")
+        assert row_loop_starts == [2, 2]
+
     @pytest.mark.parametrize("variant, row_loop", [
         ("quote-all", "from the header"), ("non-ascii-id", "late"), ("lone-cr", "late"),
         ("nul-in-kwh", "late"), ("spaced-kwh", "late"), ("underscored-kwh", "late"),

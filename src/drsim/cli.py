@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
 
 from . import dataio, pipeline
 
@@ -46,12 +45,7 @@ def run(argv=None):
     # what is left after popping the shared options are the stage's keyword arguments
     options = vars(build_parser().parse_args(argv))
     command = options.pop("command")
-    config = pipeline.load_config(options.pop("config"))
-    seed, out = options.pop("seed"), options.pop("out")
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if out is not None:
-        config = replace(config, out=out)
+    config = pipeline.load_config(options.pop("config"), options.pop("seed"), options.pop("out"))
     error_log = os.path.join(config.out, "error.log")
     try:
         written = pipeline.STAGES[command](config, pipeline.RunPaths(config.out), **options)

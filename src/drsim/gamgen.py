@@ -3,7 +3,9 @@
 One additive model per half-hour: smooth terms in the slot temperature, the
 smoothed temperature and the day-of-range position, a linear working-day
 term, and tariff offsets with Normal as the reference level. One shared
-smoothing weight across the three spline blocks is chosen by GCV. The noise
+smoothing weight across the three spline blocks is chosen by GCV. The
+smoothed-temperature and day-position blocks depend on the day alone, so the
+generator fits and holds one copy of each for all 48 slots. The noise
 side reuses the location-scale machinery at cluster level for per-tariff
 scales; residuals standardized by those scales yield an empirical intra-day
 correlation matrix whose Cholesky factor drives sampling:
@@ -37,34 +39,23 @@ class GamModelError(ValueError):
 
 @dataclass
 class HalfHourGam:
-    """Fitted additive mean model for one half-hour slot."""
+    """Fitted additive mean model for one half-hour slot; its taubar and kappa
+    blocks are the generator's day_blocks."""
 
-    splines: list            # CenteredSplineBlock for tau, taubar, kappa
-    spline_coef: list        # coefficient vectors for the three blocks
+    tau_block: CenteredSplineBlock
+    spline_coef: list        # coefficient vectors for the tau, taubar and kappa blocks
     intercept: float
     alpha_w: float
     xi: np.ndarray           # (3,) tariff offsets, xi[NORMAL] = 0
     lam: float
 
 
-def _fit_half_hour(y, tau, taubar, kappa, w, tariff):
-    bases = (
-        CubicSplineBasis.from_quantiles(tau),
-        CubicSplineBasis.from_quantiles(taubar),
-        CubicSplineBasis.from_uniform(kappa),
-    )
-    splines = []
-    blocks = []
-    penalties = []
-    for basis, v in zip(bases, (tau, taubar, kappa)):
-        block, design = CenteredSplineBlock.fit(basis, v)
-        splines.append(block)
-        blocks.append(design)
-        penalties.append(block.penalty())
-    blocks.append(np.ones((len(y), 1)))
-    penalties.append(None)
-    blocks.append(np.asarray(w, dtype=float)[:, None])
-    penalties.append(None)
+def _fit_half_hour(y, tau, day_designs, day_penalties, w, tariff):
+    """Fit one slot; the designs and penalties of the taubar and kappa blocks
+    are shared by every slot."""
+    tau_block, tau_design = CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(tau), tau)
+    blocks = [tau_design, *day_designs, np.ones((len(y), 1)), np.asarray(w, dtype=float)[:, None]]
+    penalties = [tau_block.penalty(), *day_penalties, None, None]
     observed_special = [c for c in (LOW, HIGH) if np.any(tariff == c)]
     for code in observed_special:
         blocks.append((tariff == code).astype(float)[:, None])
@@ -75,7 +66,7 @@ def _fit_half_hour(y, tau, taubar, kappa, w, tariff):
     for i, code in enumerate(observed_special):
         xi[code] = fit.block_coef(5 + i)[0]
     model = HalfHourGam(
-        splines=splines,
+        tau_block=tau_block,
         spline_coef=[fit.block_coef(i) for i in range(3)],
         intercept=float(fit.block_coef(3)[0]),
         alpha_w=float(fit.block_coef(4)[0]),
@@ -116,6 +107,7 @@ def estimate_correlation(residuals):
 @dataclass
 class GamGenerator:
     entity: str
+    day_blocks: list           # CenteredSplineBlock for taubar and kappa, shared by all slots
     models: list               # 48 HalfHourGam
     sigma: np.ndarray          # (3, 48) per-tariff noise scales
     corr: np.ndarray           # (48, 48)
@@ -124,20 +116,24 @@ class GamGenerator:
     def mean_profiles(self, tau_rows, taubar, kappa, w, tariffs):
         """Noise-free daily means (D, 48) of D days, before any clamping.
 
-        tau_rows and tariffs are (D, 48); taubar, kappa and w are (D,). Each
-        slot makes one design call per spline block for all D days. Every
-        per-day product is its own row-times-matrix product and the terms
-        are added in one fixed order, so row d does not depend on the other
-        days: a one-day call gives the same bits.
+        tau_rows and tariffs are (D, 48); taubar, kappa and w are (D,). One
+        design call per day-level block serves all slots, and each slot makes
+        one for its tau block, all for the D days at once. Every per-day
+        product is its own row-times-matrix product and the terms are added
+        in one fixed order, so row d does not depend on the other days: a
+        one-day call gives the same bits.
         """
+        def design(block, v):
+            return ((block.basis.design(v) - block.center)[:, None, :] @ block.z)[:, 0, :]
+
         tau_rows = np.asarray(tau_rows, dtype=float)
         tariffs = np.asarray(tariffs)
+        day_designs = [design(block, v) for block, v in zip(self.day_blocks, (taubar, kappa))]
         means = np.empty(tau_rows.shape)
         for h, model in enumerate(self.models):
             f = model.intercept + model.alpha_w * np.asarray(w) + model.xi[tariffs[:, h]]
-            for block, coef, v in zip(model.splines, model.spline_coef,
-                                      (tau_rows[:, h], taubar, kappa)):
-                d = ((block.basis.design(v) - block.center)[:, None, :] @ block.z)[:, 0, :]
+            for d, coef in zip([design(model.tau_block, tau_rows[:, h]), *day_designs],
+                               model.spline_coef):
                 f = f + (d[:, None, :] @ coef[:, None])[:, 0, 0]
             means[:, h] = f
         return means
@@ -173,15 +169,17 @@ def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partiti
     """
     kwh = np.asarray(kwh, dtype=float)
     train = partition.train
+    taubar, kappa = taubar_daily[train], calendar.kappa[train]
+    day_blocks, day_designs = zip(
+        CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(taubar), taubar),
+        CenteredSplineBlock.fit(CubicSplineBasis.from_uniform(kappa), kappa),
+    )
+    day_penalties = [block.penalty() for block in day_blocks]
     fitted = np.empty((len(train), HALF_HOURS))
     models = []
     for h in range(HALF_HOURS):
         model, f = _fit_half_hour(
-            kwh[train, h],
-            tau[train, h],
-            taubar_daily[train],
-            calendar.kappa[train],
-            calendar.w[train],
+            kwh[train, h], tau[train, h], day_designs, day_penalties, calendar.w[train],
             tariffs[train, h],
         )
         models.append(model)
@@ -194,6 +192,7 @@ def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partiti
     corr = estimate_correlation(residuals)
     return GamGenerator(
         entity=entity,
+        day_blocks=list(day_blocks),
         models=models,
         sigma=sigma,
         corr=corr,
@@ -226,34 +225,34 @@ def export_sigma_matrix_csv(gen, path):
     write_csv(path, None, gen.corr.tolist())
 
 
-# the arrays of a model file; each (slot, block) entry of the padded ones is
-# NaN past the block's own length
+# the arrays of a model file; the per-block ones hold the 48 tau blocks, then
+# the taubar and kappa blocks, and every padded row is NaN past its own length
 MODEL_KEYS = ("meta", "ranges", "counts", "interiors", "centers", "coefs",
               "scalars", "sigma", "corr", "chol")
 
 
-def _stacked(rows, width, n_slots):
-    """rows as one (n_slots, rows per slot, width) array, NaN past each row's end."""
+def _padded(rows, width):
+    """rows as one (len(rows), width) array, NaN past each row's end."""
     out = np.full((len(rows), width), np.nan)
     for r, values in zip(out, rows):
         r[:len(values)] = values
-    return out.reshape(n_slots, len(rows) // n_slots, width)
+    return out
 
 
 def save_generator(gen, path):
-    """One npz of (48, 3, ...) arrays for the spline blocks of all slots,
-    padded to the longest block, plus the noise side."""
+    """One npz of the 50 distinct spline blocks and the (48, 3) coefficient
+    vectors, padded to the longest block, plus the noise side."""
     n = len(gen.models)
-    blocks = [block for model in gen.models for block in model.splines]
-    coefs = [coef for model in gen.models for coef in model.spline_coef]
+    blocks = [model.tau_block for model in gen.models] + list(gen.day_blocks)
     counts = np.array([len(block.basis.interior) for block in blocks])
     k = int(counts.max(initial=0))
+    coefs = [coef for model in gen.models for coef in model.spline_coef]
     arrays = {
-        "ranges": _stacked([(b.basis.lo, b.basis.hi) for b in blocks], 2, n),
-        "counts": counts.reshape(n, -1),
-        "interiors": _stacked([b.basis.interior for b in blocks], k, n),
-        "centers": _stacked([b.center for b in blocks], k + 4, n),
-        "coefs": _stacked(coefs, k + 3, n),
+        "ranges": _padded([(b.basis.lo, b.basis.hi) for b in blocks], 2),
+        "counts": counts,
+        "interiors": _padded([b.basis.interior for b in blocks], k),
+        "centers": _padded([b.center for b in blocks], k + 4),
+        "coefs": _padded(coefs, k + 3).reshape(n, -1, k + 3),
         "scalars": np.array([[m.intercept, m.alpha_w, m.xi[LOW], m.xi[HIGH]]
                              for m in gen.models]),
         "sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol,
@@ -265,29 +264,28 @@ def save_generator(gen, path):
 
 def load_generator(path):
     with np.load(path, allow_pickle=False) as z:
-        missing = [key for key in MODEL_KEYS if key not in z.files]
-        if missing:
+        # a file of the older (48, 3) block layout has every key
+        if any(key not in z.files for key in MODEL_KEYS) or z["counts"].ndim != 1:
             raise GamModelError(
-                f"{path}: not a GAM model file of this version (no {', '.join(missing)}); "
-                "rerun `drsim train --force`"
+                f"{path}: not a GAM model file of this version; rerun `drsim train --force`"
             )
         meta = json.loads(str(z["meta"]))
-        ranges, counts, interiors = z["ranges"], z["counts"], z["interiors"]
-        centers, coefs, scalars = z["centers"], z["coefs"], z["scalars"]
+        blocks = [
+            CenteredSplineBlock(CubicSplineBasis(lo, hi, interior[:n]), center[:n + 4].copy())
+            for (lo, hi), n, interior, center in zip(
+                z["ranges"].tolist(), z["counts"].tolist(), z["interiors"], z["centers"])
+        ]
+        day_blocks = blocks[len(meta["lams"]):]
+        coefs, scalars = z["coefs"], z["scalars"]
         models = []
         for h, lam in enumerate(meta["lams"]):
-            splines, spline_coef = [], []
-            for i, n in enumerate(counts[h].tolist()):
-                lo, hi = ranges[h, i].tolist()
-                basis = CubicSplineBasis(lo, hi, interiors[h, i, :n])
-                splines.append(CenteredSplineBlock(basis, centers[h, i, :n + 4].copy()))
-                spline_coef.append(coefs[h, i, :n + 3].copy())
             xi = np.zeros(3)
             xi[LOW], xi[HIGH] = scalars[h, 2], scalars[h, 3]
             models.append(
                 HalfHourGam(
-                    splines=splines,
-                    spline_coef=spline_coef,
+                    tau_block=blocks[h],
+                    spline_coef=[coef[:block.dim].copy() for block, coef
+                                 in zip([blocks[h], *day_blocks], coefs[h])],
                     intercept=float(scalars[h, 0]),
                     alpha_w=float(scalars[h, 1]),
                     xi=xi,
@@ -296,6 +294,7 @@ def load_generator(path):
             )
         return GamGenerator(
             entity=meta["entity"],
+            day_blocks=day_blocks,
             models=models,
             sigma=z["sigma"],
             corr=z["corr"],

@@ -125,8 +125,9 @@ def _section(cls, raw, name, convert=None):
     return cls(**values)
 
 
-def load_config(path):
-    """Parse and validate the YAML run configuration."""
+def load_config(path, seed=None, out=None):
+    """Parse and validate the YAML run configuration; a seed or out given
+    here replaces the file's before the checks."""
     with open(path) as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
@@ -137,7 +138,8 @@ def load_config(path):
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
 
     # an empty value means its default, as an empty section does
-    seed, out = raw.get("seed"), raw.get("out")
+    seed = raw.get("seed") if seed is None else seed
+    out = raw.get("out") if out is None else out
     if seed is not None and (type(seed) is not int or seed < 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if out is not None and not isinstance(out, str):

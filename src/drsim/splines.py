@@ -48,8 +48,8 @@ class CubicSplineBasis:
         return len(self.interior) + 4
 
     @classmethod
-    def from_quantiles(cls, x, quantiles=DEFAULT_QUANTILES):
-        """Interior knots at quantiles of the observed values."""
+    def from_quantiles(cls, x):
+        """Interior knots at the DEFAULT_QUANTILES of the observed values."""
         x = np.asarray(x, dtype=float)
         if x.size == 0 or not np.isfinite(x).all():
             raise SplineError("need finite observations to place knots")
@@ -57,9 +57,9 @@ class CubicSplineBasis:
         if hi - lo < 1e-9:
             # degenerate spread: widen artificially so the basis stays valid
             lo, hi = lo - 0.5, hi + 0.5
-            interior = np.linspace(lo, hi, len(quantiles) + 2)[1:-1]
+            interior = np.linspace(lo, hi, len(DEFAULT_QUANTILES) + 2)[1:-1]
         else:
-            interior = np.quantile(x, quantiles)
+            interior = np.quantile(x, DEFAULT_QUANTILES)
         return cls(lo, hi, interior)
 
     @classmethod

@@ -296,8 +296,7 @@ class SyntheticPopulation:
 
 
 def generate_population(archetypes, counts, n_days, seed=0,
-                        start_date=datetime.date(2024, 1, 1), std_count=0,
-                        weather_config=None, policy=None):
+                        start_date=datetime.date(2024, 1, 1), std_count=0, policy=None):
     """Simulate a population; counts[i] time-of-use households of archetype i.
 
     Std households cycle through the archetypes but see a flat (all-Normal)
@@ -312,7 +311,7 @@ def generate_population(archetypes, counts, n_days, seed=0,
     calendar = build_calendar(dates)
 
     weather = simulate_weather(
-        n_days, start_date, weather_config,
+        n_days, start_date,
         seed=np.random.SeedSequence((seed, 1)).generate_state(1)[0],
     )
     tau = temperature_grid(weather, dates)

@@ -429,6 +429,16 @@ class TestValidation:
         assert payload["type"] == "ConfigError"
         assert named in payload["error"]
 
+    def test_negative_seed_flag_rejected_like_the_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"seed: 3\nout: {tmp_path / 'run'}\n")
+        assert run_cli("synth", "--config", str(cfg), "--seed", "-1") == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["type"] == "ConfigError"
+        assert "seed" in payload["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml"]
+
     @pytest.mark.parametrize("text", [
         pytest.param("train:\n", id="train"),
         pytest.param("train: {cvae: }\n", id="cvae"),

@@ -6,6 +6,7 @@ import pytest
 
 from drsim import dataio, gamgen
 from drsim.dataio import HIGH, LOW, NORMAL
+from drsim.splines import CenteredSplineBlock, CubicSplineBasis
 
 
 def planted_setup(n_days=240, seed=0, xi_low=0.3, xi_high=-0.2, sigma=0.05,
@@ -40,18 +41,20 @@ def planted_setup(n_days=240, seed=0, xi_low=0.3, xi_high=-0.2, sigma=0.05,
     return kwh, tau, taubar_daily, calendar, tariffs, partition
 
 
-def scalar_mean(model, tau, taubar, kappa, w, tariff):
-    """One slot of one day by the per-slot scalar formula: one design call
+def scalar_mean(gen, h, tau, taubar, kappa, w, tariff):
+    """Slot h of one day by the per-slot scalar formula: one design call
     per block, terms added intercept, w, xi, then tau, taubar, kappa."""
+    model = gen.models[h]
     parts = model.intercept + model.alpha_w * w + model.xi[tariff]
-    for block, coef, v in zip(model.splines, model.spline_coef, (tau, taubar, kappa)):
+    for block, coef, v in zip([model.tau_block, *gen.day_blocks], model.spline_coef,
+                              (tau, taubar, kappa)):
         parts += float((block.design(v) @ coef)[0])
     return parts
 
 
 def scalar_means(gen, tau_rows, taubar, kappa, w, tariffs):
     return np.array([
-        [scalar_mean(model, tau_row[h], tb, k, wd, tar[h]) for h, model in enumerate(gen.models)]
+        [scalar_mean(gen, h, tau_row[h], tb, k, wd, tar[h]) for h in range(len(gen.models))]
         for tau_row, tb, k, wd, tar in zip(tau_rows, taubar, kappa, w, tariffs)
     ])
 
@@ -69,11 +72,17 @@ def wide_days(tau, taubar, n_days=40, seed=11):
     return tau_rows, taubar_days, kappa, w, tariffs
 
 
-def old_layout_arrays(gen):
-    """The per-key npz layout that model files had before the stacked one."""
+def slot_blocks(gen, h):
+    """The tau, taubar and kappa blocks of slot h, with their coefficients."""
+    model = gen.models[h]
+    return list(zip([model.tau_block, *gen.day_blocks], model.spline_coef, strict=True))
+
+
+def per_key_layout_arrays(gen):
+    """The per-key npz layout: one set of keys per (slot, block)."""
     arrays = {"sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol}
     for h, model in enumerate(gen.models):
-        for i, (block, coef) in enumerate(zip(model.splines, model.spline_coef)):
+        for i, (block, coef) in enumerate(slot_blocks(gen, h)):
             arrays[f"h{h}_range{i}"] = np.array([block.basis.lo, block.basis.hi])
             arrays[f"h{h}_interior{i}"] = block.basis.interior
             arrays[f"h{h}_center{i}"] = block.center
@@ -85,15 +94,42 @@ def old_layout_arrays(gen):
     return {"meta": np.array(json.dumps(meta)), **arrays}
 
 
+def slot_stacked_layout_arrays(gen):
+    """The stacked layout with a copy of all three blocks per slot: (48, 3, ...)
+    arrays, every row NaN past its block's own length."""
+    rows = [pair for h in range(len(gen.models)) for pair in slot_blocks(gen, h)]
+    counts = np.array([len(block.basis.interior) for block, _ in rows])
+    k = int(counts.max())
+
+    def stacked(values, width):
+        out = np.full((len(values), width), np.nan)
+        for r, v in zip(out, values):
+            r[:len(v)] = v
+        return out.reshape(len(gen.models), 3, width)
+
+    arrays = {
+        "ranges": stacked([(b.basis.lo, b.basis.hi) for b, _ in rows], 2),
+        "counts": counts.reshape(len(gen.models), 3),
+        "interiors": stacked([b.basis.interior for b, _ in rows], k),
+        "centers": stacked([b.center for b, _ in rows], k + 4),
+        "coefs": stacked([c for _, c in rows], k + 3),
+        "scalars": np.array([[m.intercept, m.alpha_w, m.xi[LOW], m.xi[HIGH]]
+                             for m in gen.models]),
+        "sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol,
+    }
+    meta = {"entity": gen.entity, "lams": [model.lam for model in gen.models]}
+    return {"meta": np.array(json.dumps(meta)), **arrays}
+
+
 def assert_same_generator(a, b):
     assert a.entity == b.entity
     for name in ("sigma", "corr", "chol"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    for ma, mb in zip(a.models, b.models, strict=True):
+    assert len(a.day_blocks) == len(b.day_blocks) == 2
+    for h, (ma, mb) in enumerate(zip(a.models, b.models, strict=True)):
         assert (ma.intercept, ma.alpha_w, ma.lam) == (mb.intercept, mb.alpha_w, mb.lam)
         np.testing.assert_array_equal(ma.xi, mb.xi)
-        for ba, bb, ca, cb in zip(ma.splines, mb.splines, ma.spline_coef, mb.spline_coef,
-                                  strict=True):
+        for (ba, ca), (bb, cb) in zip(slot_blocks(a, h), slot_blocks(b, h), strict=True):
             assert (ba.basis.lo, ba.basis.hi) == (bb.basis.lo, bb.basis.hi)
             np.testing.assert_array_equal(ba.basis.interior, bb.basis.interior)
             np.testing.assert_array_equal(ba.center, bb.center)
@@ -242,11 +278,12 @@ class TestSampling:
 
     def test_clamp_floors_at_zero(self):
         # flat mean barely above zero with unit noise: draws must clamp
-        flat = gamgen.HalfHourGam(splines=[], spline_coef=[], intercept=0.01,
-                                  alpha_w=0.0, xi=np.zeros(3), lam=1.0)
+        block = CenteredSplineBlock(CubicSplineBasis(-1.0, 1.0, []), np.full(4, 0.25))
+        flat = gamgen.HalfHourGam(tau_block=block, spline_coef=[np.zeros(3)] * 3,
+                                  intercept=0.01, alpha_w=0.0, xi=np.zeros(3), lam=1.0)
         gen = gamgen.GamGenerator(
-            entity="toy", models=[flat] * 48, sigma=np.ones((3, 48)),
-            corr=np.eye(48), chol=np.eye(48),
+            entity="toy", day_blocks=[block, block], models=[flat] * 48,
+            sigma=np.ones((3, 48)), corr=np.eye(48), chol=np.eye(48),
         )
         args = (np.zeros(48), 0.0, 0.0, 0.0, np.full(48, NORMAL, dtype=np.int8))
         clamped = gen.sample(*args, n_samples=50, seed=4)
@@ -293,6 +330,20 @@ class TestPersistence:
         np.testing.assert_array_equal(f_back, f_orig)
         assert_same_generator(loaded, gen)
 
+    def test_model_file_holds_each_distinct_block_once(self, fitted, tmp_path):
+        gen, _ = fitted
+        path = tmp_path / "gam.npz"
+        gamgen.save_generator(gen, path)
+        with np.load(path) as z:
+            # the 48 tau blocks, then taubar and kappa
+            for key in ("ranges", "counts", "interiors", "centers"):
+                assert len(z[key]) == 50
+            assert z["coefs"].shape[:2] == (48, 3)
+            np.testing.assert_array_equal(z["ranges"][48], [gen.day_blocks[0].basis.lo,
+                                                            gen.day_blocks[0].basis.hi])
+            np.testing.assert_array_equal(z["ranges"][49], [gen.day_blocks[1].basis.lo,
+                                                            gen.day_blocks[1].basis.hi])
+
     def test_round_trip_with_unequal_knot_counts(self, tmp_path):
         kwh, tau, taubar, calendar, tariffs, partition = planted_setup(n_days=120, seed=3)
         # three temperature levels in some slots: quantile knots merge or
@@ -301,7 +352,8 @@ class TestPersistence:
             tau[:, h] = np.digitize(tau[:, h], np.quantile(tau[:, h], [0.15, 0.5])).astype(float)
         gen = gamgen.fit_gam_generator("cluster3", kwh, tau, taubar, calendar,
                                        tariffs, partition)
-        counts = [len(b.basis.interior) for m in gen.models for b in m.splines]
+        counts = [len(b.basis.interior)
+                  for b in [m.tau_block for m in gen.models] + gen.day_blocks]
         assert min(counts) < max(counts) == 5
         path = tmp_path / "gam.npz"
         gamgen.save_generator(gen, path)
@@ -310,10 +362,12 @@ class TestPersistence:
         days = wide_days(tau, taubar, n_days=12)
         assert np.array_equal(loaded.mean_profiles(*days), gen.mean_profiles(*days))
 
-    def test_old_per_key_layout_names_the_file(self, fitted, tmp_path):
+    @pytest.mark.parametrize("layout", [per_key_layout_arrays, slot_stacked_layout_arrays],
+                             ids=["per-key", "slot-stacked"])
+    def test_old_per_key_layout_names_the_file(self, fitted, tmp_path, layout):
         gen, _ = fitted
         path = tmp_path / "gam_cluster0.npz"
-        np.savez(path, **old_layout_arrays(gen))
+        np.savez(path, **layout(gen))
         with pytest.raises(gamgen.GamModelError, match=r"gam_cluster0\.npz.*train --force"):
             gamgen.load_generator(path)
 

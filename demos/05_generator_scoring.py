@@ -4,7 +4,9 @@ Three complementary scores per (day, generator): RMSE of the ensemble mean
 (accuracy of the central forecast), the energy score (calibration of the
 whole multivariate ensemble), and a variogram score with p=0.5 (fidelity of
 the correlation structure across half-hours). Both generators see identical
-conditionals and per-day seeds, so rows are directly comparable.
+conditionals and per-day seeds, so rows are directly comparable. The demo
+draws each generator's (days, samples, 48) ensembles itself and hands the
+arrays to metrics.evaluate_generators, which only scores them.
 
 Two clusters make the trade-off visible: on a responsive cluster with side
 effects and rebound, the CVAE's full tariff-indicator conditioning wins; on
@@ -41,22 +43,19 @@ def score_cluster(arch, seed, n_samples):
     )
     cvae = neuralgen.train_cvae(kwh, x, partition, config)
 
-    def gam_ensemble(pos, n, s):
-        day = int(test[pos])
-        return gam.sample(pop.tau[day], smoothed.daily[day], calendar.kappa[day],
-                          calendar.w[day], tariff[day], n, s)
-
-    def cvae_ensemble(pos, n, s):
-        day = int(test[pos])
-        return neuralgen.generate(cvae, x[day], n, s)
-
-    return metrics.evaluate_generators(
-        kwh[test],
-        {"gam": gam_ensemble, "cvae": cvae_ensemble},
-        day_labels=[int(d) for d in test],
-        n_samples=n_samples,
-        seed=seed + 3,
-    )
+    # one seed per held-out day, shared by both generators
+    day_seeds = [np.random.SeedSequence((seed + 3, pos)).generate_state(1)[0]
+                 for pos in range(len(test))]
+    ensembles = {
+        "gam": np.stack([
+            gam.sample(pop.tau[d], smoothed.daily[d], calendar.kappa[d], calendar.w[d],
+                       tariff[d], n_samples, s)
+            for d, s in zip(test, day_seeds)
+        ]),
+        "cvae": np.stack([neuralgen.generate(cvae, x[d], n_samples, s)
+                          for d, s in zip(test, day_seeds)]),
+    }
+    return metrics.evaluate_generators(kwh[test], ensembles, day_labels=[int(d) for d in test])
 
 
 def main():

@@ -1,4 +1,5 @@
-"""Proper scoring rules for daily-profile ensembles, plus the evaluation loop.
+"""Proper scoring rules for daily-profile ensembles, and the score table of
+several generators over many days.
 
 All three scores compare an ensemble of generated profiles against one
 observed profile; lower is better. The energy score uses the split-halves
@@ -8,6 +9,10 @@ cross-check. The variogram score computes the expected term of each
 half-hour i against all others in one vectorised step per i, then adds the
 squared pair differences in a scalar loop in row-major order, so its value
 matches an independent double-loop implementation bit for bit.
+
+evaluate_generators scores ensembles that are already drawn: each
+generator's (n_days, n, H) array. Drawing and seeding them is the pipeline's
+job, so this module derives no seeds.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,6 @@ import numpy as np
 
 from .dataio import read_csv, write_csv
 
-DEFAULT_ENSEMBLE = 200
 DEFAULT_VARIOGRAM_P = 0.5
 
 REPORT_HEADER = ["day", "generator", "rmse", "energy", "variogram_p05"]
@@ -105,9 +109,6 @@ class ScoreRow:
 @dataclass
 class ScoreReport:
     rows: list
-    n_samples: int
-    variogram_p: float
-    seed: int
 
     def generator_names(self):
         seen = []
@@ -138,44 +139,35 @@ class ScoreReport:
         return out
 
 
-def day_seed(seed, pos):
-    """Ensemble seed for the day at position pos under root seed."""
-    return int(np.random.SeedSequence((seed, pos)).generate_state(1)[0])
+def evaluate_generators(observations, ensembles, day_labels=None,
+                        variogram_p=DEFAULT_VARIOGRAM_P):
+    """Score every generator's ensembles on every observation day.
 
-
-def evaluate_generators(observations, generators, day_labels=None,
-                        n_samples=DEFAULT_ENSEMBLE, variogram_p=DEFAULT_VARIOGRAM_P,
-                        seed=0):
-    """Score every generator on every observation day.
-
-    generators maps a name to a callable (day_position, n_samples, seed) ->
-    (n_samples, H) ensemble. Each day gets one derived seed, day_seed(seed,
-    pos), shared by all generators, so identical generators produce identical
-    rows.
+    ensembles maps a generator name to an (n_days, n, H) array whose row pos
+    is its ensemble for observations[pos]. The rows come day by day, with the
+    generators in mapping order within each day.
     """
     observations = np.asarray(observations, dtype=float)
     if observations.ndim != 2:
         raise ScoringError("observations must be (n_days, H)")
-    if not generators:
+    if not ensembles:
         raise ScoringError("no generators to evaluate")
+    for name, days in ensembles.items():
+        if len(days) != len(observations):
+            raise ScoringError(f"{name}: {len(days)} ensembles for {len(observations)} days")
     if day_labels is None:
-        day_labels = list(range(observations.shape[0]))
-
-    rows = []
-    for pos, label in enumerate(day_labels):
-        seed_pos = day_seed(seed, pos)
-        for name, make in generators.items():
-            ensemble = make(pos, n_samples, seed_pos)
-            rows.append(
-                ScoreRow(
-                    day=int(label),
-                    generator=name,
-                    rmse=rmse(ensemble, observations[pos]),
-                    energy=energy_score(ensemble, observations[pos]),
-                    variogram=variogram_score(ensemble, observations[pos], variogram_p),
-                )
-            )
-    return ScoreReport(rows=rows, n_samples=n_samples, variogram_p=variogram_p, seed=seed)
+        day_labels = range(len(observations))
+    return ScoreReport(rows=[
+        ScoreRow(
+            day=int(label),
+            generator=name,
+            rmse=rmse(days[pos], y),
+            energy=energy_score(days[pos], y),
+            variogram=variogram_score(days[pos], y, variogram_p),
+        )
+        for pos, (label, y) in enumerate(zip(day_labels, observations))
+        for name, days in ensembles.items()
+    ])
 
 
 def write_report_csv(report, path):
@@ -190,7 +182,7 @@ def read_report_csv(path):
         ScoreRow(int(day), generator, float(r), float(e), float(v))
         for day, generator, r, e, v in read_csv(path, REPORT_HEADER, ScoringError)
     ]
-    return ScoreReport(rows=rows, n_samples=0, variogram_p=DEFAULT_VARIOGRAM_P, seed=0)
+    return ScoreReport(rows=rows)
 
 
 def write_summary_csv(report, path):

@@ -317,14 +317,8 @@ class TrainedCvae:
     restart_mses: list = field(default_factory=list)
     restart_epochs: list = field(default_factory=list)
 
-    def scale(self, y):
-        return (y - self.y_min) / (self.y_max - self.y_min)
-
     def unscale(self, s):
         return self.y_min + s * (self.y_max - self.y_min)
-
-    def encode(self, y, x):
-        return encode(self.encoder, self.config.latent_dim, self.scale(y), x)
 
 
 def _test_mse(encoder, decoder, d, y_scaled, x, rng):
@@ -544,15 +538,12 @@ def select_best(results, y_min, y_max, config):
     )
 
 
-def generate(model, x, n_samples, seed, latent_scale=1.0):
-    """Sample n_samples profiles (kWh) for one conditional vector x.
-
-    Latents are N(0, latent_scale^2 I); latent_scale=0 collapses the
-    ensemble onto the decoder mean profile.
-    """
+def generate(model, x, n_samples, seed):
+    """Sample n_samples profiles (kWh) for one conditional vector x, with
+    latents drawn from N(0, I)."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
     rng = np.random.default_rng(seed)
-    z = latent_scale * rng.standard_normal((n_samples, model.config.latent_dim))
+    z = rng.standard_normal((n_samples, model.config.latent_dim))
     scaled = model.decoder.forward(np.hstack([z, np.repeat(x, n_samples, axis=0)]))
     return model.unscale(scaled)
 

@@ -16,6 +16,12 @@ on a fork pool (parallel.map_forked). Each cluster's job writes its own
 files; the stage picks the stale clusters first and lists what was written
 in cluster order, so the files and the printed paths are the same whatever
 the CPU count.
+
+Every ensemble comes from _ensembles, which loads one cluster's generator
+and draws given days under given tariffs with given seeds; it holds the one
+gam/cvae branch of sampling. generate writes and evaluate scores the same
+test-day ensembles (_test_ensembles), and scenario draws its stale scenarios
+in one call.
 """
 
 import datetime
@@ -39,6 +45,7 @@ SEED_EVALUATE = 30
 SEED_SCENARIO = 32
 
 GENERATOR_NAMES = ("cvae", "gam")
+SCENARIO_NAMES = ("normal", "low_morning", "high_evening")
 
 
 class PipelineError(RuntimeError):
@@ -91,7 +98,7 @@ class EvaluateSection:
 @dataclass
 class ScenarioSection:
     generator: str = "gam"
-    scenarios: tuple = ("normal", "low_morning", "high_evening")
+    scenarios: tuple = SCENARIO_NAMES
     n_samples: int = 200
 
 
@@ -181,6 +188,12 @@ def load_config(path, seed=None, out=None):
         )
         if config.scenario.generator not in GENERATOR_NAMES:
             raise ConfigError(f"unknown scenario generator {config.scenario.generator!r}")
+        bad = set(config.scenario.scenarios) - set(SCENARIO_NAMES)
+        if bad:
+            raise ConfigError(f"unknown scenario(s) in scenario.scenarios: {sorted(bad)}")
+        n = config.scenario.n_samples
+        if type(n) is not int or n < 1:
+            raise ConfigError(f"scenario.n_samples={n!r} must be a positive integer")
     return config
 
 
@@ -480,11 +493,12 @@ def stage_train(config, paths, force=False, generator=None):
     return written
 
 
-def _sampler(name, paths, label, ds, days, tariffs):
-    """Load one cluster's generator for days (D,) under tariffs (D, 48).
+def _ensembles(name, paths, label, ds, days, tariffs, n_samples, seeds):
+    """One cluster's ensembles (D, n_samples, 48) for days (D,) under tariffs
+    (D, 48), day i drawn with seeds[i]; the one gam/cvae branch of sampling.
 
-    Returns (i, n, seed) -> (n, 48), the ensemble for days[i] under
-    tariffs[i]. The GAM computes the means of all D days in one pass.
+    The GAM computes the means of all D days in one pass; row i does not
+    depend on the other days, so a subset of days gives the same bits.
     """
     if name == "gam":
         _require(paths.gam_model(label), "train --generator gam")
@@ -493,39 +507,34 @@ def _sampler(name, paths, label, ds, days, tariffs):
             ds.tau[days], ds.tau_bar_daily[days], ds.calendar.kappa[days],
             ds.calendar.w[days], tariffs,
         )
-        return lambda i, n, seed: gen.draw(means[i], tariffs[i], n, seed)
+        return np.stack([gen.draw(f, t, n_samples, s) for f, t, s in zip(means, tariffs, seeds)])
     _require(paths.cvae_model(label), "train --generator cvae")
     model = neuralgen.load_model(paths.cvae_model(label))
-
-    def sample(i, n, seed):
-        day = days[i]
-        x = dataio.build_conditional_vector(
-            ds.pca_scores[day], ds.calendar.kappa[day], ds.calendar.w[day], tariffs[i]
-        )
-        return neuralgen.generate(model, x, n, seed)
-
-    return sample
+    return np.stack([
+        neuralgen.generate(model, dataio.build_conditional_vector(
+            ds.pca_scores[day], ds.calendar.kappa[day], ds.calendar.w[day], t), n_samples, s)
+        for day, t, s in zip(days, tariffs, seeds)
+    ])
 
 
-def _test_day_ensembles(name, paths, label, ds, schedule):
-    """(test_day_position, n, seed) -> (n, 48) under the cluster's own schedule."""
+def _test_ensembles(config, paths, ds, name, label, schedule):
+    """The test-day ensembles that generate writes and evaluate scores, under
+    the cluster's own schedule. Every generator draws the day at position pos
+    with the same seed, so their rows are directly comparable."""
     days = ds.partition.test
-    return _sampler(name, paths, label, ds, days, schedule[days])
+    root = derive_seed(config.seed, SEED_EVALUATE, label)
+    return _ensembles(name, paths, label, ds, days, schedule[days], config.evaluate.n_samples,
+                      [derive_seed(root, pos) for pos in range(len(days))])
 
 
 def _evaluate_cluster(config, paths, ds, names, label, bundle):
     test_days = ds.partition.test
-    generators = {
-        name: _test_day_ensembles(name, paths, label, ds, bundle["schedule"])
-        for name in names
-    }
     report = metrics.evaluate_generators(
         bundle["series"][test_days],
-        generators,
+        {name: _test_ensembles(config, paths, ds, name, label, bundle["schedule"])
+         for name in names},
         day_labels=[int(t) for t in test_days],
-        n_samples=config.evaluate.n_samples,
         variogram_p=config.evaluate.variogram_p,
-        seed=derive_seed(config.seed, SEED_EVALUATE, label),
     )
     metrics.write_report_csv(report, paths.report(label))
     metrics.write_summary_csv(report, paths.summary(label))
@@ -558,19 +567,13 @@ def write_samples_csv(ensembles, day_labels, path):
 
 
 def _generate_samples(config, paths, ds, name, label, bundle):
-    test_days = ds.partition.test
-    root = derive_seed(config.seed, SEED_EVALUATE, label)
-    make = _test_day_ensembles(name, paths, label, ds, bundle["schedule"])
-    ensembles = [
-        make(pos, config.evaluate.n_samples, metrics.day_seed(root, pos))
-        for pos in range(len(test_days))
-    ]
-    write_samples_csv(ensembles, [int(t) for t in test_days], paths.samples(name, label))
+    ensembles = _test_ensembles(config, paths, ds, name, label, bundle["schedule"])
+    write_samples_csv(ensembles, [int(t) for t in ds.partition.test], paths.samples(name, label))
     return [paths.samples(name, label)]
 
 
 def stage_generate(config, paths, force=False, generator=None):
-    """Write the ensembles stage_evaluate scores: same samplers, same day seeds."""
+    """Write the test-day ensembles that stage_evaluate scores."""
     names = _pick_generators(config, generator)
     ds, clusters = _cluster_inputs(paths)
     stale = [(name, label) for label in clusters for name in names
@@ -594,18 +597,17 @@ def scenario_tariffs(name):
 
 
 def _write_scenarios(config, paths, ds, name, label, stale):
-    """One cluster's ensembles for the scenarios at indices stale."""
-    scenarios = config.scenario.scenarios
+    """One cluster's ensembles for the scenarios at indices stale, each seeded
+    by its index, so a partial rerun writes the bytes of a full one."""
+    scenarios = [config.scenario.scenarios[si] for si in stale]
     day = int(ds.partition.test[0])   # representative conditions
-    sample = _sampler(
-        name, paths, label, ds, np.full(len(scenarios), day),
-        np.stack([scenario_tariffs(sc) for sc in scenarios]),
+    ensembles = _ensembles(
+        name, paths, label, ds, np.full(len(stale), day),
+        np.stack([scenario_tariffs(scen) for scen in scenarios]), config.scenario.n_samples,
+        [derive_seed(config.seed, SEED_SCENARIO, label, si) for si in stale],
     )
     written = []
-    for si in stale:
-        scen = scenarios[si]
-        ensemble = sample(si, config.scenario.n_samples,
-                          derive_seed(config.seed, SEED_SCENARIO, label, si))
+    for scen, ensemble in zip(scenarios, ensembles):
         dataio.write_csv(paths.scenario_mean(scen, name, label), ["h", "kwh"],
                          enumerate(ensemble.mean(axis=0).tolist(), start=1))
         write_samples_csv([ensemble], [day], paths.scenario_samples(scen, name, label))

@@ -149,6 +149,23 @@ class TestStages:
                 assert sum(1 for _ in fh) == 10 * 20 * HALF_HOURS
         assert_samples_are_scored(run, "gam", 20)
 
+    def test_partial_scenario_rerun_writes_the_full_runs_bytes(self, full_run, tmp_path, capsys):
+        tmp, cfg = full_run
+        run = tmp_path / "run"
+        shutil.copytree(tmp / "run", run)
+        full = {p.name: p.read_bytes() for p in run.iterdir()}
+        # low_morning is the second scenario, so its seed is not its place among the stale
+        rewritten = [run / "scenario_low_morning_gam_cluster1_mean.csv",
+                     run / "scenario_low_morning_gam_cluster1.csv"]
+        for path in rewritten:
+            path.unlink()
+        kept = {p: p.stat().st_mtime_ns for p in run.iterdir()}
+        capsys.readouterr()
+        assert run_cli("scenario", "--config", str(cfg), "--out", str(run)) == 0
+        assert capsys.readouterr().out.splitlines() == [str(p) for p in rewritten]
+        assert {p: p.stat().st_mtime_ns for p in kept} == kept
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == full
+
     def test_cached_stage_skips(self, full_run, capsys):
         _, cfg = full_run
         assert run_cli("ingest", "--config", str(cfg)) == 0
@@ -238,6 +255,48 @@ class TestCvae:
                 ensemble = read_samples(stem.with_suffix(".csv"))
                 assert len(ensemble) == 1
                 assert next(iter(ensemble.values())).shape == (16, HALF_HOURS)
+
+
+class TestEnsembleSeeds:
+    def test_generators_share_day_seeds_and_files_hold_the_scored(
+            self, cvae_run, tmp_path, monkeypatch):
+        tmp, cfg = cvae_run
+        run = tmp_path / "run"
+        shutil.copytree(tmp / "run", run)
+        drawn, scored = [], []
+        ensembles, evaluate = pipeline._ensembles, metrics.evaluate_generators
+
+        def spy_ensembles(*args):
+            name, label, seeds = args[0], args[2], args[7]
+            drawn.append((name, label, list(seeds)))
+            return ensembles(*args)
+
+        def spy_evaluate(observations, generators, **kwargs):
+            scored.append(generators)
+            return evaluate(observations, generators, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_ensembles", spy_ensembles)
+        monkeypatch.setattr(metrics, "evaluate_generators", spy_evaluate)
+        for stage in ("generate", "evaluate"):
+            assert run_at(1, stage, "--config", str(cfg), "--out", str(run), "--force") == 0
+
+        ds, _ = pipeline._cluster_inputs(pipeline.RunPaths(run))
+        n_days = len(ds.partition.test)
+        seeds = {
+            label: [int(np.random.SeedSequence(
+                (pipeline.derive_seed(21, pipeline.SEED_EVALUATE, label), pos)
+            ).generate_state(1)[0]) for pos in range(n_days)]
+            for label in (0, 1)
+        }
+        # generate, then evaluate: cluster by cluster, gam before cvae, the same seeds
+        assert drawn == [(name, label, seeds[label])
+                         for label in (0, 1) for name in ("gam", "cvae")] * 2
+        assert len(scored) == 2
+        for label, generators in enumerate(scored):
+            assert list(generators) == ["gam", "cvae"]
+            for name, days in generators.items():
+                on_disk = read_samples(run / f"samples_{name}_cluster{label}.csv")
+                assert np.array_equal(np.stack(list(on_disk.values())), days)
 
 
 def cvae_workdir(tmp_path, cvae):
@@ -419,6 +478,11 @@ class TestValidation:
         pytest.param("seed: -1\n", "seed", id="negative-seed"),
         pytest.param("out: 3\n", "out", id="number-out"),
         pytest.param("out: [a, b]\n", "out", id="list-out"),
+        pytest.param("scenario:\n  n_samples: 0\n", "scenario.n_samples", id="zero-scenario-samples"),
+        pytest.param("scenario:\n  n_samples: -2\n", "scenario.n_samples",
+                     id="negative-scenario-samples"),
+        pytest.param("scenario:\n  scenarios: [normal, low_noon]\n", "scenario.scenarios",
+                     id="unknown-scenario"),
     ])
     def test_bad_section_rejected(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)           # a config taken by mistake runs synth here

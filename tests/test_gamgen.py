@@ -6,7 +6,7 @@ import pytest
 
 from drsim import dataio, gamgen
 from drsim.dataio import HIGH, LOW, NORMAL
-from drsim.splines import CenteredSplineBlock, CubicSplineBasis
+from drsim.splines import DEFAULT_QUANTILES, CenteredSplineBlock, CubicSplineBasis
 
 
 def planted_setup(n_days=240, seed=0, xi_low=0.3, xi_high=-0.2, sigma=0.05,
@@ -180,6 +180,28 @@ class TestFit:
         gen, _ = fitted
         assert gen.sigma.shape == (3, 48)
         assert (gen.sigma > 0).all()
+
+    def test_knots_at_training_quantiles_except_day_position(self, fitted):
+        gen, (_, tau, taubar, calendar, _, partition) = fitted
+        train = partition.train
+
+        def knots(block):
+            return block.basis.lo, block.basis.hi, block.basis.interior.tolist()
+
+        def at_quantiles(x):
+            return x.min(), x.max(), np.quantile(x, DEFAULT_QUANTILES).tolist()
+
+        def uniform(x):
+            return x.min(), x.max(), np.linspace(x.min(), x.max(), 7)[1:-1].tolist()
+
+        for h, model in enumerate(gen.models):
+            assert knots(model.tau_block) == at_quantiles(tau[train, h]), h
+        taubar_block, kappa_block = gen.day_blocks
+        assert knots(taubar_block) == at_quantiles(taubar[train])
+        assert knots(kappa_block) == uniform(calendar.kappa[train])
+        # the two placements differ on these days, so each assertion has teeth
+        for x in (tau[train, 0], taubar[train], calendar.kappa[train]):
+            assert at_quantiles(x) != uniform(x)
 
 
 class TestMeanProfiles:

@@ -115,18 +115,20 @@ class TestVariogramScore:
 
 class TestEvaluateGenerators:
     @staticmethod
-    def gaussian_generator(shift):
-        def make(pos, n_samples, seed):
-            r = np.random.default_rng(seed)
-            return shift + pos + 0.1 * r.standard_normal((n_samples, 4))
-        return make
+    def gaussian_ensembles(shift, n_samples, seed=0):
+        """(3 days, n_samples, 4) ensembles around day pos + shift."""
+        r = np.random.default_rng(seed)
+        return shift + np.arange(3.0)[:, None, None] + 0.1 * r.standard_normal((3, n_samples, 4))
 
     def observations(self):
         return np.arange(12, dtype=float).reshape(3, 4) / 4.0
 
     def test_identical_generators_produce_identical_rows(self):
-        gens = {"a": self.gaussian_generator(0.0), "b": self.gaussian_generator(0.0)}
-        report = metrics.evaluate_generators(self.observations(), gens, n_samples=40, seed=5)
+        ensembles = self.gaussian_ensembles(0.0, 40, seed=5)
+        report = metrics.evaluate_generators(self.observations(), {"a": ensembles, "b": ensembles})
+        assert [(r.day, r.generator) for r in report.rows] == [
+            (day, name) for day in range(3) for name in "ab"
+        ]
         for day in range(3):
             a_row = report.rows[2 * day]
             b_row = report.rows[2 * day + 1]
@@ -134,26 +136,35 @@ class TestEvaluateGenerators:
                 b_row.rmse, b_row.energy, b_row.variogram
             )
 
+    def test_rows_score_each_day_against_its_observation(self):
+        obs = self.observations()
+        ensembles = self.gaussian_ensembles(0.0, 10, seed=1)
+        report = metrics.evaluate_generators(obs, {"g": ensembles}, variogram_p=1.0)
+        for pos, row in enumerate(report.rows):
+            assert row.rmse == metrics.rmse(ensembles[pos], obs[pos])
+            assert row.energy == metrics.energy_score(ensembles[pos], obs[pos])
+            assert row.variogram == metrics.variogram_score(ensembles[pos], obs[pos], 1.0)
+
     def test_day_labels_recorded(self):
-        gens = {"g": self.gaussian_generator(0.0)}
         report = metrics.evaluate_generators(
-            self.observations(), gens, day_labels=[7, 11, 13], n_samples=10, seed=0
+            self.observations(), {"g": self.gaussian_ensembles(0.0, 10)}, day_labels=[7, 11, 13]
         )
         assert [r.day for r in report.rows] == [7, 11, 13]
-
-    def test_seed_changes_rows(self):
-        gens = {"g": self.gaussian_generator(0.0)}
-        a = metrics.evaluate_generators(self.observations(), gens, n_samples=10, seed=1)
-        b = metrics.evaluate_generators(self.observations(), gens, n_samples=10, seed=2)
-        assert a.rows[0].energy != b.rows[0].energy
 
     def test_empty_generators_rejected(self):
         with pytest.raises(metrics.ScoringError):
             metrics.evaluate_generators(self.observations(), {})
 
+    def test_ensemble_per_day_required(self):
+        with pytest.raises(metrics.ScoringError, match="g: 2 ensembles for 3 days"):
+            metrics.evaluate_generators(
+                self.observations(), {"g": self.gaussian_ensembles(0.0, 10)[:2]}
+            )
+
     def test_report_round_trip_is_exact(self, tmp_path):
-        gens = {"cvae": self.gaussian_generator(0.0), "gam": self.gaussian_generator(0.5)}
-        report = metrics.evaluate_generators(self.observations(), gens, n_samples=20, seed=3)
+        gens = {"cvae": self.gaussian_ensembles(0.0, 20, seed=3),
+                "gam": self.gaussian_ensembles(0.5, 20, seed=4)}
+        report = metrics.evaluate_generators(self.observations(), gens)
         path = tmp_path / "report.csv"
         metrics.write_report_csv(report, path)
         assert path.read_text().splitlines()[0] == "day,generator,rmse,energy,variogram_p05"
@@ -170,7 +181,7 @@ class TestEvaluateGenerators:
             metrics.ScoreRow(day=i, generator="g", rmse=float(v), energy=0.0, variogram=0.0)
             for i, v in enumerate([4.0, 1.0, 3.0, 2.0])
         ]
-        report = metrics.ScoreReport(rows=rows, n_samples=8, variogram_p=0.5, seed=0)
+        report = metrics.ScoreReport(rows=rows)
         stats = report.summary()["g"]["rmse"]
         values = np.array([4.0, 1.0, 3.0, 2.0])
         assert stats["mean"] == values.mean()
@@ -178,8 +189,9 @@ class TestEvaluateGenerators:
             assert stats[key] == np.quantile(values, q)
 
     def test_summary_csv_layout(self, tmp_path):
-        gens = {"g": self.gaussian_generator(0.0)}
-        report = metrics.evaluate_generators(self.observations(), gens, n_samples=10, seed=0)
+        report = metrics.evaluate_generators(
+            self.observations(), {"g": self.gaussian_ensembles(0.0, 10)}
+        )
         path = tmp_path / "summary.csv"
         metrics.write_summary_csv(report, path)
         lines = path.read_text().splitlines()

@@ -12,11 +12,14 @@ at a line end. A plain chunk (ASCII without quotes, NUL or lone CR, 5 fields
 on every non-blank line, no field wider than the keys) becomes columns with
 numpy: the text fields become ids through packed byte keys, kwh goes through
 one bytes -> float64 cast, and every check runs on the whole chunk at once.
-If a chunk is not plain, or would fail a check, or two rows of a plain file
-hold one (household, half-hour) cell, the bulk columns are dropped and the
-csv row loop reads the whole file again from its header; it alone raises the
-parse and validation errors, duplicates included, so their messages and line
-numbers are those of a reader that reads every row that way.
+Its columns are sized once from the file size and never regrow. If a chunk
+is not plain, or would fail a check, or two rows of a plain file hold one
+(household, half-hour) cell, the bulk columns are dropped and the csv row
+loop reads the whole file again from its header; it alone raises the parse
+and validation errors, duplicates included, so their messages and line
+numbers are those of a reader that reads every row that way. The rows are
+scattered into one ConsumptionData of (n, T, 48) grids; prepare_dataset
+drops its flagged households, repairs the rest and adds the features.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -31,7 +34,7 @@ import math
 import mmap
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,24 +75,15 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class HouseholdData:
-    household_id: str
-    group: str
-    kwh: np.ndarray        # (T, 48), NaN where unobserved
-    tariff: np.ndarray     # (T, 48) int8, -1 where unobserved
-    observed: np.ndarray   # (T, 48) bool
-
-
-@dataclass
 class ConsumptionData:
-    households: list
-    dates: list                      # T datetime.date, consecutive
-    coverage: dict = field(default_factory=dict)
-    flagged: list = field(default_factory=list)   # ids with coverage < threshold
-
-    @property
-    def n_days(self):
-        return len(self.dates)
+    household_ids: list        # n ids, in order of first appearance in the file
+    groups: list
+    dates: list                # T datetime.date, consecutive
+    kwh: np.ndarray            # (n, T, 48), NaN where unobserved
+    tariff: np.ndarray         # (n, T, 48) int8, -1 where unobserved
+    observed: np.ndarray       # (n, T, 48) bool
+    coverage: dict             # id -> share of its T * 48 slots observed
+    flagged: list              # ids with coverage < threshold
 
 
 @dataclass
@@ -128,9 +122,9 @@ class _Columns:
     """What read_consumption_csv has read so far.
 
     Rows go to four columns: household index, timestamp id, kwh and tariff
-    code. The bulk parse writes numpy columns sized ahead from the file size,
-    so they do not regrow chunk by chunk; the row loop, which reads a file
-    the bulk parse gave up on, appends its rows to array columns instead.
+    code. The bulk parse writes numpy columns that _read_plain_chunks sizes
+    once, for as many rows as the file could hold; the row loop, which reads
+    a file the bulk parse gave up on, appends its rows to array columns.
     """
 
     DTYPES = (np.intc, np.intc, np.float64, np.int8)
@@ -147,18 +141,16 @@ class _Columns:
         # the bulk parse's timestamp texts as sorted bytes, and their ids
         self.ts_keys, self.ts_key_ids = np.array([], dtype="S1"), np.array([], np.intc)
 
-    def append_bulk(self, columns, expected_rows):
-        """Append rows to the bulk columns, first making room for expected_rows
-        in all if they are full."""
+    def append_bulk(self, columns):
+        """Append rows to the bulk columns and return True, or return False
+        if they do not fit: the file grew after the columns were sized."""
         end = self.n_bulk + len(columns[0])
         if end > len(self.bulk[0]):
-            size = max(end, expected_rows)
-            for i, old in enumerate(self.bulk):
-                self.bulk[i] = _pages(size, old.dtype)
-                self.bulk[i][:self.n_bulk] = old[:self.n_bulk]
+            return False
         for col, new in zip(self.bulk, columns):
             col[self.n_bulk:end] = new
         self.n_bulk = end
+        return True
 
     def columns(self):
         """The four columns of every row read, as numpy arrays."""
@@ -234,11 +226,10 @@ def _split_chunk(buf, size, mask):
     return [field(j) for j in range(5)]
 
 
-def _parse_chunk(buf, size, cols, mask, bytes_left):
+def _parse_chunk(buf, size, cols, mask):
     """Append the rows of buf[:size], whole lines, to cols and return True, or
     return False if those lines are not plain or a row in them would fail a
-    check; cols is then only fit to be dropped. bytes_left, the bytes of the
-    file after the chunk, sizes the columns."""
+    check; cols is then only fit to be dropped."""
     fields = _split_chunk(buf, size, mask)
     if fields is None:
         return False
@@ -297,10 +288,8 @@ def _parse_chunk(buf, size, cols, mask, bytes_left):
     for text, slot in zip(new_texts, new_slots):
         cols.texts.append(text)
         cols.text_slot.append(cols.slots.setdefault(slot, len(cols.slots)))
-    cols.append_bulk((np.array(index, np.intc)[hh_id], text_id, kwh,
-                      np.array(codes, np.int8)[tariff_id]),
-                     cols.n_bulk + kwh.size + kwh.size * bytes_left // size * 9 // 8)
-    return True
+    return cols.append_bulk((np.array(index, np.intc)[hh_id], text_id, kwh,
+                             np.array(codes, np.int8)[tariff_id]))
 
 
 def _read_plain_chunks(raw, cols):
@@ -311,11 +300,15 @@ def _read_plain_chunks(raw, cols):
     if head not in (_HEADER_LINE, _HEADER_LINE + b"\n", _HEADER_LINE + b"\r\n"):
         return False
     # one buffer and one mask for every chunk, so chunks add no large blocks to
-    # the heap
+    # the heap. A row the bulk parse takes spans at least 12 bytes of the file
+    # (4 commas, a kwh byte, a 3-letter tariff and group, and a line end that
+    # only the last row may lack), so the columns are sized once for every row
+    # the file can hold; the pages past its last row are never touched.
     buf = mmap.mmap(-1, _CHUNK_BYTES + _KEY_BYTES)
     mask = _pages(len(buf), bool)
-    offset, kept = len(head), 0   # kept: bytes of a partial line at buf's start
-    file_size = os.fstat(raw.fileno()).st_size
+    rows = os.fstat(raw.fileno()).st_size // 12 + 1
+    cols.bulk = [_pages(rows, dtype) for dtype in cols.DTYPES]
+    kept = 0                      # bytes of a partial line at buf's start
     while True:
         got = raw.readinto(memoryview(buf)[kept:_CHUNK_BYTES])
         size = kept + got
@@ -326,12 +319,10 @@ def _read_plain_chunks(raw, cols):
         else:                                 # the last line has no line end: give it one
             buf[size] = ord("\n")
             cut = size + 1
-        left = max(file_size - offset - cut, 0)
-        if not cut or not _parse_chunk(buf, cut, cols, mask, left):
+        if not cut or not _parse_chunk(buf, cut, cols, mask):
             return False
         kept = max(size - cut, 0)
         buf[:kept] = buf[cut:size]
-        offset += cut
 
 
 def _read_rows(reader, line_no, cols):
@@ -416,10 +407,12 @@ def _scatter(cols):
 
 
 def read_consumption_csv(path):
-    """Parse and validate a consumption CSV into aligned (T, 48) grids.
+    """Parse and validate a consumption CSV into (n, T, 48) grids, one row
+    per household in order of first appearance.
 
     Households with less than 95% slot coverage over the file's date range
-    are listed in .flagged (they stay in the record set; callers decide).
+    are listed in .flagged (they stay in the grids; prepare_dataset drops
+    them).
     Raises DataParseError / DataValidationError with the offending line;
     of several faults the one on the earliest line wins.
 
@@ -449,21 +442,12 @@ def read_consumption_csv(path):
             _read_rows(reader, 2, cols)
         grids = _scatter(cols)
     dates, kwh, tariff, observed = grids
-    index_of, groups = cols.index_of, cols.groups
-
-    households = []
-    coverage = {}
-    flagged = []
-    for i, hid in enumerate(index_of):
-        cov = observed[i].sum() / observed[i].size
-        coverage[hid] = cov
-        if cov < COVERAGE_THRESHOLD:
-            flagged.append(hid)
-        households.append(HouseholdData(hid, groups[i], kwh[i], tariff[i], observed[i]))
-
+    ids = list(cols.index_of)
+    coverage = {hid: observed[i].sum() / observed[i].size for i, hid in enumerate(ids)}
+    flagged = [hid for hid in ids if coverage[hid] < COVERAGE_THRESHOLD]
     if flagged:
         warnings.warn(f"{len(flagged)} household(s) below {COVERAGE_THRESHOLD:.0%} coverage")
-    return ConsumptionData(households, dates, coverage, flagged)
+    return ConsumptionData(ids, cols.groups, dates, kwh, tariff, observed, coverage, flagged)
 
 
 def read_temperature_csv(path):
@@ -639,16 +623,6 @@ def repair_tariffs(tariff, observed):
     return out
 
 
-def repair_gaps(data):
-    """Repair every household in a ConsumptionData; idempotent."""
-    households = []
-    for hh in data.households:
-        kwh = repair_household(hh.kwh, hh.observed)
-        tar = repair_tariffs(hh.tariff, hh.observed)
-        households.append(HouseholdData(hh.household_id, hh.group, kwh, tar, hh.observed))
-    return ConsumptionData(households, data.dates, dict(data.coverage), list(data.flagged))
-
-
 @dataclass
 class SmoothedTemperature:
     grid: np.ndarray    # (T, 48) exponentially smoothed
@@ -816,14 +790,16 @@ def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
     """Repair, smooth, featurize and partition an ingested dataset.
 
     Households flagged for low coverage are dropped here (their ids stay in
-    .flagged). The temperature PCA is fit on training days only.
+    .flagged), and the gaps of the others are repaired. The temperature PCA
+    is fit on training days only.
     """
-    kept = [hh for hh in consumption.households if hh.household_id not in consumption.flagged]
+    kept = [i for i, hid in enumerate(consumption.household_ids)
+            if hid not in consumption.flagged]
     if not kept:
         raise UnrecoverableDataError("no household passes the coverage threshold")
-    repaired = repair_gaps(
-        ConsumptionData(kept, consumption.dates, dict(consumption.coverage), [])
-    )
+    observed = consumption.observed
+    kwh = np.stack([repair_household(consumption.kwh[i], observed[i]) for i in kept])
+    tariff = np.stack([repair_tariffs(consumption.tariff[i], observed[i]) for i in kept])
     tau = temperature_grid(temperature, consumption.dates)
     smoothed = smooth_temperature(tau, smoothing_a)
     calendar = build_calendar(consumption.dates)
@@ -831,10 +807,10 @@ def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
     trajectories = np.column_stack([tau, smoothed.daily])
     pca = fit_temperature_pca(trajectories[partition.train])
     return PreparedDataset(
-        household_ids=[hh.household_id for hh in repaired.households],
-        groups=[hh.group for hh in repaired.households],
-        kwh=np.stack([hh.kwh for hh in repaired.households]),
-        tariff=np.stack([hh.tariff for hh in repaired.households]),
+        household_ids=[consumption.household_ids[i] for i in kept],
+        groups=[consumption.groups[i] for i in kept],
+        kwh=kwh,
+        tariff=tariff,
         dates=list(consumption.dates),
         tau=tau,
         tau_bar=smoothed.grid,

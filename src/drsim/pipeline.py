@@ -92,7 +92,6 @@ class TrainSection:
 @dataclass
 class EvaluateSection:
     n_samples: int = 200
-    variogram_p: float = 0.5
 
 
 @dataclass
@@ -177,11 +176,14 @@ def load_config(path, seed=None, out=None):
         bad = set(config.train.generators) - set(GENERATOR_NAMES)
         if bad:
             raise ConfigError(f"unknown generator(s): {sorted(bad)}")
+        if "seed" in ((raw["train"] or {}).get("cvae") or {}):
+            raise ConfigError("train.cvae.seed is not a setting: CVAE seeds derive from "
+                              "the top-level seed")
     if "evaluate" in raw:
         config.evaluate = _section(EvaluateSection, raw["evaluate"], "evaluate")
         n = config.evaluate.n_samples
-        if n < 2 or n % 2:
-            raise ConfigError(f"evaluate.n_samples={n!r} must be even and at least 2")
+        if type(n) is not int or n < 2 or n % 2:
+            raise ConfigError(f"evaluate.n_samples={n!r} must be an even integer, at least 2")
     if "scenario" in raw:
         config.scenario = _section(
             ScenarioSection, raw["scenario"], "scenario", convert={"scenarios": tuple}
@@ -534,7 +536,6 @@ def _evaluate_cluster(config, paths, ds, names, label, bundle):
         {name: _test_ensembles(config, paths, ds, name, label, bundle["schedule"])
          for name in names},
         day_labels=[int(t) for t in test_days],
-        variogram_p=config.evaluate.variogram_p,
     )
     metrics.write_report_csv(report, paths.report(label))
     metrics.write_summary_csv(report, paths.summary(label))

@@ -483,6 +483,12 @@ class TestValidation:
                      id="negative-scenario-samples"),
         pytest.param("scenario:\n  scenarios: [normal, low_noon]\n", "scenario.scenarios",
                      id="unknown-scenario"),
+        pytest.param("evaluate:\n  variogram_p: 0\n", "variogram_p", id="variogram-order"),
+        pytest.param('evaluate:\n  n_samples: "20"\n', "evaluate.n_samples",
+                     id="text-evaluate-samples"),
+        pytest.param("evaluate:\n  n_samples: 2.0\n", "evaluate.n_samples",
+                     id="fractional-evaluate-samples"),
+        pytest.param("train:\n  cvae: {seed: 5}\n", "train.cvae.seed", id="cvae-seed"),
     ])
     def test_bad_section_rejected(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)           # a config taken by mistake runs synth here

@@ -58,36 +58,34 @@ def reference_read_consumption(path):
     n_days = (last - first).days + 1
     dates = [first + datetime.timedelta(days=i) for i in range(n_days)]
     day_index = {d: i for i, d in enumerate(dates)}
-    households, coverage, flagged = [], {}, []
-    for hid, rows in per_household.items():
-        kwh = np.full((n_days, 48), np.nan)
-        tar = np.full((n_days, 48), -1, dtype=np.int8)
-        for (d, h), (value, code) in rows.items():
-            kwh[day_index[d], h] = value
-            tar[day_index[d], h] = code
-        observed = ~np.isnan(kwh)
-        coverage[hid] = observed.sum() / observed.size
-        if coverage[hid] < dataio.COVERAGE_THRESHOLD:
-            flagged.append(hid)
-        households.append(dataio.HouseholdData(hid, groups[hid], kwh, tar, observed))
-    return dataio.ConsumptionData(households, dates, coverage, flagged)
+    ids = list(per_household)
+    kwh = np.full((len(ids), n_days, 48), np.nan)
+    tar = np.full((len(ids), n_days, 48), -1, dtype=np.int8)
+    for i, hid in enumerate(ids):
+        for (d, h), (value, code) in per_household[hid].items():
+            kwh[i, day_index[d], h] = value
+            tar[i, day_index[d], h] = code
+    observed = ~np.isnan(kwh)
+    coverage = {hid: observed[i].sum() / observed[i].size for i, hid in enumerate(ids)}
+    flagged = [hid for hid in ids if coverage[hid] < dataio.COVERAGE_THRESHOLD]
+    return dataio.ConsumptionData(ids, [groups[hid] for hid in ids], dates, kwh, tar, observed,
+                                  coverage, flagged)
 
 
 class TestReadConsumption:
     def test_round_trip_from_writer(self, small_population, small_csv_dir):
         data = dataio.read_consumption_csv(small_csv_dir / "consumption.csv")
-        assert [hh.household_id for hh in data.households] == small_population.household_ids
+        assert data.household_ids == small_population.household_ids
         assert data.dates == small_population.dates
-        hh0 = data.households[0]
-        np.testing.assert_allclose(hh0.kwh, small_population.kwh[0], atol=5e-7)
-        np.testing.assert_array_equal(hh0.tariff, small_population.tariff[0])
-        assert hh0.observed.all()
-        assert data.coverage[hh0.household_id] == 1.0
+        np.testing.assert_allclose(data.kwh, small_population.kwh, atol=5e-7)
+        np.testing.assert_array_equal(data.tariff, small_population.tariff)
+        assert data.observed.all()
+        assert set(data.coverage.values()) == {1.0}
 
     def test_flat_maps_to_normal(self, small_population, small_csv_dir):
         data = dataio.read_consumption_csv(small_csv_dir / "consumption.csv")
-        std = [hh for hh in data.households if hh.group == "STD"]
-        assert std and all((hh.tariff == NORMAL).all() for hh in std)
+        std = [i for i, group in enumerate(data.groups) if group == "STD"]
+        assert std and (data.tariff[std] == NORMAL).all()
 
     def test_rejects_wrong_header(self, tmp_path):
         p = write_csv(tmp_path / "c.csv", "", header="household,timestamp,kwh,tariff,group\n")
@@ -157,8 +155,7 @@ class TestReadConsumption:
         body = day_rows("a", D1) + day_rows("a", D2, skip=(7,))
         data = dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
         assert data.flagged == []
-        hh = data.households[0]
-        assert not hh.observed[1, 7] and hh.observed.sum() == 95
+        assert not data.observed[0, 1, 7] and data.observed.sum() == 95
 
     @pytest.mark.parametrize("body, error, match", [
         pytest.param(day_rows("a", D1) + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n"
@@ -214,30 +211,19 @@ class TestReadConsumption:
 
         with pytest.warns(UserWarning, match="1 household"):
             got = dataio.read_consumption_csv(path)
-        want = reference_read_consumption(path)
-        for name in ("household_id", "group"):
-            assert [getattr(hh, name) for hh in got.households] == \
-                [getattr(hh, name) for hh in want.households]
-        assert got.dates == want.dates and len(got.dates) == 3
-        assert got.coverage == want.coverage
-        assert got.flagged == want.flagged == ["s"]
-        for g, w in zip(got.households, want.households):
-            for name in ("kwh", "tariff", "observed"):
-                a, b = getattr(g, name), getattr(w, name)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert_same_data(got, reference_read_consumption(path))
+        assert len(got.dates) == 3 and got.flagged == ["s"]
 
 
 def assert_same_data(got, want):
-    """Two ConsumptionData hold the same ids, dates, coverage and grids, bit for bit."""
-    for name in ("household_id", "group"):
-        assert [getattr(hh, name) for hh in got.households] == \
-            [getattr(hh, name) for hh in want.households]
+    """Two ConsumptionData hold the same ids, groups, dates, coverage and
+    grids, bit for bit."""
+    assert got.household_ids == want.household_ids and got.groups == want.groups
     assert got.dates == want.dates
     assert got.coverage == want.coverage and got.flagged == want.flagged
-    for g, w in zip(got.households, want.households):
-        for name in ("kwh", "tariff", "observed"):
-            a, b = getattr(g, name), getattr(w, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for name in ("kwh", "tariff", "observed"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def outcome(path):
@@ -450,6 +436,25 @@ class TestChunkedRead:
             assert row_loop_starts == []
         else:                                 # "from the header" and "late" alike
             assert row_loop_starts == [2]
+
+    def test_rows_appended_during_the_read_are_read(self, tmp_path, monkeypatch,
+                                                    row_loop_starts):
+        # the bulk columns are sized from the file size when the read starts;
+        # rows appended after that do not fit them, and the row loop then
+        # reads the whole file as it is by then
+        path = write_csv(tmp_path / "c.csv", day_rows("a", D1))
+        parse_chunk, appended = dataio._parse_chunk, []
+
+        def parse_and_grow(*args):
+            if not appended:
+                appended.append(True)
+                with open(path, "a") as fh:
+                    fh.write("".join(day_rows(h, d) for h in "bc" for d in (D2, D3)))
+            return parse_chunk(*args)
+
+        monkeypatch.setattr(dataio, "_parse_chunk", parse_and_grow)
+        assert_same_data(outcome(path), reference_read_consumption(path))
+        assert row_loop_starts == [2]
 
     @pytest.mark.parametrize("duplicate_at, error", [
         (6000, dataio.DataValidationError), (8192 + 200, UnicodeDecodeError),
@@ -703,18 +708,34 @@ class TestPreparedDataset:
         assert loaded.smoothing_a == prepared_small.smoothing_a
 
     def test_flagged_households_dropped(self, tmp_path):
-        body = day_rows("a", D1) + day_rows("a", D2) + day_rows("b", D1, skip=range(24))
+        # over 8 days b misses half of every day and is flagged; a misses a
+        # slot inside day 3 and c the first two slots of the record
+        days = [D1 + datetime.timedelta(days=t) for t in range(8)]
+        body = "".join(
+            day_rows("a", d, kwh=0.1 * (t + 1), tariff=("LOW", "NORMAL", "HIGH")[t % 3],
+                     skip=(5,) if t == 3 else ())
+            + day_rows("b", d, skip=range(24))
+            + day_rows("c", d, kwh=0.3 + 0.05 * t, tariff="FLAT", group="STD",
+                       skip=(0, 1) if t == 0 else ())
+            for t, d in enumerate(days))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             data = dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
         assert data.flagged == ["b"]
+        assert not data.observed[[0, 2]].all()
         ts = [datetime.datetime.combine(D1, datetime.time()) + datetime.timedelta(hours=k)
-              for k in range(48)]
-        temperature = dataio.TemperatureSeries(ts, np.linspace(5, 8, 48))
-        with pytest.raises(dataio.DataValidationError):
-            # only two days: the PCA cannot be fit, but the flagged household
-            # must already be gone by the time that error surfaces
-            dataio.prepare_dataset(data, temperature, train_fraction=0.5, seed=0)
+              for k in range(8 * 24)]
+        temperature = dataio.TemperatureSeries(
+            ts, np.random.default_rng(5).normal(10.0, 3.0, len(ts)))
+        ds = dataio.prepare_dataset(data, temperature, train_fraction=0.75, seed=0)
+        assert ds.household_ids == ["a", "c"] and ds.groups == ["TOU", "STD"]
+        assert ds.flagged == ["b"]
+        kept = [0, 2]
+        np.testing.assert_array_equal(ds.kwh, np.stack(
+            [dataio.repair_household(data.kwh[i], data.observed[i]) for i in kept]))
+        np.testing.assert_array_equal(ds.tariff, np.stack(
+            [dataio.repair_tariffs(data.tariff[i], data.observed[i]) for i in kept]))
+        assert not np.isnan(ds.kwh).any() and (ds.tariff >= 0).all()
 
 
 class TestArtifactFiles:

@@ -2,8 +2,11 @@
 
 perfbench/tracing.py fetches each TRACED_PRIVATE function with getattr and
 each TRACED_METHODS method from its class __dict__, so a renamed or deleted
-target crashes every traced benchmark run. The file is loaded read-only: no
-bytecode is written next to it.
+target crashes every traced benchmark run. It names a function's span, and
+so the COUNTERS entry that counts its calls, after the module that defines
+it: a function moved to another module and imported back keeps working but
+its counters read 0. The file is loaded read-only: no bytecode is written
+next to it.
 """
 
 import importlib
@@ -44,3 +47,10 @@ def test_private_function_resolves(mod_name, attr):
 def test_method_resolves(mod_name, cls_name, attr):
     cls = getattr(importlib.import_module(mod_name), cls_name)
     assert callable(cls.__dict__[attr])
+
+
+@pytest.mark.parametrize("name", sorted(tracing.COUNTERS))
+def test_counted_function_is_defined_where_its_span_names_it(name):
+    mod_name, attr = name.split(".")
+    fn = getattr(importlib.import_module(f"drsim.{mod_name}"), attr)
+    assert fn.__module__ == f"drsim.{mod_name}"

@@ -5,10 +5,12 @@ under one run directory, so stages stay decoupled and reruns are
 cache-by-file-presence (--force regenerates; synth refuses to overwrite
 without it). Every output goes through dataio.replacing (a temporary file
 renamed over the target), so it appears whole or not at all: a stage that
-dies mid-write leaves no file that a rerun would take as done. Synth renames
-its three files only once all three are written, so it never leaves a part
-of its set for a plain rerun to refuse. A single config seed fans out into
-per-stage streams, which makes every stage deterministic given the config.
+dies mid-write leaves no file that a rerun would take as done. Synth and
+cluster rename their three files only once all three are written, so a
+failed synth leaves no part of its set for a plain rerun to refuse, and a
+failed cluster no assignments for train to trust. A single config seed fans
+out into per-stage streams, which makes every stage deterministic given the
+config.
 
 Clusters are independent once clustered, so the per-cluster stages (the GAM
 fits of train, generate, evaluate, scenario) run one cluster per usable CPU
@@ -342,52 +344,55 @@ def stage_cluster(config, paths, force=False):
     if not tou:
         raise PipelineError("no time-of-use households to cluster")
 
-    profiles = causality.fit_profiles(
-        [ds.household_ids[i] for i in tou], ds.kwh[tou], ds.tau, ds.tariff[tou]
-    )
-    causality.export_profiles_csv(profiles, paths.profiles)
+    with dataio.replacing_all(targets) as (profiles_csv, assignments_csv, scores_json):
+        profiles = causality.fit_profiles(
+            [ds.household_ids[i] for i in tou], ds.kwh[tou], ds.tau, ds.tariff[tou]
+        )
+        causality.export_profiles_csv(profiles, profiles_csv)
 
-    pm = clustering.build_profile_matrix(profiles)
-    factors = clustering.nmf_factorize(
-        pm.matrix, r=config.cluster.nmf_rank, seed=derive_seed(config.seed, SEED_NMF)
-    )
-    result = clustering.kmedoids(factors.w, config.cluster.k)
-    clustering.export_assignments_csv(pm.household_ids, result, paths.assignments)
+        pm = clustering.build_profile_matrix(profiles)
+        factors = clustering.nmf_factorize(
+            pm.matrix, r=config.cluster.nmf_rank, seed=derive_seed(config.seed, SEED_NMF)
+        )
+        k = config.cluster.k
+        result = clustering.kmedoids(factors.w, k)
+        clustering.export_assignments_csv(pm.household_ids, result, assignments_csv)
 
-    index = {hid: i for i, hid in enumerate(ds.household_ids)}
-    rows = [index[hid] for hid in pm.household_ids]
-    variants = clustering.score_variants(
-        ds.kwh[rows], ds.tariff[rows], result.labels, pm.household_ids, k=config.cluster.k
-    )
-    random_result = clustering.random_clustering(
-        len(pm.household_ids), config.cluster.k,
-        seed=derive_seed(config.seed, SEED_RANDOM_BASELINE),
-    )
-    random_variants = clustering.score_variants(
-        ds.kwh[rows], ds.tariff[rows], random_result.labels, pm.household_ids,
-        k=config.cluster.k,
-    )
-    classical = clustering.classical_feature_clustering(
-        clustering.classical_features(ds.kwh[rows], ds.dates), config.cluster.k
-    )
-    classical_variants = clustering.score_variants(
-        ds.kwh[rows], ds.tariff[rows], classical.labels, pm.household_ids,
-        k=config.cluster.k,
-    )
-    scores = {
-        "nmf_error_first": float(factors.errors[0]),
-        "nmf_error_last": float(factors.errors[-1]),
-        "nmf_converged": factors.converged,
-        "medoids": [int(m) for m in result.medoids],
-        "cost": result.cost,
-        "calinski_harabasz": {
-            "nmf_kmedoids": _variant_dict(variants),
-            "random": _variant_dict(random_variants),
-            "classical_features": _variant_dict(classical_variants),
-        },
-    }
-    with dataio.replacing(paths.cluster_scores) as fh:
-        json.dump(scores, fh, indent=2, sort_keys=True)
+        index = {hid: i for i, hid in enumerate(ds.household_ids)}
+        rows = [index[hid] for hid in pm.household_ids]
+
+        def score(labels):
+            return clustering.score_variants(
+                ds.kwh[rows], ds.tariff[rows], labels, pm.household_ids, k=k
+            )
+
+        variants = score(result.labels)
+        random_result = clustering.random_clustering(
+            len(pm.household_ids), k, seed=derive_seed(config.seed, SEED_RANDOM_BASELINE)
+        )
+        try:
+            random_variants = _variant_dict(score(random_result.labels))
+        except clustering.ClusteringError as exc:
+            # uniform labels can leave a cluster empty; a reference must not end the stage
+            warnings.warn(f"random baseline not scored: {exc}")
+            random_variants = None
+        classical = clustering.classical_feature_clustering(
+            clustering.classical_features(ds.kwh[rows], ds.dates), k
+        )
+        scores = {
+            "nmf_error_first": float(factors.errors[0]),
+            "nmf_error_last": float(factors.errors[-1]),
+            "nmf_converged": factors.converged,
+            "medoids": [int(m) for m in result.medoids],
+            "cost": result.cost,
+            "calinski_harabasz": {
+                "nmf_kmedoids": _variant_dict(variants),
+                "random": random_variants,
+                "classical_features": _variant_dict(score(classical.labels)),
+            },
+        }
+        with dataio.replacing(scores_json) as fh:
+            json.dump(scores, fh, indent=2, sort_keys=True)
     return targets
 
 

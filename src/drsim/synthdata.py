@@ -31,6 +31,7 @@ from .dataio import (
     TemperatureSeries,
     build_calendar,
     read_csv,
+    replacing,
     temperature_grid,
     write_csv,
 )
@@ -255,29 +256,61 @@ def tariff_adjustment(arch, p_day):
     return adj
 
 
+# households per noise draw and AR(1) pass; simulate_households' scratch
+# memory is a few arrays of this many households' days
+_BLOCK_HOUSEHOLDS = 32
+
+
+def _day_means(arch, tau, w, schedule):
+    """(T, 48) planted means of one archetype under one schedule;
+    tariff_adjustment runs once per distinct schedule day."""
+    days, inverse = np.unique(schedule, axis=0, return_inverse=True)
+    adjustment = np.array([tariff_adjustment(arch, day) for day in days]).reshape(-1, HALF_HOURS)
+    return (arch.base_shape + arch.temp_coeff * (tau - TEMP_REF_C)
+            + arch.workday_offset * w[:, None] + adjustment[inverse.reshape(-1)])
+
+
+def simulate_households(members, tau, w, rng):
+    """(n, T, 48) consumption of the households given as (archetype, schedule)
+    pairs; returns (kwh, clamped_count).
+
+    Each household-day takes 48 normals from rng in household then day order,
+    so the draws do not depend on the block size. They drive an AR(1) chain
+    over the half-hours with unit marginal variance, scaled by the
+    archetype's noise level for each half-hour's tariff and added to the
+    planted mean; negative values are clamped to zero and counted.
+    """
+    n_days = tau.shape[0]
+    kwh = np.empty((len(members), n_days, HALF_HOURS))
+    planted = {}  # (archetype, schedule) identities -> (day means, noise std per cell)
+    clamped = 0
+    for start in range(0, len(members), _BLOCK_HOUSEHOLDS):
+        block = members[start : start + _BLOCK_HOUSEHOLDS]
+        # (48, rows): each half-hour's step runs over contiguous memory
+        z = rng.standard_normal((len(block) * n_days, HALF_HOURS)).T.copy()
+        coeff = np.repeat([arch.ar_coeff for arch, _ in block], n_days)
+        damp = np.repeat([np.sqrt(1.0 - arch.ar_coeff**2) for arch, _ in block], n_days)
+        for h in range(1, HALF_HOURS):
+            z[h] = coeff * z[h - 1] + damp * z[h]
+        z = z.T
+        out = kwh[start : start + len(block)]
+        for i, (arch, schedule) in enumerate(block):
+            key = (id(arch), id(schedule))
+            if key not in planted:
+                planted[key] = (_day_means(arch, tau, w, schedule),
+                                np.asarray(arch.noise_std)[schedule])
+            means, sigma = planted[key]
+            np.multiply(sigma, z[i * n_days : (i + 1) * n_days], out=out[i])
+            out[i] += means
+        clamped += int(np.count_nonzero(out < 0))
+        np.maximum(out, 0.0, out=out)
+    return kwh, clamped
+
+
 def simulate_household(arch, tau, w, schedule, rng):
     """One household's (T, 48) consumption; returns (kwh, clamped_count)."""
-    n_days = tau.shape[0]
-    kwh = np.empty((n_days, HALF_HOURS))
-    clamped = 0
-    sigma = np.asarray(arch.noise_std)
-    damp = np.sqrt(1.0 - arch.ar_coeff**2)
-    for t in range(n_days):
-        mean = (
-            arch.base_shape
-            + arch.temp_coeff * (tau[t] - TEMP_REF_C)
-            + arch.workday_offset * w[t]
-            + tariff_adjustment(arch, schedule[t])
-        )
-        g = rng.standard_normal(HALF_HOURS)
-        z = np.empty(HALF_HOURS)
-        z[0] = g[0]
-        for h in range(1, HALF_HOURS):
-            z[h] = arch.ar_coeff * z[h - 1] + damp * g[h]
-        day = mean + sigma[schedule[t]] * z
-        clamped += int((day < 0).sum())
-        kwh[t] = np.maximum(day, 0.0)
-    return kwh, clamped
+    kwh, clamped = simulate_households([(arch, schedule)], tau, w, rng)
+    return kwh[0], clamped
 
 
 @dataclass
@@ -321,38 +354,21 @@ def generate_population(archetypes, counts, n_days, seed=0,
     std_schedule = np.full((n_days, HALF_HOURS), NORMAL, dtype=np.int8)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
 
-    ids, groups, names, kwh_list, tariff_list = [], [], [], [], []
-    clamped = 0
-    serial = 0
-    for arch, count in zip(archetypes, counts):
-        for _ in range(count):
-            serial += 1
-            ids.append(f"tou{serial:03d}")
-            groups.append("TOU")
-            names.append(arch.name)
-            grid, c = simulate_household(arch, tau, calendar.w, tou_schedule, rng)
-            kwh_list.append(grid)
-            tariff_list.append(tou_schedule)
-            clamped += c
-    for j in range(std_count):
-        arch = archetypes[j % len(archetypes)]
-        ids.append(f"std{j + 1:03d}")
-        groups.append("STD")
-        names.append(arch.name)
-        grid, c = simulate_household(arch, tau, calendar.w, std_schedule, rng)
-        kwh_list.append(grid)
-        tariff_list.append(std_schedule)
-        clamped += c
+    members = [(arch, tou_schedule) for arch, count in zip(archetypes, counts)
+               for _ in range(count)]
+    members += [(archetypes[j % len(archetypes)], std_schedule) for j in range(std_count)]
+    kwh, clamped = simulate_households(members, tau, calendar.w, rng)
 
     if clamped:
         warnings.warn(f"clamped {clamped} negative draw(s) to zero")
     return SyntheticPopulation(
-        household_ids=ids,
-        groups=groups,
-        archetype_names=names,
+        household_ids=[f"tou{i + 1:03d}" for i in range(sum(counts))]
+        + [f"std{j + 1:03d}" for j in range(std_count)],
+        groups=["TOU"] * sum(counts) + ["STD"] * std_count,
+        archetype_names=[arch.name for arch, _ in members],
         archetypes=list(archetypes),
-        kwh=np.stack(kwh_list),
-        tariff=np.stack(tariff_list),
+        kwh=kwh,
+        tariff=np.stack([schedule for _, schedule in members]),
         dates=dates,
         weather=weather,
         tau=tau,
@@ -366,17 +382,35 @@ def _slot_timestamp(date, h):
 
 
 def write_consumption_csv(pop, path):
-    """household_id,timestamp,kwh,tariff,group rows; Std tariffs export as FLAT."""
-    stamps = [_slot_timestamp(date, h).isoformat(timespec="minutes")
-              for date in pop.dates for h in range(HALF_HOURS)]
-    write_csv(path, CONSUMPTION_HEADER, (
-        [hid, stamp, f"{kwh:.6f}", "FLAT" if group == "STD" else TARIFF_NAMES[code], group]
+    """household_id,timestamp,kwh,tariff,group rows; Std tariffs export as FLAT.
+
+    Each household's rows are one format of a template built once per group
+    and tariff grid, one day's 48 lines at a time: the timestamp, tariff name
+    and group are literal text, {0} is the id and {k:.6f} the k-th kWh value,
+    byte for byte what csv.writer writes for these fields.
+    """
+    templates = {}
+    with replacing(path) as fh:
+        fh.write(",".join(CONSUMPTION_HEADER) + "\r\n")
         for hid, group, kwh_grid, tariff_grid in zip(
             pop.household_ids, pop.groups, pop.kwh, pop.tariff
-        )
-        for stamp, kwh, code in zip(stamps, kwh_grid.ravel().tolist(),
-                                    tariff_grid.ravel().tolist())
-    ))
+        ):
+            key = (group, tariff_grid.tobytes())
+            if key not in templates:
+                templates[key] = "".join(
+                    _day_lines(group, date, t * HALF_HOURS, row)
+                    for t, (date, row) in enumerate(zip(pop.dates, tariff_grid.tolist()))
+                )
+            fh.write(templates[key].format(hid, *kwh_grid.ravel().tolist()))
+
+
+def _day_lines(group, date, first, codes):
+    """Template of one day's 48 consumption lines; kWh fields first+1 .. first+48."""
+    return "".join(
+        f"{{0}},{_slot_timestamp(date, h).isoformat(timespec='minutes')},"
+        f"{{{first + h + 1}:.6f}},{'FLAT' if group == 'STD' else TARIFF_NAMES[code]},{group}\r\n"
+        for h, code in enumerate(codes)
+    )
 
 
 def write_temperature_csv(weather, path):

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from drsim import cli, metrics, neuralgen, parallel, pipeline, synthdata
+from drsim import cli, clustering, metrics, neuralgen, parallel, pipeline, synthdata
 from drsim.dataio import HALF_HOURS
 
 
@@ -570,6 +570,37 @@ class TestValidation:
         assert not list((tmp / "run").glob("cvae_cluster*.npz"))
 
 
+# 3 households per archetype and k = 4: the random baseline's uniform labels
+# leave one cluster empty at this seed
+UNSCORABLE_BASELINE_CONFIG = """\
+seed: 7
+out: {out}
+synth:
+  n_days: 40
+  households: {{morning_saver: 3, evening_cutter: 3, flatline: 3, storage_heavy: 3}}
+cluster:
+  k: 4
+train:
+  generators: [gam]
+"""
+
+
+def test_unscorable_random_baseline_is_recorded_as_null(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(UNSCORABLE_BASELINE_CONFIG.format(out=tmp_path / "run"))
+    for stage in ("synth", "ingest"):
+        assert run_cli(stage, "--config", str(cfg)) == 0
+    with pytest.warns(UserWarning) as record:
+        assert run_cli("cluster", "--config", str(cfg)) == 0
+    assert [str(w.message) for w in record if "baseline" in str(w.message)] == [
+        "random baseline not scored: need at least 2 non-empty clusters"
+    ]
+    scores = json.loads((tmp_path / "run" / "cluster_scores.json").read_text())
+    assert scores["calinski_harabasz"]["random"] is None
+    for variant in ("nmf_kmedoids", "classical_features"):
+        assert scores["calinski_harabasz"][variant]["raw"] > 0
+
+
 class TestInterruptedWrites:
     def test_generate_dying_mid_write_leaves_no_samples(self, workdir, monkeypatch, capsys):
         tmp, cfg = workdir
@@ -616,6 +647,32 @@ class TestInterruptedWrites:
         assert sorted(p.name for p in run.iterdir()) == [
             "consumption.csv", "ground_truth.csv", "temperature.csv",
         ]
+
+    def test_cluster_failing_after_its_first_writes_leaves_none(
+        self, workdir, monkeypatch, capsys
+    ):
+        tmp, cfg = workdir
+        for stage in ("synth", "ingest"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+
+        def fails(*args, **kwargs):
+            raise clustering.ClusteringError("scoring failed")
+
+        # profiles.csv and assignments.csv are written before the scores
+        monkeypatch.setattr(clustering, "score_variants", fails)
+        capsys.readouterr()
+        assert run_cli("cluster", "--config", str(cfg)) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "scoring failed"
+        run = tmp / "run"
+        assert not [p for p in run.iterdir() if p.name.startswith(".")]
+        for name in ("profiles.csv", "assignments.csv", "cluster_scores.json"):
+            assert not (run / name).exists(), name
+
+        monkeypatch.undo()
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == (
+            f"missing {run / 'assignments.csv'}; run cluster first"
+        )
 
     def test_train_on_empty_assignments_names_the_file(self, workdir, capsys):
         tmp, cfg = workdir

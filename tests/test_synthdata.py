@@ -1,10 +1,16 @@
+import csv
 import datetime
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from drsim import synthdata
-from drsim.dataio import HIGH, LOW, NORMAL
+from drsim.dataio import (
+    CONSUMPTION_HEADER, HALF_HOURS, HIGH, LOW, NORMAL, TARIFF_NAMES, build_calendar,
+    temperature_grid,
+)
 from drsim.synthdata import EVENING_HIGH_WINDOW, MORNING_LOW_WINDOW, TEMP_REF_C
 
 
@@ -257,3 +263,143 @@ class TestGeneratePopulation:
             assert delta_low == arch.delta_low
             assert delta_high == arch.delta_high
             assert rebound == arch.rebound
+
+
+def per_day_household(arch, tau, w, schedule, rng):
+    """The per-day loop simulate_households replaced: the oracle for its bits."""
+    n_days = tau.shape[0]
+    kwh = np.empty((n_days, HALF_HOURS))
+    clamped = 0
+    sigma = np.asarray(arch.noise_std)
+    damp = np.sqrt(1.0 - arch.ar_coeff**2)
+    for t in range(n_days):
+        mean = (
+            arch.base_shape
+            + arch.temp_coeff * (tau[t] - TEMP_REF_C)
+            + arch.workday_offset * w[t]
+            + synthdata.tariff_adjustment(arch, schedule[t])
+        )
+        g = rng.standard_normal(HALF_HOURS)
+        z = np.empty(HALF_HOURS)
+        z[0] = g[0]
+        for h in range(1, HALF_HOURS):
+            z[h] = arch.ar_coeff * z[h - 1] + damp * g[h]
+        day = mean + sigma[schedule[t]] * z
+        clamped += int((day < 0).sum())
+        kwh[t] = np.maximum(day, 0.0)
+    return kwh, clamped
+
+
+def csv_writer_consumption(pop, path):
+    """The csv.writer consumption writer write_consumption_csv replaced."""
+    stamps = [
+        datetime.datetime.combine(date, datetime.time(h // 2, 30 * (h % 2)))
+        .isoformat(timespec="minutes")
+        for date in pop.dates for h in range(HALF_HOURS)
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CONSUMPTION_HEADER)
+        for hid, group, kwh_grid, tariff_grid in zip(
+            pop.household_ids, pop.groups, pop.kwh, pop.tariff
+        ):
+            for stamp, kwh, code in zip(stamps, kwh_grid.ravel().tolist(),
+                                        tariff_grid.ravel().tolist()):
+                writer.writerow([hid, stamp, f"{kwh:.6f}",
+                                 "FLAT" if group == "STD" else TARIFF_NAMES[code], group])
+
+
+# the four default archetypes and one whose noise drives many cells below zero
+MIXED_ARCHETYPES = synthdata.default_archetypes() + [make_arch(
+    name="clamped", base_shape=np.full(48, 0.05), noise_std=(0.2, 0.1, 0.3), ar_coeff=0.8,
+)]
+MIXED_COUNTS = [3, 2, 2, 3, 2]
+MIXED_STD = 5
+MIXED_DAYS = 30
+MIXED_POLICY = synthdata.SchedulePolicy(0.7, ("evening_high", "random"))
+START = datetime.date(2024, 1, 1)
+
+
+def mixed_inputs(seed):
+    """The streams generate_population draws from, and its (archetype, schedule)
+    households in order: the TOU ones, then the Std ones cycling archetypes."""
+    dates = [START + datetime.timedelta(days=i) for i in range(MIXED_DAYS)]
+    weather = synthdata.simulate_weather(
+        MIXED_DAYS, START, seed=np.random.SeedSequence((seed, 1)).generate_state(1)[0]
+    )
+    tou = synthdata.build_tou_schedule(
+        MIXED_DAYS, MIXED_POLICY, seed=np.random.SeedSequence((seed, 2)).generate_state(1)[0]
+    )
+    std = np.full((MIXED_DAYS, HALF_HOURS), NORMAL, dtype=np.int8)
+    members = [(arch, tou) for arch, count in zip(MIXED_ARCHETYPES, MIXED_COUNTS)
+               for _ in range(count)]
+    members += [(MIXED_ARCHETYPES[j % len(MIXED_ARCHETYPES)], std) for j in range(MIXED_STD)]
+    tau = temperature_grid(weather, dates)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
+    return members, tau, build_calendar(dates).w, rng
+
+
+class TestBlocks:
+    """simulate_households draws household blocks; any block size gives the
+    per-day loop's bits, on the same rng stream."""
+
+    @pytest.mark.parametrize("block", [1, 4, 64])
+    def test_households_match_the_per_day_loop(self, block, monkeypatch):
+        monkeypatch.setattr(synthdata, "_BLOCK_HOUSEHOLDS", block)
+        members, tau, w, rng = mixed_inputs(seed=3)
+        _, _, _, oracle_rng = mixed_inputs(seed=3)
+        kwh, clamped = synthdata.simulate_households(members, tau, w, rng)
+        runs = [per_day_household(arch, tau, w, schedule, oracle_rng)
+                for arch, schedule in members]
+        assert kwh.tobytes() == np.stack([grid for grid, _ in runs]).tobytes()
+        assert clamped == sum(c for _, c in runs) > 100
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 4, 64])
+    def test_population_and_file_match_the_old_writer(self, block, monkeypatch, tmp_path):
+        monkeypatch.setattr(synthdata, "_BLOCK_HOUSEHOLDS", block)
+        members, tau, w, oracle_rng = mixed_inputs(seed=7)
+        runs = [per_day_household(arch, tau, w, schedule, oracle_rng)
+                for arch, schedule in members]
+        clamped = sum(c for _, c in runs)
+        with pytest.warns(UserWarning) as record:
+            pop = synthdata.generate_population(
+                MIXED_ARCHETYPES, MIXED_COUNTS, MIXED_DAYS, seed=7, start_date=START,
+                std_count=MIXED_STD, policy=MIXED_POLICY,
+            )
+        assert [str(r.message) for r in record] == [
+            f"clamped {clamped} negative draw(s) to zero"
+        ]
+        assert pop.clamped == clamped
+        assert pop.kwh.tobytes() == np.stack([grid for grid, _ in runs]).tobytes()
+        assert pop.tariff.dtype == np.int8
+        assert pop.tariff.tobytes() == np.stack([s for _, s in members]).tobytes()
+        assert len(np.unique(pop.tariff[0], axis=0)) > 10   # random windows
+
+        synthdata.write_consumption_csv(pop, tmp_path / "consumption.csv")
+        csv_writer_consumption(pop, tmp_path / "reference.csv")
+        written = (tmp_path / "consumption.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert b",FLAT,STD\r\n" in written and b",LOW,TOU\r\n" in written
+
+    def test_peak_memory_is_the_output_plus_one_block(self, monkeypatch):
+        block, n_days, counts, std_count = 2, 30, [25, 25, 25, 25], 8
+        monkeypatch.setattr(synthdata, "_BLOCK_HOUSEHOLDS", block)
+        archetypes = synthdata.default_archetypes()
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pop = synthdata.generate_population(archetypes, counts, n_days, seed=5,
+                                                    std_count=std_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = n_days * HALF_HOURS * 8   # one household's float64 days
+        # a block's draw and its transposed copy; the day means and noise levels
+        # of each archetype on the TOU and the Std schedule; a few grids for the
+        # weather and the means' temporaries
+        scratch = (2 * block + 2 * 2 * len(archetypes) + 8) * grid
+        assert peak < pop.kwh.nbytes + pop.tariff.nbytes + scratch
+        # drawing all 108 households at once would take twice the output
+        assert scratch < pop.kwh.nbytes / 2

@@ -36,7 +36,7 @@ def build_parser():
         cmd.add_argument("--out", default=None, help="override the run directory")
         cmd.add_argument("--force", action="store_true", help="rebuild cached outputs")
         if name in ("train", "generate", "evaluate", "scenario"):
-            cmd.add_argument("--generator", choices=pipeline.GENERATOR_NAMES,
+            cmd.add_argument("--generator", choices=sorted(pipeline.GENERATORS),
                              help="restrict this stage to one generator")
     return parser
 

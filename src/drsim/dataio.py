@@ -773,14 +773,14 @@ class PreparedDataset:
     def n_days(self):
         return len(self.dates)
 
-    def conditional_matrix(self, tariffs):
-        """Stack day conditionals for a (T, 48) tariff schedule."""
+    def conditional_matrix(self, days, tariffs):
+        """Day conditionals (D, 101) for days (D,) under tariffs (D, 48)."""
         return np.stack(
             [
                 build_conditional_vector(
-                    self.pca_scores[t], self.calendar.kappa[t], self.calendar.w[t], tariffs[t]
+                    self.pca_scores[t], self.calendar.kappa[t], self.calendar.w[t], tariff
                 )
-                for t in range(self.n_days)
+                for t, tariff in zip(days, tariffs)
             ]
         )
 

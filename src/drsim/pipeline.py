@@ -19,11 +19,10 @@ files; the stage picks the stale clusters first and lists what was written
 in cluster order, so the files and the printed paths are the same whatever
 the CPU count.
 
-Every ensemble comes from _ensembles, which loads one cluster's generator
-and draws given days under given tariffs with given seeds; it holds the one
-gam/cvae branch of sampling. generate writes and evaluate scores the same
-test-day ensembles (_test_ensembles), and scenario draws its stale scenarios
-in one call.
+Each generator is one GENERATORS entry, so no stage branches on its name.
+Every ensemble comes from _ensembles, one cluster's draws of given days under
+given tariffs with given seeds: generate writes and evaluate scores the same
+test-day ensembles (_test_ensembles), and scenario draws its scenarios at once.
 """
 
 import datetime
@@ -46,7 +45,6 @@ SEED_CVAE = 20
 SEED_EVALUATE = 30
 SEED_SCENARIO = 32
 
-GENERATOR_NAMES = ("cvae", "gam")
 SCENARIO_NAMES = ("normal", "low_morning", "high_evening")
 
 
@@ -175,9 +173,11 @@ def load_config(path, seed=None, out=None):
             "cvae": lambda v: _section(neuralgen.CvaeConfig, v, "train.cvae",
                                        convert={"hidden": tuple}),
         })
-        bad = set(config.train.generators) - set(GENERATOR_NAMES)
+        bad = set(config.train.generators) - set(GENERATORS)
         if bad:
             raise ConfigError(f"unknown generator(s): {sorted(bad)}")
+        if len(set(config.train.generators)) < len(config.train.generators):
+            raise ConfigError(f"train.generators repeats a name: {config.train.generators}")
         if "seed" in ((raw["train"] or {}).get("cvae") or {}):
             raise ConfigError("train.cvae.seed is not a setting: CVAE seeds derive from "
                               "the top-level seed")
@@ -190,11 +190,13 @@ def load_config(path, seed=None, out=None):
         config.scenario = _section(
             ScenarioSection, raw["scenario"], "scenario", convert={"scenarios": tuple}
         )
-        if config.scenario.generator not in GENERATOR_NAMES:
+        if config.scenario.generator not in GENERATORS:
             raise ConfigError(f"unknown scenario generator {config.scenario.generator!r}")
         bad = set(config.scenario.scenarios) - set(SCENARIO_NAMES)
         if bad:
             raise ConfigError(f"unknown scenario(s) in scenario.scenarios: {sorted(bad)}")
+        if len(set(config.scenario.scenarios)) < len(config.scenario.scenarios):
+            raise ConfigError(f"scenario.scenarios repeats a name: {config.scenario.scenarios}")
         n = config.scenario.n_samples
         if type(n) is not int or n < 1:
             raise ConfigError(f"scenario.n_samples={n!r} must be a positive integer")
@@ -235,24 +237,6 @@ class RunPaths:
     @property
     def cluster_scores(self):
         return self.out / "cluster_scores.json"
-
-    def gam_model(self, label):
-        return self.out / f"gam_cluster{label}.npz"
-
-    def gam_coefficients(self, label):
-        return self.out / f"gam_cluster{label}_coefficients.csv"
-
-    def gam_sigma(self, label):
-        return self.out / f"gam_cluster{label}_sigma.csv"
-
-    def gam_files(self, label):
-        return [self.gam_model(label), self.gam_coefficients(label), self.gam_sigma(label)]
-
-    def cvae_model(self, label):
-        return self.out / f"cvae_cluster{label}.npz"
-
-    def cvae_log(self, label):
-        return self.out / f"cvae_cluster{label}_restarts.json"
 
     def samples(self, generator, label):
         return self.out / f"samples_{generator}_cluster{label}.csv"
@@ -420,18 +404,14 @@ def _cluster_inputs(paths):
         clusters[label] = {
             "series": ds.kwh[members].mean(axis=0),
             "schedule": schedule,
-            "members": members,
         }
     return ds, clusters
 
 
 def _pick_generators(config, restrict):
-    names = list(config.train.generators)
-    if restrict:
-        if restrict not in GENERATOR_NAMES:
-            raise PipelineError(f"unknown generator {restrict!r}")
-        names = [restrict]
-    return names
+    if restrict and restrict not in GENERATORS:
+        raise PipelineError(f"unknown generator {restrict!r}")
+    return [restrict] if restrict else list(config.train.generators)
 
 
 def _map_written(fn, items):
@@ -439,89 +419,108 @@ def _map_written(fn, items):
     return [path for written in parallel.map_forked(fn, items) for path in written]
 
 
-def _train_gam(paths, ds, label, bundle):
-    gen = gamgen.fit_gam_generator(
-        f"cluster{label}",
-        bundle["series"],
-        ds.tau,
-        ds.tau_bar_daily,
-        ds.calendar,
-        bundle["schedule"],
-        ds.partition,
+def _gam_files(paths, label):
+    return [paths.out / f"gam_cluster{label}{suffix}"
+            for suffix in (".npz", "_coefficients.csv", "_sigma.csv")]
+
+
+def _fit_gams(config, paths, ds, clusters, stale):
+    def fit(label):
+        model, coefficients, sigma = _gam_files(paths, label)
+        gen = gamgen.fit_gam_generator(
+            f"cluster{label}",
+            clusters[label]["series"],
+            ds.tau,
+            ds.tau_bar_daily,
+            ds.calendar,
+            clusters[label]["schedule"],
+            ds.partition,
+        )
+        gamgen.save_generator(gen, model)
+        gamgen.export_coefficients_csv(gen, coefficients)
+        gamgen.export_sigma_matrix_csv(gen, sigma)
+        return [model, coefficients, sigma]
+
+    return dict(zip(stale, parallel.map_forked(fit, stale)))
+
+
+def _gam_ensembles(paths, label, ds, days, tariffs, n_samples, seeds):
+    """The GAM computes the means of all D days in one pass; row i does not
+    depend on the other days, so a subset of days gives the same bits."""
+    gen = gamgen.load_generator(_gam_files(paths, label)[0])
+    means = gen.mean_profiles(
+        ds.tau[days], ds.tau_bar_daily[days], ds.calendar.kappa[days],
+        ds.calendar.w[days], tariffs,
     )
-    gamgen.save_generator(gen, paths.gam_model(label))
-    gamgen.export_coefficients_csv(gen, paths.gam_coefficients(label))
-    gamgen.export_sigma_matrix_csv(gen, paths.gam_sigma(label))
-    return paths.gam_files(label)
+    return np.stack([gen.draw(f, t, n_samples, s) for f, t, s in zip(means, tariffs, seeds)])
+
+
+def _cvae_files(paths, label):
+    return [paths.out / f"cvae_cluster{label}{suffix}" for suffix in (".npz", "_restarts.json")]
+
+
+def _fit_cvaes(config, paths, ds, clusters, stale):
+    """The stale clusters' restarts share stacks; a failed cluster stops the writes."""
+    every_day = np.arange(ds.n_days)
+    problems = [
+        (clusters[label]["series"], ds.conditional_matrix(every_day, clusters[label]["schedule"]),
+         replace(config.train.cvae, seed=derive_seed(config.seed, SEED_CVAE, label)))
+        for label in stale
+    ]
+    written = {}
+    for label, model in zip(stale, neuralgen.train_cvaes(problems, ds.partition)):
+        if isinstance(model, neuralgen.TrainingError):
+            raise neuralgen.TrainingError(f"cluster {label}: {model}")
+        path, log = written[label] = _cvae_files(paths, label)
+        neuralgen.save_model(model, path)
+        with dataio.replacing(log) as fh:
+            json.dump(
+                {
+                    "restart_mses": model.restart_mses,
+                    "restart_epochs": model.restart_epochs,
+                    "best_restart": model.restart_index,
+                    # the winner is picked on the days evaluate scores
+                    "selected_on": "test",
+                    "test_mse": model.test_mse,
+                    "epochs": len(model.epoch_losses),
+                },
+                fh,
+                indent=2,
+            )
+    return written
+
+
+def _cvae_ensembles(paths, label, ds, days, tariffs, n_samples, seeds):
+    model = neuralgen.load_model(_cvae_files(paths, label)[0])
+    return np.stack([neuralgen.generate(model, x, n_samples, s)
+                     for x, s in zip(ds.conditional_matrix(days, tariffs), seeds)])
+
+
+# name -> (files(paths, label): a cluster's files, model first; fit(config, paths, ds,
+# clusters, stale) -> {label: files written}, run in table order; ensembles, as _ensembles)
+GENERATORS = {
+    "gam": (_gam_files, _fit_gams, _gam_ensembles),
+    "cvae": (_cvae_files, _fit_cvaes, _cvae_ensembles),
+}
 
 
 def stage_train(config, paths, force=False, generator=None):
     names = _pick_generators(config, generator)
     ds, clusters = _cluster_inputs(paths)
-    gams = {}
-    if "gam" in names:
-        stale = [label for label in clusters if not _fresh(force, paths.gam_files(label))]
-        gams = dict(zip(stale, parallel.map_forked(
-            lambda label: _train_gam(paths, ds, label, clusters[label]), stale)))
-    cvaes = {}
-    if "cvae" in names:
-        # the CVAEs of all stale clusters train together, so their restarts share stacks
-        stale = [label for label in clusters
-                 if not _fresh(force, [paths.cvae_model(label), paths.cvae_log(label)])]
-        problems = [
-            (clusters[label]["series"], ds.conditional_matrix(clusters[label]["schedule"]),
-             replace(config.train.cvae, seed=derive_seed(config.seed, SEED_CVAE, label)))
-            for label in stale
-        ]
-        cvaes = dict(zip(stale, neuralgen.train_cvaes(problems, ds.partition)))
-    written = []
-    for label in clusters:
-        written.extend(gams.get(label, []))
-        if label in cvaes:
-            model = cvaes[label]
-            if isinstance(model, neuralgen.TrainingError):
-                raise neuralgen.TrainingError(f"cluster {label}: {model}")
-            neuralgen.save_model(model, paths.cvae_model(label))
-            with dataio.replacing(paths.cvae_log(label)) as fh:
-                json.dump(
-                    {
-                        "restart_mses": model.restart_mses,
-                        "restart_epochs": model.restart_epochs,
-                        "best_restart": model.restart_index,
-                        # the winner is picked on the days evaluate scores
-                        "selected_on": "test",
-                        "test_mse": model.test_mse,
-                        "epochs": len(model.epoch_losses),
-                    },
-                    fh,
-                    indent=2,
-                )
-            written.extend([paths.cvae_model(label), paths.cvae_log(label)])
-    return written
+    written = [
+        fit(config, paths, ds, clusters,
+            [label for label in clusters if not _fresh(force, files(paths, label))])
+        for name, (files, fit, _) in GENERATORS.items() if name in names
+    ]
+    return [path for label in clusters for fitted in written for path in fitted.get(label, [])]
 
 
 def _ensembles(name, paths, label, ds, days, tariffs, n_samples, seeds):
     """One cluster's ensembles (D, n_samples, 48) for days (D,) under tariffs
-    (D, 48), day i drawn with seeds[i]; the one gam/cvae branch of sampling.
-
-    The GAM computes the means of all D days in one pass; row i does not
-    depend on the other days, so a subset of days gives the same bits.
-    """
-    if name == "gam":
-        _require(paths.gam_model(label), "train --generator gam")
-        gen = gamgen.load_generator(paths.gam_model(label))
-        means = gen.mean_profiles(
-            ds.tau[days], ds.tau_bar_daily[days], ds.calendar.kappa[days],
-            ds.calendar.w[days], tariffs,
-        )
-        return np.stack([gen.draw(f, t, n_samples, s) for f, t, s in zip(means, tariffs, seeds)])
-    _require(paths.cvae_model(label), "train --generator cvae")
-    model = neuralgen.load_model(paths.cvae_model(label))
-    return np.stack([
-        neuralgen.generate(model, dataio.build_conditional_vector(
-            ds.pca_scores[day], ds.calendar.kappa[day], ds.calendar.w[day], t), n_samples, s)
-        for day, t, s in zip(days, tariffs, seeds)
-    ])
+    (D, 48), day i drawn with seeds[i], from the model that train wrote."""
+    files, _, ensembles = GENERATORS[name]
+    _require(files(paths, label)[0], f"train --generator {name}")
+    return ensembles(paths, label, ds, days, tariffs, n_samples, seeds)
 
 
 def _test_ensembles(config, paths, ds, name, label, schedule):
@@ -622,7 +621,7 @@ def _write_scenarios(config, paths, ds, name, label, stale):
 
 
 def stage_scenario(config, paths, force=False, generator=None):
-    name = generator or config.scenario.generator
+    name, = _pick_generators(config, generator or config.scenario.generator)
     ds, clusters = _cluster_inputs(paths)
     jobs = []
     for label in clusters:

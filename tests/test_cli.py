@@ -489,6 +489,10 @@ class TestValidation:
         pytest.param("evaluate:\n  n_samples: 2.0\n", "evaluate.n_samples",
                      id="fractional-evaluate-samples"),
         pytest.param("train:\n  cvae: {seed: 5}\n", "train.cvae.seed", id="cvae-seed"),
+        pytest.param("train:\n  generators: [gam, gam]\n", "train.generators",
+                     id="repeated-generator"),
+        pytest.param("scenario:\n  scenarios: [normal, normal]\n", "scenario.scenarios",
+                     id="repeated-scenario"),
     ])
     def test_bad_section_rejected(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)           # a config taken by mistake runs synth here
@@ -568,6 +572,84 @@ class TestValidation:
         assert run_cli("train", "--config", str(cfg), "--generator", "gam") == 0
         assert list((tmp / "run").glob("gam_cluster*.npz"))
         assert not list((tmp / "run").glob("cvae_cluster*.npz"))
+
+
+def stub_files(paths, label):
+    return [paths.out / f"stub_cluster{label}.json"]
+
+
+def stub_fit(config, paths, ds, clusters, stale):
+    """A stub third generator: each cluster's mean training-day kWh per half-hour."""
+    written = {}
+    for label in stale:
+        path, = written[label] = stub_files(paths, label)
+        level = clusters[label]["series"][ds.partition.train].mean(axis=0)
+        path.write_text(json.dumps(level.tolist()))
+    return written
+
+
+def stub_ensembles(paths, label, ds, days, tariffs, n_samples, seeds):
+    level = np.array(json.loads(stub_files(paths, label)[0].read_text()))
+    return np.stack([level + np.random.default_rng(s).normal(0.0, 0.05, (n_samples, HALF_HOURS))
+                     for s in seeds])
+
+
+class TestGeneratorTable:
+    def test_a_stub_entry_runs_through_every_generator_stage(
+            self, workdir, monkeypatch, capsys):
+        tmp, cfg = workdir
+        run = tmp / "run"
+        cfg.write_text(CONFIG.replace("[gam]", "[gam, stub]").format(out=run))
+        monkeypatch.setitem(pipeline.GENERATORS, "stub", (stub_files, stub_fit, stub_ensembles))
+        for stage in ("synth", "ingest", "cluster"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(run / name) for label in (0, 1) for name in (
+                f"gam_cluster{label}.npz", f"gam_cluster{label}_coefficients.csv",
+                f"gam_cluster{label}_sigma.csv", f"stub_cluster{label}.json")
+        ]
+        for stage in ("generate", "evaluate"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+        for label in (0, 1):
+            report = metrics.read_report_csv(run / f"report_cluster{label}.csv")
+            assert report.generator_names() == ["gam", "stub"]
+        assert_samples_are_scored(run, "stub", 20)
+        capsys.readouterr()
+        assert run_cli("scenario", "--config", str(cfg), "--generator", "stub") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(run / f"scenario_{scen}_stub_cluster{label}{suffix}") for label in (0, 1)
+            for scen in pipeline.SCENARIO_NAMES for suffix in ("_mean.csv", ".csv")
+        ]
+
+    def test_cvae_listed_first_keeps_train_order_and_config_report_order(
+            self, tmp_path, capsys):
+        run, cfg = cvae_workdir(tmp_path, "restarts: 1, max_epochs: 20")
+        cfg.write_text(cfg.read_text().replace("[gam, cvae]", "[cvae, gam]"))
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(run / name) for label in (0, 1) for name in (
+                f"gam_cluster{label}.npz", f"gam_cluster{label}_coefficients.csv",
+                f"gam_cluster{label}_sigma.csv",
+                f"cvae_cluster{label}.npz", f"cvae_cluster{label}_restarts.json")
+        ]
+        assert run_cli("generate", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(run / f"samples_{name}_cluster{label}.csv")
+            for label in (0, 1) for name in ("cvae", "gam")
+        ]
+        assert run_cli("evaluate", "--config", str(cfg)) == 0
+        for label in (0, 1):
+            report = metrics.read_report_csv(run / f"report_cluster{label}.csv")
+            assert report.generator_names() == ["cvae", "gam"]
+
+    def test_scenario_rejects_an_unknown_generator(self, workdir):
+        _, cfg = workdir
+        config = pipeline.load_config(cfg)
+        with pytest.raises(pipeline.PipelineError, match="unknown generator 'gan'"):
+            pipeline.stage_scenario(config, pipeline.RunPaths(config.out), generator="gan")
 
 
 # 3 households per archetype and k = 4: the random baseline's uniform labels

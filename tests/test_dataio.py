@@ -690,8 +690,16 @@ class TestPreparedDataset:
 
     def test_conditional_matrix_shape(self, prepared_small):
         ds = prepared_small
-        mat = ds.conditional_matrix(ds.tariff[0])
+        mat = ds.conditional_matrix(np.arange(ds.n_days), ds.tariff[0])
         assert mat.shape == (ds.n_days, 101)
+        # any days under any tariffs: row i is day i's conditional, whatever the others
+        days = [5, 0, 5]
+        np.testing.assert_array_equal(
+            ds.conditional_matrix(days, ds.tariff[1][days]),
+            np.stack([dataio.build_conditional_vector(
+                ds.pca_scores[d], ds.calendar.kappa[d], ds.calendar.w[d], ds.tariff[1][d])
+                for d in days]),
+        )
 
     def test_save_load_round_trip(self, prepared_small, tmp_path):
         path = tmp_path / "prepared.npz"

@@ -5,10 +5,11 @@ smoothed temperature and the day-of-range position, a linear working-day
 term, and tariff offsets with Normal as the reference level. One shared
 smoothing weight across the three spline blocks is chosen by GCV. The
 smoothed-temperature and day-position blocks depend on the day alone, so the
-generator fits and holds one copy of each for all 48 slots. The noise
-side reuses the location-scale machinery at cluster level for per-tariff
-scales; residuals standardized by those scales yield an empirical intra-day
-correlation matrix whose Cholesky factor drives sampling:
+generator fits and holds one copy of each for all 48 slots. On the noise
+side, each slot's per-tariff scales come from the location-scale fit
+(causality.fit_slot) on that slot's own temperature block; residuals
+standardized by those scales yield an empirical intra-day correlation matrix
+whose Cholesky factor drives sampling:
 
     y^h = f^h + sigma^h(p^h) * (L eps)^h,   eps ~ N(0, I).
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import fit_profiles
+from .causality import fit_slot
 from .dataio import HALF_HOURS, LOW, HIGH, replacing, write_csv
 from .splines import CenteredSplineBlock, CubicSplineBasis, penalized_lstsq
 
@@ -50,12 +51,16 @@ class HalfHourGam:
     lam: float
 
 
-def _fit_half_hour(y, tau, day_designs, day_penalties, w, tariff):
-    """Fit one slot; the designs and penalties of the taubar and kappa blocks
-    are shared by every slot."""
+def _fit_half_hour(entity, h, y, tau, day_designs, day_penalties, w, tariff):
+    """Fit slot h; the designs and penalties of the taubar and kappa blocks
+    are shared by every slot. Returns the model, its fitted means and the
+    (3,) per-tariff noise scales of the location-scale fit on the slot's
+    temperature block."""
     tau_block, tau_design = CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(tau), tau)
+    tau_penalty = tau_block.penalty()
+    _, _, scale, _ = fit_slot(tau_design, tau_penalty, y[None, :], tariff, entity, h)
     blocks = [tau_design, *day_designs, np.ones((len(y), 1)), np.asarray(w, dtype=float)[:, None]]
-    penalties = [tau_block.penalty(), *day_penalties, None, None]
+    penalties = [tau_penalty, *day_penalties, None, None]
     observed_special = [c for c in (LOW, HIGH) if np.any(tariff == c)]
     for code in observed_special:
         blocks.append((tariff == code).astype(float)[:, None])
@@ -74,7 +79,7 @@ def _fit_half_hour(y, tau, day_designs, day_penalties, w, tariff):
         lam=fit.lam,
     )
     fitted = np.hstack(blocks) @ fit.coef
-    return model, fitted
+    return model, fitted, scale[:, 0]
 
 
 def estimate_correlation(residuals):
@@ -164,8 +169,8 @@ class GamGenerator:
 def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partition):
     """Fit the 48 half-hour models plus the noise side on training days.
 
-    kwh is the (T, 48) cluster-average consumption; the per-tariff noise
-    scales come from a location-scale refit on the same training series.
+    kwh is the (T, 48) cluster-average consumption; each slot's per-tariff
+    noise scales come from the location-scale fit on its temperature block.
     """
     kwh = np.asarray(kwh, dtype=float)
     train = partition.train
@@ -176,16 +181,14 @@ def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partiti
     )
     day_penalties = [block.penalty() for block in day_blocks]
     fitted = np.empty((len(train), HALF_HOURS))
+    sigma = np.empty((3, HALF_HOURS))
     models = []
     for h in range(HALF_HOURS):
-        model, f = _fit_half_hour(
-            kwh[train, h], tau[train, h], day_designs, day_penalties, calendar.w[train],
-            tariffs[train, h],
+        model, fitted[:, h], sigma[:, h] = _fit_half_hour(
+            entity, h, kwh[train, h], tau[train, h], day_designs, day_penalties,
+            calendar.w[train], tariffs[train, h],
         )
         models.append(model)
-        fitted[:, h] = f
-
-    sigma = fit_profiles([entity], kwh[train][None], tau[train], tariffs[train][None])[0].sigma
 
     scale = sigma[tariffs[train], np.arange(HALF_HOURS)]
     residuals = (kwh[train] - fitted) / scale

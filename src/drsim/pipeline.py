@@ -167,12 +167,18 @@ def load_config(path, seed=None, out=None):
         config.ingest = _section(IngestSection, raw["ingest"], "ingest")
     if "cluster" in raw:
         config.cluster = _section(ClusterSection, raw["cluster"], "cluster")
+        for key in ("k", "nmf_rank"):
+            n = getattr(config.cluster, key)
+            if type(n) is not int or n < 1:
+                raise ConfigError(f"cluster.{key}={n!r} must be a positive integer")
     if "train" in raw:
         config.train = _section(TrainSection, raw["train"], "train", convert={
             "generators": tuple,
             "cvae": lambda v: _section(neuralgen.CvaeConfig, v, "train.cvae",
                                        convert={"hidden": tuple}),
         })
+        if not config.train.generators:
+            raise ConfigError("train.generators lists no generator")
         bad = set(config.train.generators) - set(GENERATORS)
         if bad:
             raise ConfigError(f"unknown generator(s): {sorted(bad)}")

@@ -3,6 +3,7 @@ import pytest
 
 from drsim import causality
 from drsim.dataio import HIGH, LOW, NORMAL
+from drsim.splines import CenteredSplineBlock, CubicSplineBasis
 
 
 def planted_series(n=400, seed=0, xi=(0.4, 0.0, -0.3), sigma=(0.08, 0.1, 0.12),
@@ -17,114 +18,117 @@ def planted_series(n=400, seed=0, xi=(0.4, 0.0, -0.3), sigma=(0.08, 0.1, 0.12),
     return y, tau, tariff
 
 
+def fit_series(y, tau, tariff):
+    """fit_slot on one series with its own temperature block; returns the
+    block, then the spline coefficients, tariff offsets, scales and lambda."""
+    block, design = CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(tau), tau)
+    coef, tariff_coef, scale, lam = causality.fit_slot(
+        design, block.penalty(), y[None, :], tariff, "hh", 0
+    )
+    return block, coef[0], tariff_coef[:, 0], scale[:, 0], lam[0]
+
+
 class TestFitLocationScale:
     def test_recovers_tariff_contrasts(self):
         y, tau, tariff = planted_series()
-        model = causality.fit_location_scale(y, tau, tariff)
-        coef = model.tariff_coef
+        _, _, coef, _, _ = fit_series(y, tau, tariff)
         assert coef[LOW] - coef[NORMAL] == pytest.approx(0.4, abs=0.05)
         assert coef[HIGH] - coef[NORMAL] == pytest.approx(-0.3, abs=0.05)
 
     def test_recovers_scales_within_20_percent(self):
         y, tau, tariff = planted_series(n=900, seed=3)
-        model = causality.fit_location_scale(y, tau, tariff)
+        _, _, _, scale, _ = fit_series(y, tau, tariff)
         for code, truth in zip((LOW, NORMAL, HIGH), (0.08, 0.1, 0.12)):
-            assert model.scale[code] == pytest.approx(truth, rel=0.2)
+            assert scale[code] == pytest.approx(truth, rel=0.2)
 
     def test_predict_mean_tracks_nonlinear_effect(self):
         y, tau, tariff = planted_series(n=800, seed=5)
-        model = causality.fit_location_scale(y, tau, tariff)
+        block, spline_coef, tariff_coef, _, _ = fit_series(y, tau, tariff)
         grid = np.linspace(0.0, 20.0, 50)
-        pred = model.predict_mean(grid, NORMAL)
+        pred = block.design(grid) @ spline_coef + tariff_coef[NORMAL]
         truth = 1.0 + 0.25 * np.sin(grid / 4.0)
         assert np.max(np.abs(pred - truth)) < 0.06
 
     def test_unobserved_tariff_marked_unavailable(self):
         y, tau, tariff = planted_series(seed=7)
         tariff[tariff == HIGH] = NORMAL
-        model = causality.fit_location_scale(y, tau, tariff)
-        assert not model.available(HIGH)
-        assert np.isnan(model.tariff_coef[HIGH]) and np.isnan(model.scale[HIGH])
-        with pytest.raises(causality.FitError):
-            model.predict_mean(np.array([10.0]), HIGH)
+        _, _, coef, scale, _ = fit_series(y, tau, tariff)
+        assert np.isnan(coef[HIGH]) and np.isfinite(coef[[LOW, NORMAL]]).all()
+        assert scale[HIGH] == scale[NORMAL] != scale[LOW]
 
     def test_noiseless_series_hits_scale_floor(self):
         rng = np.random.default_rng(2)
         tau = rng.uniform(0.0, 20.0, size=200)
         tariff = np.full(200, NORMAL, dtype=np.int8)
         y = np.full(200, 1.5)
-        model = causality.fit_location_scale(y, tau, tariff)
-        assert model.scale[NORMAL] == causality.SCALE_FLOOR
+        _, _, _, scale, _ = fit_series(y, tau, tariff)
+        assert (scale == causality.SCALE_FLOOR).all()
 
     def test_scale_is_half_normal_moment_of_residuals(self):
         y, tau, tariff = planted_series(seed=9)
-        model = causality.fit_location_scale(y, tau, tariff)
-        resid = y - (model.spline.design(tau) @ model.spline_coef
-                     + model.tariff_coef[tariff])
+        block, spline_coef, tariff_coef, scale, _ = fit_series(y, tau, tariff)
+        resid = y - (block.design(tau) @ spline_coef + tariff_coef[tariff])
         for code in (LOW, NORMAL, HIGH):
             expected = np.abs(resid[tariff == code]).mean() * np.sqrt(np.pi / 2.0)
-            assert model.scale[code] == pytest.approx(expected, rel=1e-12)
+            assert scale[code] == pytest.approx(expected, rel=1e-12)
 
     def test_too_few_observations_raises(self):
-        with pytest.raises(causality.FitError, match="observations"):
-            causality.fit_location_scale(
-                np.ones(5), np.linspace(0, 1, 5), np.zeros(5, dtype=np.int8)
-            )
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(causality.FitError):
-            causality.fit_location_scale(np.ones(10), np.ones(9), np.zeros(10, dtype=np.int8))
+        with pytest.raises(causality.FitError,
+                           match=r"^hh: need at least 12 observations in half-hour 1, got 5$"):
+            fit_series(np.ones(5), np.linspace(0, 1, 5), np.zeros(5, dtype=np.int8))
 
     def test_level_shift_moves_offsets_not_spline(self):
         y, tau, tariff = planted_series(seed=11)
-        a = causality.fit_location_scale(y, tau, tariff)
-        b = causality.fit_location_scale(y + 5.0, tau, tariff)
-        np.testing.assert_allclose(b.spline_coef, a.spline_coef, atol=1e-6)
-        np.testing.assert_allclose(b.tariff_coef, a.tariff_coef + 5.0, atol=1e-6)
+        _, spline_a, coef_a, _, _ = fit_series(y, tau, tariff)
+        _, spline_b, coef_b, _, _ = fit_series(y + 5.0, tau, tariff)
+        np.testing.assert_allclose(spline_b, spline_a, atol=1e-6)
+        np.testing.assert_allclose(coef_b, coef_a + 5.0, atol=1e-6)
 
 
 class TestTariffProfile:
-    def fit_small_entity(self, seed=0, n_days=120):
+    """Profiles of one household, fitted alone."""
+
+    def small_entity(self, seed=0, n_days=120, high_free_slot=None):
         rng = np.random.default_rng(seed)
         tau = rng.uniform(2.0, 18.0, size=(n_days, 48))
         tariff = rng.integers(0, 3, size=(n_days, 48)).astype(np.int8)
+        if high_free_slot is not None:
+            tariff[tariff[:, high_free_slot] == HIGH, high_free_slot] = NORMAL
         base = np.linspace(0.4, 0.9, 48)
         kwh = base + 0.01 * tau + np.array([0.2, 0.0, -0.1])[tariff]
         kwh = kwh + 0.05 * rng.standard_normal(kwh.shape)
-        models = causality.fit_entity(kwh, tau, tariff)
-        return models, tau
+        return kwh, tau, tariff
 
     def test_profile_is_day_average_of_predictions(self):
-        models, tau = self.fit_small_entity()
-        prof = causality.tariff_profile("hh", models, tau)
+        kwh, tau, tariff = self.small_entity()
+        prof = causality.fit_profiles(["hh"], kwh[None], tau, tariff[None])[0]
         assert prof.mu.shape == (3, 48) and prof.sigma.shape == (3, 48)
         for h in (0, 17, 47):
-            expected = np.mean(models[h].predict_mean(tau[:, h], LOW))
+            block, spline_coef, tariff_coef, scale, lam = fit_series(
+                kwh[:, h], tau[:, h], tariff[:, h]
+            )
+            expected = np.mean(block.design(tau[:, h]) @ spline_coef + tariff_coef[LOW])
             assert prof.mu[LOW, h] == expected
-            assert prof.sigma[LOW, h] == models[h].scale[LOW]
+            assert prof.sigma[LOW, h] == scale[LOW]
+            assert prof.lam[h] == lam
 
     def test_unavailable_tariff_substitutes_normal(self):
-        models, tau = self.fit_small_entity(seed=4)
-        models[10].tariff_coef[HIGH] = np.nan
-        models[10].scale[HIGH] = np.nan
-        prof = causality.tariff_profile("hh", models, tau)
+        kwh, tau, tariff = self.small_entity(seed=4, high_free_slot=10)
+        prof = causality.fit_profiles(["hh"], kwh[None], tau, tariff[None])[0]
         assert prof.mu[HIGH, 10] == prof.mu[NORMAL, 10]
         assert prof.sigma[HIGH, 10] == prof.sigma[NORMAL, 10]
         assert prof.mu[HIGH, 11] != prof.mu[NORMAL, 11]
 
     def test_missing_normal_raises(self):
-        models, tau = self.fit_small_entity(seed=6)
-        models[3].tariff_coef[NORMAL] = np.nan
-        with pytest.raises(causality.FitError, match="half-hour 4"):
-            causality.tariff_profile("hh", models, tau)
-
-    def test_wrong_model_count_raises(self):
-        with pytest.raises(causality.FitError):
-            causality.tariff_profile("hh", [], np.zeros((5, 48)))
+        kwh, tau, tariff = self.small_entity(seed=6)
+        tariff[:, 3] = LOW
+        with pytest.raises(causality.FitError,
+                           match=r"^hh: Normal tariff never observed in half-hour 4$"):
+            causality.fit_profiles(["hh"], kwh[None], tau, tariff[None])
 
     def test_csv_round_trip_exact(self, tmp_path):
-        models, tau = self.fit_small_entity(seed=8, n_days=60)
-        prof = causality.tariff_profile("tou042", models, tau)
+        kwh, tau, tariff = self.small_entity(seed=8, n_days=60)
+        prof = causality.fit_profiles(["tou042"], kwh[None], tau, tariff[None])[0]
         path = tmp_path / "profiles.csv"
         causality.export_profiles_csv([prof], path)
         loaded = causality.read_profiles_csv(path)
@@ -144,11 +148,10 @@ class TestEndToEndRecovery:
         """The full chain (synth -> fits -> profiles) recovers who responds."""
         pop = small_population
         saver, flat = 0, 4  # archetype blocks of four households each
-        tau = pop.tau
-        profiles = {}
-        for i in (saver, flat):
-            models = causality.fit_entity(pop.kwh[i], tau, pop.tariff[i])
-            profiles[i] = causality.tariff_profile(pop.household_ids[i], models, tau)
+        profiles = dict(zip((saver, flat), causality.fit_profiles(
+            [pop.household_ids[i] for i in (saver, flat)], pop.kwh[[saver, flat]], pop.tau,
+            pop.tariff[[saver, flat]],
+        )))
         window = slice(9, 19)
         saver_shift = (profiles[saver].mu[LOW] - profiles[saver].mu[NORMAL])[window].mean()
         flat_shift = (profiles[flat].mu[LOW] - profiles[flat].mu[NORMAL])[window].mean()
@@ -157,7 +160,7 @@ class TestEndToEndRecovery:
 
 
 class TestFitProfiles:
-    """The batched fitter against the per-household functions it shares a core with."""
+    """The batched fitter against each household fitted alone."""
 
     @pytest.fixture(scope="class")
     def mixed_schedules(self, small_population):
@@ -186,11 +189,10 @@ class TestFitProfiles:
         batched = causality.fit_profiles(ids, kwh, tau, tariff)
         assert [p.entity for p in batched] == list(ids)
         for i, prof in enumerate(batched):
-            models = causality.fit_entity(kwh[i], tau, tariff[i])
-            ref = causality.tariff_profile(ids[i], models, tau)
-            np.testing.assert_allclose(prof.mu, ref.mu, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(prof.sigma, ref.sigma, rtol=1e-12, atol=0)
-            np.testing.assert_array_equal(prof.lam, [m.lam for m in models])
+            [alone] = causality.fit_profiles([ids[i]], kwh[i:i + 1], tau, tariff[i:i + 1])
+            np.testing.assert_array_equal(prof.mu, alone.mu)
+            np.testing.assert_array_equal(prof.sigma, alone.sigma)
+            np.testing.assert_array_equal(prof.lam, alone.lam)
 
     def test_group_without_special_tariffs_falls_back_to_normal(self, mixed_schedules):
         ids, kwh, tau, tariff = mixed_schedules

@@ -491,6 +491,14 @@ class TestValidation:
         pytest.param("train:\n  cvae: {seed: 5}\n", "train.cvae.seed", id="cvae-seed"),
         pytest.param("train:\n  generators: [gam, gam]\n", "train.generators",
                      id="repeated-generator"),
+        pytest.param("train: {generators: []}\n", "train.generators", id="no-generator"),
+        pytest.param("cluster: {k: '2'}\n", "cluster.k", id="text-k"),
+        pytest.param("cluster: {k: 0}\n", "cluster.k", id="zero-k"),
+        pytest.param("cluster: {k: true}\n", "cluster.k", id="boolean-k"),
+        pytest.param("cluster: {k: 2.0}\n", "cluster.k", id="fractional-k"),
+        pytest.param("cluster: {nmf_rank: 0}\n", "cluster.nmf_rank", id="zero-nmf-rank"),
+        pytest.param("cluster: {nmf_rank: -3}\n", "cluster.nmf_rank", id="negative-nmf-rank"),
+        pytest.param("cluster: {nmf_rank: true}\n", "cluster.nmf_rank", id="boolean-nmf-rank"),
         pytest.param("scenario:\n  scenarios: [normal, normal]\n", "scenario.scenarios",
                      id="repeated-scenario"),
     ])

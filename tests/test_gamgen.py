@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from drsim import dataio, gamgen
+from drsim.causality import FitError, fit_slot
 from drsim.dataio import HIGH, LOW, NORMAL
 from drsim.splines import DEFAULT_QUANTILES, CenteredSplineBlock, CubicSplineBasis
 
@@ -181,6 +182,17 @@ class TestFit:
         assert gen.sigma.shape == (3, 48)
         assert (gen.sigma > 0).all()
 
+    def test_sigma_is_the_location_scale_fit_of_each_slot(self, fitted):
+        gen, (kwh, tau, _, _, tariffs, partition) = fitted
+        train = partition.train
+        # slot 0 never sees a special tariff, so its Low and High take Normal's scale
+        for h in (0, 12, 47):
+            block = gen.models[h].tau_block
+            _, _, scale, _ = fit_slot(block.design(tau[train, h]), block.penalty(),
+                                      kwh[train, h][None], tariffs[train, h], "cluster0", h)
+            np.testing.assert_array_equal(gen.sigma[:, h], scale[:, 0])
+        assert gen.sigma[LOW, 0] == gen.sigma[NORMAL, 0] == gen.sigma[HIGH, 0]
+
     def test_knots_at_training_quantiles_except_day_position(self, fitted):
         gen, (_, tau, taubar, calendar, _, partition) = fitted
         train = partition.train
@@ -202,6 +214,24 @@ class TestFit:
         # the two placements differ on these days, so each assertion has teeth
         for x in (tau[train, 0], taubar[train], calendar.kappa[train]):
             assert at_quantiles(x) != uniform(x)
+
+
+class TestFitErrors:
+    def test_slot_without_normal_training_day_names_cluster_and_slot(self):
+        kwh, tau, taubar, calendar, tariffs, partition = planted_setup(n_days=60)
+        tariffs[partition.train, 5] = LOW
+        with pytest.raises(FitError, match=r"^cluster0: Normal tariff never observed "
+                                           r"in half-hour 6$"):
+            gamgen.fit_gam_generator("cluster0", kwh, tau, taubar, calendar, tariffs,
+                                     partition)
+
+    def test_too_few_training_days_names_cluster_and_slot(self):
+        kwh, tau, taubar, calendar, tariffs, partition = planted_setup(n_days=12)
+        assert len(partition.train) == 9
+        with pytest.raises(FitError, match=r"^cluster0: need at least 12 observations "
+                                           r"in half-hour 1, got 9$"):
+            gamgen.fit_gam_generator("cluster0", kwh, tau, taubar, calendar, tariffs,
+                                     partition)
 
 
 class TestMeanProfiles:

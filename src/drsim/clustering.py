@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataio import LOW, NORMAL, HIGH, read_csv, write_csv
 
@@ -78,6 +77,18 @@ class NmfFactors:
     converged: bool
 
 
+def check_rank(r, shape):
+    """Raise unless nmf_factorize accepts rank r for a matrix of this shape."""
+    if not 1 <= r <= min(shape):
+        raise ClusteringError(f"rank {r} outside 1..{min(shape)}")
+
+
+def check_k(k, n):
+    """Raise unless kmedoids accepts k clusters of n points."""
+    if not 1 <= k <= n:
+        raise ClusteringError(f"k={k} outside 1..{n}")
+
+
 def nmf_factorize(m, r=5, seed=0, max_iter=500, tol=1e-5):
     """Multiplicative-update NMF minimizing the Frobenius reconstruction error.
 
@@ -95,8 +106,7 @@ def nmf_factorize(m, r=5, seed=0, max_iter=500, tol=1e-5):
         raise ClusteringError("matrix has non-finite entries")
     if (m < 0).any():
         raise ClusteringError("matrix has negative entries")
-    if not 1 <= r <= min(m.shape):
-        raise ClusteringError(f"rank {r} outside 1..{min(m.shape)}")
+    check_rank(r, m.shape)
 
     rng = np.random.default_rng(seed)
     scale = np.sqrt(m.mean() / r)
@@ -134,6 +144,21 @@ def _assign(dist, medoids):
     return np.argmin(sub, axis=1)
 
 
+def pairwise_distances(points):
+    """Euclidean distances between the rows of points (n, d); returns (n, n).
+
+    The squared differences are summed one column at a time in column order,
+    the order of a plain per-pair loop; tests/test_clustering.py pins the
+    matrix bit for bit to such a reference, which a pairwise .sum(axis=2)
+    misses from 8 columns on.
+    """
+    n = points.shape[0]
+    dist = np.zeros((n, n))
+    for c in range(points.shape[1]):
+        dist += (points[:, None, c] - points[None, :, c]) ** 2
+    return np.sqrt(dist, out=dist)
+
+
 def kmedoids(points, k):
     """Full PAM: greedy BUILD then best-improvement SWAP passes.
 
@@ -142,12 +167,11 @@ def kmedoids(points, k):
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ClusteringError(f"k={k} outside 1..{n}")
+    check_k(k, n)
     if len(np.unique(points, axis=0)) < k:
         raise ClusteringError(f"fewer than k={k} distinct points")
 
-    dist = cdist(points, points)
+    dist = pairwise_distances(points)
 
     # BUILD: start from the 1-medoid optimum, then greedily add the point
     # that lowers total cost the most (ties to the lowest row index)

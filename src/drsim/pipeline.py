@@ -333,6 +333,10 @@ def stage_cluster(config, paths, force=False):
     tou = [i for i, g in enumerate(ds.groups) if g == "TOU"]
     if not tou:
         raise PipelineError("no time-of-use households to cluster")
+    # the profile matrix has at most one row per TOU household, so sizes that
+    # cannot fit fail here rather than after every profile fit
+    clustering.check_rank(config.cluster.nmf_rank, (len(tou), 3 * HALF_HOURS))
+    clustering.check_k(config.cluster.k, len(tou))
 
     with dataio.replacing_all(targets) as (profiles_csv, assignments_csv, scores_json):
         profiles = causality.fit_profiles(

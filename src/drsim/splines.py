@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 DEFAULT_QUANTILES = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-6.0, 2.0, 10))
@@ -80,7 +79,7 @@ class CubicSplineBasis:
         if not np.isfinite(x).all():
             raise SplineError("non-finite evaluation points")
         xc = np.clip(x, self.lo, self.hi)
-        return BSpline.design_matrix(xc, self.knots, 3).toarray()
+        return _design_matrix(xc, self.knots, 3)
 
     def second_difference_penalty(self):
         """D2' D2 where D2 is the second-difference operator on coefficients."""
@@ -91,6 +90,37 @@ class CubicSplineBasis:
         for i in range(p - 2):
             d2[i, i : i + 3] = (1.0, -2.0, 1.0)
         return d2.T @ d2
+
+
+def _design_matrix(x, t, k):
+    """Dense (m, len(t) - k - 1) design of the degree-k B-splines on knots t at x.
+
+    Every x lies in [t[k], t[-k-1]] and the knots strictly increase between
+    them. Each row holds the k + 1 non-zero values on x's knot interval
+    t[ell] <= x < t[ell + 1] (x == t[-k-1] takes the last interval), from de
+    Boor's recurrence (de Boor 1972, "On calculating with B-splines") run for
+    all points at once with the operations of the compiled FITPACK-style
+    routine in the same order; tests/test_splines.py pins the matrix bit for
+    bit to that routine's.
+    """
+    m, n = len(x), len(t) - k - 1
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n - 1)
+    # row r holds t[ell + r + 1 - k]; since t[ell] < t[ell + 1], no knot
+    # difference below is zero
+    tk = t[ell + np.arange(1 - k, k + 1)[:, None]]
+    right = tk[k:] - x          # t[ell + i] - x for i = 1..k
+    left = x - tk[:k]           # x - t[ell + i - k] for i = 1..k
+    # row i of h is the value of basis function ell - j + i after step j
+    h = np.ones((1, m))
+    for j in range(1, k + 1):
+        w = h / (tk[k:k + j] - tk[k - j:k])
+        h = np.empty((j + 1, m))
+        h[0] = 0.0
+        h[1:] = w * left[k - j:]
+        h[:j] += w * right[:j]
+    out = np.zeros((m, n))
+    out.reshape(-1)[np.arange(0, m * n, n) + ell - k + np.arange(k + 1)[:, None]] = h
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,11 +3,14 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from drsim import cli, clustering, metrics, neuralgen, parallel, pipeline, synthdata
+import drsim
+from drsim import causality, cli, clustering, metrics, neuralgen, parallel, pipeline, synthdata
 from drsim.dataio import HALF_HOURS
 
 
@@ -573,6 +576,32 @@ class TestValidation:
             "type": "FitError",
         }
 
+    @pytest.mark.parametrize("setting, bad, error", [
+        pytest.param("  nmf_rank: 3\n", "  nmf_rank: 7\n", "rank 7 outside 1..6", id="nmf-rank"),
+        pytest.param("  k: 2\n", "  k: 7\n", "k=7 outside 1..6", id="k"),
+    ])
+    def test_cluster_sizes_beyond_the_tou_households_fail_before_any_fit(
+            self, workdir, monkeypatch, capsys, setting, bad, error):
+        # the config has 6 TOU households
+        tmp, cfg = workdir
+        text = cfg.read_text()
+        assert setting in text
+        cfg.write_text(text.replace(setting, bad))
+        for stage in ("synth", "ingest"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+
+        def fit_profiles(*args, **kwargs):
+            raise AssertionError("profiles were fitted")
+
+        monkeypatch.setattr(causality, "fit_profiles", fit_profiles)
+        capsys.readouterr()
+        assert run_cli("cluster", "--config", str(cfg)) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": error, "type": "ClusteringError"}
+        run = tmp / "run"
+        assert not (run / "profiles.csv").exists()
+        assert not [p for p in run.iterdir() if p.name.startswith(".")]
+
     def test_generator_flag_restricts_training(self, workdir):
         tmp, cfg = workdir
         for stage in ("synth", "ingest", "cluster"):
@@ -774,6 +803,25 @@ class TestInterruptedWrites:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ClusteringError"
         assert "assignments.csv: empty file" in payload["error"]
+
+
+def test_cli_process_loads_no_scipy(tmp_path):
+    # scipy is a test and benchmark dependency only: no stage imports it
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"out: {tmp_path / 'run'}\nsynth:\n  n_days: 10\n  households: {{flatline: 2}}\n")
+    code = (
+        "import sys\n"
+        "import drsim, drsim.cli\n"
+        f"assert drsim.cli.main(['synth', '--config', {str(cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(drsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "consumption.csv").exists()
 
 
 def test_samples_writer_matches_csv_writer_bytes(tmp_path):

@@ -149,6 +149,23 @@ class TestKmedoids:
         assert a.cost == b.cost
         np.testing.assert_array_equal(a.medoids, np.sort(a.medoids))
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_distances_are_bit_equal_to_cdist(self, d, monkeypatch):
+        # summed column by column like cdist; a pairwise .sum(axis=2) differs
+        # in the last bits from 8 columns on
+        points = np.random.default_rng(d).normal(size=(40, d)) * np.logspace(-3, 3, d)
+        original = clustering.pairwise_distances
+        built = []
+
+        def spy(p):
+            built.append(original(p))
+            return built[-1]
+
+        monkeypatch.setattr(clustering, "pairwise_distances", spy)
+        clustering.kmedoids(points, 3)
+        assert len(built) == 1
+        assert np.array_equal(built[0], cdist(points, points))
+
     def test_too_few_distinct_rows_raises(self):
         points = np.array([[0.0], [0.0], [1.0]])
         with pytest.raises(clustering.ClusteringError, match="distinct"):

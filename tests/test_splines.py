@@ -39,13 +39,49 @@ def test_from_uniform_equally_spaced():
     np.testing.assert_allclose(basis.interior, [4.0, 6.0, 8.0])
 
 
+def scipy_design(basis, x):
+    return BSpline.design_matrix(np.clip(x, basis.lo, basis.hi), basis.knots, 3).toarray()
+
+
 def test_design_matches_scipy_inside_range():
     rng = np.random.default_rng(7)
     x = rng.uniform(-2.0, 5.0, size=300)
     basis = splines.CubicSplineBasis.from_quantiles(x)
-    coef = rng.normal(size=basis.dim)
-    oracle = BSpline(basis.knots, coef, 3)(x)
-    np.testing.assert_allclose(basis.design(x) @ coef, oracle, atol=1e-12)
+    assert np.array_equal(basis.design(x), scipy_design(basis, x))
+
+
+@given(
+    st.sampled_from(["quantiles", "uniform", "no_interior", "degenerate"]),
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_design_is_bit_equal_to_scipy(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.uniform(-30.0, 30.0), rng.uniform(0.01, 20.0), size=n)
+    if kind == "quantiles":
+        basis = splines.CubicSplineBasis.from_quantiles(x)
+    elif kind == "uniform":
+        basis = splines.CubicSplineBasis.from_uniform(x, n_interior=int(rng.integers(0, 10)))
+    elif kind == "no_interior":
+        # knots on the ends or outside them: none is left between lo and hi
+        lo = float(x[0])
+        hi = lo + rng.uniform(0.01, 20.0)
+        basis = splines.CubicSplineBasis(lo, hi, [lo, hi, hi + 1.0, lo - 2.0, hi])
+        assert basis.interior.size == 0
+    else:
+        basis = splines.CubicSplineBasis.from_quantiles(np.full(n, x[0]))
+    knots = np.concatenate([[basis.lo, basis.hi], basis.interior])
+    span = basis.hi - basis.lo
+    points = np.concatenate([
+        knots,
+        np.nextafter(knots, -np.inf),
+        np.nextafter(knots, np.inf),
+        [basis.lo - span, basis.lo - 1e-300, basis.hi + 1e-9, basis.hi + 3.0 * span],
+        x,
+    ])
+    rng.shuffle(points)
+    assert np.array_equal(basis.design(points), scipy_design(basis, points))
 
 
 def test_design_constant_extrapolation():

@@ -5,10 +5,11 @@ All three scores compare an ensemble of generated profiles against one
 observed profile; lower is better. The energy score uses the split-halves
 estimator (pairing member i with member N/2 + i), so the ensemble size must
 be even; the all-pairs U-statistic is kept alongside purely as a
-cross-check. The variogram score computes the expected term of each
-half-hour i against all others in one vectorised step per i, then adds the
-squared pair differences in a scalar loop in row-major order, so its value
-matches an independent double-loop implementation bit for bit.
+cross-check. The variogram score computes the expected term once per
+unordered half-hour pair (it is symmetric bit for bit), one vectorised step
+per row of the upper triangle, then adds the squared pair differences in a
+loop over Python floats in row-major order, so its value matches an
+independent double-loop implementation bit for bit.
 
 evaluate_generators scores ensembles that are already drawn: each
 generator's (n_days, n, H) array. Drawing and seeding them is the pipeline's
@@ -79,22 +80,29 @@ def variogram_score(ensemble, y, p=DEFAULT_VARIOGRAM_P):
     """Variogram score of order p over all ordered half-hour pairs.
 
     sum over (h, h') of (|y_h - y_h'|^p - E|e_h - e_h'|^p)^2, the
-    expectation taken over ensemble members. Row i of the expected term is
-    one vectorised mean over contiguous member rows, each reduced as the
-    lone per-pair mean would be; accumulation is a plain scalar loop in
-    row-major order.
+    expectation taken over ensemble members. |e_h - e_h'| equals
+    |e_h' - e_h| bit for bit, so the expected term is computed once per
+    unordered pair and fills both halves of the matrix: row h of the upper
+    triangle is one vectorised mean over contiguous member rows, each reduced
+    as the lone per-pair mean would be. Accumulation is a plain loop over
+    Python floats in row-major order.
     """
     ensemble, y = _check(ensemble, y)
     if p <= 0:
         raise ScoringError(f"variogram order p={p!r} must be positive")
+    h = y.shape[0]
     et = np.ascontiguousarray(ensemble.T)
+    expected = np.zeros((h, h))
+    for i in range(h - 1):
+        expected[i, i + 1:] = expected[i + 1:, i] = (
+            np.abs(et[i] - et[i + 1:]) ** p).mean(axis=1)
+    p = float(p)
+    ys = y.tolist()
     total = 0.0
-    for i in range(y.shape[0]):
-        exp_row = (np.abs(et[i] - et) ** p).mean(axis=1)
-        for j in range(y.shape[0]):
-            observed = abs(y[i] - y[j]) ** p
-            total += (observed - exp_row[j]) ** 2
-    return float(total)
+    for yi, row in zip(ys, expected.tolist()):
+        for yj, e in zip(ys, row):
+            total += (abs(yi - yj) ** p - e) ** 2
+    return total
 
 
 @dataclass

@@ -26,6 +26,7 @@ test-day ensembles (_test_ensembles), and scenario draws its scenarios at once.
 """
 
 import datetime
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field, replace
@@ -565,20 +566,41 @@ def stage_evaluate(config, paths, force=False, generator=None):
         lambda label: _evaluate_cluster(config, paths, ds, names, label, clusters[label]), stale)
 
 
-# one ensemble member's 48 lines: {0} day, {1} sample, then the kWh values by
-# repr, byte for byte what csv.writer writes
-_SAMPLE_LINES = "".join(f"{{0}},{{1}},{h},{{{h + 1}!r}}\r\n" for h in range(1, HALF_HOURS + 1))
+@functools.lru_cache(maxsize=4)
+def _sample_tails(n):
+    """',<s>,<h>,' for the n * 48 lines of an n-member ensemble, in line order."""
+    return tuple(f",{s},{h}," for s in range(n) for h in range(1, HALF_HOURS + 1))
 
 
 def write_samples_csv(ensembles, day_labels, path):
-    """day,sample,h,kwh rows for a list of (n, 48) ensembles."""
+    """day,sample,h,kwh rows for (n, 48) ensembles, one per day label.
+
+    Byte for byte what csv.writer writes, each kWh value by repr. A day's
+    lines are one join over an interleaved list that pairs each line's
+    prefix (a CRLF, then "<day>,<s>,<h>,") with the repr of its value, so
+    every line end leads its line and one more closes the file. ValueError,
+    naming path, if an ensemble is not (n, 48) or the day labels do not match
+    the ensembles in number; dataio.replacing then leaves no file behind.
+    """
+    labels = [int(day) for day in day_labels]
     with dataio.replacing(path) as fh:
-        fh.write("day,sample,h,kwh\r\n")
-        for day, ensemble in zip(map(int, day_labels), ensembles):
-            fh.write("".join(
-                _SAMPLE_LINES.format(day, s, *row)
-                for s, row in enumerate(np.asarray(ensemble).tolist())
-            ))
+        fh.write("day,sample,h,kwh")
+        pos = -1
+        for pos, ensemble in enumerate(ensembles):
+            ensemble = np.asarray(ensemble)
+            if pos == len(labels):
+                raise ValueError(f"{path}: more ensembles than the {len(labels)} day labels")
+            if ensemble.ndim != 2 or ensemble.shape[1] != HALF_HOURS:
+                raise ValueError(
+                    f"{path}: ensemble {pos} has shape {ensemble.shape}, not (n, {HALF_HOURS})")
+            head = f"\r\n{labels[pos]}"
+            lines = [None] * (2 * ensemble.size)
+            lines[0::2] = [head + tail for tail in _sample_tails(len(ensemble))]
+            lines[1::2] = map(repr, ensemble.ravel().tolist())
+            fh.write("".join(lines))
+        if pos + 1 != len(labels):
+            raise ValueError(f"{path}: {len(labels)} day labels for {pos + 1} ensembles")
+        fh.write("\r\n")
 
 
 def _generate_samples(config, paths, ds, name, label, bundle):

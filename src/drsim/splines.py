@@ -7,6 +7,7 @@ coefficients with the smoothing weight chosen by generalized cross validation
 over a fixed log-spaced grid.
 """
 
+import contextlib
 import functools
 import warnings
 from dataclasses import dataclass, field
@@ -199,27 +200,27 @@ def matvec_rows(a, rows):
     return (a @ rows[..., None])[..., 0]
 
 
-def _solve_each(a, rhs):
-    """Solve a b_j = rhs[j] for every row of rhs (m, p), one right-hand side at a time.
+def _solve_grid(a, rhs):
+    """Solve a[l] b = rhs[j] for every lambda l of a (L, p, p) and row j of rhs (m, p).
 
-    b_j then does not depend on the other rows.
+    Returns (L, m, p). Each (l, j) solve is a lone one-vector LAPACK call, so
+    b does not depend on the other lambdas or rows. Both operands are 4-d,
+    so numpy < 2 also reads the right-hand sides as (p, 1) matrices.
     """
-    return np.linalg.solve(np.broadcast_to(a, rhs.shape + a.shape[1:]), rhs[..., None])[..., 0]
+    return np.linalg.solve(a[:, None], rhs[None, :, :, None])[..., 0]
 
 
-def _solve_penalized(xtx, xty, penalty, lam):
-    """Solve (X'X + lam*S) b_j = X'y_j for each row of xty, with a small ridge fallback."""
-    a = xtx + lam * penalty
-    ridge = False
+def _solve_grid_or_nan(a, rhs):
+    """_solve_grid with NaN rows for each singular a[l]. One singular lambda
+    makes the stacked call raise; then each lambda is solved on its own."""
     try:
-        coef = _solve_each(a, xty)
+        return _solve_grid(a, rhs)
     except np.linalg.LinAlgError:
-        coef = None
-    if coef is None or not np.isfinite(coef).all():
-        ridge = True
-        a = a + RIDGE_EPS * np.eye(a.shape[0])
-        coef = _solve_each(a, xty)
-    return coef, a, ridge
+        out = np.full((len(a),) + rhs.shape, np.nan)
+        for l in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[l] = _solve_grid(a[l:l + 1], rhs)[0]
+        return out
 
 
 def penalized_lstsq(blocks, penalties, y, lam_grid=None):
@@ -235,11 +236,16 @@ def penalized_lstsq(blocks, penalties, y, lam_grid=None):
 
     Returns a PenalizedFit. GCV(lam) = n * RSS / (n - edof)^2 with
     edof = tr((X'X + lam*S)^-1 X'X); lambda with n - edof <= 0 scores inf.
-    With (n, m) responses X'X is formed once and each lambda makes one solve
-    call for all columns: edof per lambda and the ridge fallback are shared,
+    X'X is formed once and the grid's X'X + lam*S matrices are stacked: one
+    solve call gives the coefficients of every lambda and column, one more
+    the edof traces, and only a lambda whose matrix is singular (or whose
+    solution is not finite) gets a small ridge and is solved again, with one
+    warning per call. RSS and GCV are then computed one lambda at a time.
+    With (n, m) responses edof per lambda and the ridge fallback are shared,
     while RSS, GCV and the chosen lambda are per column, so coef is (p, m),
-    lam and edof are (m,) and gcv is (len(lam_grid), m). Column j is
-    bit-identical to the fit of y[:, j] alone.
+    lam and edof are (m,) and gcv is (len(lam_grid), m). Every result is
+    bit-identical to solving each lambda on its own, and column j to the fit
+    of y[:, j] alone.
     """
     blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
     y = np.asarray(y, dtype=float)
@@ -274,14 +280,20 @@ def penalized_lstsq(blocks, penalties, y, lam_grid=None):
     xtx = x.T @ x
     xty = matvec_rows(x.T, rows)
 
+    a = xtx + lam_grid[:, None, None] * s
+    coefs = _solve_grid_or_nan(a, xty)
+    ridged = ~np.isfinite(coefs).all(axis=(1, 2))
+    any_ridge = bool(ridged.any())
+    if any_ridge:
+        warnings.warn("singular penalized design; ridge fallback engaged")
+        a[ridged] += RIDGE_EPS * np.eye(p)
+        coefs[ridged] = _solve_grid(a[ridged], xty)
+    # a contiguous copy of each diagonal sums as np.trace sums a lone one
+    hat = np.linalg.solve(a, np.broadcast_to(xtx, a.shape))
+    edofs = np.ascontiguousarray(np.diagonal(hat, axis1=1, axis2=2)).sum(axis=1)
+
     gcv = np.full((len(lam_grid), m), np.inf)
-    coefs = np.empty((len(lam_grid), m, p))
-    edofs = np.empty(len(lam_grid))
-    any_ridge = False
-    for j, lam in enumerate(lam_grid):
-        coefs[j], a, ridge = _solve_penalized(xtx, xty, s, lam)
-        any_ridge = any_ridge or ridge
-        edofs[j] = np.trace(np.linalg.solve(a, xtx))
+    for j in range(len(lam_grid)):
         resid = rows - matvec_rows(x, coefs[j])
         # a stack of dot products, each rounded like a lone resid @ resid
         rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
@@ -289,8 +301,6 @@ def penalized_lstsq(blocks, penalties, y, lam_grid=None):
         if denom > 0:
             gcv[j] = n * rss / denom**2
 
-    if any_ridge:
-        warnings.warn("singular penalized design; ridge fallback engaged")
     best = np.argmin(gcv, axis=0)
     coef, lam, edof = coefs[best, np.arange(m)].T, lam_grid[best], edofs[best]
     if y.ndim == 1:

@@ -384,33 +384,35 @@ def _slot_timestamp(date, h):
 def write_consumption_csv(pop, path):
     """household_id,timestamp,kwh,tariff,group rows; Std tariffs export as FLAT.
 
-    Each household's rows are one format of a template built once per group
-    and tariff grid, one day's 48 lines at a time: the timestamp, tariff name
-    and group are literal text, {0} is the id and {k:.6f} the k-th kWh value,
-    byte for byte what csv.writer writes for these fields.
+    Each household's rows are one %-format of a template whose pieces are
+    built once per group and tariff grid, one day's 48 lines at a time: the
+    timestamp, tariff name and group are literal text and each %.6f the next
+    kWh value, byte for byte what csv.writer writes for these fields. Every
+    line starts with the household id, so the household's template is its id
+    joined between the pieces.
     """
-    templates = {}
+    pieces = {}
     with replacing(path) as fh:
         fh.write(",".join(CONSUMPTION_HEADER) + "\r\n")
         for hid, group, kwh_grid, tariff_grid in zip(
             pop.household_ids, pop.groups, pop.kwh, pop.tariff
         ):
             key = (group, tariff_grid.tobytes())
-            if key not in templates:
-                templates[key] = "".join(
-                    _day_lines(group, date, t * HALF_HOURS, row)
-                    for t, (date, row) in enumerate(zip(pop.dates, tariff_grid.tolist()))
-                )
-            fh.write(templates[key].format(hid, *kwh_grid.ravel().tolist()))
+            if key not in pieces:
+                pieces[key] = [""]
+                for date, row in zip(pop.dates, tariff_grid.tolist()):
+                    pieces[key] += _day_lines(group, date, row)
+            template = str(hid).replace("%", "%%").join(pieces[key])
+            fh.write(template % tuple(kwh_grid.ravel().tolist()))
 
 
-def _day_lines(group, date, first, codes):
-    """Template of one day's 48 consumption lines; kWh fields first+1 .. first+48."""
-    return "".join(
-        f"{{0}},{_slot_timestamp(date, h).isoformat(timespec='minutes')},"
-        f"{{{first + h + 1}:.6f}},{'FLAT' if group == 'STD' else TARIFF_NAMES[code]},{group}\r\n"
+def _day_lines(group, date, codes):
+    """One day's 48 consumption lines without their leading household id."""
+    return [
+        f",{_slot_timestamp(date, h).isoformat(timespec='minutes')},%.6f,"
+        f"{'FLAT' if group == 'STD' else TARIFF_NAMES[code]},{group}\r\n"
         for h, code in enumerate(codes)
-    )
+    ]
 
 
 def write_temperature_csv(weather, path):

@@ -846,6 +846,42 @@ def test_samples_writer_matches_csv_writer_bytes(tmp_path):
         assert line + b"\r\n" in written
 
 
+@pytest.mark.parametrize("ensembles, labels, message", [
+    ([np.zeros((2, HALF_HOURS - 1))], [5], r"ensemble 0 has shape \(2, 47\)"),
+    ([np.zeros((2, HALF_HOURS)), np.zeros((2, HALF_HOURS + 1))], [5, 6],
+     r"ensemble 1 has shape \(2, 49\)"),
+    ([np.zeros(HALF_HOURS)], [5], r"ensemble 0 has shape \(48,\)"),
+    ([np.zeros((1, 2, HALF_HOURS))], [5], r"ensemble 0 has shape \(1, 2, 48\)"),
+    ([np.zeros((2, HALF_HOURS))] * 2, [5], "more ensembles than the 1 day labels"),
+    ([np.zeros((2, HALF_HOURS))], [5, 6], "2 day labels for 1 ensembles"),
+    ([], [5], "1 day labels for 0 ensembles"),
+], ids=["47-columns", "49-columns-second", "1-d", "3-d", "extra-ensemble", "extra-label",
+        "no-ensembles"])
+def test_samples_writer_rejects_mismatched_input(tmp_path, ensembles, labels, message):
+    path = tmp_path / "samples.csv"
+    with pytest.raises(ValueError, match=message) as caught:
+        pipeline.write_samples_csv(ensembles, labels, path)
+    assert str(path) in str(caught.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_samples_writer_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "samples.csv"
+    pipeline.write_samples_csv([np.full((2, HALF_HOURS), 0.5)], [3], path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="ensemble 1"):
+        pipeline.write_samples_csv([np.zeros((2, HALF_HOURS)), np.zeros((2, 24))], [3, 4], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
+
+
+@pytest.mark.parametrize("ensembles, labels", [([], []), ([np.zeros((0, HALF_HOURS))], [9])])
+def test_samples_writer_without_members_writes_the_header_line(tmp_path, ensembles, labels):
+    path = tmp_path / "samples.csv"
+    pipeline.write_samples_csv(ensembles, labels, path)
+    assert path.read_bytes() == b"day,sample,h,kwh\r\n"
+
+
 class TestDeterminism:
     def test_rerun_is_bit_identical(self, tmp_path):
         reports = []

@@ -95,6 +95,17 @@ class TestVariogramScore:
         y = rng.gamma(2.0, 0.3, size=48)
         assert metrics.variogram_score(ensemble, y, p=p) == variogram_oracle(ensemble, y, p)
 
+    @pytest.mark.parametrize("p", [0.5, 1, 2, 0.3, 1.5, np.float64(0.5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_matches_oracle_on_clamped_ensembles_with_ties(self, seed, p):
+        # draws clamped at zero, as the pipeline's are: many exact zeros, and
+        # values on a coarse grid, so equal pairs and equal pair differences abound
+        r = np.random.default_rng(seed)
+        ensemble = np.maximum(r.normal(0.05, 0.3, size=(200, 48)), 0.0).round(1)
+        y = np.maximum(r.normal(0.05, 0.3, size=48), 0.0).round(1)
+        assert (ensemble == 0.0).mean() > 0.3 and len(np.unique(y)) < 48
+        assert metrics.variogram_score(ensemble, y, p=p) == variogram_oracle(ensemble, y, p)
+
     def test_zero_when_ensemble_replicates_observation(self, rng):
         y = rng.uniform(0.5, 1.5, size=6)
         ensemble = np.tile(y, (8, 1))

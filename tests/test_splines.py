@@ -294,6 +294,93 @@ def test_ridge_fallback_with_several_columns_warns_once():
         np.testing.assert_allclose(fit.coef[:, j], single.coef, rtol=1e-12, atol=1e-12)
 
 
+def per_lambda_reference(blocks, penalties, y, lam_grid):
+    """GCV search one lambda at a time, two solves per lambda, each lambda
+    ridged on its own when its matrix is singular or its solution non-finite.
+
+    Returns (coef, gcv, lam, edof, ridged lambda indices) with a response axis.
+    """
+    x = np.hstack(blocks)
+    n, p = x.shape
+    rows = np.ascontiguousarray(y.reshape(n, -1).T)
+    m = len(rows)
+    s = np.zeros((p, p))
+    start = 0
+    for b, pen in zip(blocks, penalties):
+        stop = start + b.shape[1]
+        if pen is not None:
+            s[start:stop, start:stop] = pen
+        start = stop
+    xtx = x.T @ x
+    xty = splines.matvec_rows(x.T, rows)
+
+    def solve(a):
+        return np.linalg.solve(np.broadcast_to(a, (m, p, p)), xty[..., None])[..., 0]
+
+    gcv = np.full((len(lam_grid), m), np.inf)
+    coefs = np.empty((len(lam_grid), m, p))
+    edofs = np.empty(len(lam_grid))
+    ridged = []
+    for j, lam in enumerate(lam_grid):
+        a = xtx + lam * s
+        try:
+            coefs[j] = solve(a)
+        except np.linalg.LinAlgError:
+            coefs[j] = np.nan
+        if not np.isfinite(coefs[j]).all():
+            ridged.append(j)
+            a = a + splines.RIDGE_EPS * np.eye(p)
+            coefs[j] = solve(a)
+        edofs[j] = np.trace(np.linalg.solve(a, xtx))
+        resid = rows - splines.matvec_rows(x, coefs[j])
+        rss = (resid[:, None, :] @ resid[:, :, None])[:, 0, 0]
+        if n - edofs[j] > 0:
+            gcv[j] = n * rss / (n - edofs[j]) ** 2
+    best = np.argmin(gcv, axis=0)
+    return coefs[best, np.arange(m)].T, gcv, lam_grid[best], edofs[best], ridged
+
+
+def assert_fit_equals_reference(fit, reference):
+    coef, gcv, lam, edof, _ = reference
+    np.testing.assert_array_equal(fit.coef, coef)
+    np.testing.assert_array_equal(fit.gcv, gcv)
+    np.testing.assert_array_equal(fit.lam, lam)
+    np.testing.assert_array_equal(fit.edof, edof)
+
+
+@pytest.mark.parametrize("m", [1, 40])
+@pytest.mark.parametrize("seed", [3, 31])
+def test_stacked_gcv_is_bit_equal_to_a_per_lambda_search(m, seed):
+    # a slot fit's layout: centred spline, intercept and two tariff indicators
+    blocks, penalties, y = _shared_design_problem(seed=seed, n=120, m=m)
+    rng = np.random.default_rng(seed)
+    tariff = rng.integers(0, 3, size=120)
+    blocks.append(np.stack([tariff == 1, tariff == 2], axis=1).astype(float))
+    penalties.append(None)
+    fit = splines.penalized_lstsq(blocks, penalties, y)
+    reference = per_lambda_reference(blocks, penalties, y, fit.lam_grid)
+    assert reference[4] == [] and not fit.ridge_used
+    assert_fit_equals_reference(fit, reference)
+    assert len(set(reference[2])) > 1 or m == 1
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_ridge_retries_only_the_singular_lambda(m):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(30, 4))
+    x[:, 3] = 0.0   # null direction of X'X that only a positive lambda fills
+    y = rng.normal(size=(30, m))
+    grid = np.array([1e-3, 0.0, 1.0])
+    reference = per_lambda_reference([x], [np.eye(4)], y, grid)
+    assert reference[4] == [1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = splines.penalized_lstsq([x], [np.eye(4)], y, lam_grid=grid)
+    assert type(fit.ridge_used) is bool and fit.ridge_used
+    assert sum("ridge" in str(w.message) for w in caught) == 1
+    assert_fit_equals_reference(fit, reference)
+
+
 def test_penalized_lstsq_rejects_a_three_dimensional_response():
     with pytest.raises(splines.SplineError):
         splines.penalized_lstsq([np.ones((5, 1))], [None], np.ones((5, 2, 2)))

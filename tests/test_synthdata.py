@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime
 import tracemalloc
 import warnings
@@ -381,6 +382,14 @@ class TestBlocks:
         written = (tmp_path / "consumption.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert b",FLAT,STD\r\n" in written and b",LOW,TOU\r\n" in written
+
+    def test_ids_with_format_characters_are_written_verbatim(self, small_population, tmp_path):
+        # the id is spliced into a %-template, so a % in it must not format
+        ids = ["h%d", "h%%", "h{0}", "h%.6f", "h%s%", "h", "", 7, "%", "std"]
+        pop = dataclasses.replace(small_population, household_ids=ids)
+        synthdata.write_consumption_csv(pop, tmp_path / "consumption.csv")
+        csv_writer_consumption(pop, tmp_path / "reference.csv")
+        assert (tmp_path / "consumption.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_peak_memory_is_the_output_plus_one_block(self, monkeypatch):
         block, n_days, counts, std_count = 2, 30, [25, 25, 25, 25], 8

@@ -8,8 +8,10 @@ absolute residuals for the scales. fit_slot is that fit, for every series
 that shares a slot's spline design and tariff column. fit_profiles calls it
 per household schedule group: averaging the fitted mean over all days at a
 counterfactual tariff gives the household's response profile mu_i^h(p), the
-quantity the clustering stage consumes. The GAM generator calls it on each
-slot's own temperature block for its per-tariff noise scales.
+quantity the clustering stage consumes. All households' profiles travel as one
+ResponseProfiles: their ids and (N, 3, 48) mean and scale arrays. The GAM
+generator calls fit_slot on each slot's own temperature block for its
+per-tariff noise scales.
 """
 
 from dataclasses import dataclass
@@ -64,17 +66,17 @@ def fit_slot(design, penalty, rows, tariff, entity, h):
 
 
 @dataclass
-class TariffResponseProfile:
-    """Counterfactual mean/scale per (tariff, half-hour) for one entity."""
+class ResponseProfiles:
+    """Counterfactual mean/scale per (tariff, half-hour) for N entities."""
 
-    entity: str
-    mu: np.ndarray      # (3, 48)
-    sigma: np.ndarray   # (3, 48)
-    lam: np.ndarray = None  # (48,) GCV-chosen lambdas, when fitted rather than read
+    ids: list
+    mu: np.ndarray      # (N, 3, 48)
+    sigma: np.ndarray   # (N, 3, 48)
+    lam: np.ndarray = None  # (N, 48) GCV-chosen lambdas, when fitted rather than read
 
 
 def fit_profiles(ids, kwh, tau, tariff):
-    """Tariff response profiles of many entities, fitted together per half-hour.
+    """ResponseProfiles of many entities, fitted together per half-hour.
 
     kwh and tariff are (N, T, 48) grids for the entities named by ids; tau
     (T, 48) is shared. Each half-hour builds its spline design once, groups
@@ -110,36 +112,26 @@ def fit_profiles(ids, kwh, tau, tariff):
             )
             xi = np.where(np.isnan(xi), xi[NORMAL], xi)
             spline_part = matvec_rows(design, coef)
-            mu[members, :, h] = np.stack(
-                [np.mean(spline_part + xi[code][:, None], axis=1) for code in (LOW, NORMAL, HIGH)],
-                axis=1,
-            )
+            mu[members, :, h] = np.mean(spline_part[:, None] + xi.T[:, :, None], axis=2)
             sigma[members, :, h] = scale.T
-    return [TariffResponseProfile(ids[i], mu[i], sigma[i], lam[i]) for i in range(len(ids))]
+    return ResponseProfiles(list(ids), mu, sigma, lam)
 
 
 def export_profiles_csv(profiles, path):
     """Write profiles as entity,tariff,h,mu,sigma rows (h is 1-based)."""
     write_csv(path, PROFILE_HEADER, (
-        [prof.entity, TARIFF_NAMES[code], h, mu, sigma]
-        for prof in profiles
+        [entity, TARIFF_NAMES[code], h, m, s]
+        for entity, mu, sigma in zip(profiles.ids, profiles.mu.tolist(), profiles.sigma.tolist())
         for code in (LOW, NORMAL, HIGH)
-        for h, mu, sigma in zip(range(1, HALF_HOURS + 1),
-                                prof.mu[code].tolist(), prof.sigma[code].tolist())
+        for h, m, s in zip(range(1, HALF_HOURS + 1), mu[code], sigma[code])
     ))
 
 
 def read_profiles_csv(path):
-    """Inverse of export_profiles_csv."""
-    per_entity = {}
-    for entity, tariff, h, mu, sigma in read_csv(path, PROFILE_HEADER, FitError):
-        code = TARIFF_NAMES.index(tariff)
-        slot = per_entity.setdefault(
-            entity, (np.full((3, HALF_HOURS), np.nan), np.full((3, HALF_HOURS), np.nan))
-        )
-        slot[0][code, int(h) - 1] = float(mu)
-        slot[1][code, int(h) - 1] = float(sigma)
-    return [
-        TariffResponseProfile(entity, mu, sigma)
-        for entity, (mu, sigma) in per_entity.items()
-    ]
+    """Inverse of export_profiles_csv; entities in the order they first appear."""
+    rows = read_csv(path, PROFILE_HEADER, FitError)
+    index = {entity: i for i, entity in enumerate(dict.fromkeys(row[0] for row in rows))}
+    grids = np.full((2, len(index), 3, HALF_HOURS), np.nan)
+    for entity, tariff, h, mu, sigma in rows:
+        grids[:, index[entity], TARIFF_NAMES.index(tariff), int(h) - 1] = float(mu), float(sigma)
+    return ResponseProfiles(list(index), grids[0], grids[1])

@@ -1,8 +1,10 @@
 """Clustering households by tariff responsiveness.
 
-The pipeline is: stack counterfactual response profiles into a nonnegative
-matrix, compress it with a rank-r NMF, then k-medoids (full PAM) on the
-household loading vectors. Cluster quality is scored with the
+The pipeline is: turn the (N, 3, 48) counterfactual response profiles of a
+causality.ResponseProfiles into a nonnegative (N, 144) matrix, compress it
+with a rank-r NMF, then k-medoids (full PAM) on the household loading
+vectors. The matrix and the classical baseline features are whole-array
+reductions over all households at once. Cluster quality is scored with the
 Calinski-Harabasz statistic in the variant used throughout this project
 (between-cluster sum unweighted by cluster size, within-cluster variances
 averaged per cluster).
@@ -33,40 +35,33 @@ class ProfileMatrix:
 
     Column blocks are ordered (Low, Normal, High). Each row is divided by the
     household's average Normal-tariff response mu_bar; households where that
-    baseline is not positive are excluded (with a warning).
+    baseline is not positive are excluded (with a warning). kept holds the
+    rows of the input profiles that made it into the matrix.
     """
 
     matrix: np.ndarray
     household_ids: list
     base_mean: np.ndarray
+    kept: np.ndarray
     excluded: list = field(default_factory=list)
 
 
 def build_profile_matrix(profiles):
-    rows = []
-    ids = []
-    base = []
-    excluded = []
-    clipped = 0
-    for prof in profiles:
-        mu_bar = float(prof.mu[NORMAL].mean())
-        if mu_bar <= 0:
-            excluded.append(prof.entity)
-            continue
-        row = np.concatenate([prof.mu[LOW], prof.mu[NORMAL], prof.mu[HIGH]]) / mu_bar
-        clipped += int((row < 0).sum())
-        rows.append(np.maximum(row, 0.0))
-        ids.append(prof.entity)
-        base.append(mu_bar)
+    """ProfileMatrix of a causality.ResponseProfiles."""
+    mu_bar = profiles.mu[:, NORMAL].mean(axis=1)
+    dropped = mu_bar <= 0
+    excluded = [hid for hid, drop in zip(profiles.ids, dropped) if drop]
     if excluded:
-        warnings.warn(
-            f"excluded {len(excluded)} household(s) with non-positive baseline"
-        )
+        warnings.warn(f"excluded {len(excluded)} household(s) with non-positive baseline")
+    kept = np.flatnonzero(~dropped)
+    if not len(kept):
+        raise ClusteringError("no household has a positive baseline response")
+    rows = profiles.mu[kept].reshape(len(kept), -1) / mu_bar[kept, None]
+    clipped = int((rows < 0).sum())
     if clipped:
         warnings.warn(f"clipped {clipped} negative fitted response(s) to zero")
-    if not rows:
-        raise ClusteringError("no household has a positive baseline response")
-    return ProfileMatrix(np.vstack(rows), ids, np.array(base), excluded)
+    return ProfileMatrix(np.maximum(rows, 0.0), [profiles.ids[i] for i in kept],
+                         mu_bar[kept], kept, excluded)
 
 
 @dataclass
@@ -334,22 +329,16 @@ def classical_features(kwh, dates):
     trough. An empty season falls back to the full record with a warning.
     """
     kwh = np.asarray(kwh, dtype=float)
-    n, n_days, _ = kwh.shape
     hot_days = np.array([d.month in HOT_MONTHS for d in dates])
-    features = np.empty((n, 8))
+    columns = []
     for season, mask in (("hot", hot_days), ("cold", ~hot_days)):
         if not mask.any():
             warnings.warn(f"no {season}-season days; using the full record")
-    for i in range(n):
-        cols = []
-        for mask in (hot_days, ~hot_days):
-            seg = kwh[i, mask] if mask.any() else kwh[i]
-            cols.extend([seg.min(), seg.max(), seg.mean()])
-        peaks = kwh[i].argmax(axis=1) + 1
-        troughs = kwh[i].argmin(axis=1) + 1
-        cols.extend([peaks.mean(), troughs.mean()])
-        features[i] = cols
-    return features
+            mask = np.ones_like(mask)
+        seg = kwh[:, mask].reshape(len(kwh), -1)
+        columns += [seg.min(axis=1), seg.max(axis=1), seg.mean(axis=1)]
+    columns += [(kwh.argmax(axis=2) + 1).mean(axis=1), (kwh.argmin(axis=2) + 1).mean(axis=1)]
+    return np.stack(columns, axis=1)
 
 
 def classical_feature_clustering(features, k):

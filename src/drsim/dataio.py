@@ -487,17 +487,12 @@ def read_temperature_csv(path):
 
 @contextlib.contextmanager
 def replacing(path, mode="w"):
-    """Open a temporary file beside path and rename it over path on a clean
-    exit; if the block raises, the temporary file goes and path is untouched."""
-    head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
+    """replacing_all of one file, opened: the temporary file beside path is
+    renamed over path on a clean exit; if the block raises, it goes and path
+    is untouched."""
+    with replacing_all([path]) as (tmp,):
         with open(tmp, mode, newline=None if "b" in mode else "") as fh:
             yield fh
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
 
 
 @contextlib.contextmanager
@@ -505,7 +500,7 @@ def replacing_all(paths):
     """Temporary paths beside paths for the block to write; each is renamed
     over its target only after the block has written all of them. If the
     block raises, the temporary files go and every target is untouched."""
-    tmps = [os.path.join(head, f".{name}.{os.getpid()}.all.tmp")
+    tmps = [os.path.join(head, f".{name}.{os.getpid()}.tmp")
             for head, name in map(os.path.split, map(os.fspath, paths))]
     try:
         yield tmps
@@ -774,15 +769,18 @@ class PreparedDataset:
         return len(self.dates)
 
     def conditional_matrix(self, days, tariffs):
-        """Day conditionals (D, 101) for days (D,) under tariffs (D, 48)."""
-        return np.stack(
-            [
-                build_conditional_vector(
-                    self.pca_scores[t], self.calendar.kappa[t], self.calendar.w[t], tariff
-                )
-                for t, tariff in zip(days, tariffs)
-            ]
-        )
+        """Day conditionals (D, 101) for days (D,) under tariffs (D, 48); row
+        d is build_conditional_vector of days[d] under tariffs[d]."""
+        tariffs = np.asarray(tariffs)
+        if tariffs.shape != (len(days), HALF_HOURS):
+            raise ValueError(f"expected {len(days)} x {HALF_HOURS} tariff codes")
+        return np.hstack([
+            self.pca_scores[days],
+            self.calendar.kappa[days, None],
+            self.calendar.w[days, None],
+            tariffs == LOW,
+            tariffs == HIGH,
+        ]).astype(float, copy=False)
 
 
 def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,

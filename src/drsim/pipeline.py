@@ -47,6 +47,7 @@ SEED_EVALUATE = 30
 SEED_SCENARIO = 32
 
 SCENARIO_NAMES = ("normal", "low_morning", "high_evening")
+CVAE_COUNTS = dict.fromkeys(("latent_dim", "batch_size", "max_epochs", "patience", "restarts"), 1)
 
 
 class PipelineError(RuntimeError):
@@ -114,8 +115,12 @@ class PipelineConfig:
     scenario: ScenarioSection = field(default_factory=ScenarioSection)
 
 
-def _section(cls, raw, name, convert=None):
-    """cls from a config section's mapping; an empty section means its defaults."""
+def _section(cls, raw, name, convert=None, counts=None):
+    """cls from a config section's mapping; an empty section means its defaults.
+
+    A key converted by tuple must hold a list (a string would split into
+    characters); each key in counts must hold an integer of at least its value.
+    """
     if raw is None:
         raw = {}
     elif not isinstance(raw, dict):
@@ -125,11 +130,21 @@ def _section(cls, raw, name, convert=None):
     if unknown:
         raise ConfigError(f"unknown key(s) in {name} section: {sorted(unknown)}")
     values = dict(raw)
-    if convert:
-        for key, fn in convert.items():
-            if key in values:
-                values[key] = fn(values[key])
-    return cls(**values)
+    for key, fn in (convert or {}).items():
+        if key in values:
+            if fn is tuple and not isinstance(values[key], list):
+                raise ConfigError(f"{name}.{key} must be a list, got {values[key]!r}")
+            values[key] = fn(values[key])
+    section = cls(**values)
+    for key, least in (counts or {}).items():
+        _check_count(f"{name}.{key}", getattr(section, key), least)
+    return section
+
+
+def _check_count(name, n, least=1):
+    if type(n) is not int or n < least:
+        kind = "positive" if least else "non-negative"
+        raise ConfigError(f"{name}={n!r} must be a {kind} integer")
 
 
 def load_config(path, seed=None, out=None):
@@ -159,24 +174,27 @@ def load_config(path, seed=None, out=None):
                 "start_date": lambda v: datetime.date.fromisoformat(str(v)),
                 "window_shapes": tuple,
             },
+            counts={"n_days": 1, "std_households": 0},
         )
+        households = config.synth.households
+        if not isinstance(households, dict):
+            raise ConfigError(f"synth.households must be a mapping, got {households!r}")
         known = {a.name for a in synthdata.default_archetypes()}
-        bad = set(config.synth.households) - known
+        bad = set(households) - known
         if bad:
             raise ConfigError(f"unknown archetype(s): {sorted(bad)} (known: {sorted(known)})")
+        for name, n in households.items():
+            _check_count(f"synth.households.{name}", n, least=0)
     if "ingest" in raw:
         config.ingest = _section(IngestSection, raw["ingest"], "ingest")
     if "cluster" in raw:
-        config.cluster = _section(ClusterSection, raw["cluster"], "cluster")
-        for key in ("k", "nmf_rank"):
-            n = getattr(config.cluster, key)
-            if type(n) is not int or n < 1:
-                raise ConfigError(f"cluster.{key}={n!r} must be a positive integer")
+        config.cluster = _section(ClusterSection, raw["cluster"], "cluster",
+                                  counts={"k": 1, "nmf_rank": 1})
     if "train" in raw:
         config.train = _section(TrainSection, raw["train"], "train", convert={
             "generators": tuple,
             "cvae": lambda v: _section(neuralgen.CvaeConfig, v, "train.cvae",
-                                       convert={"hidden": tuple}),
+                                       convert={"hidden": tuple}, counts=CVAE_COUNTS),
         })
         if not config.train.generators:
             raise ConfigError("train.generators lists no generator")
@@ -188,6 +206,8 @@ def load_config(path, seed=None, out=None):
         if "seed" in ((raw["train"] or {}).get("cvae") or {}):
             raise ConfigError("train.cvae.seed is not a setting: CVAE seeds derive from "
                               "the top-level seed")
+        for n in config.train.cvae.hidden:
+            _check_count("train.cvae.hidden", n)
     if "evaluate" in raw:
         config.evaluate = _section(EvaluateSection, raw["evaluate"], "evaluate")
         n = config.evaluate.n_samples
@@ -195,18 +215,18 @@ def load_config(path, seed=None, out=None):
             raise ConfigError(f"evaluate.n_samples={n!r} must be an even integer, at least 2")
     if "scenario" in raw:
         config.scenario = _section(
-            ScenarioSection, raw["scenario"], "scenario", convert={"scenarios": tuple}
+            ScenarioSection, raw["scenario"], "scenario", convert={"scenarios": tuple},
+            counts={"n_samples": 1},
         )
         if config.scenario.generator not in GENERATORS:
             raise ConfigError(f"unknown scenario generator {config.scenario.generator!r}")
         bad = set(config.scenario.scenarios) - set(SCENARIO_NAMES)
         if bad:
             raise ConfigError(f"unknown scenario(s) in scenario.scenarios: {sorted(bad)}")
+        if not config.scenario.scenarios:
+            raise ConfigError("scenario.scenarios lists no scenario")
         if len(set(config.scenario.scenarios)) < len(config.scenario.scenarios):
             raise ConfigError(f"scenario.scenarios repeats a name: {config.scenario.scenarios}")
-        n = config.scenario.n_samples
-        if type(n) is not int or n < 1:
-            raise ConfigError(f"scenario.n_samples={n!r} must be a positive integer")
     return config
 
 
@@ -339,10 +359,9 @@ def stage_cluster(config, paths, force=False):
     clustering.check_rank(config.cluster.nmf_rank, (len(tou), 3 * HALF_HOURS))
     clustering.check_k(config.cluster.k, len(tou))
 
+    kwh, tariff = ds.kwh[tou], ds.tariff[tou]
     with dataio.replacing_all(targets) as (profiles_csv, assignments_csv, scores_json):
-        profiles = causality.fit_profiles(
-            [ds.household_ids[i] for i in tou], ds.kwh[tou], ds.tau, ds.tariff[tou]
-        )
+        profiles = causality.fit_profiles([ds.household_ids[i] for i in tou], kwh, ds.tau, tariff)
         causality.export_profiles_csv(profiles, profiles_csv)
 
         pm = clustering.build_profile_matrix(profiles)
@@ -353,13 +372,10 @@ def stage_cluster(config, paths, force=False):
         result = clustering.kmedoids(factors.w, k)
         clustering.export_assignments_csv(pm.household_ids, result, assignments_csv)
 
-        index = {hid: i for i, hid in enumerate(ds.household_ids)}
-        rows = [index[hid] for hid in pm.household_ids]
+        kwh, tariff = kwh[pm.kept], tariff[pm.kept]
 
         def score(labels):
-            return clustering.score_variants(
-                ds.kwh[rows], ds.tariff[rows], labels, pm.household_ids, k=k
-            )
+            return clustering.score_variants(kwh, tariff, labels, pm.household_ids, k=k)
 
         variants = score(result.labels)
         random_result = clustering.random_clustering(
@@ -372,7 +388,7 @@ def stage_cluster(config, paths, force=False):
             warnings.warn(f"random baseline not scored: {exc}")
             random_variants = None
         classical = clustering.classical_feature_clustering(
-            clustering.classical_features(ds.kwh[rows], ds.dates), k
+            clustering.classical_features(kwh, ds.dates), k
         )
         scores = {
             "nmf_error_first": float(factors.errors[0]),

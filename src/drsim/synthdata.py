@@ -338,6 +338,8 @@ def generate_population(archetypes, counts, n_days, seed=0,
     """
     if len(counts) != len(archetypes):
         raise SynthError("counts do not match the archetype list")
+    if min(counts, default=0) < 0 or std_count < 0:
+        raise SynthError(f"negative household count in {list(counts)} (std {std_count})")
     if sum(counts) + std_count < 1:
         raise SynthError("empty population")
     dates = [start_date + datetime.timedelta(days=i) for i in range(n_days)]

@@ -101,23 +101,26 @@ class TestTariffProfile:
 
     def test_profile_is_day_average_of_predictions(self):
         kwh, tau, tariff = self.small_entity()
-        prof = causality.fit_profiles(["hh"], kwh[None], tau, tariff[None])[0]
-        assert prof.mu.shape == (3, 48) and prof.sigma.shape == (3, 48)
+        prof = causality.fit_profiles(["hh"], kwh[None], tau, tariff[None])
+        assert prof.ids == ["hh"]
+        assert prof.mu.shape == prof.sigma.shape == (1, 3, 48) and prof.lam.shape == (1, 48)
         for h in (0, 17, 47):
             block, spline_coef, tariff_coef, scale, lam = fit_series(
                 kwh[:, h], tau[:, h], tariff[:, h]
             )
-            expected = np.mean(block.design(tau[:, h]) @ spline_coef + tariff_coef[LOW])
-            assert prof.mu[LOW, h] == expected
-            assert prof.sigma[LOW, h] == scale[LOW]
-            assert prof.lam[h] == lam
+            for code in (LOW, NORMAL, HIGH):
+                expected = np.mean(block.design(tau[:, h]) @ spline_coef + tariff_coef[code])
+                assert prof.mu[0, code, h] == expected
+                assert prof.sigma[0, code, h] == scale[code]
+            assert prof.lam[0, h] == lam
 
     def test_unavailable_tariff_substitutes_normal(self):
         kwh, tau, tariff = self.small_entity(seed=4, high_free_slot=10)
-        prof = causality.fit_profiles(["hh"], kwh[None], tau, tariff[None])[0]
-        assert prof.mu[HIGH, 10] == prof.mu[NORMAL, 10]
-        assert prof.sigma[HIGH, 10] == prof.sigma[NORMAL, 10]
-        assert prof.mu[HIGH, 11] != prof.mu[NORMAL, 11]
+        prof = causality.fit_profiles(["hh"], kwh[None], tau, tariff[None])
+        mu, sigma = prof.mu[0], prof.sigma[0]
+        assert mu[HIGH, 10] == mu[NORMAL, 10]
+        assert sigma[HIGH, 10] == sigma[NORMAL, 10]
+        assert mu[HIGH, 11] != mu[NORMAL, 11]
 
     def test_missing_normal_raises(self):
         kwh, tau, tariff = self.small_entity(seed=6)
@@ -128,13 +131,38 @@ class TestTariffProfile:
 
     def test_csv_round_trip_exact(self, tmp_path):
         kwh, tau, tariff = self.small_entity(seed=8, n_days=60)
-        prof = causality.fit_profiles(["tou042"], kwh[None], tau, tariff[None])[0]
+        prof = causality.fit_profiles(["tou042"], kwh[None], tau, tariff[None])
         path = tmp_path / "profiles.csv"
-        causality.export_profiles_csv([prof], path)
+        causality.export_profiles_csv(prof, path)
         loaded = causality.read_profiles_csv(path)
-        assert len(loaded) == 1 and loaded[0].entity == "tou042"
-        np.testing.assert_array_equal(loaded[0].mu, prof.mu)
-        np.testing.assert_array_equal(loaded[0].sigma, prof.sigma)
+        assert loaded.ids == ["tou042"] and loaded.lam is None
+        np.testing.assert_array_equal(loaded.mu, prof.mu)
+        np.testing.assert_array_equal(loaded.sigma, prof.sigma)
+
+    def test_csv_round_trip_of_many_entities(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ids = ["tou002", "std001", "tou010"]
+        prof = causality.ResponseProfiles(ids, rng.normal(size=(3, 3, 48)),
+                                          rng.uniform(0.01, 0.3, size=(3, 3, 48)))
+        path = tmp_path / "profiles.csv"
+        causality.export_profiles_csv(prof, path)
+        loaded = causality.read_profiles_csv(path)
+        assert loaded.ids == ids
+        np.testing.assert_array_equal(loaded.mu, prof.mu)
+        np.testing.assert_array_equal(loaded.sigma, prof.sigma)
+        # one entity,tariff,h row per cell, entity-major, then Low/Normal/High, then h
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 3 * 3 * 48
+        assert lines[1] == f"tou002,LOW,1,{float(prof.mu[0, LOW, 0])!r},{float(prof.sigma[0, LOW, 0])!r}"
+        assert lines[-1].startswith("tou010,HIGH,48,")
+
+    def test_csv_header_only_reads_no_entity(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        causality.export_profiles_csv(
+            causality.ResponseProfiles([], np.empty((0, 3, 48)), np.empty((0, 3, 48))), path
+        )
+        loaded = causality.read_profiles_csv(path)
+        assert loaded.ids == [] and loaded.mu.shape == loaded.sigma.shape == (0, 3, 48)
 
     def test_csv_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -148,13 +176,13 @@ class TestEndToEndRecovery:
         """The full chain (synth -> fits -> profiles) recovers who responds."""
         pop = small_population
         saver, flat = 0, 4  # archetype blocks of four households each
-        profiles = dict(zip((saver, flat), causality.fit_profiles(
+        mu = causality.fit_profiles(
             [pop.household_ids[i] for i in (saver, flat)], pop.kwh[[saver, flat]], pop.tau,
             pop.tariff[[saver, flat]],
-        )))
+        ).mu
         window = slice(9, 19)
-        saver_shift = (profiles[saver].mu[LOW] - profiles[saver].mu[NORMAL])[window].mean()
-        flat_shift = (profiles[flat].mu[LOW] - profiles[flat].mu[NORMAL])[window].mean()
+        saver_shift = (mu[0, LOW] - mu[0, NORMAL])[window].mean()
+        flat_shift = (mu[1, LOW] - mu[1, NORMAL])[window].mean()
         assert saver_shift == pytest.approx(0.5, abs=0.1)
         assert abs(flat_shift) < 0.1
 
@@ -187,12 +215,12 @@ class TestFitProfiles:
     def test_matches_per_household_fits(self, mixed_schedules):
         ids, kwh, tau, tariff = mixed_schedules
         batched = causality.fit_profiles(ids, kwh, tau, tariff)
-        assert [p.entity for p in batched] == list(ids)
-        for i, prof in enumerate(batched):
-            [alone] = causality.fit_profiles([ids[i]], kwh[i:i + 1], tau, tariff[i:i + 1])
-            np.testing.assert_array_equal(prof.mu, alone.mu)
-            np.testing.assert_array_equal(prof.sigma, alone.sigma)
-            np.testing.assert_array_equal(prof.lam, alone.lam)
+        assert batched.ids == list(ids)
+        for i in range(len(ids)):
+            alone = causality.fit_profiles([ids[i]], kwh[i:i + 1], tau, tariff[i:i + 1])
+            np.testing.assert_array_equal(batched.mu[i], alone.mu[0])
+            np.testing.assert_array_equal(batched.sigma[i], alone.sigma[0])
+            np.testing.assert_array_equal(batched.lam[i], alone.lam[0])
 
     def test_group_without_special_tariffs_falls_back_to_normal(self, mixed_schedules):
         ids, kwh, tau, tariff = mixed_schedules
@@ -201,8 +229,8 @@ class TestFitProfiles:
         batched = causality.fit_profiles(ids, kwh, tau, tariff)
         for i in std:
             for code in (LOW, HIGH):
-                np.testing.assert_array_equal(batched[i].mu[code], batched[i].mu[NORMAL])
-                np.testing.assert_array_equal(batched[i].sigma[code], batched[i].sigma[NORMAL])
+                np.testing.assert_array_equal(batched.mu[i, code], batched.mu[i, NORMAL])
+                np.testing.assert_array_equal(batched.sigma[i, code], batched.sigma[i, NORMAL])
 
     def test_missing_normal_names_the_household(self, mixed_schedules):
         ids, kwh, tau, tariff = mixed_schedules

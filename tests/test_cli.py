@@ -504,6 +504,36 @@ class TestValidation:
         pytest.param("cluster: {nmf_rank: true}\n", "cluster.nmf_rank", id="boolean-nmf-rank"),
         pytest.param("scenario:\n  scenarios: [normal, normal]\n", "scenario.scenarios",
                      id="repeated-scenario"),
+        pytest.param("scenario: {scenarios: []}\n", "scenario.scenarios", id="no-scenario"),
+        pytest.param("scenario: {scenarios: normal}\n", "scenario.scenarios",
+                     id="text-scenarios"),
+        pytest.param("train: {generators: gam}\n", "train.generators", id="text-generators"),
+        pytest.param("train:\n  cvae: {restarts: 0}\n", "train.cvae.restarts",
+                     id="zero-restarts"),
+        pytest.param("train:\n  cvae: {batch_size: 0}\n", "train.cvae.batch_size",
+                     id="zero-batch-size"),
+        pytest.param("train:\n  cvae: {latent_dim: -2}\n", "train.cvae.latent_dim",
+                     id="negative-latent-dim"),
+        pytest.param("train:\n  cvae: {max_epochs: 2.5}\n", "train.cvae.max_epochs",
+                     id="fractional-max-epochs"),
+        pytest.param("train:\n  cvae: {patience: true}\n", "train.cvae.patience",
+                     id="boolean-patience"),
+        pytest.param("train:\n  cvae: {hidden: [15, 0]}\n", "train.cvae.hidden",
+                     id="zero-hidden-width"),
+        pytest.param("train:\n  cvae: {hidden: 15}\n", "train.cvae.hidden",
+                     id="number-hidden"),
+        pytest.param("synth: {households: {flatline: -3}}\n", "synth.households.flatline",
+                     id="negative-household-count"),
+        pytest.param("synth: {households: {flatline: 2.5}}\n", "synth.households.flatline",
+                     id="fractional-household-count"),
+        pytest.param("synth: {households: [flatline]}\n", "synth.households",
+                     id="list-households"),
+        pytest.param("synth: {std_households: -1}\n", "synth.std_households",
+                     id="negative-std-households"),
+        pytest.param("synth: {n_days: 0}\n", "synth.n_days", id="zero-days"),
+        pytest.param("synth: {n_days: '40'}\n", "synth.n_days", id="text-days"),
+        pytest.param("synth: {window_shapes: random}\n", "synth.window_shapes",
+                     id="text-window-shapes"),
     ])
     def test_bad_section_rejected(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)           # a config taken by mistake runs synth here

@@ -1,4 +1,5 @@
 import datetime
+import warnings
 
 import numpy as np
 import pytest
@@ -8,44 +9,102 @@ from drsim import causality, clustering
 from drsim.dataio import HIGH, LOW, NORMAL
 
 
-def make_profile(entity, low, normal, high):
-    mu = np.vstack([np.full(48, low), np.full(48, normal), np.full(48, high)])
-    return causality.TariffResponseProfile(entity, mu, np.full((3, 48), 0.1))
+def make_profiles(*levels):
+    """ResponseProfiles with flat Low/Normal/High means, one entity per
+    (entity, low, normal, high) tuple."""
+    mu = np.array([[np.full(48, v) for v in lnh] for _, *lnh in levels], dtype=float)
+    return causality.ResponseProfiles([entity for entity, *_ in levels], mu,
+                                      np.full(mu.shape, 0.1))
+
+
+def profile_matrix_loop(profiles):
+    """build_profile_matrix one household at a time: the reference its whole-array
+    form must match bit for bit. Returns (matrix, ids, base_mean, excluded, clipped)."""
+    rows, ids, base, excluded, clipped = [], [], [], [], 0
+    for entity, mu in zip(profiles.ids, profiles.mu):
+        mu_bar = float(mu[NORMAL].mean())
+        if mu_bar <= 0:
+            excluded.append(entity)
+            continue
+        row = np.concatenate([mu[LOW], mu[NORMAL], mu[HIGH]]) / mu_bar
+        clipped += int((row < 0).sum())
+        rows.append(np.maximum(row, 0.0))
+        ids.append(entity)
+        base.append(mu_bar)
+    return np.vstack(rows), ids, np.array(base), excluded, clipped
+
+
+def classical_features_loop(kwh, dates):
+    """classical_features one household at a time: the reference its
+    whole-array form must match bit for bit."""
+    hot_days = np.array([d.month in clustering.HOT_MONTHS for d in dates])
+    features = np.empty((len(kwh), 8))
+    for i in range(len(kwh)):
+        cols = []
+        for mask in (hot_days, ~hot_days):
+            seg = kwh[i, mask] if mask.any() else kwh[i]
+            cols.extend([seg.min(), seg.max(), seg.mean()])
+        cols.extend([(kwh[i].argmax(axis=1) + 1).mean(), (kwh[i].argmin(axis=1) + 1).mean()])
+        features[i] = cols
+    return features
 
 
 class TestProfileMatrix:
     def test_rows_are_normalized_blocks(self):
-        pm = clustering.build_profile_matrix([make_profile("a", 2.0, 1.0, 0.5)])
+        pm = clustering.build_profile_matrix(make_profiles(("a", 2.0, 1.0, 0.5)))
         assert pm.matrix.shape == (1, 144)
         np.testing.assert_array_equal(pm.matrix[0, :48], 2.0)
         np.testing.assert_array_equal(pm.matrix[0, 48:96], 1.0)
         np.testing.assert_array_equal(pm.matrix[0, 96:], 0.5)
         assert pm.base_mean[0] == 1.0
+        np.testing.assert_array_equal(pm.kept, [0])
 
     def test_scale_invariance(self):
-        a = make_profile("a", 1.2, 0.8, 0.6)
-        b = causality.TariffResponseProfile("b", a.mu * 7.0, a.sigma)
-        pm = clustering.build_profile_matrix([a, b])
+        a = make_profiles(("a", 1.2, 0.8, 0.6))
+        both = causality.ResponseProfiles(["a", "b"], np.concatenate([a.mu, a.mu * 7.0]),
+                                          np.concatenate([a.sigma, a.sigma]))
+        pm = clustering.build_profile_matrix(both)
         np.testing.assert_allclose(pm.matrix[0], pm.matrix[1], rtol=1e-12)
 
     def test_zero_baseline_excluded_with_warning(self):
-        good = make_profile("good", 1.0, 1.0, 1.0)
-        bad = make_profile("bad", 1.0, 0.0, 1.0)
+        profiles = make_profiles(("bad", 1.0, 0.0, 1.0), ("good", 1.0, 1.0, 1.0))
         with pytest.warns(UserWarning, match="non-positive"):
-            pm = clustering.build_profile_matrix([good, bad])
+            pm = clustering.build_profile_matrix(profiles)
         assert pm.household_ids == ["good"]
         assert pm.excluded == ["bad"]
+        np.testing.assert_array_equal(pm.kept, [1])
 
     def test_negative_entries_clipped_with_warning(self):
-        prof = make_profile("a", -0.2, 1.0, 1.0)
         with pytest.warns(UserWarning, match="clipped"):
-            pm = clustering.build_profile_matrix([prof])
+            pm = clustering.build_profile_matrix(make_profiles(("a", -0.2, 1.0, 1.0)))
         assert pm.matrix.min() == 0.0
 
     def test_all_excluded_raises(self):
         with pytest.raises(clustering.ClusteringError):
             with pytest.warns(UserWarning):
-                clustering.build_profile_matrix([make_profile("a", 1.0, -1.0, 1.0)])
+                clustering.build_profile_matrix(make_profiles(("a", 1.0, -1.0, 1.0)))
+
+    @pytest.mark.parametrize("n", [12, 50, 200])
+    def test_matches_per_household_loop(self, n):
+        rng = np.random.default_rng(n)
+        mu = rng.lognormal(-0.5, 0.4, size=(n, 3, 48))
+        mu[1, NORMAL] *= -1.0                 # excluded: negative baseline
+        mu[n // 2, NORMAL] = 0.0              # excluded: zero baseline
+        mu[2, LOW, :5] = -0.05                # clipped cells in a kept row
+        mu[n - 1, HIGH, 40] = -1.0
+        profiles = causality.ResponseProfiles([f"tou{i:03d}" for i in range(n)], mu,
+                                              np.full(mu.shape, 0.1))
+        matrix, ids, base, excluded, clipped = profile_matrix_loop(profiles)
+        with pytest.warns(UserWarning) as caught:
+            pm = clustering.build_profile_matrix(profiles)
+        assert [str(w.message) for w in caught] == [
+            "excluded 2 household(s) with non-positive baseline",
+            f"clipped {clipped} negative fitted response(s) to zero",
+        ]
+        np.testing.assert_array_equal(pm.matrix, matrix)
+        np.testing.assert_array_equal(pm.base_mean, base)
+        assert pm.household_ids == ids and pm.excluded == excluded
+        assert [profiles.ids[i] for i in pm.kept] == ids
 
 
 class TestNmf:
@@ -319,6 +378,29 @@ class TestClassicalPipeline:
         kwh = np.random.default_rng(0).uniform(0.2, 1.0, size=(2, 2, 48))
         with pytest.warns(UserWarning, match="hot-season"):
             feats = clustering.classical_features(kwh, dates)
+        np.testing.assert_array_equal(feats[:, :3], feats[:, 3:6])
+
+    @pytest.mark.parametrize("n, start, n_days", [
+        (12, datetime.date(2024, 2, 20), 120),   # both seasons
+        (50, datetime.date(2024, 3, 25), 30),    # both seasons, few days
+        (200, datetime.date(2024, 10, 5), 60),   # no hot-season day
+    ])
+    def test_matches_per_household_loop(self, n, start, n_days):
+        rng = np.random.default_rng(n)
+        kwh = rng.lognormal(-0.7, 0.5, size=(n, n_days, 48))
+        dates = [start + datetime.timedelta(days=t) for t in range(n_days)]
+        expected = classical_features_loop(kwh, dates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            feats = clustering.classical_features(kwh, dates)
+        np.testing.assert_array_equal(feats, expected)
+
+    def test_empty_cold_season_falls_back_with_warning(self):
+        dates = [datetime.date(2024, 6, 1) + datetime.timedelta(days=t) for t in range(3)]
+        kwh = np.random.default_rng(1).uniform(0.2, 1.0, size=(4, 3, 48))
+        with pytest.warns(UserWarning, match="no cold-season days"):
+            feats = clustering.classical_features(kwh, dates)
+        np.testing.assert_array_equal(feats, classical_features_loop(kwh, dates))
         np.testing.assert_array_equal(feats[:, :3], feats[:, 3:6])
 
     def test_clustering_drops_constant_features(self, rng):

@@ -2,6 +2,7 @@ import csv
 import datetime
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -688,18 +689,33 @@ class TestPreparedDataset:
         train_scores = ds.pca_scores[ds.partition.train]
         assert train_scores.min() >= -1e-9 and train_scores.max() <= 1 + 1e-9
 
-    def test_conditional_matrix_shape(self, prepared_small):
+    def test_conditional_matrix_matches_per_day_vectors(self, prepared_small):
         ds = prepared_small
-        mat = ds.conditional_matrix(np.arange(ds.n_days), ds.tariff[0])
-        assert mat.shape == (ds.n_days, 101)
+
+        def per_day(days, tariffs):
+            return np.stack([dataio.build_conditional_vector(
+                ds.pca_scores[d], ds.calendar.kappa[d], ds.calendar.w[d], tariff)
+                for d, tariff in zip(days, tariffs)])
+
+        every_day = np.arange(ds.n_days)
+        mat = ds.conditional_matrix(every_day, ds.tariff[0])
+        assert mat.shape == (ds.n_days, 101) and mat.dtype == np.float64
+        np.testing.assert_array_equal(mat, per_day(every_day, ds.tariff[0]))
         # any days under any tariffs: row i is day i's conditional, whatever the others
         days = [5, 0, 5]
-        np.testing.assert_array_equal(
-            ds.conditional_matrix(days, ds.tariff[1][days]),
-            np.stack([dataio.build_conditional_vector(
-                ds.pca_scores[d], ds.calendar.kappa[d], ds.calendar.w[d], ds.tariff[1][d])
-                for d in days]),
-        )
+        np.testing.assert_array_equal(ds.conditional_matrix(days, ds.tariff[1][days]),
+                                      per_day(days, ds.tariff[1][days]))
+        # scenario-style: test days repeated, each under one fixed schedule
+        days = np.repeat(ds.partition.test, 3)
+        schedule = np.full((len(days), 48), NORMAL, dtype=np.int8)
+        schedule[:, 12:18] = LOW
+        schedule[::2, 36:40] = HIGH
+        np.testing.assert_array_equal(ds.conditional_matrix(days, schedule),
+                                      per_day(days, schedule))
+
+    def test_conditional_matrix_needs_one_schedule_per_day(self, prepared_small):
+        with pytest.raises(ValueError, match="tariff codes"):
+            prepared_small.conditional_matrix([0, 1, 2], prepared_small.tariff[0][:2])
 
     def test_save_load_round_trip(self, prepared_small, tmp_path):
         path = tmp_path / "prepared.npz"
@@ -777,6 +793,20 @@ class TestArtifactFiles:
                 np.savez(fh, a=np.arange(3))
                 raise KeyboardInterrupt
         assert list(tmp_path.iterdir()) == []
+
+    def test_temporary_file_is_hidden_beside_target(self, tmp_path):
+        with dataio.replacing(tmp_path / "m.csv") as fh:
+            fh.write("x\n")
+            [tmp] = tmp_path.iterdir()
+            assert tmp.match(".m.csv.*.tmp")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+        with dataio.replacing_all([tmp_path / "a.csv", tmp_path / "b.csv"]) as (a, b):
+            assert all(Path(t).parent == tmp_path for t in (a, b))
+            assert Path(a).match(".a.csv.*.tmp") and Path(b).match(".b.csv.*.tmp")
+            dataio.write_csv(a, self.HEADER, [])
+            dataio.write_csv(b, self.HEADER, [])
+            assert not (tmp_path / "a.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "m.csv"]
 
     def test_wrong_header_names_file(self, tmp_path):
         path = tmp_path / "x.csv"

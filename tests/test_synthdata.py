@@ -255,6 +255,13 @@ class TestGeneratePopulation:
         with pytest.raises(synthdata.SynthError):
             synthdata.generate_population(synthdata.default_archetypes(), [1, 2], 5)
 
+    @pytest.mark.parametrize("counts, std_count", [([2, 2, -1, 2], 0), ([1, 1, 1, 1], -1)])
+    def test_negative_count_raises(self, counts, std_count):
+        # a negative count would simulate households that no id names
+        with pytest.raises(synthdata.SynthError, match="negative household count"):
+            synthdata.generate_population(synthdata.default_archetypes(), counts, 5,
+                                          std_count=std_count)
+
     def test_ground_truth_round_trip(self, small_population, small_csv_dir):
         rows = synthdata.read_ground_truth_csv(small_csv_dir / "ground_truth.csv")
         assert [hid for hid, *_ in rows] == small_population.household_ids

@@ -5,13 +5,13 @@ mean = centered temperature spline + per-tariff offset and a per-tariff
 standard deviation. Fitting is two-stage: penalized least squares for the
 mean (GCV-chosen smoothing), then half-normal moment matching on the
 absolute residuals for the scales. fit_slot is that fit, for every series
-that shares a slot's spline design and tariff column. fit_profiles calls it
-per household schedule group: averaging the fitted mean over all days at a
-counterfactual tariff gives the household's response profile mu_i^h(p), the
-quantity the clustering stage consumes. All households' profiles travel as one
-ResponseProfiles: their ids and (N, 3, 48) mean and scale arrays. The GAM
-generator calls fit_slot on each slot's own temperature block for its
-per-tariff noise scales.
+that shares a slot's spline design (slot_block) and tariff column
+(column_groups). fit_profiles calls it per household schedule group:
+averaging the fitted mean over all days at a counterfactual tariff gives the
+household's response profile mu_i^h(p), the quantity the clustering stage
+consumes. All households' profiles travel as one ResponseProfiles: their ids
+and (N, 3, 48) mean and scale arrays. The GAM generator groups all of a run's
+clusters the same way and takes its per-tariff noise scales from fit_slot.
 """
 
 from dataclasses import dataclass
@@ -65,6 +65,22 @@ def fit_slot(design, penalty, rows, tariff, entity, h):
     return fit.block_coef(0).T, tariff_coef, scale, fit.lam
 
 
+def slot_block(x):
+    """The centered spline block of temperatures x (T,), knots at their
+    quantiles: (block, its (T, p) design at x, its penalty)."""
+    block, design = CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(x), x)
+    return block, design, block.penalty()
+
+
+def column_groups(columns):
+    """Row indices of the (m, T) array columns, grouped by equal rows in order
+    of first appearance: each group's series share one fit_slot call."""
+    groups = {}
+    for i, column in enumerate(np.asarray(columns)):
+        groups.setdefault(column.tobytes(), []).append(i)
+    return list(groups.values())
+
+
 @dataclass
 class ResponseProfiles:
     """Counterfactual mean/scale per (tariff, half-hour) for N entities."""
@@ -98,14 +114,8 @@ def fit_profiles(ids, kwh, tau, tariff):
     sigma = np.empty((len(ids), 3, HALF_HOURS))
     lam = np.empty((len(ids), HALF_HOURS))
     for h in range(HALF_HOURS):
-        spline, design = CenteredSplineBlock.fit(
-            CubicSplineBasis.from_quantiles(tau[:, h]), tau[:, h]
-        )
-        penalty = spline.penalty()
-        groups = {}
-        for i in range(len(ids)):
-            groups.setdefault(tariff[i, :, h].tobytes(), []).append(i)
-        for members in groups.values():
+        _, design, penalty = slot_block(tau[:, h])
+        for members in column_groups(tariff[:, :, h]):
             coef, xi, scale, lam[members, h] = fit_slot(
                 design, penalty, kwh[members, :, h], tariff[members[0], :, h],
                 ids[members[0]], h,
@@ -128,10 +138,26 @@ def export_profiles_csv(profiles, path):
 
 
 def read_profiles_csv(path):
-    """Inverse of export_profiles_csv; entities in the order they first appear."""
+    """Inverse of export_profiles_csv; entities in the order they first appear.
+    FitError, naming path, for a row that is not an entity, a tariff name, a
+    half-hour 1..48 and two finite numbers, or an entity without all 144 cells."""
     rows = read_csv(path, PROFILE_HEADER, FitError)
-    index = {entity: i for i, entity in enumerate(dict.fromkeys(row[0] for row in rows))}
+    index = {entity: i for i, entity in enumerate(dict.fromkeys(row[0] for row in rows if row))}
     grids = np.full((2, len(index), 3, HALF_HOURS), np.nan)
-    for entity, tariff, h, mu, sigma in rows:
-        grids[:, index[entity], TARIFF_NAMES.index(tariff), int(h) - 1] = float(mu), float(sigma)
+    for line, row in enumerate(rows, start=2):
+        try:
+            entity, tariff, h, mu, sigma = row
+            cell = (index[entity], TARIFF_NAMES.index(tariff),
+                    range(1, HALF_HOURS + 1).index(int(h)))
+            values = [float(mu), float(sigma)]
+        except ValueError:
+            values = [np.nan]
+        if not np.isfinite(values).all():
+            raise FitError(f"{path}: line {line} ({','.join(row)}) needs a tariff of "
+                           f"{'/'.join(TARIFF_NAMES)}, a half-hour 1..{HALF_HOURS} and "
+                           "finite mu and sigma")
+        grids[(slice(None), *cell)] = values
+    for i, code, h in np.argwhere(np.isnan(grids[0]))[:1]:
+        raise FitError(f"{path}: {list(index)[i]} has no row for tariff {TARIFF_NAMES[code]} "
+                       f"in half-hour {h + 1}")
     return ResponseProfiles(list(index), grids[0], grids[1])

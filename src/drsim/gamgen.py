@@ -5,7 +5,8 @@ smoothed temperature and the day-of-range position, a linear working-day
 term, and tariff offsets with Normal as the reference level. One shared
 smoothing weight across the three spline blocks is chosen by GCV. The
 smoothed-temperature and day-position blocks depend on the day alone, so the
-generator fits and holds one copy of each for all 48 slots. On the noise
+generator fits and holds one copy of each for all 48 slots; all of a run's
+clusters are fitted together on each slot's design. On the noise
 side, each slot's per-tariff scales come from the location-scale fit
 (causality.fit_slot) on that slot's own temperature block; residuals
 standardized by those scales yield an empirical intra-day correlation matrix
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import fit_slot
+from .causality import column_groups, fit_slot, slot_block
 from .dataio import HALF_HOURS, LOW, HIGH, replacing, write_csv
-from .splines import CenteredSplineBlock, CubicSplineBasis, penalized_lstsq
+from .splines import CenteredSplineBlock, CubicSplineBasis, matvec_rows, penalized_lstsq
 
 EIG_FLOOR = 1e-8
 
@@ -49,37 +50,6 @@ class HalfHourGam:
     alpha_w: float
     xi: np.ndarray           # (3,) tariff offsets, xi[NORMAL] = 0
     lam: float
-
-
-def _fit_half_hour(entity, h, y, tau, day_designs, day_penalties, w, tariff):
-    """Fit slot h; the designs and penalties of the taubar and kappa blocks
-    are shared by every slot. Returns the model, its fitted means and the
-    (3,) per-tariff noise scales of the location-scale fit on the slot's
-    temperature block."""
-    tau_block, tau_design = CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(tau), tau)
-    tau_penalty = tau_block.penalty()
-    _, _, scale, _ = fit_slot(tau_design, tau_penalty, y[None, :], tariff, entity, h)
-    blocks = [tau_design, *day_designs, np.ones((len(y), 1)), np.asarray(w, dtype=float)[:, None]]
-    penalties = [tau_penalty, *day_penalties, None, None]
-    observed_special = [c for c in (LOW, HIGH) if np.any(tariff == c)]
-    for code in observed_special:
-        blocks.append((tariff == code).astype(float)[:, None])
-        penalties.append(None)
-
-    fit = penalized_lstsq(blocks, penalties, y)
-    xi = np.zeros(3)
-    for i, code in enumerate(observed_special):
-        xi[code] = fit.block_coef(5 + i)[0]
-    model = HalfHourGam(
-        tau_block=tau_block,
-        spline_coef=[fit.block_coef(i) for i in range(3)],
-        intercept=float(fit.block_coef(3)[0]),
-        alpha_w=float(fit.block_coef(4)[0]),
-        xi=xi,
-        lam=fit.lam,
-    )
-    fitted = np.hstack(blocks) @ fit.coef
-    return model, fitted, scale[:, 0]
 
 
 def estimate_correlation(residuals):
@@ -166,41 +136,64 @@ class GamGenerator:
         return self.draw(f, tariffs, n_samples, seed, clamp)
 
 
-def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partition):
-    """Fit the 48 half-hour models plus the noise side on training days.
+def fit_gam_generators(entities, kwh, tau, taubar_daily, calendar, tariffs, partition):
+    """Each entity's 48 half-hour models plus its noise side, fitted on training days.
 
-    kwh is the (T, 48) cluster-average consumption; each slot's per-tariff
-    noise scales come from the location-scale fit on its temperature block.
+    kwh and tariffs are (m, T, 48) grids of the m entities. Each half-hour
+    places one temperature block, and each group of equal tariff columns gets
+    one fit_slot call (the noise scales) and one multi-response
+    penalized_lstsq call (the mean), both bit-identical per series to a lone
+    fit. Errors name the first entity of the group that cannot be fitted.
     """
     kwh = np.asarray(kwh, dtype=float)
-    train = partition.train
-    taubar, kappa = taubar_daily[train], calendar.kappa[train]
-    day_blocks, day_designs = zip(
-        CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(taubar), taubar),
-        CenteredSplineBlock.fit(CubicSplineBasis.from_uniform(kappa), kappa),
-    )
-    day_penalties = [block.penalty() for block in day_blocks]
-    fitted = np.empty((len(train), HALF_HOURS))
-    sigma = np.empty((3, HALF_HOURS))
-    models = []
+    tariffs = np.asarray(tariffs)
+    train, kappa = partition.train, calendar.kappa[partition.train]
+    kappa_block, kappa_design = CenteredSplineBlock.fit(
+        CubicSplineBasis.from_uniform(kappa), kappa)
+    # the smoothed-temperature block takes its knots as a slot's temperature block does
+    day_blocks, day_designs, day_penalties = zip(
+        slot_block(taubar_daily[train]), (kappa_block, kappa_design, kappa_block.penalty()))
+    w = np.asarray(calendar.w[train], dtype=float)[:, None]
+    fitted = np.empty((len(entities), len(train), HALF_HOURS))
+    sigma = np.empty((len(entities), 3, HALF_HOURS))
+    models = [[] for _ in entities]
     for h in range(HALF_HOURS):
-        model, fitted[:, h], sigma[:, h] = _fit_half_hour(
-            entity, h, kwh[train, h], tau[train, h], day_designs, day_penalties,
-            calendar.w[train], tariffs[train, h],
-        )
-        models.append(model)
+        tau_block, tau_design, tau_penalty = slot_block(tau[train, h])
+        y = kwh[:, train, h]
+        for members in column_groups(tariffs[:, train, h]):
+            tariff = tariffs[members[0], train, h]
+            _, _, scale, _ = fit_slot(tau_design, tau_penalty, y[members], tariff,
+                                      entities[members[0]], h)
+            sigma[members, :, h] = scale.T
+            special = [code for code in (LOW, HIGH) if np.any(tariff == code)]
+            blocks = [tau_design, *day_designs, np.ones_like(w), w]
+            blocks += [(tariff == code).astype(float)[:, None] for code in special]
+            penalties = [tau_penalty, *day_penalties] + [None] * (2 + len(special))
+            fit = penalized_lstsq(blocks, penalties, y[members].T)
+            fitted[members, :, h] = matvec_rows(np.hstack(blocks), fit.coef.T)
+            coefs = [fit.block_coef(b) for b in range(len(blocks))]
+            for j, i in enumerate(members):
+                # contiguous copies, so mean_profiles' products round as a lone fit's
+                coef = [c[:, j].copy() for c in coefs]
+                xi = np.zeros(3)
+                xi[special] = [c[0] for c in coef[5:]]
+                models[i].append(HalfHourGam(
+                    tau_block, coef[:3], intercept=float(coef[3][0]),
+                    alpha_w=float(coef[4][0]), xi=xi, lam=float(fit.lam[j])))
+    generators = []
+    for i, entity in enumerate(entities):
+        scale = sigma[i][tariffs[i, train], np.arange(HALF_HOURS)]
+        corr = estimate_correlation((kwh[i, train] - fitted[i]) / scale)
+        generators.append(GamGenerator(entity, list(day_blocks), models[i], sigma[i], corr,
+                                       np.linalg.cholesky(corr)))
+    return generators
 
-    scale = sigma[tariffs[train], np.arange(HALF_HOURS)]
-    residuals = (kwh[train] - fitted) / scale
-    corr = estimate_correlation(residuals)
-    return GamGenerator(
-        entity=entity,
-        day_blocks=list(day_blocks),
-        models=models,
-        sigma=sigma,
-        corr=corr,
-        chol=np.linalg.cholesky(corr),
-    )
+
+def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partition):
+    """The generator of one entity's (T, 48) consumption under its (T, 48) tariffs."""
+    gen, = fit_gam_generators([entity], np.asarray(kwh)[None], tau, taubar_daily, calendar,
+                              np.asarray(tariffs)[None], partition)
+    return gen
 
 
 def _term_names(model):

@@ -152,8 +152,9 @@ def evaluate_generators(observations, ensembles, day_labels=None,
     """Score every generator's ensembles on every observation day.
 
     ensembles maps a generator name to an (n_days, n, H) array whose row pos
-    is its ensemble for observations[pos]. The rows come day by day, with the
-    generators in mapping order within each day.
+    is its ensemble for observations[pos], and day_labels, when given, names
+    each day. The rows come day by day, with the generators in mapping order
+    within each day.
     """
     observations = np.asarray(observations, dtype=float)
     if observations.ndim != 2:
@@ -165,6 +166,8 @@ def evaluate_generators(observations, ensembles, day_labels=None,
             raise ScoringError(f"{name}: {len(days)} ensembles for {len(observations)} days")
     if day_labels is None:
         day_labels = range(len(observations))
+    elif len(day_labels) != len(observations):
+        raise ScoringError(f"{len(day_labels)} day labels for {len(observations)} days")
     return ScoreReport(rows=[
         ScoreRow(
             day=int(label),

@@ -12,12 +12,12 @@ failed cluster no assignments for train to trust. A single config seed fans
 out into per-stage streams, which makes every stage deterministic given the
 config.
 
-Clusters are independent once clustered, so the per-cluster stages (the GAM
-fits of train, generate, evaluate, scenario) run one cluster per usable CPU
-on a fork pool (parallel.map_forked). Each cluster's job writes its own
-files; the stage picks the stale clusters first and lists what was written
-in cluster order, so the files and the printed paths are the same whatever
-the CPU count.
+Clusters are independent once clustered, so generate, evaluate and scenario
+run one cluster per usable CPU on a fork pool (parallel.map_forked). Each
+cluster's job writes its own files; the stage picks the stale clusters first
+and lists what was written in cluster order, so the files and the printed
+paths are the same whatever the CPU count. Train fits all stale clusters in
+one call per generator: the GAM's in one process, sharing each slot's design.
 
 Each generator is one GENERATORS entry, so no stage branches on its name.
 Every ensemble comes from _ensembles, one cluster's draws of given days under
@@ -418,16 +418,16 @@ def _cluster_inputs(paths):
     ds = dataio.load_prepared(paths.prepared)
     ids, labels = clustering.read_assignments_csv(paths.assignments)
     index = {hid: i for i, hid in enumerate(ds.household_ids)}
+    unknown = [hid for hid in ids if hid not in index]
+    if unknown:
+        raise PipelineError(f"{paths.assignments} names household {unknown[0]!r}, which "
+                            f"{paths.prepared} does not hold; rerun cluster")
     clusters = {}
     for label in sorted(set(int(l) for l in labels)):
         members = [index[hid] for hid, l in zip(ids, labels) if l == label]
         schedule = ds.tariff[members[0]]
-        for m in members[1:]:
-            if not np.array_equal(ds.tariff[m], schedule):
-                warnings.warn(
-                    f"cluster {label}: tariff schedules differ; using the first member's"
-                )
-                break
+        if any(not np.array_equal(ds.tariff[m], schedule) for m in members[1:]):
+            warnings.warn(f"cluster {label}: tariff schedules differ; using the first member's")
         clusters[label] = {
             "series": ds.kwh[members].mean(axis=0),
             "schedule": schedule,
@@ -452,23 +452,23 @@ def _gam_files(paths, label):
 
 
 def _fit_gams(config, paths, ds, clusters, stale):
-    def fit(label):
-        model, coefficients, sigma = _gam_files(paths, label)
-        gen = gamgen.fit_gam_generator(
-            f"cluster{label}",
-            clusters[label]["series"],
-            ds.tau,
-            ds.tau_bar_daily,
-            ds.calendar,
-            clusters[label]["schedule"],
-            ds.partition,
-        )
+    """The stale clusters fitted in one call, as _fit_cvaes trains them."""
+    written = {}
+    if not stale:
+        return written
+    gens = gamgen.fit_gam_generators(
+        [f"cluster{label}" for label in stale],
+        np.stack([clusters[label]["series"] for label in stale]),
+        ds.tau, ds.tau_bar_daily, ds.calendar,
+        np.stack([clusters[label]["schedule"] for label in stale]),
+        ds.partition,
+    )
+    for label, gen in zip(stale, gens):
+        model, coefficients, sigma = written[label] = _gam_files(paths, label)
         gamgen.save_generator(gen, model)
         gamgen.export_coefficients_csv(gen, coefficients)
         gamgen.export_sigma_matrix_csv(gen, sigma)
-        return [model, coefficients, sigma]
-
-    return dict(zip(stale, parallel.map_forked(fit, stale)))
+    return written
 
 
 def _gam_ensembles(paths, label, ds, days, tariffs, n_samples, seeds):

@@ -164,6 +164,38 @@ class TestTariffProfile:
         loaded = causality.read_profiles_csv(path)
         assert loaded.ids == [] and loaded.mu.shape == loaded.sigma.shape == (0, 3, 48)
 
+    @pytest.mark.parametrize("row", [
+        "tou001,LOW,0,0.5,0.25",
+        "tou001,LOW,49,0.5,0.25",
+        "tou001,FLAT,1,0.5,0.25",
+        "tou001,LOW,1,abc,0.25",
+        "tou001,LOW,1,0.5,",
+        "tou001,LOW,1,0.5",
+        "tou001,LOW,1,nan,0.25",
+    ], ids=["h-zero", "h-49", "unknown-tariff", "text-mu", "empty-sigma", "short-row", "nan-mu"])
+    def test_csv_bad_row_names_the_file_and_line(self, tmp_path, row):
+        path = tmp_path / "profiles.csv"
+        causality.export_profiles_csv(causality.ResponseProfiles(
+            ["tou001"], np.full((1, 3, 48), 0.5), np.full((1, 3, 48), 0.25)), path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "tou001,LOW,1,0.5,0.25"
+        path.write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+        with pytest.raises(causality.FitError, match=rf"profiles\.csv: line 2 \({row}\) needs "
+                                                     r"a tariff of LOW/NORMAL/HIGH"):
+            causality.read_profiles_csv(path)
+
+    def test_csv_entity_missing_a_cell_names_the_file_and_cell(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        causality.export_profiles_csv(causality.ResponseProfiles(
+            ["tou001", "tou002"], np.zeros((2, 3, 48)), np.ones((2, 3, 48))), path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[1 + 144 + 48 + 4].startswith("tou002,NORMAL,5,")
+        del lines[1 + 144 + 48 + 4]
+        path.write_text("".join(lines))
+        with pytest.raises(causality.FitError, match=r"profiles\.csv: tou002 has no row for "
+                                                     r"tariff NORMAL in half-hour 5$"):
+            causality.read_profiles_csv(path)
+
     def test_csv_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("entity,tariff,hour,mu,sigma\n")

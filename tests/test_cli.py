@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import drsim
-from drsim import causality, cli, clustering, metrics, neuralgen, parallel, pipeline, synthdata
+from drsim import (causality, cli, clustering, gamgen, metrics, neuralgen, parallel, pipeline,
+                   synthdata)
 from drsim.dataio import HALF_HOURS
 
 
@@ -440,11 +441,16 @@ class TestCpuCount:
             calls.append(list(items))
             return map_forked(fn, items)
 
+        def fit_gam_generators(*args):
+            raise AssertionError("GAMs were fitted")
+
         monkeypatch.setattr(parallel, "map_forked", spy)
+        monkeypatch.setattr(gamgen, "fit_gam_generators", fit_gam_generators)
         capsys.readouterr()
         assert run_cli(stage, "--config", str(cfg)) == 0
         assert "nothing to do" in capsys.readouterr().out
-        assert calls == [[]]
+        # train fits every stale cluster in one call and maps none
+        assert calls == ([] if stage == "train" else [[]])
 
 
 class TestValidation:
@@ -604,6 +610,23 @@ class TestValidation:
         assert payload == {
             "error": "tou004: Normal tariff never observed in half-hour 1",
             "type": "FitError",
+        }
+
+    def test_train_names_an_assigned_household_that_prepared_lacks(self, workdir, capsys):
+        tmp, cfg = workdir
+        for stage in ("synth", "ingest", "cluster"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+        run = tmp / "run"
+        assignments = run / "assignments.csv"
+        text = assignments.read_text()
+        assert "\ntou002," in text
+        assignments.write_text(text.replace("\ntou002,", "\ntou999,"))
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg), "--force") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{assignments} names household 'tou999', which {run / 'prepared.npz'} "
+                     "does not hold; rerun cluster",
+            "type": "PipelineError",
         }
 
     @pytest.mark.parametrize("setting, bad, error", [

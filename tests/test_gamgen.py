@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from drsim import dataio, gamgen
-from drsim.causality import FitError, fit_slot
+from drsim.causality import FitError, column_groups, fit_slot
 from drsim.dataio import HIGH, LOW, NORMAL
-from drsim.splines import DEFAULT_QUANTILES, CenteredSplineBlock, CubicSplineBasis
+from drsim.splines import (DEFAULT_QUANTILES, CenteredSplineBlock, CubicSplineBasis,
+                           penalized_lstsq)
 
 
 def planted_setup(n_days=240, seed=0, xi_low=0.3, xi_high=-0.2, sigma=0.05,
@@ -138,6 +139,69 @@ def assert_same_generator(a, b):
             np.testing.assert_array_equal(ca, cb)
 
 
+def reference_half_hour(entity, h, y, tau, day_designs, day_penalties, w, tariff):
+    """One entity's slot h fitted alone: its own temperature block, a one-row
+    fit_slot call and a one-response penalized_lstsq call."""
+    tau_block, tau_design = CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(tau), tau)
+    tau_penalty = tau_block.penalty()
+    _, _, scale, _ = fit_slot(tau_design, tau_penalty, y[None, :], tariff, entity, h)
+    blocks = [tau_design, *day_designs, np.ones((len(y), 1)), np.asarray(w, dtype=float)[:, None]]
+    penalties = [tau_penalty, *day_penalties, None, None]
+    observed_special = [c for c in (LOW, HIGH) if np.any(tariff == c)]
+    for code in observed_special:
+        blocks.append((tariff == code).astype(float)[:, None])
+        penalties.append(None)
+
+    fit = penalized_lstsq(blocks, penalties, y)
+    xi = np.zeros(3)
+    for i, code in enumerate(observed_special):
+        xi[code] = fit.block_coef(5 + i)[0]
+    model = gamgen.HalfHourGam(
+        tau_block=tau_block,
+        spline_coef=[fit.block_coef(i) for i in range(3)],
+        intercept=float(fit.block_coef(3)[0]),
+        alpha_w=float(fit.block_coef(4)[0]),
+        xi=xi,
+        lam=fit.lam,
+    )
+    fitted = np.hstack(blocks) @ fit.coef
+    return model, fitted, scale[:, 0]
+
+
+def reference_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partition):
+    """One entity's generator by the per-slot loop, one slot and one entity at a time."""
+    train = partition.train
+    taubar, kappa = taubar_daily[train], calendar.kappa[train]
+    day_blocks, day_designs = zip(
+        CenteredSplineBlock.fit(CubicSplineBasis.from_quantiles(taubar), taubar),
+        CenteredSplineBlock.fit(CubicSplineBasis.from_uniform(kappa), kappa),
+    )
+    day_penalties = [block.penalty() for block in day_blocks]
+    fitted = np.empty((len(train), 48))
+    sigma = np.empty((3, 48))
+    models = []
+    for h in range(48):
+        model, fitted[:, h], sigma[:, h] = reference_half_hour(
+            entity, h, kwh[train, h], tau[train, h], day_designs, day_penalties,
+            calendar.w[train], tariffs[train, h],
+        )
+        models.append(model)
+    scale = sigma[tariffs[train], np.arange(48)]
+    corr = gamgen.estimate_correlation((kwh[train] - fitted) / scale)
+    return gamgen.GamGenerator(entity=entity, day_blocks=list(day_blocks), models=models,
+                               sigma=sigma, corr=corr, chol=np.linalg.cholesky(corr))
+
+
+def assert_same_model_file(a, b, tmp_path):
+    gamgen.save_generator(a, tmp_path / "a.npz")
+    gamgen.save_generator(b, tmp_path / "b.npz")
+    with np.load(tmp_path / "a.npz") as za, np.load(tmp_path / "b.npz") as zb:
+        assert za.files == zb.files
+        for key in za.files:
+            assert za[key].dtype == zb[key].dtype, key
+            np.testing.assert_array_equal(za[key], zb[key], err_msg=key)
+
+
 @pytest.fixture(scope="module")
 def fitted():
     kwh, tau, taubar, calendar, tariffs, partition = planted_setup()
@@ -232,6 +296,56 @@ class TestFitErrors:
                                            r"in half-hour 1, got 9$"):
             gamgen.fit_gam_generator("cluster0", kwh, tau, taubar, calendar, tariffs,
                                      partition)
+
+
+def entity_series(kwh, n, seed=4):
+    """n distinct consumption grids around kwh: scaled, shifted and re-noised."""
+    r = np.random.default_rng(seed)
+    return np.stack([kwh * (1.0 + 0.2 * i) + 0.1 * i + 0.03 * r.standard_normal(kwh.shape)
+                     for i in range(n)])
+
+
+class TestFitTogether:
+    """fit_gam_generators gives each entity the generator of the per-slot loop
+    that fits it alone, bit for bit."""
+
+    def assert_matches_reference(self, ids, kwh, tariffs, setup, tmp_path):
+        _, tau, taubar, calendar, _, partition = setup
+        gens = gamgen.fit_gam_generators(ids, kwh, tau, taubar, calendar, tariffs, partition)
+        days = wide_days(tau, taubar, n_days=12)
+        assert [gen.entity for gen in gens] == ids
+        for i, gen in enumerate(gens):
+            ref = reference_generator(ids[i], kwh[i], tau, taubar, calendar, tariffs[i], partition)
+            assert_same_generator(gen, ref)
+            assert all(coef.flags.c_contiguous for m in gen.models for coef in m.spline_coef)
+            assert np.array_equal(gen.mean_profiles(*days), ref.mean_profiles(*days))
+            assert_same_model_file(gen, ref, tmp_path)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_entities_that_share_a_schedule(self, n, tmp_path):
+        setup = planted_setup(n_days=120, seed=5)
+        kwh, tariffs = setup[0], setup[4]
+        self.assert_matches_reference([f"cluster{i}" for i in range(n)], entity_series(kwh, n),
+                                      np.stack([tariffs] * n), setup, tmp_path)
+
+    def test_entities_whose_tariff_columns_form_two_groups(self, tmp_path):
+        setup = planted_setup(n_days=120, seed=6)
+        kwh, tariffs, train = setup[0], setup[4], setup[5].train
+        # the third schedule moves the special days: inside the window its
+        # columns differ from the other two, outside they are all Normal
+        schedules = np.stack([tariffs, tariffs, np.roll(tariffs, 5, axis=0)])
+        groups = [column_groups(schedules[:, train, h]) for h in range(48)]
+        assert groups[0] == [[0, 1, 2]] and groups[12] == [[0, 1], [2]]
+        self.assert_matches_reference(["a", "b", "c"], entity_series(kwh, 3), schedules,
+                                      setup, tmp_path)
+
+    def test_slot_without_normal_day_names_the_first_entity_of_its_group(self):
+        kwh, tau, taubar, calendar, tariffs, partition = planted_setup(n_days=60)
+        schedules = np.stack([tariffs] * 3)
+        schedules[1:, partition.train, 5] = LOW
+        with pytest.raises(FitError, match=r"^b: Normal tariff never observed in half-hour 6$"):
+            gamgen.fit_gam_generators(["a", "b", "c"], entity_series(kwh, 3), tau, taubar,
+                                      calendar, schedules, partition)
 
 
 class TestMeanProfiles:

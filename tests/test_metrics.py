@@ -162,6 +162,13 @@ class TestEvaluateGenerators:
         )
         assert [r.day for r in report.rows] == [7, 11, 13]
 
+    @pytest.mark.parametrize("labels", [[7, 11], [7, 11, 13, 17]], ids=["fewer", "more"])
+    def test_day_labels_must_match_the_days_in_number(self, labels):
+        with pytest.raises(metrics.ScoringError, match=f"^{len(labels)} day labels for 3 days$"):
+            metrics.evaluate_generators(
+                self.observations(), {"g": self.gaussian_ensembles(0.0, 10)}, day_labels=labels
+            )
+
     def test_empty_generators_rejected(self):
         with pytest.raises(metrics.ScoringError):
             metrics.evaluate_generators(self.observations(), {})

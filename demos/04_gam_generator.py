@@ -33,13 +33,12 @@ def main():
 
     gen = gamgen.fit_gam_generator("demo", kwh, pop.tau, smoothed.daily,
                                    calendar, tariff, partition)
-    lams = [m.lam for m in gen.models]
     print(f"fitted 48 half-hour models; smoothing lambda spans "
-          f"[{min(lams):.2g}, {max(lams):.2g}] (chosen by GCV per half-hour)")
+          f"[{gen.lam.min():.2g}, {gen.lam.max():.2g}] (chosen by GCV per half-hour)")
 
     window = np.zeros(48, dtype=bool)
     window[synthdata._window_cells(synthdata.MORNING_LOW_WINDOW)] = True
-    xi_low = np.array([m.xi[LOW] for m in gen.models])
+    xi_low = gen.xi[:, LOW]
     print(f"learned xi_low inside the morning window: mean "
           f"{xi_low[window].mean():+.3f} (planted {arch.delta_low:+.2f})")
 

@@ -140,7 +140,8 @@ def export_profiles_csv(profiles, path):
 def read_profiles_csv(path):
     """Inverse of export_profiles_csv; entities in the order they first appear.
     FitError, naming path, for a row that is not an entity, a tariff name, a
-    half-hour 1..48 and two finite numbers, or an entity without all 144 cells."""
+    half-hour 1..48 and two finite numbers, a row that repeats a cell, or an
+    entity without all 144 cells."""
     rows = read_csv(path, PROFILE_HEADER, FitError)
     index = {entity: i for i, entity in enumerate(dict.fromkeys(row[0] for row in rows if row))}
     grids = np.full((2, len(index), 3, HALF_HOURS), np.nan)
@@ -156,6 +157,8 @@ def read_profiles_csv(path):
             raise FitError(f"{path}: line {line} ({','.join(row)}) needs a tariff of "
                            f"{'/'.join(TARIFF_NAMES)}, a half-hour 1..{HALF_HOURS} and "
                            "finite mu and sigma")
+        if not np.isnan(grids[(0, *cell)]):
+            raise FitError(f"{path}: line {line} repeats the cell ({entity}, {tariff}, {h})")
         grids[(slice(None), *cell)] = values
     for i, code, h in np.argwhere(np.isnan(grids[0]))[:1]:
         raise FitError(f"{path}: {list(index)[i]} has no row for tariff {TARIFF_NAMES[code]} "

@@ -361,5 +361,22 @@ def export_assignments_csv(household_ids, clustering, path):
 
 
 def read_assignments_csv(path):
-    rows = read_csv(path, ASSIGNMENTS_HEADER, ClusteringError)
-    return [row[0] for row in rows], np.array([int(row[1]) for row in rows])
+    """Household ids and cluster labels in file order. ClusteringError, naming
+    path and line, for a row that is not an id and a non-negative integer
+    cluster, or an id listed twice."""
+    first_lines, labels = {}, []
+    for line, row in enumerate(read_csv(path, ASSIGNMENTS_HEADER, ClusteringError), start=2):
+        try:
+            hid, label = row
+            label = int(label)
+        except ValueError:
+            label = -1
+        if label < 0:
+            raise ClusteringError(f"{path}: line {line} ({','.join(row)}) needs a household id "
+                                  "and a non-negative integer cluster")
+        if hid in first_lines:
+            raise ClusteringError(f"{path}: line {line} lists household {hid} again, "
+                                  f"first listed on line {first_lines[hid]}")
+        first_lines[hid] = line
+        labels.append(label)
+    return list(first_lines), np.array(labels)

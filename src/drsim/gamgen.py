@@ -16,7 +16,10 @@ whose Cholesky factor drives sampling:
 
 Sampled profiles clamp at zero by default; mean_profile exposes the
 noise-free, clamp-free mean for diagnostics, and mean_profiles the means of
-many days at once, which draw then turns into ensembles.
+many days at once, which draw then turns into ensembles. A generator is its
+model file's arrays: 48 temperature blocks, the two day blocks, and per-slot
+coefficients, offsets and lambdas stacked into (48, ...) arrays, so fitting,
+saving and loading pass the same arrays through.
 """
 
 import json
@@ -37,19 +40,6 @@ class CorrelationError(ValueError):
 
 class GamModelError(ValueError):
     """A model file that load_generator cannot read."""
-
-
-@dataclass
-class HalfHourGam:
-    """Fitted additive mean model for one half-hour slot; its taubar and kappa
-    blocks are the generator's day_blocks."""
-
-    tau_block: CenteredSplineBlock
-    spline_coef: list        # coefficient vectors for the tau, taubar and kappa blocks
-    intercept: float
-    alpha_w: float
-    xi: np.ndarray           # (3,) tariff offsets, xi[NORMAL] = 0
-    lam: float
 
 
 def estimate_correlation(residuals):
@@ -82,8 +72,15 @@ def estimate_correlation(residuals):
 @dataclass
 class GamGenerator:
     entity: str
+    tau_blocks: list           # 48 CenteredSplineBlock, one per slot
     day_blocks: list           # CenteredSplineBlock for taubar and kappa, shared by all slots
-    models: list               # 48 HalfHourGam
+    # (48, 3, K): each slot's tau, taubar and kappa coefficients, NaN past
+    # each block's dim; K is the largest block dim
+    coefs: np.ndarray
+    intercept: np.ndarray      # (48,)
+    alpha_w: np.ndarray        # (48,) working-day terms
+    xi: np.ndarray             # (48, 3) tariff offsets, xi[:, NORMAL] = 0
+    lam: np.ndarray            # (48,) GCV-chosen smoothing weights
     sigma: np.ndarray          # (3, 48) per-tariff noise scales
     corr: np.ndarray           # (48, 48)
     chol: np.ndarray           # lower Cholesky factor of corr
@@ -105,11 +102,11 @@ class GamGenerator:
         tariffs = np.asarray(tariffs)
         day_designs = [design(block, v) for block, v in zip(self.day_blocks, (taubar, kappa))]
         means = np.empty(tau_rows.shape)
-        for h, model in enumerate(self.models):
-            f = model.intercept + model.alpha_w * np.asarray(w) + model.xi[tariffs[:, h]]
-            for d, coef in zip([design(model.tau_block, tau_rows[:, h]), *day_designs],
-                               model.spline_coef):
-                f = f + (d[:, None, :] @ coef[:, None])[:, 0, 0]
+        for h, (tau_block, coefs) in enumerate(zip(self.tau_blocks, self.coefs)):
+            f = self.intercept[h] + self.alpha_w[h] * np.asarray(w) + self.xi[h, tariffs[:, h]]
+            # each coef row is a contiguous slice, so the products round as on a copy
+            for d, coef in zip([design(tau_block, tau_rows[:, h]), *day_designs], coefs):
+                f = f + (d[:, None, :] @ coef[:d.shape[1], None])[:, 0, 0]
             means[:, h] = f
         return means
 
@@ -153,39 +150,42 @@ def fit_gam_generators(entities, kwh, tau, taubar_daily, calendar, tariffs, part
     # the smoothed-temperature block takes its knots as a slot's temperature block does
     day_blocks, day_designs, day_penalties = zip(
         slot_block(taubar_daily[train]), (kappa_block, kappa_design, kappa_block.penalty()))
+    tau_blocks, tau_designs, tau_penalties = zip(
+        *(slot_block(tau[train, h]) for h in range(HALF_HOURS)))
+    width = max(block.dim for block in tau_blocks + day_blocks)
     w = np.asarray(calendar.w[train], dtype=float)[:, None]
-    fitted = np.empty((len(entities), len(train), HALF_HOURS))
-    sigma = np.empty((len(entities), 3, HALF_HOURS))
-    models = [[] for _ in entities]
+    m = len(entities)
+    fitted = np.empty((m, len(train), HALF_HOURS))
+    sigma = np.empty((m, 3, HALF_HOURS))
+    coefs = np.full((m, HALF_HOURS, 3, width), np.nan)
+    intercept, alpha_w, lam = np.empty((3, m, HALF_HOURS))
+    xi = np.zeros((m, HALF_HOURS, 3))
     for h in range(HALF_HOURS):
-        tau_block, tau_design, tau_penalty = slot_block(tau[train, h])
         y = kwh[:, train, h]
         for members in column_groups(tariffs[:, train, h]):
             tariff = tariffs[members[0], train, h]
-            _, _, scale, _ = fit_slot(tau_design, tau_penalty, y[members], tariff,
+            _, _, scale, _ = fit_slot(tau_designs[h], tau_penalties[h], y[members], tariff,
                                       entities[members[0]], h)
             sigma[members, :, h] = scale.T
             special = [code for code in (LOW, HIGH) if np.any(tariff == code)]
-            blocks = [tau_design, *day_designs, np.ones_like(w), w]
+            blocks = [tau_designs[h], *day_designs, np.ones_like(w), w]
             blocks += [(tariff == code).astype(float)[:, None] for code in special]
-            penalties = [tau_penalty, *day_penalties] + [None] * (2 + len(special))
+            penalties = [tau_penalties[h], *day_penalties] + [None] * (2 + len(special))
             fit = penalized_lstsq(blocks, penalties, y[members].T)
             fitted[members, :, h] = matvec_rows(np.hstack(blocks), fit.coef.T)
-            coefs = [fit.block_coef(b) for b in range(len(blocks))]
-            for j, i in enumerate(members):
-                # contiguous copies, so mean_profiles' products round as a lone fit's
-                coef = [c[:, j].copy() for c in coefs]
-                xi = np.zeros(3)
-                xi[special] = [c[0] for c in coef[5:]]
-                models[i].append(HalfHourGam(
-                    tau_block, coef[:3], intercept=float(coef[3][0]),
-                    alpha_w=float(coef[4][0]), xi=xi, lam=float(fit.lam[j])))
+            for b, design in enumerate(blocks[:3]):
+                coefs[members, h, b, :design.shape[1]] = fit.block_coef(b).T
+            intercept[members, h], alpha_w[members, h] = fit.block_coef(3)[0], fit.block_coef(4)[0]
+            for i, code in enumerate(special):
+                xi[members, h, code] = fit.block_coef(5 + i)[0]
+            lam[members, h] = fit.lam
     generators = []
     for i, entity in enumerate(entities):
         scale = sigma[i][tariffs[i, train], np.arange(HALF_HOURS)]
         corr = estimate_correlation((kwh[i, train] - fitted[i]) / scale)
-        generators.append(GamGenerator(entity, list(day_blocks), models[i], sigma[i], corr,
-                                       np.linalg.cholesky(corr)))
+        generators.append(GamGenerator(
+            entity, list(tau_blocks), list(day_blocks), coefs[i], intercept[i], alpha_w[i],
+            xi[i], lam[i], sigma[i], corr, np.linalg.cholesky(corr)))
     return generators
 
 
@@ -196,24 +196,25 @@ def fit_gam_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partiti
     return gen
 
 
-def _term_names(model):
-    names = []
-    for tag, coef in zip(("tau", "taubar", "kappa"), model.spline_coef):
-        names.extend([f"{tag}_s{i + 1}" for i in range(len(coef))])
-    names.extend(["intercept", "w", "xi_low", "xi_high"])
-    return names
+def _scalars(gen):
+    """(48, 4): each slot's intercept, working-day term and Low and High offsets."""
+    return np.column_stack([gen.intercept, gen.alpha_w, gen.xi[:, LOW], gen.xi[:, HIGH]])
 
 
 def export_coefficients_csv(gen, path):
-    """One h,term,coef row per coefficient of each half-hour model."""
-    write_csv(path, ["h", "term", "coef"], (
-        [h, term, value]
-        for h, model in enumerate(gen.models, start=1)
-        for term, value in zip(_term_names(model), np.concatenate(
-            model.spline_coef
-            + [[model.intercept, model.alpha_w, model.xi[LOW], model.xi[HIGH]]]
-        ).tolist())
-    ))
+    """One h,term,coef row per coefficient of each half-hour model: the tau,
+    taubar and kappa spline coefficients, then intercept, w, xi_low, xi_high."""
+    def rows():
+        for h, (tau_block, coefs, scalars) in enumerate(
+                zip(gen.tau_blocks, gen.coefs.tolist(), _scalars(gen).tolist()), start=1):
+            for tag, block, coef in zip(("tau", "taubar", "kappa"),
+                                        [tau_block, *gen.day_blocks], coefs):
+                for i, value in enumerate(coef[:block.dim], start=1):
+                    yield [h, f"{tag}_s{i}", value]
+            for term, value in zip(("intercept", "w", "xi_low", "xi_high"), scalars):
+                yield [h, term, value]
+
+    write_csv(path, ["h", "term", "coef"], rows())
 
 
 def export_sigma_matrix_csv(gen, path):
@@ -236,63 +237,59 @@ def _padded(rows, width):
 
 
 def save_generator(gen, path):
-    """One npz of the 50 distinct spline blocks and the (48, 3) coefficient
-    vectors, padded to the longest block, plus the noise side."""
-    n = len(gen.models)
-    blocks = [model.tau_block for model in gen.models] + list(gen.day_blocks)
+    """One npz of the 50 distinct spline blocks and the generator's arrays,
+    the blocks padded to the longest one, plus the noise side."""
+    blocks = [*gen.tau_blocks, *gen.day_blocks]
     counts = np.array([len(block.basis.interior) for block in blocks])
     k = int(counts.max(initial=0))
-    coefs = [coef for model in gen.models for coef in model.spline_coef]
     arrays = {
         "ranges": _padded([(b.basis.lo, b.basis.hi) for b in blocks], 2),
         "counts": counts,
         "interiors": _padded([b.basis.interior for b in blocks], k),
         "centers": _padded([b.center for b in blocks], k + 4),
-        "coefs": _padded(coefs, k + 3).reshape(n, -1, k + 3),
-        "scalars": np.array([[m.intercept, m.alpha_w, m.xi[LOW], m.xi[HIGH]]
-                             for m in gen.models]),
+        "coefs": gen.coefs,
+        "scalars": _scalars(gen),
         "sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol,
     }
-    meta = {"entity": gen.entity, "lams": [model.lam for model in gen.models]}
+    meta = {"entity": gen.entity, "lams": gen.lam.tolist()}
     with replacing(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_generator(path):
+    """The generator saved at path. GamModelError, naming path, for a file of
+    an older layout, a meta without entity and lams, or arrays whose shapes
+    do not agree."""
     with np.load(path, allow_pickle=False) as z:
         # a file of the older (48, 3) block layout has every key
         if any(key not in z.files for key in MODEL_KEYS) or z["counts"].ndim != 1:
             raise GamModelError(
                 f"{path}: not a GAM model file of this version; rerun `drsim train --force`"
             )
-        meta = json.loads(str(z["meta"]))
-        blocks = [
-            CenteredSplineBlock(CubicSplineBasis(lo, hi, interior[:n]), center[:n + 4].copy())
-            for (lo, hi), n, interior, center in zip(
-                z["ranges"].tolist(), z["counts"].tolist(), z["interiors"], z["centers"])
-        ]
-        day_blocks = blocks[len(meta["lams"]):]
-        coefs, scalars = z["coefs"], z["scalars"]
-        models = []
-        for h, lam in enumerate(meta["lams"]):
-            xi = np.zeros(3)
-            xi[LOW], xi[HIGH] = scalars[h, 2], scalars[h, 3]
-            models.append(
-                HalfHourGam(
-                    tau_block=blocks[h],
-                    spline_coef=[coef[:block.dim].copy() for block, coef
-                                 in zip([blocks[h], *day_blocks], coefs[h])],
-                    intercept=float(scalars[h, 0]),
-                    alpha_w=float(scalars[h, 1]),
-                    xi=xi,
-                    lam=float(lam),
-                )
-            )
-        return GamGenerator(
-            entity=meta["entity"],
-            day_blocks=day_blocks,
-            models=models,
-            sigma=z["sigma"],
-            corr=z["corr"],
-            chol=z["chol"],
-        )
+        arrays = {key: z[key] for key in MODEL_KEYS}
+    try:
+        meta = json.loads(str(arrays["meta"]))
+        entity, arrays["lams"] = meta["entity"], meta["lams"]
+    except (ValueError, KeyError, TypeError):
+        raise GamModelError(f"{path}: meta is not JSON with an entity and lams; "
+                            "rerun `drsim train --force`") from None
+    n, k = HALF_HOURS, int(arrays["counts"].max(initial=0))
+    shapes = {"lams": (n,), "ranges": (n + 2, 2), "counts": (n + 2,),
+              "interiors": (n + 2, k), "centers": (n + 2, k + 4), "coefs": (n, 3, k + 3),
+              "scalars": (n, 4), "sigma": (3, n), "corr": (n, n), "chol": (n, n)}
+    for key, shape in shapes.items():
+        if np.shape(arrays[key]) != shape:
+            raise GamModelError(f"{path}: {key} has shape {np.shape(arrays[key])}, expected "
+                                f"{shape}; rerun `drsim train --force`")
+    blocks = [
+        CenteredSplineBlock(CubicSplineBasis(lo, hi, interior[:c]), center[:c + 4].copy())
+        for (lo, hi), c, interior, center in zip(arrays["ranges"].tolist(),
+                                                 arrays["counts"].tolist(),
+                                                 arrays["interiors"], arrays["centers"])
+    ]
+    scalars = arrays["scalars"]
+    xi = np.zeros((n, 3))
+    xi[:, LOW], xi[:, HIGH] = scalars[:, 2], scalars[:, 3]
+    return GamGenerator(entity, blocks[:n], blocks[n:], arrays["coefs"],
+                        scalars[:, 0], scalars[:, 1], xi, np.array(arrays["lams"], dtype=float),
+                        arrays["sigma"], arrays["corr"], arrays["chol"])

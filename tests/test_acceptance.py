@@ -289,7 +289,7 @@ def test_08_gamgen_covariance_and_window_exactness(capsys):
     f_low = gen.mean_profile(pop.tau[t], taubar[t], cal.kappa[t], cal.w[t], tar_low)
     f_norm = gen.mean_profile(pop.tau[t], taubar[t], cal.kappa[t], cal.w[t], np.full(48, NORMAL))
     diff = f_low - f_norm
-    xi_low = np.array([gen.models[h].xi[LOW] for h in range(48)])
+    xi_low = gen.xi[:, LOW]
     outside_exact = bool(np.all(diff[~window] == 0.0))
     inside_matches = bool(np.allclose(diff[window], xi_low[window], rtol=1e-9))
 

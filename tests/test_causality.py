@@ -196,6 +196,16 @@ class TestTariffProfile:
                                                      r"tariff NORMAL in half-hour 5$"):
             causality.read_profiles_csv(path)
 
+    def test_csv_repeated_cell_names_the_file_line_and_cell(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        causality.export_profiles_csv(causality.ResponseProfiles(
+            ["a", "b"], np.zeros((2, 3, 48)), np.ones((2, 3, 48))), path)
+        with open(path, "a") as fh:
+            fh.write("a,LOW,1,9.0,1.0\n")
+        with pytest.raises(causality.FitError, match=r"profiles\.csv: line 290 repeats the "
+                                                     r"cell \(a, LOW, 1\)$"):
+            causality.read_profiles_csv(path)
+
     def test_csv_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("entity,tariff,hour,mu,sigma\n")

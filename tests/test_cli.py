@@ -629,6 +629,23 @@ class TestValidation:
             "type": "PipelineError",
         }
 
+    def test_train_names_an_assignment_that_is_not_a_cluster(self, workdir, capsys):
+        tmp, cfg = workdir
+        for stage in ("synth", "ingest", "cluster"):
+            assert run_cli(stage, "--config", str(cfg)) == 0
+        assignments = tmp / "run" / "assignments.csv"
+        lines = assignments.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, start=1) if text.startswith("tou002,"))
+        lines[line - 1] = "tou002,x"
+        assignments.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(cfg), "--force") == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{assignments}: line {line} (tou002,x) needs a household id and a "
+                     "non-negative integer cluster",
+            "type": "ClusteringError",
+        }
+
     @pytest.mark.parametrize("setting, bad, error", [
         pytest.param("  nmf_rank: 3\n", "  nmf_rank: 7\n", "rank 7 outside 1..6", id="nmf-rank"),
         pytest.param("  k: 2\n", "  k: 7\n", "k=7 outside 1..6", id="k"),

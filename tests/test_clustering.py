@@ -419,3 +419,22 @@ class TestClassicalPipeline:
         loaded_ids, loaded_labels = clustering.read_assignments_csv(path)
         assert loaded_ids == ids
         np.testing.assert_array_equal(loaded_labels, result.labels)
+
+    @pytest.mark.parametrize("row", ["tou002,x", "tou002,-1", "tou002,1.5", "tou002,", "tou002",
+                                     "tou002,1,0"],
+                             ids=["text", "negative", "fraction", "empty", "short", "long"])
+    def test_assignments_bad_cluster_names_the_file_and_line(self, tmp_path, row):
+        path = tmp_path / "assignments.csv"
+        path.write_text(f"household_id,cluster\ntou001,0\n{row}\ntou003,1\n")
+        with pytest.raises(clustering.ClusteringError,
+                           match=rf"assignments\.csv: line 3 \({row}\) needs a household id "
+                                 r"and a non-negative integer cluster$"):
+            clustering.read_assignments_csv(path)
+
+    def test_assignments_household_listed_twice_names_the_file_and_lines(self, tmp_path):
+        path = tmp_path / "assignments.csv"
+        path.write_text("household_id,cluster\ntou001,0\ntou002,1\ntou001,1\n")
+        with pytest.raises(clustering.ClusteringError,
+                           match=r"assignments\.csv: line 4 lists household tou001 again, "
+                                 r"first listed on line 2$"):
+            clustering.read_assignments_csv(path)

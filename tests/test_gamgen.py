@@ -1,3 +1,4 @@
+import csv
 import datetime
 import json
 
@@ -46,17 +47,15 @@ def planted_setup(n_days=240, seed=0, xi_low=0.3, xi_high=-0.2, sigma=0.05,
 def scalar_mean(gen, h, tau, taubar, kappa, w, tariff):
     """Slot h of one day by the per-slot scalar formula: one design call
     per block, terms added intercept, w, xi, then tau, taubar, kappa."""
-    model = gen.models[h]
-    parts = model.intercept + model.alpha_w * w + model.xi[tariff]
-    for block, coef, v in zip([model.tau_block, *gen.day_blocks], model.spline_coef,
-                              (tau, taubar, kappa)):
+    parts = gen.intercept[h] + gen.alpha_w[h] * w + gen.xi[h, tariff]
+    for (block, coef), v in zip(slot_blocks(gen, h), (tau, taubar, kappa)):
         parts += float((block.design(v) @ coef)[0])
     return parts
 
 
 def scalar_means(gen, tau_rows, taubar, kappa, w, tariffs):
     return np.array([
-        [scalar_mean(gen, h, tau_row[h], tb, k, wd, tar[h]) for h in range(len(gen.models))]
+        [scalar_mean(gen, h, tau_row[h], tb, k, wd, tar[h]) for h in range(48)]
         for tau_row, tb, k, wd, tar in zip(tau_rows, taubar, kappa, w, tariffs)
     ])
 
@@ -76,30 +75,33 @@ def wide_days(tau, taubar, n_days=40, seed=11):
 
 def slot_blocks(gen, h):
     """The tau, taubar and kappa blocks of slot h, with their coefficients."""
-    model = gen.models[h]
-    return list(zip([model.tau_block, *gen.day_blocks], model.spline_coef, strict=True))
+    blocks = [gen.tau_blocks[h], *gen.day_blocks]
+    return [(block, coef[:block.dim]) for block, coef in zip(blocks, gen.coefs[h], strict=True)]
+
+
+def slot_scalars(gen, h):
+    """Slot h's intercept, working-day term and Low and High offsets."""
+    return np.array([gen.intercept[h], gen.alpha_w[h], gen.xi[h, LOW], gen.xi[h, HIGH]])
 
 
 def per_key_layout_arrays(gen):
     """The per-key npz layout: one set of keys per (slot, block)."""
     arrays = {"sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol}
-    for h, model in enumerate(gen.models):
+    for h in range(48):
         for i, (block, coef) in enumerate(slot_blocks(gen, h)):
             arrays[f"h{h}_range{i}"] = np.array([block.basis.lo, block.basis.hi])
             arrays[f"h{h}_interior{i}"] = block.basis.interior
             arrays[f"h{h}_center{i}"] = block.center
             arrays[f"h{h}_coef{i}"] = coef
-        arrays[f"h{h}_scalars"] = np.array(
-            [model.intercept, model.alpha_w, model.xi[LOW], model.xi[HIGH]]
-        )
-    meta = {"entity": gen.entity, "lams": [model.lam for model in gen.models]}
+        arrays[f"h{h}_scalars"] = slot_scalars(gen, h)
+    meta = {"entity": gen.entity, "lams": gen.lam.tolist()}
     return {"meta": np.array(json.dumps(meta)), **arrays}
 
 
 def slot_stacked_layout_arrays(gen):
     """The stacked layout with a copy of all three blocks per slot: (48, 3, ...)
     arrays, every row NaN past its block's own length."""
-    rows = [pair for h in range(len(gen.models)) for pair in slot_blocks(gen, h)]
+    rows = [pair for h in range(48) for pair in slot_blocks(gen, h)]
     counts = np.array([len(block.basis.interior) for block, _ in rows])
     k = int(counts.max())
 
@@ -107,30 +109,29 @@ def slot_stacked_layout_arrays(gen):
         out = np.full((len(values), width), np.nan)
         for r, v in zip(out, values):
             r[:len(v)] = v
-        return out.reshape(len(gen.models), 3, width)
+        return out.reshape(48, 3, width)
 
     arrays = {
         "ranges": stacked([(b.basis.lo, b.basis.hi) for b, _ in rows], 2),
-        "counts": counts.reshape(len(gen.models), 3),
+        "counts": counts.reshape(48, 3),
         "interiors": stacked([b.basis.interior for b, _ in rows], k),
         "centers": stacked([b.center for b, _ in rows], k + 4),
         "coefs": stacked([c for _, c in rows], k + 3),
-        "scalars": np.array([[m.intercept, m.alpha_w, m.xi[LOW], m.xi[HIGH]]
-                             for m in gen.models]),
+        "scalars": np.array([slot_scalars(gen, h) for h in range(48)]),
         "sigma": gen.sigma, "corr": gen.corr, "chol": gen.chol,
     }
-    meta = {"entity": gen.entity, "lams": [model.lam for model in gen.models]}
+    meta = {"entity": gen.entity, "lams": gen.lam.tolist()}
     return {"meta": np.array(json.dumps(meta)), **arrays}
 
 
 def assert_same_generator(a, b):
     assert a.entity == b.entity
-    for name in ("sigma", "corr", "chol"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for name in ("coefs", "intercept", "alpha_w", "xi", "lam", "sigma", "corr", "chol"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
     assert len(a.day_blocks) == len(b.day_blocks) == 2
-    for h, (ma, mb) in enumerate(zip(a.models, b.models, strict=True)):
-        assert (ma.intercept, ma.alpha_w, ma.lam) == (mb.intercept, mb.alpha_w, mb.lam)
-        np.testing.assert_array_equal(ma.xi, mb.xi)
+    assert len(a.tau_blocks) == len(b.tau_blocks) == 48
+    for h in range(48):
         for (ba, ca), (bb, cb) in zip(slot_blocks(a, h), slot_blocks(b, h), strict=True):
             assert (ba.basis.lo, ba.basis.hi) == (bb.basis.lo, bb.basis.hi)
             np.testing.assert_array_equal(ba.basis.interior, bb.basis.interior)
@@ -156,16 +157,10 @@ def reference_half_hour(entity, h, y, tau, day_designs, day_penalties, w, tariff
     xi = np.zeros(3)
     for i, code in enumerate(observed_special):
         xi[code] = fit.block_coef(5 + i)[0]
-    model = gamgen.HalfHourGam(
-        tau_block=tau_block,
-        spline_coef=[fit.block_coef(i) for i in range(3)],
-        intercept=float(fit.block_coef(3)[0]),
-        alpha_w=float(fit.block_coef(4)[0]),
-        xi=xi,
-        lam=fit.lam,
-    )
+    spline_coef = [fit.block_coef(i) for i in range(3)]
+    scalars = (float(fit.block_coef(3)[0]), float(fit.block_coef(4)[0]), xi, fit.lam)
     fitted = np.hstack(blocks) @ fit.coef
-    return model, fitted, scale[:, 0]
+    return tau_block, spline_coef, scalars, fitted, scale[:, 0]
 
 
 def reference_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, partition):
@@ -179,17 +174,26 @@ def reference_generator(entity, kwh, tau, taubar_daily, calendar, tariffs, parti
     day_penalties = [block.penalty() for block in day_blocks]
     fitted = np.empty((len(train), 48))
     sigma = np.empty((3, 48))
-    models = []
+    tau_blocks, spline_coefs = [], []
+    intercept, alpha_w, lam = np.empty((3, 48))
+    xi = np.empty((48, 3))
     for h in range(48):
-        model, fitted[:, h], sigma[:, h] = reference_half_hour(
+        tau_block, spline_coef, scalars, fitted[:, h], sigma[:, h] = reference_half_hour(
             entity, h, kwh[train, h], tau[train, h], day_designs, day_penalties,
             calendar.w[train], tariffs[train, h],
         )
-        models.append(model)
+        tau_blocks.append(tau_block)
+        spline_coefs.append(spline_coef)
+        intercept[h], alpha_w[h], xi[h], lam[h] = scalars
+    # every slot's three coefficient vectors, NaN-padded to the longest
+    coefs = np.full((48, 3, max(len(c) for coef in spline_coefs for c in coef)), np.nan)
+    for h, coef in enumerate(spline_coefs):
+        for b, c in enumerate(coef):
+            coefs[h, b, :len(c)] = c
     scale = sigma[tariffs[train], np.arange(48)]
     corr = gamgen.estimate_correlation((kwh[train] - fitted) / scale)
-    return gamgen.GamGenerator(entity=entity, day_blocks=list(day_blocks), models=models,
-                               sigma=sigma, corr=corr, chol=np.linalg.cholesky(corr))
+    return gamgen.GamGenerator(entity, tau_blocks, list(day_blocks), coefs, intercept, alpha_w,
+                               xi, lam, sigma, corr, np.linalg.cholesky(corr))
 
 
 def assert_same_model_file(a, b, tmp_path):
@@ -200,6 +204,17 @@ def assert_same_model_file(a, b, tmp_path):
         for key in za.files:
             assert za[key].dtype == zb[key].dtype, key
             np.testing.assert_array_equal(za[key], zb[key], err_msg=key)
+
+
+@pytest.fixture(scope="module")
+def unequal_knots():
+    kwh, tau, taubar, calendar, tariffs, partition = planted_setup(n_days=120, seed=3)
+    # three temperature levels in some slots: quantile knots merge or
+    # land on the range ends, so those blocks keep fewer interior knots
+    for h in (0, 20, 47):
+        tau[:, h] = np.digitize(tau[:, h], np.quantile(tau[:, h], [0.15, 0.5])).astype(float)
+    gen = gamgen.fit_gam_generator("cluster3", kwh, tau, taubar, calendar, tariffs, partition)
+    return gen, (kwh, tau, taubar, calendar, tariffs, partition)
 
 
 @pytest.fixture(scope="module")
@@ -214,15 +229,15 @@ class TestFit:
     def test_recovers_tariff_offsets_in_window(self, fitted):
         gen, _ = fitted
         for h in range(9, 19):
-            assert gen.models[h].xi[LOW] == pytest.approx(0.3, abs=0.06)
-            assert gen.models[h].xi[HIGH] == pytest.approx(-0.2, abs=0.06)
-            assert gen.models[h].xi[NORMAL] == 0.0
+            assert gen.xi[h, LOW] == pytest.approx(0.3, abs=0.06)
+            assert gen.xi[h, HIGH] == pytest.approx(-0.2, abs=0.06)
+            assert gen.xi[h, NORMAL] == 0.0
 
     def test_unobserved_tariff_offset_is_zero(self, fitted):
         gen, _ = fitted
         # outside the window no special tariff ever appears
-        assert gen.models[0].xi[LOW] == 0.0
-        assert gen.models[0].xi[HIGH] == 0.0
+        assert gen.xi[0, LOW] == 0.0
+        assert gen.xi[0, HIGH] == 0.0
 
     def test_mean_profile_tracks_truth(self, fitted):
         gen, (kwh, tau, taubar, calendar, tariffs, partition) = fitted
@@ -251,7 +266,7 @@ class TestFit:
         train = partition.train
         # slot 0 never sees a special tariff, so its Low and High take Normal's scale
         for h in (0, 12, 47):
-            block = gen.models[h].tau_block
+            block = gen.tau_blocks[h]
             _, _, scale, _ = fit_slot(block.design(tau[train, h]), block.penalty(),
                                       kwh[train, h][None], tariffs[train, h], "cluster0", h)
             np.testing.assert_array_equal(gen.sigma[:, h], scale[:, 0])
@@ -270,8 +285,8 @@ class TestFit:
         def uniform(x):
             return x.min(), x.max(), np.linspace(x.min(), x.max(), 7)[1:-1].tolist()
 
-        for h, model in enumerate(gen.models):
-            assert knots(model.tau_block) == at_quantiles(tau[train, h]), h
+        for h, tau_block in enumerate(gen.tau_blocks):
+            assert knots(tau_block) == at_quantiles(tau[train, h]), h
         taubar_block, kappa_block = gen.day_blocks
         assert knots(taubar_block) == at_quantiles(taubar[train])
         assert knots(kappa_block) == uniform(calendar.kappa[train])
@@ -317,7 +332,7 @@ class TestFitTogether:
         for i, gen in enumerate(gens):
             ref = reference_generator(ids[i], kwh[i], tau, taubar, calendar, tariffs[i], partition)
             assert_same_generator(gen, ref)
-            assert all(coef.flags.c_contiguous for m in gen.models for coef in m.spline_coef)
+            assert gen.coefs.flags.c_contiguous
             assert np.array_equal(gen.mean_profiles(*days), ref.mean_profiles(*days))
             assert_same_model_file(gen, ref, tmp_path)
 
@@ -422,7 +437,7 @@ class TestSampling:
         outside = np.ones(48, dtype=bool)
         outside[9:19] = False
         np.testing.assert_array_equal(diff[outside], 0.0)
-        np.testing.assert_allclose(diff[9:19], [gen.models[h].xi[LOW] for h in range(9, 19)])
+        np.testing.assert_allclose(diff[9:19], gen.xi[9:19, LOW])
 
     def test_sample_mean_converges_to_profile(self, fitted):
         gen, (kwh, tau, taubar, calendar, tariffs, partition) = fitted
@@ -445,10 +460,10 @@ class TestSampling:
     def test_clamp_floors_at_zero(self):
         # flat mean barely above zero with unit noise: draws must clamp
         block = CenteredSplineBlock(CubicSplineBasis(-1.0, 1.0, []), np.full(4, 0.25))
-        flat = gamgen.HalfHourGam(tau_block=block, spline_coef=[np.zeros(3)] * 3,
-                                  intercept=0.01, alpha_w=0.0, xi=np.zeros(3), lam=1.0)
         gen = gamgen.GamGenerator(
-            entity="toy", day_blocks=[block, block], models=[flat] * 48,
+            entity="toy", tau_blocks=[block] * 48, day_blocks=[block, block],
+            coefs=np.zeros((48, 3, 3)), intercept=np.full(48, 0.01), alpha_w=np.zeros(48),
+            xi=np.zeros((48, 3)), lam=np.ones(48),
             sigma=np.ones((3, 48)), corr=np.eye(48), chol=np.eye(48),
         )
         args = (np.zeros(48), 0.0, 0.0, 0.0, np.full(48, NORMAL, dtype=np.int8))
@@ -510,16 +525,10 @@ class TestPersistence:
             np.testing.assert_array_equal(z["ranges"][49], [gen.day_blocks[1].basis.lo,
                                                             gen.day_blocks[1].basis.hi])
 
-    def test_round_trip_with_unequal_knot_counts(self, tmp_path):
-        kwh, tau, taubar, calendar, tariffs, partition = planted_setup(n_days=120, seed=3)
-        # three temperature levels in some slots: quantile knots merge or
-        # land on the range ends, so those blocks keep fewer interior knots
-        for h in (0, 20, 47):
-            tau[:, h] = np.digitize(tau[:, h], np.quantile(tau[:, h], [0.15, 0.5])).astype(float)
-        gen = gamgen.fit_gam_generator("cluster3", kwh, tau, taubar, calendar,
-                                       tariffs, partition)
+    def test_round_trip_with_unequal_knot_counts(self, unequal_knots, tmp_path):
+        gen, (_, tau, taubar, _, _, _) = unequal_knots
         counts = [len(b.basis.interior)
-                  for b in [m.tau_block for m in gen.models] + gen.day_blocks]
+                  for b in [*gen.tau_blocks, *gen.day_blocks]]
         assert min(counts) < max(counts) == 5
         path = tmp_path / "gam.npz"
         gamgen.save_generator(gen, path)
@@ -537,16 +546,76 @@ class TestPersistence:
         with pytest.raises(gamgen.GamModelError, match=r"gam_cluster0\.npz.*train --force"):
             gamgen.load_generator(path)
 
-    def test_coefficient_export_layout(self, fitted, tmp_path):
+    @pytest.mark.parametrize("key, cut", [
+        ("scalars", np.s_[:47]), ("coefs", np.s_[..., :5]), ("chol", np.s_[:40]),
+        ("corr", np.s_[:, :47]), ("sigma", np.s_[:2]), ("counts", np.s_[:49]),
+        ("ranges", np.s_[1:]), ("interiors", np.s_[:, :4]), ("centers", np.s_[:49]),
+    ])
+    def test_arrays_that_disagree_in_shape_name_the_file(self, fitted, tmp_path, key, cut):
         gen, _ = fitted
+        path = tmp_path / "gam_cluster0.npz"
+        gamgen.save_generator(gen, path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays[key] = arrays[key][cut]
+        np.savez(path, **arrays)
+        with pytest.raises(gamgen.GamModelError,
+                           match=rf"gam_cluster0\.npz: {key} has shape .*train --force"):
+            gamgen.load_generator(path)
+
+    @pytest.mark.parametrize("meta, error", [
+        ({"entity": "cluster0", "lams": [1.0] * 47}, r"lams has shape \(47,\), expected \(48,\)"),
+        ({"entity": "cluster0"}, "meta is not JSON with an entity and lams"),
+        ({"lams": [1.0] * 48}, "meta is not JSON with an entity and lams"),
+        ([1.0] * 48, "meta is not JSON with an entity and lams"),
+        ("{not json", "meta is not JSON with an entity and lams"),
+    ], ids=["47-lams", "no-lams", "no-entity", "a-list", "not-json"])
+    def test_meta_without_one_lambda_per_slot_names_the_file(self, fitted, tmp_path, meta, error):
+        gen, _ = fitted
+        path = tmp_path / "gam_cluster0.npz"
+        gamgen.save_generator(gen, path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        arrays["meta"] = np.array(meta if isinstance(meta, str) else json.dumps(meta))
+        np.savez(path, **arrays)
+        with pytest.raises(gamgen.GamModelError, match=rf"gam_cluster0\.npz: {error}"):
+            gamgen.load_generator(path)
+
+    @staticmethod
+    def assert_export_pins_every_value(gen, tmp_path):
+        """Each slot's rows: its block dims' spline terms in block order, then the
+        four scalars; every field the repr of the Python float, read back bit for bit."""
         path = tmp_path / "coef.csv"
         gamgen.export_coefficients_csv(gen, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "h,term,coef"
-        per_model = len(lines[1:]) / 48
-        assert per_model == int(per_model)
-        assert lines[1].startswith("1,tau_s1,")
-        assert any(",xi_low," in line for line in lines[1:])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["h", "term", "coef"]
+        dims = [[block.dim for block in (tau_block, *gen.day_blocks)]
+                for tau_block in gen.tau_blocks]
+        assert len(rows) - 1 == sum(sum(d) + 4 for d in dims)
+        body = iter(rows[1:])
+        back = {name: np.full_like(getattr(gen, name), np.nan)
+                for name in ("coefs", "intercept", "alpha_w", "xi")}
+        back["xi"][:, NORMAL] = 0.0
+        for h in range(48):
+            cells = [(f"{tag}_s{i + 1}", ("coefs", h, b, i))
+                     for b, tag in enumerate(("tau", "taubar", "kappa"))
+                     for i in range(dims[h][b])]
+            cells += [("intercept", ("intercept", h)), ("w", ("alpha_w", h)),
+                      ("xi_low", ("xi", h, LOW)), ("xi_high", ("xi", h, HIGH))]
+            for term, (name, *index) in cells:
+                row = next(body)
+                assert row[:2] == [str(h + 1), term]
+                assert row[2] == repr(float(getattr(gen, name)[tuple(index)])), (h, term)
+                back[name][tuple(index)] = float(row[2])
+        for name, array in back.items():
+            assert array.tobytes() == getattr(gen, name).tobytes(), name
+
+    def test_coefficient_export_layout(self, fitted, tmp_path):
+        self.assert_export_pins_every_value(fitted[0], tmp_path)
+
+    def test_coefficient_export_with_unequal_knot_counts(self, unequal_knots, tmp_path):
+        self.assert_export_pins_every_value(unequal_knots[0], tmp_path)
 
     def test_sigma_matrix_export_is_dense_48(self, fitted, tmp_path):
         gen, _ = fitted

@@ -6,6 +6,10 @@ conditional) pair to a diagonal Gaussian over the latent space; its final
 linear layer has width 2d and is split into the mean and log-variance heads.
 The decoder mirrors the encoder and ends in a sigmoid, so reconstructions
 live in [0, 1] and generated profiles in the training min/max range exactly.
+Hidden layers are ReLU, so the activations are fixed by the layer count: a
+trained encoder or decoder is the list [w0, b0, w1, b1, ...] of the arrays
+its model file holds, with no layer objects between training, the file and
+a load, and one helper (_forward) runs either net.
 
 Training minimizes mean_batch(||y - yhat||^2 + eta * KL) with KL against the
 standard Normal in closed form. Each restart reruns init, shuffling and
@@ -54,13 +58,6 @@ class CvaeConfig:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass
-class DenseLayer:
-    weights: np.ndarray    # (n_out, n_in)
-    bias: np.ndarray       # (n_out,)
-    activation: str        # relu | linear | sigmoid
-
-
 def _sigmoid(pre):
     """1 / (1 + exp(-pre)) in one pass: exp only sees -|pre|, so it never
     overflows, and each sign gets its own textbook form."""
@@ -68,14 +65,16 @@ def _sigmoid(pre):
     return np.where(pre >= 0, 1.0, e) / (1.0 + e)
 
 
-def _activate(name, pre):
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    if name == "sigmoid":
-        return _sigmoid(pre)
-    if name == "linear":
-        return pre
-    raise ValueError(f"unknown activation {name!r}")
+def _linear(pre):
+    return pre
+
+
+def _forward(params, x, head):
+    """x through the dense layers params = [w0, b0, w1, b1, ...], weights
+    (n_out, n_in): ReLU after every layer but the last, head after the last."""
+    for w, b in zip(params[0:-2:2], params[1:-2:2]):
+        x = np.maximum(x @ w.T + b, 0.0)
+    return head(x @ params[-2].T + params[-1])
 
 
 def glorot_uniform(n_out, n_in, rng):
@@ -83,39 +82,29 @@ def glorot_uniform(n_out, n_in, rng):
     return rng.uniform(-limit, limit, size=(n_out, n_in))
 
 
-@dataclass
-class DenseNet:
-    layers: list
-
-    @classmethod
-    def build(cls, sizes, activations, rng):
-        layers = [
-            DenseLayer(glorot_uniform(n_out, n_in, rng), np.zeros(n_out), act)
-            for n_in, n_out, act in zip(sizes[:-1], sizes[1:], activations)
-        ]
-        return cls(layers)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = _activate(layer.activation, x @ layer.weights.T + layer.bias)
-        return x
-
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend([layer.weights, layer.bias])
-        return out
-
-
-def _build_nets(n_features, n_cond, config, rng):
+def _layer_shapes(n_features, n_cond, config):
+    """(n_out, n_in) of every encoder layer, then every decoder layer."""
     d = config.latent_dim
     hidden = list(config.hidden)
     enc_sizes = [n_features + n_cond] + hidden + [2 * d]
     dec_sizes = [d + n_cond] + hidden + [n_features]
-    acts = ["relu"] * len(hidden)
-    encoder = DenseNet.build(enc_sizes, acts + ["linear"], rng)
-    decoder = DenseNet.build(dec_sizes, acts + ["sigmoid"], rng)
-    return encoder, decoder
+    return [(n_out, n_in) for sizes in (enc_sizes, dec_sizes)
+            for n_in, n_out in zip(sizes[:-1], sizes[1:])]
+
+
+def _init_params(n_features, n_cond, config, rng):
+    """Glorot-uniform weights and zero biases, drawn layer by layer; returns
+    the (encoder, decoder) lists [w0, b0, w1, b1, ...]."""
+    params = []
+    for n_out, n_in in _layer_shapes(n_features, n_cond, config):
+        params.extend([glorot_uniform(n_out, n_in, rng), np.zeros(n_out)])
+    return _split(params, config)
+
+
+def _split(params, config):
+    """(encoder, decoder) lists of the encoder-then-decoder list params."""
+    n_enc = 2 * (len(config.hidden) + 1)
+    return params[:n_enc], params[n_enc:]
 
 
 @dataclass
@@ -130,7 +119,7 @@ def encode(encoder, latent_dim, y_scaled, x):
     x = np.atleast_2d(x)
     if y_scaled.shape[0] != x.shape[0]:
         raise ValueError("profile and conditional batches differ in length")
-    out = encoder.forward(np.hstack([y_scaled, x]))
+    out = _forward(encoder, np.hstack([y_scaled, x]), _linear)
     if out.shape[1] != 2 * latent_dim:
         raise ValueError("encoder width does not match the latent dimension")
     return EncoderOutput(out[:, :latent_dim], out[:, latent_dim:])
@@ -154,7 +143,7 @@ def cvae_loss(encoder, decoder, config, y_scaled, x, eps):
     """Mean over the batch of ||y - yhat||^2 + eta * KL; returns the pieces."""
     enc_out = encode(encoder, config.latent_dim, y_scaled, x)
     z = reparameterize(enc_out, eps)
-    y_hat = decoder.forward(np.hstack([z, np.atleast_2d(x)]))
+    y_hat = _forward(decoder, np.hstack([z, np.atleast_2d(x)]), _sigmoid)
     recon = ((np.atleast_2d(y_scaled) - y_hat) ** 2).sum(axis=1)
     kl = kl_divergence(enc_out)
     loss = float(np.mean(recon + config.eta * kl))
@@ -163,7 +152,7 @@ def cvae_loss(encoder, decoder, config, y_scaled, x, eps):
 
 def _layer_views(flat, shapes):
     """(K, out, in) weight and (K, 1, out) bias views of a (K, P) buffer, for
-    layers of the given (out, in) shapes, in params() order."""
+    layers of the given (out, in) shapes, in [w0, b0, w1, b1, ...] order."""
     k = flat.shape[0]
     views = []
     offset = 0
@@ -210,13 +199,13 @@ def _stack_loss_and_grads(params, grads, n_enc, eta, enc_in, eps, dec_in):
     """Losses (K,) of K stacked CVAEs on one batch each; gradients go into grads.
 
     params and grads hold (K, out, in) weights and (K, 1, out) biases in
-    params() order, the n_enc encoder layers first. Hidden layers are ReLU,
-    the encoder ends linear and the decoder in a sigmoid. enc_in (K, n, F + C)
-    holds the scaled profiles in its first F columns, eps is (K, n, d), and
-    dec_in is a (K, n, d + C) buffer that arrives with the conditionals in
-    its last C columns; z is written into the first d. Each job's numbers go
-    through the unstacked formula's operations in the same order, so a job
-    gets the same bits whatever shares its stack.
+    [w0, b0, w1, b1, ...] order, the n_enc encoder layers first. Hidden
+    layers are ReLU, the encoder ends linear and the decoder in a sigmoid.
+    enc_in (K, n, F + C) holds the scaled profiles in its first F columns,
+    eps is (K, n, d), and dec_in is a (K, n, d + C) buffer that arrives with
+    the conditionals in its last C columns; z is written into the first d.
+    Each job's numbers go through the unstacked formula's operations in the
+    same order, so a job gets the same bits whatever shares its stack.
     """
     layers = list(zip(params[0::2], params[1::2]))
     enc, dec = layers[:n_enc], layers[n_enc:]
@@ -258,23 +247,19 @@ def _stack_loss_and_grads(params, grads, n_enc, eta, enc_in, eps, dec_in):
     return loss
 
 
-def _net_shapes(nets):
-    return [layer.weights.shape for net in nets for layer in net.layers]
-
-
 def cvae_loss_and_grads(encoder, decoder, config, y_scaled, x, eps):
-    """Loss plus backprop gradients for every encoder/decoder parameter, in
-    params() order: the one-job case of _stack_loss_and_grads."""
+    """Loss plus backprop gradients for every parameter of encoder + decoder,
+    in that order: the one-job case of _stack_loss_and_grads."""
     y = np.atleast_2d(y_scaled)
     x = np.atleast_2d(x)
     d = config.latent_dim
-    nets = (encoder, decoder)
-    params = [p for net in nets for p in net.params()]
-    grads = _layer_views(np.empty((1, sum(p.size for p in params))), _net_shapes(nets))
+    params = encoder + decoder
+    grads = _layer_views(np.empty((1, sum(p.size for p in params))),
+                         _layer_shapes(y.shape[1], x.shape[1], config))
     dec_in = np.empty((1, y.shape[0], d + x.shape[1]))
     dec_in[0, :, d:] = x
     loss = _stack_loss_and_grads(
-        [p.reshape(1, -1, p.shape[-1]) for p in params], grads, len(encoder.layers),
+        [p.reshape(1, -1, p.shape[-1]) for p in params], grads, len(encoder) // 2,
         config.eta, np.hstack([y, x])[None], np.atleast_2d(eps)[None], dec_in,
     )
     return float(loss[0]), [g[0].reshape(p.shape) for g, p in zip(grads, params)]
@@ -306,8 +291,8 @@ def adam_step(params, grads, state, lr):
 
 @dataclass
 class TrainedCvae:
-    encoder: DenseNet
-    decoder: DenseNet
+    encoder: list    # [w0, b0, w1, b1, ...], weights (n_out, n_in)
+    decoder: list
     y_min: float
     y_max: float
     config: CvaeConfig
@@ -319,25 +304,6 @@ class TrainedCvae:
 
     def unscale(self, s):
         return self.y_min + s * (self.y_max - self.y_min)
-
-
-def _test_mse(encoder, decoder, d, y_scaled, x, rng):
-    enc_out = encode(encoder, d, y_scaled, x)
-    eps = rng.standard_normal(enc_out.mu.shape)
-    z = reparameterize(enc_out, eps)
-    y_hat = decoder.forward(np.hstack([z, x]))
-    return float(np.mean(((y_scaled - y_hat) ** 2).sum(axis=1)))
-
-
-def _bind_params(nets, flat):
-    """Rebind every weight and bias of nets as a view of the 1-d buffer flat,
-    in params() order."""
-    offset = 0
-    for layer in (layer for net in nets for layer in net.layers):
-        for name in ("weights", "bias"):
-            a = getattr(layer, name)
-            setattr(layer, name, flat[offset : offset + a.size].reshape(a.shape))
-            offset += a.size
 
 
 def _train_once(y_train, x_train, y_test, x_test, config, seed):
@@ -364,15 +330,17 @@ def _train_stack(jobs):
         return []
     config = jobs[0][4]
     n, n_features = jobs[0][0].shape
+    n_cond = jobs[0][1].shape[1]
     d, n_enc = config.latent_dim, len(config.hidden) + 1
+    shapes = _layer_shapes(n_features, n_cond, config)
     rngs = [np.random.default_rng(job[5]) for job in jobs]
-    nets = [_build_nets(n_features, job[1].shape[1], config, rng) for job, rng in zip(jobs, rngs)]
-    shapes = _net_shapes(nets[0])
-    flat = np.stack([np.concatenate([p.ravel() for net in pair for p in net.params()])
-                     for pair in nets])
+    flat = np.stack([
+        np.concatenate([p.ravel() for net in _init_params(n_features, n_cond, config, rng)
+                        for p in net])
+        for rng in rngs
+    ])
     state = adam_init([flat])
     data = np.stack([np.hstack([job[0], job[1]]) for job in jobs])
-    n_cond = data.shape[2] - n_features
 
     results = [None] * len(jobs)
     losses = [[] for _ in jobs]
@@ -406,7 +374,7 @@ def _train_stack(jobs):
             else:
                 stale[j] += 1
                 if stale[j] >= config.patience:
-                    results[j] = _finished(nets[j], flat[r], jobs[j], rngs[j], losses[j])
+                    results[j] = _finished(flat[r], shapes, jobs[j], rngs[j], losses[j])
                     continue
             keep.append(r)
         if len(keep) < len(live):
@@ -418,16 +386,19 @@ def _train_stack(jobs):
             grad = np.empty_like(flat)
             params, grads = _layer_views(flat, shapes), _layer_views(grad, shapes)
     for r, j in enumerate(live):
-        results[j] = _finished(nets[j], flat[r], jobs[j], rngs[j], losses[j])
+        results[j] = _finished(flat[r], shapes, jobs[j], rngs[j], losses[j])
     return results
 
 
-def _finished(nets, params, job, rng, losses):
-    """Result tuple of a job that stopped with params, its row of the stack."""
+def _finished(row, shapes, job, rng, losses):
+    """Result tuple of a job that stopped with row, its row of the stack; the
+    encoder and decoder are 2-d views of one copy of row."""
     _, _, y_test, x_test, config, _ = job
-    _bind_params(nets, params.copy())
-    encoder, decoder = nets
-    mse = _test_mse(encoder, decoder, config.latent_dim, y_test, x_test, rng)
+    views = _layer_views(row.copy()[None], shapes)
+    params = [v[0, 0] if i % 2 else v[0] for i, v in enumerate(views)]
+    encoder, decoder = _split(params, config)
+    eps = rng.standard_normal((y_test.shape[0], config.latent_dim))
+    _, mse, _ = cvae_loss(encoder, decoder, config, y_test, x_test, eps)
     if not np.isfinite(mse):
         return None, None, np.inf, losses, "non-finite test MSE"
     return encoder, decoder, mse, losses, None
@@ -544,13 +515,17 @@ def generate(model, x, n_samples, seed):
     x = np.asarray(x, dtype=float).reshape(1, -1)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, model.config.latent_dim))
-    scaled = model.decoder.forward(np.hstack([z, np.repeat(x, n_samples, axis=0)]))
+    scaled = _forward(model.decoder, np.hstack([z, np.repeat(x, n_samples, axis=0)]), _sigmoid)
     return model.unscale(scaled)
 
 
+def _acts(n_layers, head):
+    return ["relu"] * (n_layers - 1) + [head]
+
+
 def save_model(model, path):
-    """Serialize weights plus a header with config, bounds and a config hash."""
-    arrays = {}
+    """Serialize weights plus a header with config, bounds, a config hash and
+    each layer's activation."""
     meta = {
         "config": asdict(model.config),
         "digest": model.config.digest(),
@@ -558,43 +533,65 @@ def save_model(model, path):
         "y_max": model.y_max,
         "test_mse": model.test_mse,
         "restart_index": model.restart_index,
-        "enc_acts": [l.activation for l in model.encoder.layers],
-        "dec_acts": [l.activation for l in model.decoder.layers],
+        "enc_acts": _acts(len(model.encoder) // 2, "linear"),
+        "dec_acts": _acts(len(model.decoder) // 2, "sigmoid"),
     }
-    for tag, net in (("enc", model.encoder), ("dec", model.decoder)):
-        for i, layer in enumerate(net.layers):
-            arrays[f"{tag}_w{i}"] = layer.weights
-            arrays[f"{tag}_b{i}"] = layer.bias
+    arrays = {}
+    for tag, params in (("enc", model.encoder), ("dec", model.decoder)):
+        for i in range(len(params) // 2):
+            arrays[f"{tag}_w{i}"], arrays[f"{tag}_b{i}"] = params[2 * i : 2 * i + 2]
     with replacing(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
+META_KEYS = ("config", "digest", "y_min", "y_max", "test_mse", "restart_index",
+             "enc_acts", "dec_acts")
+
+
 def load_model(path):
-    """Inverse of save_model; validates the stored config hash and shapes."""
+    """Inverse of save_model. TrainingError, naming path, for a meta that is
+    not JSON holding META_KEYS, a config hash mismatch, activations other than
+    the config's ReLU layers ending linear (encoder) and sigmoid (decoder), a
+    missing layer array, or layer shapes that do not chain from features +
+    conditionals through 2 * latent_dim back to features."""
     with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(str(z["meta"]))
-        raw = dict(meta["config"])
-        raw["hidden"] = tuple(raw["hidden"])
-        config = CvaeConfig(**raw)
-        if config.digest() != meta["digest"]:
-            raise TrainingError("model file config hash mismatch")
-        nets = {}
-        for tag, acts in (("enc", meta["enc_acts"]), ("dec", meta["dec_acts"])):
-            layers = [
-                DenseLayer(z[f"{tag}_w{i}"], z[f"{tag}_b{i}"], act)
-                for i, act in enumerate(acts)
-            ]
-            nets[tag] = DenseNet(layers)
-    if nets["enc"].layers[-1].weights.shape[0] != 2 * config.latent_dim:
-        raise TrainingError("encoder width inconsistent with the stored config")
-    if nets["dec"].layers[0].weights.shape[1] < config.latent_dim:
-        raise TrainingError("decoder input inconsistent with the stored config")
+        files = {key: z[key] for key in z.files}
+    rerun = "rerun `drsim train --force`"
+    try:
+        meta = json.loads(str(files["meta"]))
+        _, digest, y_min, y_max, test_mse, restart_index, enc_acts, dec_acts = (
+            meta[key] for key in META_KEYS)
+        config = CvaeConfig(**dict(meta["config"], hidden=tuple(meta["config"]["hidden"])))
+    except (ValueError, KeyError, TypeError):
+        raise TrainingError(
+            f"{path}: meta is not JSON holding {', '.join(META_KEYS)}; {rerun}") from None
+    if config.digest() != digest:
+        raise TrainingError(f"{path}: model file config hash mismatch; {rerun}")
+    acts = [_acts(len(config.hidden) + 1, head) for head in ("linear", "sigmoid")]
+    if [enc_acts, dec_acts] != acts:
+        raise TrainingError(f"{path}: enc_acts/dec_acts are {enc_acts}/{dec_acts}, "
+                            f"expected {acts[0]}/{acts[1]}; {rerun}")
+    keys = [f"{tag}_{kind}{i}" for tag in ("enc", "dec")
+            for i in range(len(config.hidden) + 1) for kind in "wb"]
+    for key in keys:
+        if key not in files:
+            raise TrainingError(f"{path}: layer array {key} is missing; {rerun}")
+    enc_in, dec_in = (files[key].shape[1] if files[key].ndim == 2 else 0
+                      for key in ("enc_w0", "dec_w0"))
+    n_cond = max(dec_in - config.latent_dim, 0)
+    shapes = [shape for n_out, n_in in _layer_shapes(enc_in - n_cond, n_cond, config)
+              for shape in ((n_out, n_in), (n_out,))]
+    for key, shape in zip(keys, shapes):
+        if files[key].shape != shape:
+            raise TrainingError(
+                f"{path}: {key} has shape {files[key].shape}, expected {shape}; {rerun}")
+    encoder, decoder = _split([files[key] for key in keys], config)
     return TrainedCvae(
-        encoder=nets["enc"],
-        decoder=nets["dec"],
-        y_min=meta["y_min"],
-        y_max=meta["y_max"],
+        encoder=encoder,
+        decoder=decoder,
+        y_min=y_min,
+        y_max=y_max,
         config=config,
-        test_mse=meta["test_mse"],
-        restart_index=meta["restart_index"],
+        test_mse=test_mse,
+        restart_index=restart_index,
     )

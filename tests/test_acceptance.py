@@ -70,12 +70,12 @@ def test_02_backprop_vs_finite_differences(capsys):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         config = neuralgen.CvaeConfig(latent_dim=2, hidden=(5,), eta=3.0)
-        encoder, decoder = neuralgen._build_nets(4, 3, config, rng)
+        encoder, decoder = neuralgen._init_params(4, 3, config, rng)
         y = rng.uniform(0.2, 0.8, size=(7, 4))
         x = rng.uniform(size=(7, 3))
         eps = rng.standard_normal((7, 2))
         _, grads = neuralgen.cvae_loss_and_grads(encoder, decoder, config, y, x, eps)
-        params = encoder.params() + decoder.params()
+        params = encoder + decoder
         for p, g in zip(params, grads):
             flat_p, flat_g = p.ravel(), g.ravel()
             for idx in range(flat_p.size):

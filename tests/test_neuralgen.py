@@ -1,4 +1,5 @@
 import functools
+import json
 import multiprocessing
 import os
 
@@ -80,20 +81,16 @@ class TestBuildingBlocks:
         assert w.std() > 0.1 * limit
 
     def test_dense_forward_oracle(self):
-        layer = neuralgen.DenseLayer(np.array([[1.0, 2.0], [0.0, -1.0]]),
-                                     np.array([0.5, 0.0]), "relu")
-        net = neuralgen.DenseNet([layer])
-        out = net.forward(np.array([[1.0, 1.0]]))
+        # a ReLU layer, then an identity layer with the linear head
+        params = [np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0]),
+                  np.eye(2), np.zeros(2)]
+        out = neuralgen._forward(params, np.array([[1.0, 1.0]]), neuralgen._linear)
         np.testing.assert_allclose(out, [[3.5, 0.0]])
 
     def test_sigmoid_activation_range(self, rng):
-        net = neuralgen.DenseNet.build([3, 4], ["sigmoid"], rng)
-        out = net.forward(rng.normal(size=(10, 3)) * 50.0)
+        params = [neuralgen.glorot_uniform(4, 3, rng), np.zeros(4)]
+        out = neuralgen._forward(params, rng.normal(size=(10, 3)) * 50.0, neuralgen._sigmoid)
         assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError, match="activation"):
-            neuralgen._activate("tanh", np.zeros(2))
 
     def test_adam_first_step_is_signed_learning_rate(self):
         params = [np.array([0.0, 0.0])]
@@ -105,8 +102,8 @@ class TestBuildingBlocks:
         np.testing.assert_allclose(params[0], expected, rtol=1e-12)
 
     def test_flat_adam_step_matches_per_array_steps(self, rng):
-        encoder, decoder = neuralgen._build_nets(6, 2, tiny_config(), rng)
-        arrays = [p.copy() for p in encoder.params() + decoder.params()]
+        encoder, decoder = neuralgen._init_params(6, 2, tiny_config(), rng)
+        arrays = [p.copy() for p in encoder + decoder]
         assert len(arrays) == 8
         flat = np.concatenate([a.ravel() for a in arrays])
         per_array = neuralgen.adam_init(arrays)
@@ -121,26 +118,28 @@ class TestBuildingBlocks:
         np.testing.assert_array_equal(one.v[0], np.concatenate([v.ravel() for v in per_array.v]))
 
     def test_encoder_width_validation(self, rng):
-        enc = neuralgen.DenseNet.build([8, 5], ["linear"], rng)
+        enc = [neuralgen.glorot_uniform(5, 8, rng), np.zeros(5)]
         with pytest.raises(ValueError, match="width"):
             neuralgen.encode(enc, 4, np.zeros((1, 6)), np.zeros((1, 2)))
 
     def test_encode_accepts_single_rows(self, rng):
-        enc = neuralgen.DenseNet.build([8, 4], ["linear"], rng)
+        enc = [neuralgen.glorot_uniform(4, 8, rng), np.zeros(4)]
         out = neuralgen.encode(enc, 2, np.zeros(6), np.zeros(2))
         assert out.mu.shape == (1, 2) and out.log_var.shape == (1, 2)
 
 
 class TestGradients:
-    def test_backprop_matches_finite_differences(self):
+    @pytest.mark.parametrize("hidden", [(5,), (6, 4)])
+    def test_backprop_matches_finite_differences(self, hidden):
         rng = np.random.default_rng(123)
-        config = tiny_config(latent_dim=2, hidden=(5,), eta=3.0)
-        encoder, decoder = neuralgen._build_nets(4, 3, config, rng)
+        config = tiny_config(latent_dim=2, hidden=hidden, eta=3.0)
+        encoder, decoder = neuralgen._init_params(4, 3, config, rng)
         y = rng.uniform(0.2, 0.8, size=(7, 4))
         x = rng.uniform(size=(7, 3))
         eps = rng.standard_normal((7, 2))
         loss, grads = neuralgen.cvae_loss_and_grads(encoder, decoder, config, y, x, eps)
-        params = encoder.params() + decoder.params()
+        params = encoder + decoder
+        assert len(params) == len(grads) == 4 * (len(hidden) + 1)
         step = 1e-5
         for p, g in zip(params, grads):
             flat_p = p.ravel()
@@ -158,7 +157,7 @@ class TestGradients:
     def test_loss_pieces_consistent(self):
         rng = np.random.default_rng(7)
         config = tiny_config()
-        encoder, decoder = neuralgen._build_nets(6, 2, config, rng)
+        encoder, decoder = neuralgen._init_params(6, 2, config, rng)
         y = rng.uniform(size=(9, 6))
         x = rng.uniform(size=(9, 2))
         eps = rng.standard_normal((9, 2))
@@ -185,8 +184,7 @@ class TestTraining:
         config = tiny_config(restarts=1, max_epochs=20)
         a = neuralgen.train_cvae(y, x, partition, config)
         b = neuralgen.train_cvae(y, x, partition, config)
-        for pa, pb in zip(a.encoder.params() + a.decoder.params(),
-                          b.encoder.params() + b.decoder.params()):
+        for pa, pb in zip(a.encoder + a.decoder, b.encoder + b.decoder):
             np.testing.assert_array_equal(pa, pb)
 
     def test_scaling_bounds_from_train_split_only(self):
@@ -227,7 +225,7 @@ class TestTraining:
 
 
 def all_params(model):
-    return model.encoder.params() + model.decoder.params()
+    return model.encoder + model.decoder
 
 
 def force_cpus(monkeypatch, tmp_path, cpus):
@@ -298,7 +296,10 @@ def test_one_pass_sigmoid_matches_masked_formula(rng):
     pre = np.concatenate([edges, -edges, rng.normal(scale=30.0, size=5_000),
                           rng.uniform(-800.0, 800.0, size=5_000)])
     expected = masked_sigmoid(pre)
-    for got in (neuralgen._sigmoid(pre), neuralgen._activate("sigmoid", pre)):
+    # _forward through one layer x @ [[1]] + [0], which leaves every value as it is
+    via_forward = neuralgen._forward([np.ones((1, 1)), np.zeros(1)], pre[:, None],
+                                     neuralgen._sigmoid)[:, 0]
+    for got in (neuralgen._sigmoid(pre), via_forward):
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -306,13 +307,17 @@ def test_one_pass_sigmoid_matches_masked_formula(rng):
 # The training loop as it was before restarts were stacked: per-layer
 # forward caches, a backward pass per net and one concatenated gradient per
 # step. train_cvaes must reproduce it bit for bit.
-def oracle_forward(net, x):
+def oracle_activations(params, head):
+    return ["relu"] * (len(params) // 2 - 1) + [head]
+
+
+def oracle_forward(params, head, x):
     caches = []
-    for layer in net.layers:
-        pre = x @ layer.weights.T + layer.bias
-        if layer.activation == "relu":
+    for w, b, activation in zip(params[0::2], params[1::2], oracle_activations(params, head)):
+        pre = x @ w.T + b
+        if activation == "relu":
             out = np.maximum(pre, 0.0)
-        elif layer.activation == "sigmoid":
+        elif activation == "sigmoid":
             out = masked_sigmoid(pre)
         else:
             out = pre
@@ -321,11 +326,12 @@ def oracle_forward(net, x):
     return x, caches
 
 
-def oracle_backward(net, caches, grad_out):
-    grads = [None] * len(net.layers)
-    for i in reversed(range(len(net.layers))):
+def oracle_backward(params, head, caches, grad_out):
+    activations = oracle_activations(params, head)
+    grads = [None] * len(activations)
+    for i in reversed(range(len(activations))):
         x_in, pre, out = caches[i]
-        activation = net.layers[i].activation
+        activation = activations[i]
         if activation == "relu":
             local = (pre > 0).astype(float)
         elif activation == "sigmoid":
@@ -334,32 +340,34 @@ def oracle_backward(net, caches, grad_out):
             local = np.ones_like(pre)
         grad_pre = grad_out * local
         grads[i] = (grad_pre.T @ x_in, grad_pre.sum(axis=0))
-        grad_out = grad_pre @ net.layers[i].weights
+        grad_out = grad_pre @ params[2 * i]
     return grad_out, grads
 
 
 def oracle_loss_and_grad(encoder, decoder, config, y, x, eps):
     n, d = y.shape[0], config.latent_dim
-    enc_raw, enc_caches = oracle_forward(encoder, np.hstack([y, x]))
+    enc_raw, enc_caches = oracle_forward(encoder, "linear", np.hstack([y, x]))
     mu, log_var = enc_raw[:, :d], enc_raw[:, d:]
     std = np.exp(log_var / 2.0)
     z = mu + std * eps
-    y_hat, dec_caches = oracle_forward(decoder, np.hstack([z, x]))
+    y_hat, dec_caches = oracle_forward(decoder, "sigmoid", np.hstack([z, x]))
     recon = ((y - y_hat) ** 2).sum(axis=1)
     kl = 0.5 * (np.exp(log_var) + mu**2 - 1.0 - log_var).sum(axis=1)
     loss = float(np.mean(recon + config.eta * kl))
-    d_dec_in, dec_grads = oracle_backward(decoder, dec_caches, -2.0 * (y - y_hat) / n)
+    d_dec_in, dec_grads = oracle_backward(decoder, "sigmoid", dec_caches,
+                                          -2.0 * (y - y_hat) / n)
     d_z = d_dec_in[:, :d]
     d_mu = d_z + (config.eta / n) * mu
     d_log_var = d_z * eps * 0.5 * std + (config.eta / n) * 0.5 * (np.exp(log_var) - 1.0)
-    _, enc_grads = oracle_backward(encoder, enc_caches, np.hstack([d_mu, d_log_var]))
+    _, enc_grads = oracle_backward(encoder, "linear", enc_caches,
+                                   np.hstack([d_mu, d_log_var]))
     return loss, np.concatenate([g.ravel() for pair in enc_grads + dec_grads for g in pair])
 
 
 def oracle_train_once(y_train, x_train, y_test, x_test, config, seed):
     rng = np.random.default_rng(seed)
-    encoder, decoder = neuralgen._build_nets(y_train.shape[1], x_train.shape[1], config, rng)
-    params = encoder.params() + decoder.params()
+    encoder, decoder = neuralgen._init_params(y_train.shape[1], x_train.shape[1], config, rng)
+    params = encoder + decoder
     flat = np.concatenate([p.ravel() for p in params])
     state = neuralgen.adam_init([flat])
     n = y_train.shape[0]
@@ -388,11 +396,11 @@ def oracle_train_once(y_train, x_train, y_test, x_test, config, seed):
             stale += 1
             if stale >= config.patience:
                 break
-    enc_raw, _ = oracle_forward(encoder, np.hstack([y_test, x_test]))
+    enc_raw, _ = oracle_forward(encoder, "linear", np.hstack([y_test, x_test]))
     d = config.latent_dim
     eps = rng.standard_normal(enc_raw[:, :d].shape)
     z = enc_raw[:, :d] + np.exp(enc_raw[:, d:] / 2.0) * eps
-    y_hat, _ = oracle_forward(decoder, np.hstack([z, x_test]))
+    y_hat, _ = oracle_forward(decoder, "sigmoid", np.hstack([z, x_test]))
     mse = float(np.mean(((y_test - y_hat) ** 2).sum(axis=1)))
     return encoder, decoder, mse, losses, None
 
@@ -437,6 +445,28 @@ class TestStackedTraining:
             assert model.epoch_losses == oracle.epoch_losses
             assert model.restart_epochs == oracle.restart_epochs
             assert model.test_mse == oracle.test_mse
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_two_hidden_layers_match_unstacked_oracle(self, monkeypatch, tmp_path, cpus):
+        y, x, partition = tiny_dataset(seed=4)
+        config = tiny_config(hidden=(6, 4), restarts=3, max_epochs=30, patience=4, eta=3.0,
+                             batch_size=10)
+        y_min, y_max, split = neuralgen._scaled_split(y, x, partition)
+        oracle = neuralgen.select_best(
+            [oracle_train_once(*split, config, config.seed + j) for j in range(3)],
+            y_min, y_max, config,
+        )
+        log = force_cpus(monkeypatch, tmp_path, cpus)
+        model = neuralgen.train_cvae(y, x, partition, config)
+        assert_ran_in(log, cpus)
+        assert [p.shape for p in model.decoder] == [(6, 4), (6,), (4, 6), (4,), (6, 4), (6,)]
+        for a, b in zip(all_params(model), all_params(oracle), strict=True):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        assert model.restart_mses == oracle.restart_mses
+        assert model.restart_index == oracle.restart_index
+        assert model.epoch_losses == oracle.epoch_losses
+        assert model.restart_epochs == oracle.restart_epochs
+        assert model.test_mse == oracle.test_mse
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_problem_is_returned_in_place(self):
@@ -509,11 +539,14 @@ class TestPersistence:
             neuralgen.generate(model, xq, 12, seed=2),
         )
 
-    def test_round_trip_exact_with_view_weights(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("hidden", [(8,), (6, 4)])
+    def test_round_trip_exact_with_view_weights(self, tmp_path, monkeypatch, hidden):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         y, x, partition = tiny_dataset()
-        model = neuralgen.train_cvae(y, x, partition, tiny_config(restarts=2, max_epochs=10))
+        model = neuralgen.train_cvae(y, x, partition,
+                                     tiny_config(hidden=hidden, restarts=2, max_epochs=10))
         params = all_params(model)
+        assert len(params) == 4 * (len(hidden) + 1)
         # in-process training leaves every weight a view of one flat buffer
         assert all(p.base is not None and p.base is params[0].base for p in params)
         path = tmp_path / "cvae.npz"
@@ -522,6 +555,11 @@ class TestPersistence:
         for a, b in zip(params, loaded, strict=True):
             assert a.shape == b.shape and a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+        xq = np.array([0.3, 0.7])
+        np.testing.assert_array_equal(
+            neuralgen.generate(neuralgen.load_model(path), xq, 12, seed=2),
+            neuralgen.generate(model, xq, 12, seed=2),
+        )
 
     def test_tampered_config_hash_rejected(self, tmp_path):
         import json
@@ -538,3 +576,76 @@ class TestPersistence:
         np.savez(path, **payload)
         with pytest.raises(neuralgen.TrainingError, match="hash"):
             neuralgen.load_model(path)
+
+
+def with_meta(**changes):
+    """An edit of a model file's meta: each key set to its value, or dropped for None."""
+    def edit(arrays, meta):
+        for key, value in changes.items():
+            if value is None:
+                del meta[key]
+            else:
+                meta[key] = value
+        return meta
+    return edit
+
+
+def with_array(key, cut):
+    """An edit of a model file's arrays: key sliced by cut, or dropped for None."""
+    def edit(arrays, meta):
+        if cut is None:
+            del arrays[key]
+        else:
+            arrays[key] = arrays[key][cut]
+        return meta
+    return edit
+
+
+def chained_wider_input(arrays, meta):
+    """One more encoder input column: the layers still chain within each net,
+    but the encoder's input is no longer the decoder's output plus the
+    conditionals."""
+    arrays["enc_w0"] = np.hstack([arrays["enc_w0"], arrays["enc_w0"][:, :1]])
+    return meta
+
+
+# the module's model: 6 features, 2 conditionals, latent_dim 2, hidden (8,)
+@pytest.mark.parametrize("edit, error", [
+    (lambda arrays, meta: "{not json",
+     "meta is not JSON holding config, digest, y_min, y_max, test_mse, restart_index, "
+     "enc_acts, dec_acts"),
+    (lambda arrays, meta: [1.0, 2.0], "meta is not JSON holding"),
+    (with_meta(y_min=None), "meta is not JSON holding"),
+    (with_meta(dec_acts=None), "meta is not JSON holding"),
+    (lambda arrays, meta: {**meta, "config": {"latent_dim": 2}}, "meta is not JSON holding"),
+    (lambda arrays, meta: {**meta, "config": {**meta["config"], "eta": 999.0}},
+     "model file config hash mismatch"),
+    (with_meta(dec_acts=["relu", "relu"]),
+     r"enc_acts/dec_acts are \['relu', 'linear'\]/\['relu', 'relu'\], "
+     r"expected \['relu', 'linear'\]/\['relu', 'sigmoid'\]"),
+    (with_meta(enc_acts=["relu", "sigmoid"]), "enc_acts/dec_acts are"),
+    (with_meta(enc_acts=["linear"], dec_acts=["sigmoid"]), "enc_acts/dec_acts are"),
+    (with_array("enc_b1", None), "layer array enc_b1 is missing"),
+    (with_array("dec_w0", None), "layer array dec_w0 is missing"),
+    (with_array("dec_w1", np.s_[:, :4]), r"dec_w1 has shape \(6, 4\), expected \(6, 8\)"),
+    (with_array("enc_b0", np.s_[:3]), r"enc_b0 has shape \(3,\), expected \(8,\)"),
+    (with_array("enc_w1", np.s_[:3]), r"enc_w1 has shape \(3, 8\), expected \(4, 8\)"),
+    (with_array("dec_b1", np.s_[None, :]), r"dec_b1 has shape \(1, 6\), expected \(6,\)"),
+    (chained_wider_input, r"dec_w1 has shape \(6, 8\), expected \(7, 8\)"),
+    (with_array("dec_w0", np.s_[:, 1:]), r"dec_w1 has shape \(6, 8\), expected \(7, 8\)"),
+    (with_array("dec_w0", np.s_[:, :1]), r"dec_w0 has shape \(8, 1\), expected \(8, 2\)"),
+], ids=["not-json", "a-list", "no-y_min", "no-dec_acts", "config-without-fields", "hash",
+        "relu-decoder-head", "sigmoid-encoder-head", "no-hidden-acts", "no-enc_b1",
+        "no-dec_w0", "dec_w1-4-columns", "enc_b0-3-values", "enc_w1-3-rows", "dec_b1-2d",
+        "encoder-input-wider", "decoder-input-narrower", "decoder-input-below-latent"])
+def test_model_file_that_disagrees_names_the_file(model, tmp_path, edit, error):
+    path = tmp_path / "cvae_cluster0.npz"
+    neuralgen.save_model(model, path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    meta = edit(arrays, json.loads(str(arrays["meta"])))
+    arrays["meta"] = np.array(meta if isinstance(meta, str) else json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(neuralgen.TrainingError,
+                       match=rf"cvae_cluster0\.npz: {error}.*rerun `drsim train --force`"):
+        neuralgen.load_model(path)

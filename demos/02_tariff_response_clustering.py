@@ -49,13 +49,15 @@ def main():
         parts = ", ".join(f"{name} x{count}" for name, count in sorted(mix.items()))
         print(f"  cluster {label} ({len(members)} households): {parts}")
 
-    nmf_scores = clustering.score_variants(pop.kwh, pop.tariff, result.labels)
+    # the three record variants do not depend on the labels: built once, scored three times
+    records = clustering.record_variants(pop.kwh, pop.tariff)
+    nmf_scores = clustering.score_variants(records, result.labels)
     feats = clustering.classical_features(pop.kwh, pop.dates)
     classic = clustering.classical_feature_clustering(feats, k=4)
-    classic_scores = clustering.score_variants(pop.kwh, pop.tariff, classic.labels)
+    classic_scores = clustering.score_variants(records, classic.labels)
     rand_labels = clustering.random_clustering(len(pop.household_ids), 4,
                                                seed=args.seed + 2).labels
-    rand_scores = clustering.score_variants(pop.kwh, pop.tariff, rand_labels)
+    rand_scores = clustering.score_variants(records, rand_labels)
 
     print("\nCalinski-Harabasz comparison (higher = better separated):")
     print(f"  {'method':<20} {'raw':>10} {'normalized':>12} {'special':>10}")

@@ -74,9 +74,11 @@ def main():
 
         print(f"first held-out days ({args.samples} samples per ensemble):")
         print("  day  generator   rmse     energy   variogram_p05")
-        for row in report.rows[:6]:
-            print(f"  {row.day:>3}  {row.generator:<9} {row.rmse:8.4f} "
-                  f"{row.energy:8.4f} {row.variogram:10.4f}")
+        rows = [(day, name, *values)
+                for day, day_scores in zip(report.days, report.scores.tolist())
+                for name, values in zip(report.generators, day_scores)]
+        for day, name, rmse, energy, variogram in rows[:6]:
+            print(f"  {day:>3}  {name:<9} {rmse:8.4f} {energy:8.4f} {variogram:10.4f}")
 
         print("medians over all held-out days:")
         for name, scores in report.summary().items():

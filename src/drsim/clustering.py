@@ -7,7 +7,8 @@ vectors. The matrix and the classical baseline features are whole-array
 reductions over all households at once. Cluster quality is scored with the
 Calinski-Harabasz statistic in the variant used throughout this project
 (between-cluster sum unweighted by cluster size, within-cluster variances
-averaged per cluster).
+averaged per cluster), on three record variants that record_variants builds
+once and score_variants scores for any labelling.
 """
 
 import warnings
@@ -261,61 +262,83 @@ def calinski_harabasz(vectors, labels, k=None):
 
 
 @dataclass
-class ScoreVariants:
-    raw: float
-    normalized: float
-    special: float          # None when no special-tariff records exist
-    excluded_zero_mean: list = field(default_factory=list)
-    excluded_no_special: list = field(default_factory=list)
+class VariantRecords:
+    """The three record matrices of score_variants, which do not depend on the
+    labels: raw (n, T * 48) is a view of the consumption; normalized holds the
+    raw rows normalized_rows, each divided by its mean; special (None without
+    any special-tariff record) holds the normalized special-tariff cells of
+    the raw rows special_rows."""
+
+    raw: np.ndarray
+    normalized: np.ndarray
+    normalized_rows: np.ndarray
+    special: np.ndarray
+    special_rows: np.ndarray
+    excluded_zero_mean: list
+    excluded_no_special: list
 
 
-def score_variants(kwh, tariff, labels, household_ids=None, k=None):
-    """Calinski-Harabasz on three record variants of the raw consumption.
+def record_variants(kwh, tariff, household_ids=None):
+    """VariantRecords of consumption kwh (n, T, 48) under tariff (n, T, 48).
 
-    (a) raw records, (b) records divided by the household's overall mean,
-    (c) normalized records restricted to special-tariff (Low/High)
-    half-hours. For (b) and (c) zero-mean households are excluded; for (c)
-    households with no special-tariff exposure are excluded and the
-    remaining exposure masks must coincide. With no special-tariff records
-    at all, variant (c) is None.
+    Zero-mean households are left out of the normalized and special records,
+    and households with no special-tariff exposure out of the special
+    records, each with a warning; the remaining exposure masks must coincide.
     """
     kwh = np.asarray(kwh, dtype=float)
-    tariff = np.asarray(tariff)
     n = kwh.shape[0]
     if household_ids is None:
         household_ids = [str(i) for i in range(n)]
     flat = kwh.reshape(n, -1)
-    labels = np.asarray(labels)
-
-    raw = calinski_harabasz(flat, labels, k=k)
-
     means = flat.mean(axis=1)
     pos = means > 0
     excluded_zero = [household_ids[i] for i in np.flatnonzero(~pos)]
     if excluded_zero:
         warnings.warn(f"excluded {len(excluded_zero)} zero-mean household(s)")
-    if pos.sum() <= (k or labels.max() + 1):
-        raise ClusteringError("too few households left after exclusions")
-    norm = flat[pos] / means[pos, None]
-    normalized = calinski_harabasz(norm, labels[pos], k=k)
+    normalized = flat[pos]
+    normalized /= means[pos, None]
 
+    tariff = np.asarray(tariff)
     special_masks = ((tariff == LOW) | (tariff == HIGH)).reshape(n, -1)
-    exposure = special_masks.sum(axis=1)
-    has_special = exposure > 0
-    if not has_special.any():
-        return ScoreVariants(raw, normalized, None, excluded_zero, [])
-    keep = pos & has_special
-    excluded_no_special = [household_ids[i] for i in np.flatnonzero(pos & ~has_special)]
+    has_special = special_masks.any(axis=1)
+    excluded_no_special = ([household_ids[i] for i in np.flatnonzero(pos & ~has_special)]
+                           if has_special.any() else [])
     if excluded_no_special:
-        warnings.warn(
-            f"excluded {len(excluded_no_special)} household(s) with no special-tariff exposure"
-        )
-    masks = special_masks[keep]
-    if not (masks == masks[0]).all():
-        raise ClusteringError("special-tariff masks differ across households")
-    restricted = (flat[keep] / means[keep, None])[:, masks[0]]
-    special = calinski_harabasz(restricted, labels[keep], k=k)
-    return ScoreVariants(raw, normalized, special, excluded_zero, excluded_no_special)
+        warnings.warn(f"excluded {len(excluded_no_special)} household(s) "
+                      "with no special-tariff exposure")
+    keep = pos & has_special
+    special = None
+    if keep.any():
+        masks = special_masks[keep]
+        if not (masks == masks[0]).all():
+            raise ClusteringError("special-tariff masks differ across households")
+        # the cells gathered, then transposed: the Fortran order of the
+        # column-masked copy these records always were, so the scores keep their bits
+        special = normalized.T[np.ix_(np.flatnonzero(masks[0]),
+                                      np.flatnonzero(has_special[pos]))].T
+    return VariantRecords(flat, normalized, np.flatnonzero(pos), special, np.flatnonzero(keep),
+                          excluded_zero, excluded_no_special)
+
+
+@dataclass
+class ScoreVariants:
+    raw: float
+    normalized: float
+    special: float          # None when no special-tariff records exist
+
+
+def score_variants(records, labels, k=None):
+    """Calinski-Harabasz of labels (one per raw record) on each of records'
+    three variants: (a) the raw records, (b) the normalized records, (c) the
+    normalized special-tariff records, None without any."""
+    labels = np.asarray(labels)
+    raw = calinski_harabasz(records.raw, labels, k=k)
+    if len(records.normalized_rows) <= (k or labels.max() + 1):
+        raise ClusteringError("too few households left after exclusions")
+    normalized = calinski_harabasz(records.normalized, labels[records.normalized_rows], k=k)
+    special = (None if records.special is None else
+               calinski_harabasz(records.special, labels[records.special_rows], k=k))
+    return ScoreVariants(raw, normalized, special)
 
 
 HOT_MONTHS = frozenset({4, 5, 6, 7, 8, 9})

@@ -726,23 +726,25 @@ def partition_days(n_days, fraction, seed):
     )
 
 
+def _conditionals(pca_scores, kappa, w, tariffs):
+    """The CVAE's day conditionals (D, 101) from pca_scores (D, 3), kappa (D,),
+    w (D,) and tariffs (D, 48): the 3 scaled PCA scores, kappa, w, then the
+    Low and High indicator blocks over the 48 half-hours."""
+    return np.hstack([pca_scores, kappa[:, None], w[:, None], tariffs == LOW,
+                      tariffs == HIGH]).astype(float, copy=False)
+
+
 def build_conditional_vector(pca_scores, kappa, w, tariffs):
-    """Day-level conditional: 3 scaled PCA scores, kappa, w, then the
-    Low and High indicator blocks over the 48 half-hours (length 101)."""
+    """One day's conditional (101,): the one-row case of
+    PreparedDataset.conditional_matrix's layout."""
     pca_scores = np.asarray(pca_scores, dtype=float)
     tariffs = np.asarray(tariffs)
     if pca_scores.shape != (3,):
         raise ValueError("expected 3 PCA scores")
     if tariffs.shape != (HALF_HOURS,):
         raise ValueError(f"expected {HALF_HOURS} tariff codes")
-    return np.concatenate(
-        [
-            pca_scores,
-            [float(kappa), float(w)],
-            (tariffs == LOW).astype(float),
-            (tariffs == HIGH).astype(float),
-        ]
-    )
+    return _conditionals(pca_scores[None], np.array([float(kappa)]), np.array([float(w)]),
+                         tariffs[None])[0]
 
 
 @dataclass
@@ -774,13 +776,8 @@ class PreparedDataset:
         tariffs = np.asarray(tariffs)
         if tariffs.shape != (len(days), HALF_HOURS):
             raise ValueError(f"expected {len(days)} x {HALF_HOURS} tariff codes")
-        return np.hstack([
-            self.pca_scores[days],
-            self.calendar.kappa[days, None],
-            self.calendar.w[days, None],
-            tariffs == LOW,
-            tariffs == HIGH,
-        ]).astype(float, copy=False)
+        return _conditionals(self.pca_scores[days], self.calendar.kappa[days],
+                             self.calendar.w[days], tariffs)
 
 
 def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
@@ -822,6 +819,12 @@ def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
     )
 
 
+PREPARED_KEYS = ("household_ids", "groups", "kwh", "tariff", "dates", "tau", "tau_bar",
+                 "tau_bar_daily", "w", "kappa", "pca_mean", "pca_components", "pca_explained",
+                 "pca_score_min", "pca_score_max", "pca_scores", "train", "test", "fraction",
+                 "seed", "flagged", "smoothing_a")
+
+
 def save_prepared(dataset, path):
     # uncompressed: every later stage loads this file, and zlib cost more time than
     # the ~45% it saves in size is worth
@@ -854,32 +857,53 @@ def save_prepared(dataset, path):
 
 
 def load_prepared(path):
+    """The dataset that save_prepared wrote to path. DataValidationError,
+    naming path, for a missing key, arrays whose shapes disagree with the
+    household ids and dates, or train/test days outside the record."""
+    rerun = "rerun `drsim ingest --force`"
     with np.load(path, allow_pickle=False) as z:
-        pca = TemperaturePca(
-            mean=z["pca_mean"],
-            components=z["pca_components"],
-            explained=z["pca_explained"],
-            score_min=z["pca_score_min"],
-            score_max=z["pca_score_max"],
-        )
-        return PreparedDataset(
-            household_ids=[str(s) for s in z["household_ids"]],
-            groups=[str(s) for s in z["groups"]],
-            kwh=z["kwh"],
-            tariff=z["tariff"],
-            dates=[datetime.date.fromisoformat(str(s)) for s in z["dates"]],
-            tau=z["tau"],
-            tau_bar=z["tau_bar"],
-            tau_bar_daily=z["tau_bar_daily"],
-            calendar=Calendar(z["w"], z["kappa"]),
-            pca=pca,
-            pca_scores=z["pca_scores"],
-            partition=DayPartition(
-                train=z["train"],
-                test=z["test"],
-                fraction=float(z["fraction"]),
-                seed=int(z["seed"]),
-            ),
-            flagged=[str(s) for s in z["flagged"]],
-            smoothing_a=float(z["smoothing_a"]),
-        )
+        missing = [key for key in PREPARED_KEYS if key not in z.files]
+        if missing:
+            raise DataValidationError(f"{path}: missing {', '.join(missing)}; {rerun}")
+        arrays = {key: z[key] for key in PREPARED_KEYS}
+    n, t = (len(np.atleast_1d(arrays[key])) for key in ("household_ids", "dates"))
+    shapes = {"household_ids": (n,), "groups": (n,), "dates": (t,),
+              "kwh": (n, t, HALF_HOURS), "tariff": (n, t, HALF_HOURS),
+              "tau": (t, HALF_HOURS), "tau_bar": (t, HALF_HOURS), "tau_bar_daily": (t,),
+              "w": (t,), "kappa": (t,), "pca_scores": (t, 3)}
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            raise DataValidationError(
+                f"{path}: {key} has shape {arrays[key].shape}, expected {shape}; {rerun}")
+    for key in ("train", "test"):
+        days = arrays[key]
+        if days.ndim != 1 or days.dtype.kind not in "iu" or not ((0 <= days) & (days < t)).all():
+            raise DataValidationError(
+                f"{path}: {key} holds day indices outside 0..{t - 1}; {rerun}")
+    return PreparedDataset(
+        household_ids=[str(s) for s in arrays["household_ids"]],
+        groups=[str(s) for s in arrays["groups"]],
+        kwh=arrays["kwh"],
+        tariff=arrays["tariff"],
+        dates=[datetime.date.fromisoformat(str(s)) for s in arrays["dates"]],
+        tau=arrays["tau"],
+        tau_bar=arrays["tau_bar"],
+        tau_bar_daily=arrays["tau_bar_daily"],
+        calendar=Calendar(arrays["w"], arrays["kappa"]),
+        pca=TemperaturePca(
+            mean=arrays["pca_mean"],
+            components=arrays["pca_components"],
+            explained=arrays["pca_explained"],
+            score_min=arrays["pca_score_min"],
+            score_max=arrays["pca_score_max"],
+        ),
+        pca_scores=arrays["pca_scores"],
+        partition=DayPartition(
+            train=arrays["train"],
+            test=arrays["test"],
+            fraction=float(arrays["fraction"]),
+            seed=int(arrays["seed"]),
+        ),
+        flagged=[str(s) for s in arrays["flagged"]],
+        smoothing_a=float(arrays["smoothing_a"]),
+    )

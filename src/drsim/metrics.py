@@ -13,10 +13,14 @@ independent double-loop implementation bit for bit.
 
 evaluate_generators scores ensembles that are already drawn: each
 generator's (n_days, n, H) array. Drawing and seeding them is the pipeline's
-job, so this module derives no seeds.
+job, so this module derives no seeds. Its ScoreReport holds every score in
+one (days, generators, 3) array, the last axis in SCORES order; the report
+file has one row per (day, generator), day by day, and the summary takes
+each generator's mean and quantiles of each score along the day axis.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -26,6 +30,8 @@ DEFAULT_VARIOGRAM_P = 0.5
 
 REPORT_HEADER = ["day", "generator", "rmse", "energy", "variogram_p05"]
 SUMMARY_HEADER = ["generator", "score", "mean", "min", "q25", "median", "q75", "max"]
+SCORES = ("rmse", "energy", "variogram")          # the last axis of ScoreReport.scores
+QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)           # min, q25, median, q75, max
 
 
 class ScoringError(ValueError):
@@ -106,45 +112,22 @@ def variogram_score(ensemble, y, p=DEFAULT_VARIOGRAM_P):
 
 
 @dataclass
-class ScoreRow:
-    day: int
-    generator: str
-    rmse: float
-    energy: float
-    variogram: float
-
-
-@dataclass
 class ScoreReport:
-    rows: list
+    """Every generator's scores on every day: scores[d, g] holds day days[d]'s
+    rmse, energy and variogram scores (SCORES order) of generators[g]."""
 
-    def generator_names(self):
-        seen = []
-        for row in self.rows:
-            if row.generator not in seen:
-                seen.append(row.generator)
-        return seen
-
-    def scores(self, generator, which):
-        return np.array([getattr(r, which) for r in self.rows if r.generator == generator])
+    days: list
+    generators: list
+    scores: np.ndarray      # (D, G, 3)
 
     def summary(self):
         """Per-generator mean and quartiles of each score."""
-        out = {}
-        for name in self.generator_names():
-            out[name] = {}
-            for which in ("rmse", "energy", "variogram"):
-                values = self.scores(name, which)
-                qs = np.quantile(values, (0.0, 0.25, 0.5, 0.75, 1.0))
-                out[name][which] = {
-                    "mean": float(values.mean()),
-                    "min": float(qs[0]),
-                    "q25": float(qs[1]),
-                    "median": float(qs[2]),
-                    "q75": float(qs[3]),
-                    "max": float(qs[4]),
-                }
-        return out
+        columns = np.ascontiguousarray(self.scores.transpose(1, 2, 0))   # (G, 3, D)
+        stats = np.concatenate([columns.mean(axis=-1)[None],
+                                np.quantile(columns, QUANTILES, axis=-1)])
+        return {name: {which: dict(zip(SUMMARY_HEADER[2:], stats[:, g, s].tolist()))
+                       for s, which in enumerate(SCORES)}
+                for g, name in enumerate(self.generators)}
 
 
 def evaluate_generators(observations, ensembles, day_labels=None,
@@ -153,8 +136,8 @@ def evaluate_generators(observations, ensembles, day_labels=None,
 
     ensembles maps a generator name to an (n_days, n, H) array whose row pos
     is its ensemble for observations[pos], and day_labels, when given, names
-    each day. The rows come day by day, with the generators in mapping order
-    within each day.
+    each day. Scores are computed day by day, with the generators in mapping
+    order within each day.
     """
     observations = np.asarray(observations, dtype=float)
     if observations.ndim != 2:
@@ -168,32 +151,50 @@ def evaluate_generators(observations, ensembles, day_labels=None,
         day_labels = range(len(observations))
     elif len(day_labels) != len(observations):
         raise ScoringError(f"{len(day_labels)} day labels for {len(observations)} days")
-    return ScoreReport(rows=[
-        ScoreRow(
-            day=int(label),
-            generator=name,
-            rmse=rmse(days[pos], y),
-            energy=energy_score(days[pos], y),
-            variogram=variogram_score(days[pos], y, variogram_p),
-        )
-        for pos, (label, y) in enumerate(zip(day_labels, observations))
-        for name, days in ensembles.items()
-    ])
+    scores = np.empty((len(observations), len(ensembles), len(SCORES)))
+    for pos, y in enumerate(observations):
+        for g, days in enumerate(ensembles.values()):
+            scores[pos, g] = (rmse(days[pos], y), energy_score(days[pos], y),
+                              variogram_score(days[pos], y, variogram_p))
+    return ScoreReport([int(label) for label in day_labels], list(ensembles), scores)
 
 
 def write_report_csv(report, path):
     write_csv(path, REPORT_HEADER, (
-        [row.day, row.generator, float(row.rmse), float(row.energy), float(row.variogram)]
-        for row in report.rows
+        [day, name, *values]
+        for day, row in zip(report.days, report.scores.tolist())
+        for name, values in zip(report.generators, row)
     ))
 
 
 def read_report_csv(path):
-    rows = [
-        ScoreRow(int(day), generator, float(r), float(e), float(v))
-        for day, generator, r, e, v in read_csv(path, REPORT_HEADER, ScoringError)
-    ]
-    return ScoreReport(rows=rows)
+    """The report written to path. ScoringError, naming path and line, for a
+    row that is not an integer day, a generator name and three finite scores,
+    or rows that do not fill the days x generators grid as the writer does:
+    day by day, each day's generators in the first day's order."""
+    keys, values = [], []
+    for line, row in enumerate(read_csv(path, REPORT_HEADER, ScoringError), start=2):
+        try:
+            day, name, *scores = row
+            key, scores = (int(day), name), [float(v) for v in scores]
+        except ValueError:
+            scores = None
+        if not scores or len(scores) != len(SCORES) or not name or not np.isfinite(scores).all():
+            raise ScoringError(f"{path}: line {line} ({','.join(row)}) needs an integer day, "
+                               "a generator name and three finite scores")
+        keys.append(key)
+        values.append(scores)
+    days = list(dict.fromkeys(day for day, _ in keys))
+    generators = list(dict.fromkeys(name for day, name in keys if day == days[0])) if keys else []
+    grid = [(day, name) for day in days for name in generators]
+    if keys != grid:
+        pos = next(i for i, (key, cell) in enumerate(zip_longest(keys, grid)) if key != cell)
+        where = f"line {pos + 2}" if pos < len(keys) else "the end of the file"
+        wanted = f"day {grid[pos][0]}, generator {grid[pos][1]}" if pos < len(grid) else "no row"
+        raise ScoringError(f"{path}: {where} breaks the days x generators grid "
+                           f"(expected {wanted})")
+    return ScoreReport(days, generators, np.array(values).reshape(len(days), len(generators),
+                                                                  len(SCORES)))
 
 
 def write_summary_csv(report, path):

@@ -29,7 +29,7 @@ import datetime
 import functools
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ SEED_SCENARIO = 32
 
 SCENARIO_NAMES = ("normal", "low_morning", "high_evening")
 CVAE_COUNTS = dict.fromkeys(("latent_dim", "batch_size", "max_epochs", "patience", "restarts"), 1)
+CVAE_NUMBERS = {"eta": (lambda eta: eta >= 0, ">= 0"),
+                "learning_rate": (lambda rate: rate > 0, "> 0")}
 
 
 class PipelineError(RuntimeError):
@@ -115,11 +117,12 @@ class PipelineConfig:
     scenario: ScenarioSection = field(default_factory=ScenarioSection)
 
 
-def _section(cls, raw, name, convert=None, counts=None):
+def _section(cls, raw, name, convert=None, counts=None, numbers=None):
     """cls from a config section's mapping; an empty section means its defaults.
 
     A key converted by tuple must hold a list (a string would split into
-    characters); each key in counts must hold an integer of at least its value.
+    characters); each key in counts must hold an integer of at least its value,
+    and each key in numbers a number (not a boolean) that passes its test.
     """
     if raw is None:
         raw = {}
@@ -138,6 +141,10 @@ def _section(cls, raw, name, convert=None, counts=None):
     section = cls(**values)
     for key, least in (counts or {}).items():
         _check_count(f"{name}.{key}", getattr(section, key), least)
+    for key, (test, interval) in (numbers or {}).items():
+        x = getattr(section, key)
+        if type(x) not in (int, float) or not test(x):
+            raise ConfigError(f"{name}.{key}={x!r} must be a number {interval}")
     return section
 
 
@@ -186,7 +193,10 @@ def load_config(path, seed=None, out=None):
         for name, n in households.items():
             _check_count(f"synth.households.{name}", n, least=0)
     if "ingest" in raw:
-        config.ingest = _section(IngestSection, raw["ingest"], "ingest")
+        config.ingest = _section(IngestSection, raw["ingest"], "ingest", numbers={
+            "smoothing_a": (lambda a: 0 <= a < 1, "in [0, 1)"),
+            "train_fraction": (lambda f: 0 < f < 1, "in (0, 1)"),
+        })
     if "cluster" in raw:
         config.cluster = _section(ClusterSection, raw["cluster"], "cluster",
                                   counts={"k": 1, "nmf_rank": 1})
@@ -194,7 +204,8 @@ def load_config(path, seed=None, out=None):
         config.train = _section(TrainSection, raw["train"], "train", convert={
             "generators": tuple,
             "cvae": lambda v: _section(neuralgen.CvaeConfig, v, "train.cvae",
-                                       convert={"hidden": tuple}, counts=CVAE_COUNTS),
+                                       convert={"hidden": tuple}, counts=CVAE_COUNTS,
+                                       numbers=CVAE_NUMBERS),
         })
         if not config.train.generators:
             raise ConfigError("train.generators lists no generator")
@@ -372,24 +383,23 @@ def stage_cluster(config, paths, force=False):
         result = clustering.kmedoids(factors.w, k)
         clustering.export_assignments_csv(pm.household_ids, result, assignments_csv)
 
-        kwh, tariff = kwh[pm.kept], tariff[pm.kept]
-
-        def score(labels):
-            return clustering.score_variants(kwh, tariff, labels, pm.household_ids, k=k)
-
-        variants = score(result.labels)
+        kwh = kwh[pm.kept]
+        # before the records, so that its season copies and the records do not coexist
+        classical = clustering.classical_feature_clustering(
+            clustering.classical_features(kwh, ds.dates), k
+        )
+        # the records do not depend on the labels: built once, scored three times
+        records = clustering.record_variants(kwh, tariff[pm.kept], pm.household_ids)
+        variants = clustering.score_variants(records, result.labels, k)
         random_result = clustering.random_clustering(
             len(pm.household_ids), k, seed=derive_seed(config.seed, SEED_RANDOM_BASELINE)
         )
         try:
-            random_variants = _variant_dict(score(random_result.labels))
+            random_variants = asdict(clustering.score_variants(records, random_result.labels, k))
         except clustering.ClusteringError as exc:
             # uniform labels can leave a cluster empty; a reference must not end the stage
             warnings.warn(f"random baseline not scored: {exc}")
             random_variants = None
-        classical = clustering.classical_feature_clustering(
-            clustering.classical_features(kwh, ds.dates), k
-        )
         scores = {
             "nmf_error_first": float(factors.errors[0]),
             "nmf_error_last": float(factors.errors[-1]),
@@ -397,18 +407,15 @@ def stage_cluster(config, paths, force=False):
             "medoids": [int(m) for m in result.medoids],
             "cost": result.cost,
             "calinski_harabasz": {
-                "nmf_kmedoids": _variant_dict(variants),
+                "nmf_kmedoids": asdict(variants),
                 "random": random_variants,
-                "classical_features": _variant_dict(score(classical.labels)),
+                "classical_features": asdict(
+                    clustering.score_variants(records, classical.labels, k)),
             },
         }
         with dataio.replacing(scores_json) as fh:
             json.dump(scores, fh, indent=2, sort_keys=True)
     return targets
-
-
-def _variant_dict(v):
-    return {"raw": v.raw, "normalized": v.normalized, "special": v.special}
 
 
 def _cluster_inputs(paths):

@@ -189,9 +189,10 @@ def test_06_kmedoids_planted_labels_and_ch_margin(capsys):
     truth = np.arange(200) // 50
     ari = _adjusted_rand(truth, result.labels)
 
-    nmf_scores = clustering.score_variants(pop.kwh, pop.tariff, result.labels)
+    records = clustering.record_variants(pop.kwh, pop.tariff)
+    nmf_scores = clustering.score_variants(records, result.labels)
     rand_scores = clustering.score_variants(
-        pop.kwh, pop.tariff, clustering.random_clustering(200, 4, seed=103).labels
+        records, clustering.random_clustering(200, 4, seed=103).labels
     )
     ratio = nmf_scores.special / rand_scores.special
     ok = ari >= 0.9 and ratio >= 2.0

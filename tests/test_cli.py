@@ -98,14 +98,14 @@ def assert_samples_are_scored(run, generator, n_samples):
         ensembles = read_samples(run / f"samples_{generator}_cluster{label}.csv")
         assert list(ensembles) == test_days
         report = metrics.read_report_csv(run / f"report_cluster{label}.csv")
-        rows = [r for r in report.rows if r.generator == generator]
-        assert [r.day for r in rows] == test_days
-        for row in rows:
-            ensemble = ensembles[row.day]
+        assert report.days == test_days
+        scores = report.scores[:, report.generators.index(generator)].tolist()
+        for day, (rmse, energy, _) in zip(report.days, scores):
+            ensemble = ensembles[day]
             assert ensemble.shape == (n_samples, HALF_HOURS)
-            y = bundle["series"][row.day]
-            assert metrics.energy_score(ensemble, y) == row.energy
-            assert metrics.rmse(ensemble, y) == row.rmse
+            y = bundle["series"][day]
+            assert metrics.energy_score(ensemble, y) == energy
+            assert metrics.rmse(ensemble, y) == rmse
 
 
 class TestStages:
@@ -128,9 +128,8 @@ class TestStages:
         lines = report_path.read_text().splitlines()
         assert lines[0] == "day,generator,rmse,energy,variogram_p05"
         report = metrics.read_report_csv(report_path)
-        days = sorted({row.day for row in report.rows})
-        assert len(days) == 10  # 25% of 40 days held out
-        assert report.generator_names() == ["gam"]
+        assert len(report.days) == 10  # 25% of 40 days held out
+        assert report.generators == ["gam"]
 
     def test_cluster_scores_structure(self, full_run):
         tmp, _ = full_run
@@ -241,7 +240,7 @@ class TestCvae:
     def test_report_scores_both_generators(self, cvae_run):
         tmp, _ = cvae_run
         for path in sorted((tmp / "run").glob("report_cluster*.csv")):
-            assert metrics.read_report_csv(path).generator_names() == ["gam", "cvae"]
+            assert metrics.read_report_csv(path).generators == ["gam", "cvae"]
 
     def test_generate_writes_scored_ensembles(self, cvae_run):
         tmp, _ = cvae_run
@@ -540,6 +539,30 @@ class TestValidation:
         pytest.param("synth: {n_days: '40'}\n", "synth.n_days", id="text-days"),
         pytest.param("synth: {window_shapes: random}\n", "synth.window_shapes",
                      id="text-window-shapes"),
+        pytest.param("ingest: {smoothing_a: abc}\n", "ingest.smoothing_a", id="text-smoothing"),
+        pytest.param("ingest: {smoothing_a: 1}\n", "ingest.smoothing_a", id="unit-smoothing"),
+        pytest.param("ingest: {smoothing_a: -0.1}\n", "ingest.smoothing_a",
+                     id="negative-smoothing"),
+        pytest.param("ingest: {smoothing_a: true}\n", "ingest.smoothing_a",
+                     id="boolean-smoothing"),
+        pytest.param("ingest: {smoothing_a: .nan}\n", "ingest.smoothing_a", id="nan-smoothing"),
+        pytest.param("ingest: {train_fraction: '0.5'}\n", "ingest.train_fraction",
+                     id="text-train-fraction"),
+        pytest.param("ingest: {train_fraction: 0}\n", "ingest.train_fraction",
+                     id="zero-train-fraction"),
+        pytest.param("ingest: {train_fraction: 1.0}\n", "ingest.train_fraction",
+                     id="unit-train-fraction"),
+        pytest.param("ingest: {train_fraction: true}\n", "ingest.train_fraction",
+                     id="boolean-train-fraction"),
+        pytest.param("train:\n  cvae: {eta: x}\n", "train.cvae.eta", id="text-eta"),
+        pytest.param("train:\n  cvae: {eta: -1}\n", "train.cvae.eta", id="negative-eta"),
+        pytest.param("train:\n  cvae: {eta: false}\n", "train.cvae.eta", id="boolean-eta"),
+        pytest.param("train:\n  cvae: {learning_rate: x}\n", "train.cvae.learning_rate",
+                     id="text-learning-rate"),
+        pytest.param("train:\n  cvae: {learning_rate: 0}\n", "train.cvae.learning_rate",
+                     id="zero-learning-rate"),
+        pytest.param("train:\n  cvae: {learning_rate: true}\n", "train.cvae.learning_rate",
+                     id="boolean-learning-rate"),
     ])
     def test_bad_section_rejected(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)           # a config taken by mistake runs synth here
@@ -549,6 +572,15 @@ class TestValidation:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ConfigError"
         assert named in payload["error"]
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("ingest: {smoothing_a: 0, train_fraction: 0.5}\n", id="ingest"),
+        pytest.param("train:\n  cvae: {eta: 0, learning_rate: 2}\n", id="integer-cvae"),
+    ])
+    def test_numbers_at_the_edge_of_their_range_accepted(self, tmp_path, text):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        pipeline.load_config(cfg)
 
     def test_negative_seed_flag_rejected_like_the_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -721,7 +753,7 @@ class TestGeneratorTable:
             assert run_cli(stage, "--config", str(cfg)) == 0
         for label in (0, 1):
             report = metrics.read_report_csv(run / f"report_cluster{label}.csv")
-            assert report.generator_names() == ["gam", "stub"]
+            assert report.generators == ["gam", "stub"]
         assert_samples_are_scored(run, "stub", 20)
         capsys.readouterr()
         assert run_cli("scenario", "--config", str(cfg), "--generator", "stub") == 0
@@ -750,7 +782,7 @@ class TestGeneratorTable:
         assert run_cli("evaluate", "--config", str(cfg)) == 0
         for label in (0, 1):
             report = metrics.read_report_csv(run / f"report_cluster{label}.csv")
-            assert report.generator_names() == ["cvae", "gam"]
+            assert report.generators == ["cvae", "gam"]
 
     def test_scenario_rejects_an_unknown_generator(self, workdir):
         _, cfg = workdir
@@ -772,6 +804,29 @@ cluster:
 train:
   generators: [gam]
 """
+
+
+def test_cluster_builds_its_records_once_and_scores_three_labellings(
+        workdir, monkeypatch):
+    tmp, cfg = workdir
+    for stage in ("synth", "ingest"):
+        assert run_cli(stage, "--config", str(cfg)) == 0
+    built, scored = [], []
+    record_variants, score_variants = clustering.record_variants, clustering.score_variants
+
+    def counted_records(*args, **kwargs):
+        built.append(record_variants(*args, **kwargs))
+        return built[-1]
+
+    def counted_scores(records, *args, **kwargs):
+        scored.append(records)
+        return score_variants(records, *args, **kwargs)
+
+    monkeypatch.setattr(clustering, "record_variants", counted_records)
+    monkeypatch.setattr(clustering, "score_variants", counted_scores)
+    assert run_cli("cluster", "--config", str(cfg)) == 0
+    assert len(built) == 1
+    assert len(scored) == 3 and all(records is built[0] for records in scored)
 
 
 def test_unscorable_random_baseline_is_recorded_as_null(tmp_path, capsys):

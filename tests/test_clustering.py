@@ -286,13 +286,62 @@ class TestCalinskiHarabasz:
             clustering.calinski_harabasz(np.zeros((2, 1)), np.array([0, 1]))
 
 
+def score_variants_per_call(kwh, tariff, labels, household_ids=None, k=None):
+    """Calinski-Harabasz of the three record variants, each built inside the
+    call that scores one labelling: the reference that record_variants and
+    score_variants are pinned to. Returns (raw, normalized, special)."""
+    kwh = np.asarray(kwh, dtype=float)
+    tariff = np.asarray(tariff)
+    n = kwh.shape[0]
+    if household_ids is None:
+        household_ids = [str(i) for i in range(n)]
+    flat = kwh.reshape(n, -1)
+    labels = np.asarray(labels)
+
+    raw = clustering.calinski_harabasz(flat, labels, k=k)
+
+    means = flat.mean(axis=1)
+    pos = means > 0
+    excluded_zero = [household_ids[i] for i in np.flatnonzero(~pos)]
+    if excluded_zero:
+        warnings.warn(f"excluded {len(excluded_zero)} zero-mean household(s)")
+    if pos.sum() <= (k or labels.max() + 1):
+        raise clustering.ClusteringError("too few households left after exclusions")
+    norm = flat[pos] / means[pos, None]
+    normalized = clustering.calinski_harabasz(norm, labels[pos], k=k)
+
+    special_masks = ((tariff == LOW) | (tariff == HIGH)).reshape(n, -1)
+    exposure = special_masks.sum(axis=1)
+    has_special = exposure > 0
+    if not has_special.any():
+        return raw, normalized, None
+    keep = pos & has_special
+    excluded_no_special = [household_ids[i] for i in np.flatnonzero(pos & ~has_special)]
+    if excluded_no_special:
+        warnings.warn(
+            f"excluded {len(excluded_no_special)} household(s) with no special-tariff exposure"
+        )
+    masks = special_masks[keep]
+    if not (masks == masks[0]).all():
+        raise clustering.ClusteringError("special-tariff masks differ across households")
+    restricted = (flat[keep] / means[keep, None])[:, masks[0]]
+    special = clustering.calinski_harabasz(restricted, labels[keep], k=k)
+    return raw, normalized, special
+
+
+def scored(kwh, tariff, labels, household_ids=None, k=None):
+    variants = clustering.score_variants(
+        clustering.record_variants(kwh, tariff, household_ids), labels, k)
+    return variants.raw, variants.normalized, variants.special
+
+
 class TestScoreVariants:
-    def build_inputs(self):
+    def build_inputs(self, n_days=4):
         rng = np.random.default_rng(6)
-        kwh = np.empty((6, 4, 48))
-        kwh[:3] = 0.5 + 0.05 * rng.standard_normal((3, 4, 48))
-        kwh[3:] = 1.5 + 0.05 * rng.standard_normal((3, 4, 48))
-        tariff = np.full((6, 4, 48), NORMAL, dtype=np.int8)
+        kwh = np.empty((6, n_days, 48))
+        kwh[:3] = 0.5 + 0.05 * rng.standard_normal((3, n_days, 48))
+        kwh[3:] = 1.5 + 0.05 * rng.standard_normal((3, n_days, 48))
+        tariff = np.full((6, n_days, 48), NORMAL, dtype=np.int8)
         tariff[:, 0, 9:19] = LOW
         tariff[:, 2, 39:44] = HIGH
         labels = np.array([0, 0, 0, 1, 1, 1])
@@ -300,59 +349,108 @@ class TestScoreVariants:
 
     def test_all_three_variants_finite(self):
         kwh, tariff, labels = self.build_inputs()
-        variants = clustering.score_variants(kwh, tariff, labels)
+        records = clustering.record_variants(kwh, tariff)
+        variants = clustering.score_variants(records, labels)
         assert variants.raw > 0 and variants.normalized > 0 and variants.special > 0
-        assert variants.excluded_zero_mean == [] and variants.excluded_no_special == []
+        assert records.excluded_zero_mean == [] and records.excluded_no_special == []
 
     def test_raw_matches_direct_ch(self):
         kwh, tariff, labels = self.build_inputs()
-        variants = clustering.score_variants(kwh, tariff, labels)
         direct = clustering.calinski_harabasz(kwh.reshape(6, -1), labels)
-        assert variants.raw == direct
+        assert scored(kwh, tariff, labels)[0] == direct
+
+    def test_raw_records_are_a_view(self):
+        kwh, tariff, _ = self.build_inputs()
+        assert np.shares_memory(clustering.record_variants(kwh, tariff).raw, kwh)
 
     def test_normalization_kills_pure_level_split(self):
         kwh, tariff, labels = self.build_inputs()
-        variants = clustering.score_variants(kwh, tariff, labels)
+        raw, normalized, _ = scored(kwh, tariff, labels)
         # the two groups differ only in level, so normalizing must hurt
-        assert variants.normalized < variants.raw
+        assert normalized < raw
 
     def test_special_restricts_to_special_cells(self):
         kwh, tariff, labels = self.build_inputs()
         # plant a strong split only on the special cells
         kwh[3:, 0, 9:19] += 5.0
-        variants = clustering.score_variants(kwh, tariff, labels)
         restricted = (kwh.reshape(6, -1) / kwh.reshape(6, -1).mean(axis=1, keepdims=True))
         mask = ((tariff == LOW) | (tariff == HIGH)).reshape(6, -1)[0]
         direct = clustering.calinski_harabasz(restricted[:, mask], labels)
-        assert variants.special == pytest.approx(direct, rel=1e-12)
+        assert scored(kwh, tariff, labels)[2] == pytest.approx(direct, rel=1e-12)
 
     def test_no_special_cells_gives_none(self):
         kwh, _, labels = self.build_inputs()
         tariff = np.full((6, 4, 48), NORMAL, dtype=np.int8)
-        variants = clustering.score_variants(kwh, tariff, labels)
-        assert variants.special is None
+        assert scored(kwh, tariff, labels)[2] is None
 
     def test_zero_mean_household_excluded(self):
         kwh, tariff, labels = self.build_inputs()
         kwh[1] = 0.0
         with pytest.warns(UserWarning, match="zero-mean"):
-            variants = clustering.score_variants(kwh, tariff, labels)
-        assert variants.excluded_zero_mean == ["1"]
+            records = clustering.record_variants(kwh, tariff)
+        assert records.excluded_zero_mean == ["1"]
 
     def test_no_exposure_household_excluded(self):
         kwh, tariff, labels = self.build_inputs()
         tariff[2] = NORMAL
         with pytest.warns(UserWarning, match="exposure"):
-            variants = clustering.score_variants(kwh, tariff, labels,
-                                                 household_ids=list("abcdef"))
-        assert variants.excluded_no_special == ["c"]
+            records = clustering.record_variants(kwh, tariff, household_ids=list("abcdef"))
+        assert records.excluded_no_special == ["c"]
 
     def test_differing_masks_raise(self):
         kwh, tariff, labels = self.build_inputs()
         tariff[2, 0, 9:19] = NORMAL
         tariff[2, 1, 9:19] = LOW  # same exposure count, different cells
         with pytest.raises(clustering.ClusteringError, match="masks"):
-            clustering.score_variants(kwh, tariff, labels)
+            clustering.record_variants(kwh, tariff)
+
+    def test_records_score_many_labellings_as_the_per_call_reference(self):
+        # a zero-mean and a no-exposure household, 40 days so that the sums
+        # run long enough for their order to matter, and several labellings
+        kwh, tariff, _ = self.build_inputs(n_days=40)
+        kwh[1] = 0.0
+        tariff[4] = NORMAL
+        ids = list("abcdef")
+        with pytest.warns(UserWarning) as built:
+            records = clustering.record_variants(kwh, tariff, ids)
+        assert [str(w.message) for w in built] == [
+            "excluded 1 zero-mean household(s)",
+            "excluded 1 household(s) with no special-tariff exposure",
+        ]
+        assert records.excluded_zero_mean == ["b"] and records.excluded_no_special == ["e"]
+        assert records.special.flags.f_contiguous
+        for labels, k in (([0, 0, 0, 1, 1, 1], None), ([0, 1, 0, 1, 0, 1], 2),
+                          ([0, 1, 2, 2, 0, 1], 3), ([0, 1, 0, 0, 1, 1], None)):
+            with pytest.warns(UserWarning):
+                expected = score_variants_per_call(kwh, tariff, labels, ids, k)
+            got = clustering.score_variants(records, labels, k)
+            assert (got.raw, got.normalized, got.special) == expected
+
+    def test_no_special_cells_score_as_the_per_call_reference(self):
+        kwh, _, labels = self.build_inputs(n_days=40)
+        tariff = np.full(kwh.shape, NORMAL, dtype=np.int8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scored(kwh, tariff, labels) == score_variants_per_call(kwh, tariff, labels)
+
+    def test_an_empty_cluster_raises_as_the_per_call_reference(self):
+        # uniform random labels leaving cluster 2 of k = 3 empty
+        kwh, tariff, _ = self.build_inputs()
+        kwh[1] = 0.0
+        labels = clustering.random_clustering(6, 2, seed=3).labels
+        with warnings.catch_warnings(record=True) as reference_warnings:
+            warnings.simplefilter("always")
+            with pytest.raises(clustering.ClusteringError) as reference_error:
+                score_variants_per_call(kwh, tariff, labels, k=3)
+        with pytest.warns(UserWarning) as built:
+            records = clustering.record_variants(kwh, tariff)
+        with pytest.raises(clustering.ClusteringError) as error:
+            clustering.score_variants(records, labels, k=3)
+        assert str(error.value) == str(reference_error.value) == (
+            "need at least 2 non-empty clusters")
+        # the reference raised before its exclusion warning; the records warned once
+        assert [str(w.message) for w in reference_warnings] == []
+        assert [str(w.message) for w in built] == ["excluded 1 zero-mean household(s)"]
 
 
 class TestClassicalPipeline:

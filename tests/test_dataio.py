@@ -731,6 +731,41 @@ class TestPreparedDataset:
         assert loaded.dates == prepared_small.dates
         assert loaded.smoothing_a == prepared_small.smoothing_a
 
+    @pytest.mark.parametrize("key, change, error", [
+        ("pca_scores", None, r"missing pca_scores"),
+        ("kwh", np.s_[:, :10], r"kwh has shape \(\d+, 10, 48\), expected \(\d+, \d+, 48\)"),
+        ("tariff", np.s_[:-1], r"tariff has shape"),
+        ("kwh", np.s_[..., :47], r"kwh has shape"),
+        ("tau", np.s_[:-1], r"tau has shape"),
+        ("tau_bar", np.s_[:, :24], r"tau_bar has shape"),
+        ("tau_bar_daily", np.s_[:-1], r"tau_bar_daily has shape"),
+        ("w", np.s_[1:], r"w has shape"),
+        ("kappa", lambda kappa: kappa[None], r"kappa has shape"),
+        ("pca_scores", np.s_[:, :2], r"pca_scores has shape"),
+        ("dates", lambda dates: dates[None], r"dates has shape"),
+        ("household_ids", np.s_[:-1], r"groups has shape \(\d+,\), expected"),
+        ("groups", np.s_[:-1], r"groups has shape"),
+        ("train", lambda days: days + 1000, r"train holds day indices outside 0\.\.\d+"),
+        ("test", lambda days: -days - 1, r"test holds day indices outside"),
+        ("test", lambda days: days.astype(float), r"test holds day indices outside"),
+    ], ids=["no-pca-scores", "kwh-days", "tariff-households", "kwh-slots", "tau", "tau-bar",
+            "tau-bar-daily", "w", "kappa", "pca-scores", "dates", "ids", "groups",
+            "train-past-the-end", "negative-test", "float-test"])
+    def test_a_file_that_disagrees_names_itself(self, prepared_small, tmp_path, key, change,
+                                                error):
+        path = tmp_path / "prepared.npz"
+        dataio.save_prepared(prepared_small, path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        if change is None:
+            del arrays[key]
+        else:
+            arrays[key] = change(arrays[key]) if callable(change) else arrays[key][change]
+        np.savez(path, **arrays)
+        with pytest.raises(dataio.DataValidationError,
+                           match=rf"prepared\.npz: {error}.*rerun `drsim ingest --force`$"):
+            dataio.load_prepared(path)
+
     def test_flagged_households_dropped(self, tmp_path):
         # over 8 days b misses half of every day and is flagged; a misses a
         # slot inside day 3 and c the first two slots of the record

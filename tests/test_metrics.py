@@ -18,6 +18,27 @@ def variogram_oracle(ensemble, y, p):
     return total
 
 
+def row_based_summary(rows):
+    """The summary as it was computed from one (day, generator, rmse, energy,
+    variogram) row per day and generator: each generator's rows filtered
+    again for each score. The reference that ScoreReport.summary is pinned to."""
+    out = {}
+    for name in dict.fromkeys(row[1] for row in rows):
+        out[name] = {}
+        for col, which in enumerate(("rmse", "energy", "variogram"), start=2):
+            values = np.array([row[col] for row in rows if row[1] == name])
+            qs = np.quantile(values, (0.0, 0.25, 0.5, 0.75, 1.0))
+            out[name][which] = {
+                "mean": float(values.mean()),
+                "min": float(qs[0]),
+                "q25": float(qs[1]),
+                "median": float(qs[2]),
+                "q75": float(qs[3]),
+                "max": float(qs[4]),
+            }
+    return out
+
+
 class TestRmse:
     def test_zero_when_mean_matches(self):
         ensemble = np.array([[0.0, 0.0], [2.0, 2.0]])
@@ -134,33 +155,27 @@ class TestEvaluateGenerators:
     def observations(self):
         return np.arange(12, dtype=float).reshape(3, 4) / 4.0
 
-    def test_identical_generators_produce_identical_rows(self):
+    def test_identical_generators_produce_identical_scores(self):
         ensembles = self.gaussian_ensembles(0.0, 40, seed=5)
         report = metrics.evaluate_generators(self.observations(), {"a": ensembles, "b": ensembles})
-        assert [(r.day, r.generator) for r in report.rows] == [
-            (day, name) for day in range(3) for name in "ab"
-        ]
-        for day in range(3):
-            a_row = report.rows[2 * day]
-            b_row = report.rows[2 * day + 1]
-            assert (a_row.rmse, a_row.energy, a_row.variogram) == (
-                b_row.rmse, b_row.energy, b_row.variogram
-            )
+        assert report.days == [0, 1, 2] and report.generators == ["a", "b"]
+        assert report.scores.shape == (3, 2, 3)
+        assert np.array_equal(report.scores[:, 0], report.scores[:, 1])
 
-    def test_rows_score_each_day_against_its_observation(self):
+    def test_scores_each_day_against_its_observation(self):
         obs = self.observations()
         ensembles = self.gaussian_ensembles(0.0, 10, seed=1)
         report = metrics.evaluate_generators(obs, {"g": ensembles}, variogram_p=1.0)
-        for pos, row in enumerate(report.rows):
-            assert row.rmse == metrics.rmse(ensembles[pos], obs[pos])
-            assert row.energy == metrics.energy_score(ensembles[pos], obs[pos])
-            assert row.variogram == metrics.variogram_score(ensembles[pos], obs[pos], 1.0)
+        for pos, (rmse, energy, variogram) in enumerate(report.scores[:, 0].tolist()):
+            assert rmse == metrics.rmse(ensembles[pos], obs[pos])
+            assert energy == metrics.energy_score(ensembles[pos], obs[pos])
+            assert variogram == metrics.variogram_score(ensembles[pos], obs[pos], 1.0)
 
     def test_day_labels_recorded(self):
         report = metrics.evaluate_generators(
             self.observations(), {"g": self.gaussian_ensembles(0.0, 10)}, day_labels=[7, 11, 13]
         )
-        assert [r.day for r in report.rows] == [7, 11, 13]
+        assert report.days == [7, 11, 13]
 
     @pytest.mark.parametrize("labels", [[7, 11], [7, 11, 13, 17]], ids=["fewer", "more"])
     def test_day_labels_must_match_the_days_in_number(self, labels):
@@ -182,29 +197,38 @@ class TestEvaluateGenerators:
     def test_report_round_trip_is_exact(self, tmp_path):
         gens = {"cvae": self.gaussian_ensembles(0.0, 20, seed=3),
                 "gam": self.gaussian_ensembles(0.5, 20, seed=4)}
-        report = metrics.evaluate_generators(self.observations(), gens)
+        report = metrics.evaluate_generators(self.observations(), gens, day_labels=[4, 9, 2])
         path = tmp_path / "report.csv"
         metrics.write_report_csv(report, path)
-        assert path.read_text().splitlines()[0] == "day,generator,rmse,energy,variogram_p05"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "day,generator,rmse,energy,variogram_p05"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [day, name] for day in ("4", "9", "2") for name in ("cvae", "gam")]
         loaded = metrics.read_report_csv(path)
-        assert loaded.generator_names() == ["cvae", "gam"]
-        for orig, back in zip(report.rows, loaded.rows):
-            assert (back.day, back.generator) == (orig.day, orig.generator)
-            assert back.rmse == orig.rmse
-            assert back.energy == orig.energy
-            assert back.variogram == orig.variogram
+        assert loaded.days == [4, 9, 2] and loaded.generators == ["cvae", "gam"]
+        assert np.array_equal(loaded.scores, report.scores)
 
     def test_summary_quartiles_oracle(self):
-        rows = [
-            metrics.ScoreRow(day=i, generator="g", rmse=float(v), energy=0.0, variogram=0.0)
-            for i, v in enumerate([4.0, 1.0, 3.0, 2.0])
-        ]
-        report = metrics.ScoreReport(rows=rows)
-        stats = report.summary()["g"]["rmse"]
         values = np.array([4.0, 1.0, 3.0, 2.0])
+        scores = np.zeros((4, 1, 3))
+        scores[:, 0, 0] = values
+        report = metrics.ScoreReport(days=[0, 1, 2, 3], generators=["g"], scores=scores)
+        stats = report.summary()["g"]["rmse"]
         assert stats["mean"] == values.mean()
         for key, q in (("min", 0.0), ("q25", 0.25), ("median", 0.5), ("q75", 0.75), ("max", 1.0)):
             assert stats[key] == np.quantile(values, q)
+
+    @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_summary_matches_the_row_based_summary_bit_for_bit(self, n_days, n_gens, seed):
+        r = np.random.default_rng(seed)
+        scores = r.lognormal(r.normal(), 2.0, size=(n_days, n_gens, 3))
+        names = [f"g{g}" for g in range(n_gens)]
+        report = metrics.ScoreReport(list(range(n_days)), names, scores)
+        rows = [(day, name, *scores[day, g].tolist())
+                for day in range(n_days) for g, name in enumerate(names)]
+        # repr keeps every bit of each float and the order the summary CSV is written in
+        assert repr(report.summary()) == repr(row_based_summary(rows))
 
     def test_summary_csv_layout(self, tmp_path):
         report = metrics.evaluate_generators(
@@ -215,3 +239,44 @@ class TestEvaluateGenerators:
         lines = path.read_text().splitlines()
         assert lines[0] == "generator,score,mean,min,q25,median,q75,max"
         assert len(lines) == 1 + 3  # one row per score for the single generator
+
+
+class TestReadReport:
+    ROWS = ["3,gam,1.0,2.0,3.0", "3,cvae,1.5,2.5,3.5", "5,gam,1.0,2.0,3.0", "5,cvae,1.5,2.5,3.5"]
+
+    def write(self, tmp_path, rows):
+        path = tmp_path / "report_cluster0.csv"
+        path.write_text("\r\n".join(["day,generator,rmse,energy,variogram_p05", *rows, ""]))
+        return path
+
+    def test_reads_the_grid(self, tmp_path):
+        report = metrics.read_report_csv(self.write(tmp_path, self.ROWS))
+        assert report.days == [3, 5] and report.generators == ["gam", "cvae"]
+        np.testing.assert_array_equal(report.scores[1, 1], [1.5, 2.5, 3.5])
+
+    @pytest.mark.parametrize("row", [
+        "3,gam,x,2.0,3.0", "3,gam,1.0,2.0", "3,gam,1.0,2.0,3.0,4.0", "3.5,gam,1.0,2.0,3.0",
+        "3,,1.0,2.0,3.0", "3,gam,nan,2.0,3.0", "3,gam,1.0,inf,3.0", "",
+    ], ids=["text-score", "four-fields", "six-fields", "float-day", "no-name", "nan", "inf",
+            "blank"])
+    def test_a_malformed_row_names_the_file_and_line(self, tmp_path, row):
+        path = self.write(tmp_path, [*self.ROWS[:2], row, *self.ROWS[3:]])
+        with pytest.raises(metrics.ScoringError,
+                           match=r"report_cluster0\.csv: line 4 \(.*\) needs an integer day, "
+                                 "a generator name and three finite scores"):
+            metrics.read_report_csv(path)
+
+    @pytest.mark.parametrize("rows, where, expected", [
+        (ROWS[:2] + ROWS[:1] + ROWS[2:], "line 4", "day 5, generator gam"),
+        (ROWS[:1] + ROWS[:1] + ROWS[1:], "line 3", "day 3, generator cvae"),
+        (ROWS[:2] + ROWS[3:1:-1], "line 4", "day 5, generator gam"),
+        (ROWS[:3], "the end of the file", "day 5, generator cvae"),
+        (ROWS[:1] + ROWS[2:3] + ROWS[1:2], "line 3", "day 3, generator cvae"),
+        (ROWS + ROWS[:2], "line 6", "no row"),
+    ], ids=["repeated-row", "repeated-first-row", "swapped-generators", "missing-last",
+            "day-split", "day-again"])
+    def test_rows_off_the_grid_name_the_file(self, tmp_path, rows, where, expected):
+        with pytest.raises(metrics.ScoringError,
+                           match=rf"report_cluster0\.csv: {where} breaks the days x generators "
+                                 rf"grid \(expected {expected}\)"):
+            metrics.read_report_csv(self.write(tmp_path, rows))

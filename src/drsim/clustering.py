@@ -3,12 +3,14 @@
 The pipeline is: turn the (N, 3, 48) counterfactual response profiles of a
 causality.ResponseProfiles into a nonnegative (N, 144) matrix, compress it
 with a rank-r NMF, then k-medoids (full PAM) on the household loading
-vectors. The matrix and the classical baseline features are whole-array
-reductions over all households at once. Cluster quality is scored with the
-Calinski-Harabasz statistic in the variant used throughout this project
-(between-cluster sum unweighted by cluster size, within-cluster variances
-averaged per cluster), on three record variants that record_variants builds
-once and score_variants scores for any labelling.
+vectors. The matrix is a whole-array reduction over all households at once;
+the classical baseline features are reduced over fixed blocks of households,
+so a season's copy of the consumption exists for one block at a time.
+Cluster quality is scored with the Calinski-Harabasz statistic in the
+variant used throughout this project (between-cluster sum unweighted by
+cluster size, within-cluster variances averaged per cluster), on three
+record variants that record_variants builds once and score_variants scores
+for any labelling.
 """
 
 import warnings
@@ -255,7 +257,9 @@ def calinski_harabasz(vectors, labels, k=None):
         members = vectors[labels == l]
         center = members.mean(axis=0)
         between += float(((center - overall) ** 2).sum())
-        within += ((members - center) ** 2).sum() / len(members)
+        members -= center                   # a copy: centred and squared in place
+        within += np.square(members, out=members).sum() / len(members)
+        del members                         # before the next cluster's copy
     if within == 0.0:
         raise PerfectlyTightClusteringError("perfectly tight clustering")
     return (n - k) * between / ((k - 1) * within)
@@ -342,6 +346,7 @@ def score_variants(records, labels, k=None):
 
 
 HOT_MONTHS = frozenset({4, 5, 6, 7, 8, 9})
+_FEATURE_ROWS = 64   # households per block of classical_features
 
 
 def classical_features(kwh, dates):
@@ -350,18 +355,30 @@ def classical_features(kwh, dates):
     Min/max/mean consumption over the hot season (April-September) and the
     cold season, plus the average half-hour (1-based) of the daily peak and
     trough. An empty season falls back to the full record with a warning.
+
+    Households are reduced _FEATURE_ROWS at a time, each season's days taken
+    from one block into a C-ordered copy; each household's min, max and mean
+    run over the same values in the same order as over the whole array.
     """
     kwh = np.asarray(kwh, dtype=float)
     hot_days = np.array([d.month in HOT_MONTHS for d in dates])
-    columns = []
+    seasons = []
     for season, mask in (("hot", hot_days), ("cold", ~hot_days)):
         if not mask.any():
             warnings.warn(f"no {season}-season days; using the full record")
             mask = np.ones_like(mask)
-        seg = kwh[:, mask].reshape(len(kwh), -1)
-        columns += [seg.min(axis=1), seg.max(axis=1), seg.mean(axis=1)]
-    columns += [(kwh.argmax(axis=2) + 1).mean(axis=1), (kwh.argmin(axis=2) + 1).mean(axis=1)]
-    return np.stack(columns, axis=1)
+        seasons.append(np.flatnonzero(mask))
+    features = np.empty((len(kwh), 8))
+    for start in range(0, len(kwh), _FEATURE_ROWS):
+        block = kwh[start:start + _FEATURE_ROWS]
+        columns = []
+        for days in seasons:
+            seg = np.take(block, days, axis=1).reshape(len(block), -1)
+            columns += [seg.min(axis=1), seg.max(axis=1), seg.mean(axis=1)]
+        columns += [(block.argmax(axis=2) + 1).mean(axis=1),
+                    (block.argmin(axis=2) + 1).mean(axis=1)]
+        features[start:start + _FEATURE_ROWS] = np.stack(columns, axis=1)
+    return features
 
 
 def classical_feature_clustering(features, k):

@@ -18,8 +18,10 @@ is not plain, or would fail a check, or two rows of a plain file hold one
 loop reads the whole file again from its header; it alone raises the parse
 and validation errors, duplicates included, so their messages and line
 numbers are those of a reader that reads every row that way. The rows are
-scattered into one ConsumptionData of (n, T, 48) grids; prepare_dataset
-drops its flagged households, repairs the rest and adds the features.
+scattered into one ConsumptionData of (n, T, 48) grids a fixed block of rows
+at a time, so no whole-file temporary of cell offsets is built;
+prepare_dataset drops its flagged households, repairs the rest one household
+at a time into grids allocated once, and adds the features.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -53,6 +55,7 @@ DEFAULT_SMOOTHING = 0.998
 
 _CHUNK_BYTES = 1 << 20  # bytes per bulk read of a consumption file, cut back to a line end
 _KEY_BYTES = 32         # widest field the bulk parse takes; a wider one goes to the row loop
+_SCATTER_ROWS = 1 << 14  # rows per block of _scatter: its int64 cell offsets exist for one block
 _HEADER_LINE = ",".join(CONSUMPTION_HEADER).encode()
 _KWH_BYTES = np.zeros(256, dtype=bool)        # bytes a kwh field may hold in the bulk parse,
 _KWH_BYTES[list(b"\0.0123456789eE+-")] = True  # \0 only as padding: plain chunks hold none
@@ -384,7 +387,13 @@ def _read_rows(reader, line_no, cols):
 def _scatter(cols):
     """(dates, kwh, tariff, observed) grids of the rows in cols, or None if
     two rows hold one cell; every kwh read is finite, so the cells left NaN
-    are the unobserved ones."""
+    are the unobserved ones.
+
+    Each distinct timestamp text's cell within a household's (T, 48) grid is
+    worked out once; the rows then go to their cells _SCATTER_ROWS at a
+    time, so the int64 cell offsets take 8 bytes a row of one block, not of
+    the whole file.
+    """
     hh_col, text_col, kwh_col, code_col = cols.columns()
     if not hh_col.size:
         raise DataValidationError("no data rows")
@@ -394,15 +403,20 @@ def _scatter(cols):
     dates = [datetime.date.fromordinal(n) for n in range(first, last + 1)]
     n_days = len(dates)
     slot_cell = (day - first) * HALF_HOURS + np.array([h for _, h in slots])
-    cells = (hh_col.astype(np.int64) * (n_days * HALF_HOURS)
-             + slot_cell[np.asarray(cols.text_slot)[text_col]])
+    text_cell = slot_cell[np.asarray(cols.text_slot)]
     kwh = np.full((len(cols.groups), n_days, HALF_HOURS), np.nan)
-    kwh.reshape(-1)[cells] = kwh_col
-    observed = ~np.isnan(kwh)
+    tariff = np.full(kwh.shape, -1, dtype=np.int8)
+    for start in range(0, hh_col.size, _SCATTER_ROWS):
+        rows = slice(start, start + _SCATTER_ROWS)
+        cells = hh_col[rows].astype(np.int64)
+        cells *= n_days * HALF_HOURS
+        cells += text_cell[text_col[rows]]
+        kwh.reshape(-1)[cells] = kwh_col[rows]
+        tariff.reshape(-1)[cells] = code_col[rows]
+    observed = np.isnan(kwh)
+    np.logical_not(observed, out=observed)
     if np.count_nonzero(observed) < hh_col.size:
         return None
-    tariff = np.full(kwh.shape, -1, dtype=np.int8)
-    tariff.reshape(-1)[cells] = code_col
     return dates, kwh, tariff, observed
 
 
@@ -418,13 +432,13 @@ def read_consumption_csv(path):
 
     One pass fills flat columns (household index, timestamp id, kwh, tariff
     code), parsing each distinct timestamp text once; the columns are
-    scattered into the grids at the end. The pass reads chunks of about
-    _CHUNK_BYTES in bulk with numpy while they are plain and pass every
-    check. If a chunk does not, or the scatter fills fewer cells than there
-    are rows (a duplicate reading), the bulk columns are dropped and a csv
-    row loop reads the whole file from its header; it raises every error,
-    duplicates included, so messages and line numbers are those of a
-    row-at-a-time reader.
+    scattered into the grids at the end, a block of rows at a time. The
+    pass reads chunks of about _CHUNK_BYTES in bulk with numpy while they
+    are plain and pass every check. If a chunk does not, or the scatter
+    fills fewer cells than there are rows (a duplicate reading), the bulk
+    columns are dropped and a csv row loop reads the whole file from its
+    header; it raises every error, duplicates included, so messages and
+    line numbers are those of a row-at-a-time reader.
     """
     cols = _Columns()
     with open(path, "rb") as raw:
@@ -793,8 +807,13 @@ def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
     if not kept:
         raise UnrecoverableDataError("no household passes the coverage threshold")
     observed = consumption.observed
-    kwh = np.stack([repair_household(consumption.kwh[i], observed[i]) for i in kept])
-    tariff = np.stack([repair_tariffs(consumption.tariff[i], observed[i]) for i in kept])
+    # filled one household at a time, so that one household's repaired copy
+    # is alive beside the two grids, not every household's
+    kwh = np.empty((len(kept),) + consumption.kwh.shape[1:], consumption.kwh.dtype)
+    tariff = np.empty(kwh.shape, consumption.tariff.dtype)
+    for row, i in enumerate(kept):
+        kwh[row] = repair_household(consumption.kwh[i], observed[i])
+        tariff[row] = repair_tariffs(consumption.tariff[i], observed[i])
     tau = temperature_grid(temperature, consumption.dates)
     smoothed = smooth_temperature(tau, smoothing_a)
     calendar = build_calendar(consumption.dates)

@@ -347,6 +347,7 @@ def stage_ingest(config, paths, force=False):
         train_fraction=config.ingest.train_fraction,
         seed=derive_seed(config.seed, SEED_PARTITION),
     )
+    del data                  # the raw grids go before the file is written
     dataio.save_prepared(dataset, paths.prepared)
     return targets
 
@@ -354,6 +355,12 @@ def stage_ingest(config, paths, force=False):
 def _require(path, hint):
     if not Path(path).exists():
         raise PipelineError(f"missing {path}; run {hint} first")
+
+
+def _rows(array, rows):
+    """array[rows] for increasing row indices rows; array itself, not a copy,
+    when they are all of its rows."""
+    return array if len(rows) == len(array) else array[rows]
 
 
 def stage_cluster(config, paths, force=False):
@@ -370,7 +377,7 @@ def stage_cluster(config, paths, force=False):
     clustering.check_rank(config.cluster.nmf_rank, (len(tou), 3 * HALF_HOURS))
     clustering.check_k(config.cluster.k, len(tou))
 
-    kwh, tariff = ds.kwh[tou], ds.tariff[tou]
+    kwh, tariff = _rows(ds.kwh, tou), _rows(ds.tariff, tou)
     with dataio.replacing_all(targets) as (profiles_csv, assignments_csv, scores_json):
         profiles = causality.fit_profiles([ds.household_ids[i] for i in tou], kwh, ds.tau, tariff)
         causality.export_profiles_csv(profiles, profiles_csv)
@@ -383,13 +390,13 @@ def stage_cluster(config, paths, force=False):
         result = clustering.kmedoids(factors.w, k)
         clustering.export_assignments_csv(pm.household_ids, result, assignments_csv)
 
-        kwh = kwh[pm.kept]
+        kwh, tariff = _rows(kwh, pm.kept), _rows(tariff, pm.kept)
         # before the records, so that its season copies and the records do not coexist
         classical = clustering.classical_feature_clustering(
             clustering.classical_features(kwh, ds.dates), k
         )
         # the records do not depend on the labels: built once, scored three times
-        records = clustering.record_variants(kwh, tariff[pm.kept], pm.household_ids)
+        records = clustering.record_variants(kwh, tariff, pm.household_ids)
         variants = clustering.score_variants(records, result.labels, k)
         random_result = clustering.random_clustering(
             len(pm.household_ids), k, seed=derive_seed(config.seed, SEED_RANDOM_BASELINE)

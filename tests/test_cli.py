@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import drsim
-from drsim import (causality, cli, clustering, gamgen, metrics, neuralgen, parallel, pipeline,
-                   synthdata)
+from drsim import (causality, cli, clustering, dataio, gamgen, metrics, neuralgen, parallel,
+                   pipeline, synthdata)
 from drsim.dataio import HALF_HOURS
 
 
@@ -843,6 +844,50 @@ def test_unscorable_random_baseline_is_recorded_as_null(tmp_path, capsys):
     assert scores["calinski_harabasz"]["random"] is None
     for variant in ("nmf_kmedoids", "classical_features"):
         assert scores["calinski_harabasz"][variant]["raw"] > 0
+
+
+def test_cluster_without_std_households_fits_the_grids_uncopied(full_run, tmp_path,
+                                                                 monkeypatch):
+    # with a Std household the cluster stage copies the TOU rows; the same
+    # dataset saved without it is fitted and scored on the loaded grids
+    # themselves, and both write the same bytes
+    source = full_run[0] / "run"
+    ds = dataio.load_prepared(source / "prepared.npz")
+    tou = [i for i, group in enumerate(ds.groups) if group == "TOU"]
+    assert len(tou) < len(ds.groups)
+    without_std = dataclasses.replace(
+        ds, household_ids=[ds.household_ids[i] for i in tou], groups=["TOU"] * len(tou),
+        kwh=ds.kwh[tou], tariff=ds.tariff[tou])
+    loaded, fitted = [], []
+    load_prepared, fit_profiles = dataio.load_prepared, causality.fit_profiles
+
+    def spy_load(path):
+        loaded.append(load_prepared(path))
+        return loaded[-1]
+
+    def spy_fit(ids, kwh, tau, tariff):
+        fitted.append((kwh, tariff))
+        return fit_profiles(ids, kwh, tau, tariff)
+
+    monkeypatch.setattr(dataio, "load_prepared", spy_load)
+    monkeypatch.setattr(causality, "fit_profiles", spy_fit)
+    names = ("profiles.csv", "assignments.csv", "cluster_scores.json")
+    outputs = {}
+    for run, dataset in (("with_std", None), ("without_std", without_std)):
+        cfg = tmp_path / f"{run}.yaml"
+        cfg.write_text(CONFIG.format(out=tmp_path / run))
+        (tmp_path / run).mkdir()
+        if dataset is None:
+            shutil.copy(source / "prepared.npz", tmp_path / run / "prepared.npz")
+        else:
+            dataio.save_prepared(dataset, tmp_path / run / "prepared.npz")
+        assert run_cli("cluster", "--config", str(cfg)) == 0
+        outputs[run] = [(tmp_path / run / name).read_bytes() for name in names]
+    assert outputs["with_std"] == outputs["without_std"]
+    assert outputs["with_std"] == [(source / name).read_bytes() for name in names]
+    (copied, _), (kwh, tariff) = fitted
+    assert copied is not loaded[0].kwh
+    assert kwh is loaded[1].kwh and tariff is loaded[1].tariff
 
 
 class TestInterruptedWrites:

@@ -1,4 +1,5 @@
 import datetime
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -47,6 +48,23 @@ def classical_features_loop(kwh, dates):
         cols.extend([(kwh[i].argmax(axis=1) + 1).mean(), (kwh[i].argmin(axis=1) + 1).mean()])
         features[i] = cols
     return features
+
+
+def classical_features_whole_array(kwh, dates):
+    """classical_features over all households at once, as it was before it
+    reduced household blocks: the reference the blocked form must match bit
+    for bit."""
+    kwh = np.asarray(kwh, dtype=float)
+    hot_days = np.array([d.month in clustering.HOT_MONTHS for d in dates])
+    columns = []
+    for season, mask in (("hot", hot_days), ("cold", ~hot_days)):
+        if not mask.any():
+            warnings.warn(f"no {season}-season days; using the full record")
+            mask = np.ones_like(mask)
+        seg = kwh[:, mask].reshape(len(kwh), -1)
+        columns += [seg.min(axis=1), seg.max(axis=1), seg.mean(axis=1)]
+    columns += [(kwh.argmax(axis=2) + 1).mean(axis=1), (kwh.argmin(axis=2) + 1).mean(axis=1)]
+    return np.stack(columns, axis=1)
 
 
 class TestProfileMatrix:
@@ -285,6 +303,33 @@ class TestCalinskiHarabasz:
         with pytest.raises(clustering.ClusteringError):
             clustering.calinski_harabasz(np.zeros((2, 1)), np.array([0, 1]))
 
+    @pytest.mark.parametrize("order", ["C", "F"])   # F: the layout of the special records
+    def test_in_place_spread_matches_the_copying_expression(self, rng, order):
+        vectors = np.asarray(rng.lognormal(size=(90, 517)), order=order)
+        labels = rng.integers(0, 4, size=90)
+        overall = vectors.mean(axis=0)
+        between = within = 0.0
+        for l in range(4):
+            members = vectors[labels == l]
+            center = members.mean(axis=0)
+            between += float(((center - overall) ** 2).sum())
+            within += ((members - center) ** 2).sum() / len(members)
+        expected = (90 - 4) * between / ((4 - 1) * within)
+        assert clustering.calinski_harabasz(vectors, labels, 4) == expected
+
+    def test_traced_peak_is_one_cluster_copy(self, rng):
+        # each cluster's copy is centred and squared in place and dropped before
+        # the next one is taken; two copies were alive at once before
+        vectors = rng.normal(size=(200, 4000))
+        labels = np.repeat(np.arange(4), 50)
+        tracemalloc.start()
+        try:
+            clustering.calinski_harabasz(vectors, labels, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * vectors.nbytes / 4
+
 
 def score_variants_per_call(kwh, tariff, labels, household_ids=None, k=None):
     """Calinski-Harabasz of the three record variants, each built inside the
@@ -500,6 +545,39 @@ class TestClassicalPipeline:
             feats = clustering.classical_features(kwh, dates)
         np.testing.assert_array_equal(feats, classical_features_loop(kwh, dates))
         np.testing.assert_array_equal(feats[:, :3], feats[:, 3:6])
+
+    @pytest.mark.parametrize("n, start, n_days, empty", [
+        (5, datetime.date(2023, 1, 1), 365, None),   # below one block; 8,784-cell seasons
+        (2 * clustering._FEATURE_ROWS + 5, datetime.date(2024, 2, 20), 120, None),
+        (clustering._FEATURE_ROWS + 3, datetime.date(2024, 10, 5), 60, "hot"),
+        (clustering._FEATURE_ROWS, datetime.date(2024, 6, 1), 30, "cold"),
+    ])
+    def test_blocks_match_the_whole_array_reduction(self, n, start, n_days, empty):
+        rng = np.random.default_rng(n_days)
+        kwh = rng.lognormal(-0.7, 0.5, size=(n, n_days, 48))
+        dates = [start + datetime.timedelta(days=t) for t in range(n_days)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            expected = classical_features_whole_array(kwh, dates)
+            feats = clustering.classical_features(kwh, dates)
+        messages = [str(w.message) for w in caught]
+        want = [] if empty is None else [f"no {empty}-season days; using the full record"]
+        assert messages == want * 2
+        np.testing.assert_array_equal(feats, expected)
+
+    def test_traced_peak_is_below_the_consumption(self):
+        # over all households at once, the two season copies and their
+        # reshaped copies took 1.5 times the consumption
+        n = 3 * clustering._FEATURE_ROWS + 7
+        kwh = np.random.default_rng(4).lognormal(-0.7, 0.5, size=(n, 120, 48))
+        dates = [datetime.date(2024, 2, 20) + datetime.timedelta(days=t) for t in range(120)]
+        tracemalloc.start()
+        try:
+            clustering.classical_features(kwh, dates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kwh.nbytes
 
     def test_clustering_drops_constant_features(self, rng):
         feats = rng.normal(size=(12, 8))

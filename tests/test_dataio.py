@@ -1,6 +1,7 @@
 import csv
 import datetime
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -187,33 +188,37 @@ class TestReadConsumption:
             dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
 
     def test_matches_row_at_a_time_reader_bit_for_bit(self, tmp_path):
-        # interleaved and out of order, gaps, a low-coverage STD/FLAT
-        # household, both timestamp spellings, blank lines and CRLF endings
-        rng = np.random.default_rng(3)
-        rows = []
-        for hid, group, sep, skip in (("a", "TOU", "T", {(1, 5), (1, 6), (2, 47)}),
-                                      ("s", "STD", " ", {(1, h) for h in range(10, 30)}),
-                                      ("c", "TOU", " ", set())):
-            for t in range(3):
-                for h in range(48):
-                    if (t, h) in skip or (hid == "c" and t == 0 and h < 4):
-                        continue
-                    ts = datetime.datetime.combine(D1, datetime.time(h // 2, 30 * (h % 2)))
-                    ts += datetime.timedelta(days=t)
-                    tariff = "FLAT" if group == "STD" else ("LOW", "NORMAL", "HIGH")[(h + t) % 3]
-                    kwh = rng.uniform(0.0, 3.0)
-                    kwh_text = "0" if h == 7 else f"{kwh:.6e}" if h % 5 == 0 else repr(kwh)
-                    rows.append(f"{hid},{ts.isoformat(sep, 'minutes')},{kwh_text},{tariff},{group}")
-        rows = [rows[i] for i in rng.permutation(len(rows))]
-        for at in (0, 17, 200):
-            rows.insert(at, "")
-        path = tmp_path / "c.csv"
-        path.write_bytes("\r\n".join([HEADER.strip()] + rows + [""]).encode())
-
+        path = write_mixed_file(tmp_path / "c.csv")
         with pytest.warns(UserWarning, match="1 household"):
             got = dataio.read_consumption_csv(path)
         assert_same_data(got, reference_read_consumption(path))
         assert len(got.dates) == 3 and got.flagged == ["s"]
+
+
+def write_mixed_file(path):
+    """A consumption file of 3 households over 3 days, with rows interleaved
+    and out of order, gaps, a low-coverage STD/FLAT household (s), both
+    timestamp spellings, blank lines and CRLF endings."""
+    rng = np.random.default_rng(3)
+    rows = []
+    for hid, group, sep, skip in (("a", "TOU", "T", {(1, 5), (1, 6), (2, 47)}),
+                                  ("s", "STD", " ", {(1, h) for h in range(10, 30)}),
+                                  ("c", "TOU", " ", set())):
+        for t in range(3):
+            for h in range(48):
+                if (t, h) in skip or (hid == "c" and t == 0 and h < 4):
+                    continue
+                ts = datetime.datetime.combine(D1, datetime.time(h // 2, 30 * (h % 2)))
+                ts += datetime.timedelta(days=t)
+                tariff = "FLAT" if group == "STD" else ("LOW", "NORMAL", "HIGH")[(h + t) % 3]
+                kwh = rng.uniform(0.0, 3.0)
+                kwh_text = "0" if h == 7 else f"{kwh:.6e}" if h % 5 == 0 else repr(kwh)
+                rows.append(f"{hid},{ts.isoformat(sep, 'minutes')},{kwh_text},{tariff},{group}")
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    for at in (0, 17, 200):
+        rows.insert(at, "")
+    path.write_bytes("\r\n".join([HEADER.strip()] + rows + [""]).encode())
+    return path
 
 
 def assert_same_data(got, want):
@@ -477,6 +482,65 @@ class TestChunkedRead:
         monkeypatch.setattr(dataio, "_CHUNK_BYTES", 1 << 20)   # one chunk, not plain
         assert got == outcome(path)
         assert got[0] is error
+
+
+class TestBlockedScatter:
+    """_scatter puts the rows in their cells _SCATTER_ROWS at a time."""
+
+    @pytest.fixture()
+    def blocks_of(self, monkeypatch):
+        def set_rows(rows):
+            monkeypatch.setattr(dataio, "_SCATTER_ROWS", rows)
+        return set_rows
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_blocks_fill_the_grids_of_one_block(self, tmp_path, blocks_of, rows):
+        path = write_mixed_file(tmp_path / "c.csv")
+        one_block = outcome(path)             # 405 rows, less than one default block
+        blocks_of(rows)
+        got = outcome(path)
+        assert_same_data(got, one_block)
+        assert np.isnan(got.kwh).any() and (got.tariff == -1).any()
+
+    def test_duplicate_across_blocks_is_named_by_the_row_loop(self, tmp_path, blocks_of,
+                                                              monkeypatch):
+        # b's first 23:30 reading is data row 96 (line 97), its duplicate data
+        # row 193 (line 194): blocks of 8 rows put them in blocks 12 and 25
+        blocks_of(8)
+        starts, read_rows = [], dataio._read_rows
+
+        def spy(reader, line_no, cols):
+            starts.append(line_no)
+            return read_rows(reader, line_no, cols)
+
+        monkeypatch.setattr(dataio, "_read_rows", spy)
+        path = write_csv(tmp_path / "d.csv", THREE_DAYS + "b,2024-03-04T23:30,1.0,LOW,TOU\n")
+        assert outcome(path) == (
+            dataio.DataValidationError, "line 194: duplicate reading for b at 2024-03-04T23:30")
+        assert starts == [2]
+
+    def test_traced_peak_is_below_20_bytes_a_row(self, tmp_path):
+        # 66 households x 100 days x 48 half-hours = 316,800 rows. The grids
+        # take 10 bytes a cell (kwh, tariff, observed) and every cell is read
+        # once; the bulk columns live in mapped pages that tracemalloc does not
+        # see. Scattering every row at once took 28 bytes a row.
+        base = datetime.datetime.combine(D1, datetime.time())
+        stamps = [(base + datetime.timedelta(minutes=30 * k)).isoformat(timespec="minutes")
+                  for k in range(100 * 48)]
+        path = tmp_path / "c.csv"
+        with open(path, "w") as fh:
+            fh.write(HEADER)
+            for h in range(66):
+                fh.write("".join(f"h{h:02d},{ts},{k % 97 / 50},NORMAL,TOU\n"
+                                 for k, ts in enumerate(stamps)))
+        tracemalloc.start()
+        try:
+            data = dataio.read_consumption_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.kwh.shape == (66, 100, 48) and data.observed.all()
+        assert peak < 20 * 316_800
 
 
 class TestTemperature:

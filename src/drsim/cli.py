@@ -7,12 +7,16 @@ so it is there only while the last stage run has failed.
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import sys
 import traceback
 
 from . import dataio, pipeline
+
+# glibc's malloc_trim, None elsewhere: see its call in run
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform == "linux" else None
 
 
 def build_parser():
@@ -48,10 +52,12 @@ def run(argv=None):
     config = pipeline.load_config(options.pop("config"), options.pop("seed"), options.pop("out"))
     error_log = os.path.join(config.out, "error.log")
     try:
-        written = pipeline.STAGES[command](config, pipeline.RunPaths(config.out), **options)
+        written = pipeline.STAGES[command](config, **options)
     except Exception:
         _save_traceback(error_log)
         raise
+    if _malloc_trim:   # freed heap, which glibc keeps in layout-dependent amounts, back to the OS
+        _malloc_trim(0)
     with contextlib.suppress(FileNotFoundError):
         os.unlink(error_log)
     if written:

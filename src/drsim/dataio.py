@@ -875,6 +875,15 @@ def save_prepared(dataset, path):
         )
 
 
+def check_shapes(path, arrays, shapes, error, stage):
+    """error, naming path, for the first key of shapes whose array in arrays
+    has another shape; the stage named is the one that rewrites the file."""
+    for key, shape in shapes.items():
+        if np.shape(arrays[key]) != shape:
+            raise error(f"{path}: {key} has shape {np.shape(arrays[key])}, expected {shape}; "
+                        f"rerun `drsim {stage} --force`")
+
+
 def load_prepared(path):
     """The dataset that save_prepared wrote to path. DataValidationError,
     naming path, for a missing key, arrays whose shapes disagree with the
@@ -890,10 +899,7 @@ def load_prepared(path):
               "kwh": (n, t, HALF_HOURS), "tariff": (n, t, HALF_HOURS),
               "tau": (t, HALF_HOURS), "tau_bar": (t, HALF_HOURS), "tau_bar_daily": (t,),
               "w": (t,), "kappa": (t,), "pca_scores": (t, 3)}
-    for key, shape in shapes.items():
-        if arrays[key].shape != shape:
-            raise DataValidationError(
-                f"{path}: {key} has shape {arrays[key].shape}, expected {shape}; {rerun}")
+    check_shapes(path, arrays, shapes, DataValidationError, "ingest")
     for key in ("train", "test"):
         days = arrays[key]
         if days.ndim != 1 or days.dtype.kind not in "iu" or not ((0 <= days) & (days < t)).all():

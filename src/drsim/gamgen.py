@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causality import column_groups, fit_slot, slot_block
-from .dataio import HALF_HOURS, LOW, HIGH, replacing, write_csv
+from .dataio import HALF_HOURS, LOW, HIGH, check_shapes, replacing, write_csv
 from .splines import CenteredSplineBlock, CubicSplineBasis, matvec_rows, penalized_lstsq
 
 EIG_FLOOR = 1e-8
@@ -277,10 +277,7 @@ def load_generator(path):
     shapes = {"lams": (n,), "ranges": (n + 2, 2), "counts": (n + 2,),
               "interiors": (n + 2, k), "centers": (n + 2, k + 4), "coefs": (n, 3, k + 3),
               "scalars": (n, 4), "sigma": (3, n), "corr": (n, n), "chol": (n, n)}
-    for key, shape in shapes.items():
-        if np.shape(arrays[key]) != shape:
-            raise GamModelError(f"{path}: {key} has shape {np.shape(arrays[key])}, expected "
-                                f"{shape}; rerun `drsim train --force`")
+    check_shapes(path, arrays, shapes, GamModelError, "train")
     blocks = [
         CenteredSplineBlock(CubicSplineBasis(lo, hi, interior[:c]), center[:c + 4].copy())
         for (lo, hi), c, interior, center in zip(arrays["ranges"].tolist(),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import parallel
-from .dataio import replacing
+from .dataio import check_shapes, replacing
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -581,10 +581,7 @@ def load_model(path):
     n_cond = max(dec_in - config.latent_dim, 0)
     shapes = [shape for n_out, n_in in _layer_shapes(enc_in - n_cond, n_cond, config)
               for shape in ((n_out, n_in), (n_out,))]
-    for key, shape in zip(keys, shapes):
-        if files[key].shape != shape:
-            raise TrainingError(
-                f"{path}: {key} has shape {files[key].shape}, expected {shape}; {rerun}")
+    check_shapes(path, files, dict(zip(keys, shapes)), TrainingError, "train")
     encoder, decoder = _split([files[key] for key in keys], config)
     return TrainedCvae(
         encoder=encoder,

@@ -3,14 +3,16 @@
 Each stage reads files written by earlier stages and writes its own outputs
 under one run directory, so stages stay decoupled and reruns are
 cache-by-file-presence (--force regenerates; synth refuses to overwrite
-without it). Every output goes through dataio.replacing (a temporary file
-renamed over the target), so it appears whole or not at all: a stage that
-dies mid-write leaves no file that a rerun would take as done. Synth and
-cluster rename their three files only once all three are written, so a
-failed synth leaves no part of its set for a plain rerun to refuse, and a
-failed cluster no assignments for train to trust. A single config seed fans
-out into per-stage streams, which makes every stage deterministic given the
-config.
+without it). RUN_FILES names every run file once, under the stage that writes
+it and the stages that read it; the paths, the skip check (_fresh) and the
+missing-input errors, which name the stage to run, all derive from it. Every
+output goes through dataio.replacing (a temporary file renamed over the
+target), so it appears whole or not at all: a stage that dies mid-write leaves
+no file that a rerun would take as done. Synth and cluster rename their three
+files only once all three are written, so a failed synth leaves no part of its
+set for a plain rerun to refuse, and a failed cluster no assignments for train
+to trust. A single config seed fans out into per-stage streams, which makes
+every stage deterministic given the config.
 
 Clusters are independent once clustered, so generate, evaluate and scenario
 run one cluster per usable CPU on a fork pool (parallel.map_forked). Each
@@ -19,10 +21,11 @@ and lists what was written in cluster order, so the files and the printed
 paths are the same whatever the CPU count. Train fits all stale clusters in
 one call per generator: the GAM's in one process, sharing each slot's design.
 
-Each generator is one GENERATORS entry, so no stage branches on its name.
-Every ensemble comes from _ensembles, one cluster's draws of given days under
-given tariffs with given seeds: generate writes and evaluate scores the same
-test-day ensembles (_test_ensembles), and scenario draws its scenarios at once.
+Each generator is one GENERATORS entry (its file templates, fit and
+ensembles), so no stage branches on its name. Every ensemble comes from
+_ensembles, one cluster's draws of given days under given tariffs with given
+seeds: generate writes and evaluate scores the same test-day ensembles
+(_test_ensembles), and scenario draws its scenarios at once.
 """
 
 import datetime
@@ -137,7 +140,10 @@ def _section(cls, raw, name, convert=None, counts=None, numbers=None):
         if key in values:
             if fn is tuple and not isinstance(values[key], list):
                 raise ConfigError(f"{name}.{key} must be a list, got {values[key]!r}")
-            values[key] = fn(values[key])
+            try:
+                values[key] = fn(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{name}.{key}={values[key]!r}: {exc}") from None
     section = cls(**values)
     for key, least in (counts or {}).items():
         _check_count(f"{name}.{key}", getattr(section, key), least)
@@ -177,11 +183,10 @@ def load_config(path, seed=None, out=None):
     if "synth" in raw:
         config.synth = _section(
             SynthSection, raw["synth"], "synth",
-            convert={
-                "start_date": lambda v: datetime.date.fromisoformat(str(v)),
-                "window_shapes": tuple,
-            },
+            convert={"start_date": lambda v: datetime.date.fromisoformat(str(v)),
+                     "window_shapes": tuple},
             counts={"n_days": 1, "std_households": 0},
+            numbers={"special_fraction": (lambda f: 0 <= f <= 1, "in [0, 1]")},
         )
         households = config.synth.households
         if not isinstance(households, dict):
@@ -197,6 +202,10 @@ def load_config(path, seed=None, out=None):
             "smoothing_a": (lambda a: 0 <= a < 1, "in [0, 1)"),
             "train_fraction": (lambda f: 0 < f < 1, "in (0, 1)"),
         })
+        for key in ("consumption", "temperature"):
+            path = getattr(config.ingest, key)
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"ingest.{key} must be a path, got {path!r}")
     if "cluster" in raw:
         config.cluster = _section(ClusterSection, raw["cluster"], "cluster",
                                   counts={"k": 1, "nmf_rank": 1})
@@ -241,74 +250,71 @@ def load_config(path, seed=None, out=None):
     return config
 
 
-@dataclass
-class RunPaths:
-    out: Path
-
-    def __post_init__(self):
-        self.out = Path(self.out)
-
-    @property
-    def consumption(self):
-        return self.out / "consumption.csv"
-
-    @property
-    def temperature(self):
-        return self.out / "temperature.csv"
-
-    @property
-    def ground_truth(self):
-        return self.out / "ground_truth.csv"
-
-    @property
-    def prepared(self):
-        return self.out / "prepared.npz"
-
-    @property
-    def profiles(self):
-        return self.out / "profiles.csv"
-
-    @property
-    def assignments(self):
-        return self.out / "assignments.csv"
-
-    @property
-    def cluster_scores(self):
-        return self.out / "cluster_scores.json"
-
-    def samples(self, generator, label):
-        return self.out / f"samples_{generator}_cluster{label}.csv"
-
-    def report(self, label):
-        return self.out / f"report_cluster{label}.csv"
-
-    def summary(self, label):
-        return self.out / f"summary_cluster{label}.csv"
-
-    def scenario_mean(self, name, generator, label):
-        return self.out / f"scenario_{name}_{generator}_cluster{label}_mean.csv"
-
-    def scenario_samples(self, name, generator, label):
-        return self.out / f"scenario_{name}_{generator}_cluster{label}.csv"
-
-    def scenario_files(self, name, generator, label):
-        return [self.scenario_mean(name, generator, label),
-                self.scenario_samples(name, generator, label)]
+# The run files, each named once. A stage's entry holds the names of the files it
+# writes, then those of the earlier stages' files it reads; a per-cluster name is
+# a template over label, generator and scenario. MODEL stands for a generator's
+# files, the templates its GENERATORS entry holds: train writes them all, and a
+# stage that draws ensembles reads the first, the model file.
+MODEL = "<model>"
+CONSUMPTION, TEMPERATURE, PREPARED, ASSIGNMENTS = (
+    "consumption.csv", "temperature.csv", "prepared.npz", "assignments.csv")
+RUN_FILES = {
+    "synth": ((CONSUMPTION, TEMPERATURE, "ground_truth.csv"), ()),
+    "ingest": ((PREPARED,), (CONSUMPTION, TEMPERATURE)),
+    "cluster": (("profiles.csv", ASSIGNMENTS, "cluster_scores.json"), (PREPARED,)),
+    "train": ((MODEL,), (PREPARED, ASSIGNMENTS)),
+    "generate": (("samples_{generator}_cluster{label}.csv",), (PREPARED, ASSIGNMENTS, MODEL)),
+    "evaluate": (("report_cluster{label}.csv", "summary_cluster{label}.csv"),
+                 (PREPARED, ASSIGNMENTS, MODEL)),
+    "scenario": (("scenario_{scenario}_{generator}_cluster{label}_mean.csv",
+                  "scenario_{scenario}_{generator}_cluster{label}.csv"),
+                 (PREPARED, ASSIGNMENTS, MODEL)),
+}
 
 
-def _fresh(force, targets):
-    """True when all targets exist and --force was not given (skip stage)."""
-    return not force and all(p.exists() for p in targets)
+def _paths(config, names, **fields):
+    """The run directory's paths of names, templates filled in from fields."""
+    return [Path(config.out) / template.format(**fields) for name in names
+            for template in (GENERATORS[fields["generator"]][0] if name == MODEL else [name])]
 
 
-def stage_synth(config, paths, force=False):
-    targets = [paths.consumption, paths.temperature, paths.ground_truth]
+def _outputs(config, stage, **fields):
+    return _paths(config, RUN_FILES[stage][0], **fields)
+
+
+def _fresh(config, force, stage, **fields):
+    """True when all the stage's outputs for fields exist and --force was not
+    given (skip them)."""
+    return not force and all(p.exists() for p in _outputs(config, stage, **fields))
+
+
+def _producer(name):
+    return next(stage for stage, (writes, _) in RUN_FILES.items() if name in writes)
+
+
+def _require(config, *names, **fields):
+    """The paths of names, a generator's model file for MODEL; PipelineError,
+    naming the first that is missing and the stage that writes it."""
+    found = []
+    for name in names:
+        path = _paths(config, [name], **fields)[0]
+        if not path.exists():
+            hint = _producer(name)
+            if name == MODEL:
+                hint += f" --generator {fields['generator']}"
+            raise PipelineError(f"missing {path}; run {hint} first")
+        found.append(path)
+    return found
+
+
+def stage_synth(config, force=False):
+    targets = _outputs(config, "synth")
     present = [p for p in targets if p.exists()]
     if present and not force:
         raise PipelineError(
             f"refusing to overwrite {present[0]} (rerun with --force)"
         )
-    paths.out.mkdir(parents=True, exist_ok=True)
+    Path(config.out).mkdir(parents=True, exist_ok=True)
     s = config.synth
     archetypes = [a for a in synthdata.default_archetypes() if a.name in s.households]
     counts = [s.households[a.name] for a in archetypes]
@@ -328,16 +334,17 @@ def stage_synth(config, paths, force=False):
     return targets
 
 
-def stage_ingest(config, paths, force=False):
-    targets = [paths.prepared]
-    if _fresh(force, targets):
+def stage_ingest(config, force=False):
+    if _fresh(config, force, "ingest"):
         return []
-    paths.out.mkdir(parents=True, exist_ok=True)
-    consumption = config.ingest.consumption or paths.consumption
-    temperature = config.ingest.temperature or paths.temperature
-    for p in (consumption, temperature):
+    targets = _outputs(config, "ingest")
+    Path(config.out).mkdir(parents=True, exist_ok=True)
+    names = RUN_FILES["ingest"][1]
+    given = (config.ingest.consumption, config.ingest.temperature)
+    consumption, temperature = sources = [g or p for g, p in zip(given, _paths(config, names))]
+    for name, p in zip(names, sources):
         if not Path(p).exists():
-            raise PipelineError(f"missing input {p}; run synth or point ingest at data")
+            raise PipelineError(f"missing input {p}; run {_producer(name)} or point ingest at data")
     data = dataio.read_consumption_csv(consumption)
     temps = dataio.read_temperature_csv(temperature)
     dataset = dataio.prepare_dataset(
@@ -348,13 +355,8 @@ def stage_ingest(config, paths, force=False):
         seed=derive_seed(config.seed, SEED_PARTITION),
     )
     del data                  # the raw grids go before the file is written
-    dataio.save_prepared(dataset, paths.prepared)
+    dataio.save_prepared(dataset, targets[0])
     return targets
-
-
-def _require(path, hint):
-    if not Path(path).exists():
-        raise PipelineError(f"missing {path}; run {hint} first")
 
 
 def _rows(array, rows):
@@ -363,12 +365,12 @@ def _rows(array, rows):
     return array if len(rows) == len(array) else array[rows]
 
 
-def stage_cluster(config, paths, force=False):
-    targets = [paths.profiles, paths.assignments, paths.cluster_scores]
-    if _fresh(force, targets):
+def stage_cluster(config, force=False):
+    if _fresh(config, force, "cluster"):
         return []
-    _require(paths.prepared, "ingest")
-    ds = dataio.load_prepared(paths.prepared)
+    targets = _outputs(config, "cluster")
+    prepared, = _require(config, *RUN_FILES["cluster"][1])
+    ds = dataio.load_prepared(prepared)
     tou = [i for i, g in enumerate(ds.groups) if g == "TOU"]
     if not tou:
         raise PipelineError("no time-of-use households to cluster")
@@ -425,17 +427,17 @@ def stage_cluster(config, paths, force=False):
     return targets
 
 
-def _cluster_inputs(paths):
-    """Prepared dataset, cluster labels and per-cluster series/schedules."""
-    _require(paths.prepared, "ingest")
-    _require(paths.assignments, "cluster")
-    ds = dataio.load_prepared(paths.prepared)
-    ids, labels = clustering.read_assignments_csv(paths.assignments)
+def _cluster_inputs(config, stage):
+    """Prepared dataset, cluster labels and per-cluster series/schedules: the
+    stage's inputs but the model files, which _ensembles reads per cluster."""
+    prepared, assignments = _require(config, *(n for n in RUN_FILES[stage][1] if n != MODEL))
+    ds = dataio.load_prepared(prepared)
+    ids, labels = clustering.read_assignments_csv(assignments)
     index = {hid: i for i, hid in enumerate(ds.household_ids)}
     unknown = [hid for hid in ids if hid not in index]
     if unknown:
-        raise PipelineError(f"{paths.assignments} names household {unknown[0]!r}, which "
-                            f"{paths.prepared} does not hold; rerun cluster")
+        raise PipelineError(f"{assignments} names household {unknown[0]!r}, which "
+                            f"{prepared} does not hold; rerun cluster")
     clusters = {}
     for label in sorted(set(int(l) for l in labels)):
         members = [index[hid] for hid, l in zip(ids, labels) if l == label]
@@ -460,35 +462,27 @@ def _map_written(fn, items):
     return [path for written in parallel.map_forked(fn, items) for path in written]
 
 
-def _gam_files(paths, label):
-    return [paths.out / f"gam_cluster{label}{suffix}"
-            for suffix in (".npz", "_coefficients.csv", "_sigma.csv")]
-
-
-def _fit_gams(config, paths, ds, clusters, stale):
-    """The stale clusters fitted in one call, as _fit_cvaes trains them."""
-    written = {}
-    if not stale:
-        return written
+def _fit_gams(config, ds, clusters, files):
+    """The clusters of files fitted in one call, as _fit_cvaes trains them."""
+    if not files:
+        return
     gens = gamgen.fit_gam_generators(
-        [f"cluster{label}" for label in stale],
-        np.stack([clusters[label]["series"] for label in stale]),
+        [f"cluster{label}" for label in files],
+        np.stack([clusters[label]["series"] for label in files]),
         ds.tau, ds.tau_bar_daily, ds.calendar,
-        np.stack([clusters[label]["schedule"] for label in stale]),
+        np.stack([clusters[label]["schedule"] for label in files]),
         ds.partition,
     )
-    for label, gen in zip(stale, gens):
-        model, coefficients, sigma = written[label] = _gam_files(paths, label)
+    for (model, coefficients, sigma), gen in zip(files.values(), gens):
         gamgen.save_generator(gen, model)
         gamgen.export_coefficients_csv(gen, coefficients)
         gamgen.export_sigma_matrix_csv(gen, sigma)
-    return written
 
 
-def _gam_ensembles(paths, label, ds, days, tariffs, n_samples, seeds):
+def _gam_ensembles(path, ds, days, tariffs, n_samples, seeds):
     """The GAM computes the means of all D days in one pass; row i does not
     depend on the other days, so a subset of days gives the same bits."""
-    gen = gamgen.load_generator(_gam_files(paths, label)[0])
+    gen = gamgen.load_generator(path)
     means = gen.mean_profiles(
         ds.tau[days], ds.tau_bar_daily[days], ds.calendar.kappa[days],
         ds.calendar.w[days], tariffs,
@@ -496,23 +490,18 @@ def _gam_ensembles(paths, label, ds, days, tariffs, n_samples, seeds):
     return np.stack([gen.draw(f, t, n_samples, s) for f, t, s in zip(means, tariffs, seeds)])
 
 
-def _cvae_files(paths, label):
-    return [paths.out / f"cvae_cluster{label}{suffix}" for suffix in (".npz", "_restarts.json")]
-
-
-def _fit_cvaes(config, paths, ds, clusters, stale):
-    """The stale clusters' restarts share stacks; a failed cluster stops the writes."""
+def _fit_cvaes(config, ds, clusters, files):
+    """The clusters' restarts share stacks; a failed cluster stops the writes."""
     every_day = np.arange(ds.n_days)
     problems = [
         (clusters[label]["series"], ds.conditional_matrix(every_day, clusters[label]["schedule"]),
          replace(config.train.cvae, seed=derive_seed(config.seed, SEED_CVAE, label)))
-        for label in stale
+        for label in files
     ]
-    written = {}
-    for label, model in zip(stale, neuralgen.train_cvaes(problems, ds.partition)):
+    for (label, (path, log)), model in zip(files.items(),
+                                           neuralgen.train_cvaes(problems, ds.partition)):
         if isinstance(model, neuralgen.TrainingError):
             raise neuralgen.TrainingError(f"cluster {label}: {model}")
-        path, log = written[label] = _cvae_files(paths, label)
         neuralgen.save_model(model, path)
         with dataio.replacing(log) as fh:
             json.dump(
@@ -528,72 +517,74 @@ def _fit_cvaes(config, paths, ds, clusters, stale):
                 fh,
                 indent=2,
             )
-    return written
 
 
-def _cvae_ensembles(paths, label, ds, days, tariffs, n_samples, seeds):
-    model = neuralgen.load_model(_cvae_files(paths, label)[0])
+def _cvae_ensembles(path, ds, days, tariffs, n_samples, seeds):
+    model = neuralgen.load_model(path)
     return np.stack([neuralgen.generate(model, x, n_samples, s)
                      for x, s in zip(ds.conditional_matrix(days, tariffs), seeds)])
 
 
-# name -> (files(paths, label): a cluster's files, model first; fit(config, paths, ds,
-# clusters, stale) -> {label: files written}, run in table order; ensembles, as _ensembles)
+# name -> (a cluster's file templates over label, model file first; fit(config, ds,
+# clusters, {label: files}) writes the files it is given, run in table order;
+# ensembles(model file, ds, days, tariffs, n_samples, seeds), as _ensembles)
 GENERATORS = {
-    "gam": (_gam_files, _fit_gams, _gam_ensembles),
-    "cvae": (_cvae_files, _fit_cvaes, _cvae_ensembles),
+    "gam": (("gam_cluster{label}.npz", "gam_cluster{label}_coefficients.csv",
+             "gam_cluster{label}_sigma.csv"), _fit_gams, _gam_ensembles),
+    "cvae": (("cvae_cluster{label}.npz", "cvae_cluster{label}_restarts.json"),
+             _fit_cvaes, _cvae_ensembles),
 }
 
 
-def stage_train(config, paths, force=False, generator=None):
+def stage_train(config, force=False, generator=None):
     names = _pick_generators(config, generator)
-    ds, clusters = _cluster_inputs(paths)
-    written = [
-        fit(config, paths, ds, clusters,
-            [label for label in clusters if not _fresh(force, files(paths, label))])
-        for name, (files, fit, _) in GENERATORS.items() if name in names
-    ]
-    return [path for label in clusters for fitted in written for path in fitted.get(label, [])]
+    ds, clusters = _cluster_inputs(config, "train")
+    written = []
+    for name, (_, fit, _) in GENERATORS.items():
+        if name in names:
+            written.append({label: _outputs(config, "train", generator=name, label=label)
+                            for label in clusters
+                            if not _fresh(config, force, "train", generator=name, label=label)})
+            fit(config, ds, clusters, written[-1])
+    return [path for label in clusters for files in written for path in files.get(label, [])]
 
 
-def _ensembles(name, paths, label, ds, days, tariffs, n_samples, seeds):
+def _ensembles(config, name, label, ds, days, tariffs, n_samples, seeds):
     """One cluster's ensembles (D, n_samples, 48) for days (D,) under tariffs
     (D, 48), day i drawn with seeds[i], from the model that train wrote."""
-    files, _, ensembles = GENERATORS[name]
-    _require(files(paths, label)[0], f"train --generator {name}")
-    return ensembles(paths, label, ds, days, tariffs, n_samples, seeds)
+    model, = _require(config, MODEL, generator=name, label=label)
+    return GENERATORS[name][2](model, ds, days, tariffs, n_samples, seeds)
 
 
-def _test_ensembles(config, paths, ds, name, label, schedule):
+def _test_ensembles(config, ds, name, label, schedule):
     """The test-day ensembles that generate writes and evaluate scores, under
     the cluster's own schedule. Every generator draws the day at position pos
     with the same seed, so their rows are directly comparable."""
     days = ds.partition.test
     root = derive_seed(config.seed, SEED_EVALUATE, label)
-    return _ensembles(name, paths, label, ds, days, schedule[days], config.evaluate.n_samples,
+    return _ensembles(config, name, label, ds, days, schedule[days], config.evaluate.n_samples,
                       [derive_seed(root, pos) for pos in range(len(days))])
 
 
-def _evaluate_cluster(config, paths, ds, names, label, bundle):
+def _evaluate_cluster(config, ds, names, label, bundle):
     test_days = ds.partition.test
     report = metrics.evaluate_generators(
         bundle["series"][test_days],
-        {name: _test_ensembles(config, paths, ds, name, label, bundle["schedule"])
-         for name in names},
+        {name: _test_ensembles(config, ds, name, label, bundle["schedule"]) for name in names},
         day_labels=[int(t) for t in test_days],
     )
-    metrics.write_report_csv(report, paths.report(label))
-    metrics.write_summary_csv(report, paths.summary(label))
-    return [paths.report(label), paths.summary(label)]
+    report_csv, summary_csv = written = _outputs(config, "evaluate", label=label)
+    metrics.write_report_csv(report, report_csv)
+    metrics.write_summary_csv(report, summary_csv)
+    return written
 
 
-def stage_evaluate(config, paths, force=False, generator=None):
+def stage_evaluate(config, force=False, generator=None):
     names = _pick_generators(config, generator)
-    ds, clusters = _cluster_inputs(paths)
-    stale = [label for label in clusters
-             if not _fresh(force, [paths.report(label), paths.summary(label)])]
+    ds, clusters = _cluster_inputs(config, "evaluate")
+    stale = [label for label in clusters if not _fresh(config, force, "evaluate", label=label)]
     return _map_written(
-        lambda label: _evaluate_cluster(config, paths, ds, names, label, clusters[label]), stale)
+        lambda label: _evaluate_cluster(config, ds, names, label, clusters[label]), stale)
 
 
 @functools.lru_cache(maxsize=4)
@@ -633,20 +624,20 @@ def write_samples_csv(ensembles, day_labels, path):
         fh.write("\r\n")
 
 
-def _generate_samples(config, paths, ds, name, label, bundle):
-    ensembles = _test_ensembles(config, paths, ds, name, label, bundle["schedule"])
-    write_samples_csv(ensembles, [int(t) for t in ds.partition.test], paths.samples(name, label))
-    return [paths.samples(name, label)]
+def _generate_samples(config, ds, name, label, bundle):
+    ensembles = _test_ensembles(config, ds, name, label, bundle["schedule"])
+    written = _outputs(config, "generate", generator=name, label=label)
+    write_samples_csv(ensembles, [int(t) for t in ds.partition.test], written[0])
+    return written
 
 
-def stage_generate(config, paths, force=False, generator=None):
+def stage_generate(config, force=False, generator=None):
     """Write the test-day ensembles that stage_evaluate scores."""
     names = _pick_generators(config, generator)
-    ds, clusters = _cluster_inputs(paths)
+    ds, clusters = _cluster_inputs(config, "generate")
     stale = [(name, label) for label in clusters for name in names
-             if not _fresh(force, [paths.samples(name, label)])]
-    return _map_written(
-        lambda job: _generate_samples(config, paths, ds, *job, clusters[job[1]]), stale)
+             if not _fresh(config, force, "generate", generator=name, label=label)]
+    return _map_written(lambda job: _generate_samples(config, ds, *job, clusters[job[1]]), stale)
 
 
 def scenario_tariffs(name):
@@ -663,35 +654,37 @@ def scenario_tariffs(name):
     return tariffs
 
 
-def _write_scenarios(config, paths, ds, name, label, stale):
+def _write_scenarios(config, ds, name, label, stale):
     """One cluster's ensembles for the scenarios at indices stale, each seeded
     by its index, so a partial rerun writes the bytes of a full one."""
     scenarios = [config.scenario.scenarios[si] for si in stale]
     day = int(ds.partition.test[0])   # representative conditions
     ensembles = _ensembles(
-        name, paths, label, ds, np.full(len(stale), day),
+        config, name, label, ds, np.full(len(stale), day),
         np.stack([scenario_tariffs(scen) for scen in scenarios]), config.scenario.n_samples,
         [derive_seed(config.seed, SEED_SCENARIO, label, si) for si in stale],
     )
     written = []
     for scen, ensemble in zip(scenarios, ensembles):
-        dataio.write_csv(paths.scenario_mean(scen, name, label), ["h", "kwh"],
-                         enumerate(ensemble.mean(axis=0).tolist(), start=1))
-        write_samples_csv([ensemble], [day], paths.scenario_samples(scen, name, label))
-        written.extend(paths.scenario_files(scen, name, label))
+        mean_csv, samples_csv = files = _outputs(
+            config, "scenario", scenario=scen, generator=name, label=label)
+        dataio.write_csv(mean_csv, ["h", "kwh"], enumerate(ensemble.mean(axis=0).tolist(), start=1))
+        write_samples_csv([ensemble], [day], samples_csv)
+        written.extend(files)
     return written
 
 
-def stage_scenario(config, paths, force=False, generator=None):
+def stage_scenario(config, force=False, generator=None):
     name, = _pick_generators(config, generator or config.scenario.generator)
-    ds, clusters = _cluster_inputs(paths)
+    ds, clusters = _cluster_inputs(config, "scenario")
     jobs = []
     for label in clusters:
         stale = [si for si, scen in enumerate(config.scenario.scenarios)
-                 if not _fresh(force, paths.scenario_files(scen, name, label))]
+                 if not _fresh(config, force, "scenario", scenario=scen, generator=name,
+                               label=label)]
         if stale:
             jobs.append((label, stale))
-    return _map_written(lambda job: _write_scenarios(config, paths, ds, name, *job), jobs)
+    return _map_written(lambda job: _write_scenarios(config, ds, name, *job), jobs)
 
 
 STAGES = {

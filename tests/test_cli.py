@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import itertools
 import json
 import multiprocessing
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -93,7 +95,7 @@ def read_samples(path):
 
 def assert_samples_are_scored(run, generator, n_samples):
     """The ensembles on disk reproduce the report's scores exactly."""
-    ds, clusters = pipeline._cluster_inputs(pipeline.RunPaths(run))
+    ds, clusters = pipeline._cluster_inputs(pipeline.PipelineConfig(out=run), "evaluate")
     test_days = [int(t) for t in ds.partition.test]
     for label, bundle in clusters.items():
         ensembles = read_samples(run / f"samples_{generator}_cluster{label}.csv")
@@ -109,6 +111,23 @@ def assert_samples_are_scored(run, generator, n_samples):
             assert metrics.rmse(ensemble, y) == rmse
 
 
+def assert_run_files_match_the_table(run, generators, scenario_generator):
+    """The run directory holds exactly the files that the stage table names for
+    the run's labels, its generators and, for scenario, its scenario generator:
+    a file written without its name in the table would escape the skip check."""
+    config = pipeline.PipelineConfig(out=run)
+    labels = set(clustering.read_assignments_csv(run / "assignments.csv")[1])
+    named = set()
+    for stage in pipeline.STAGES:
+        for label, generator, scenario in itertools.product(
+                labels, (scenario_generator,) if stage == "scenario" else generators,
+                pipeline.SCENARIO_NAMES):
+            named.update(pipeline._outputs(config, stage, label=label, generator=generator,
+                                           scenario=scenario))
+    # error.log is the CLI's record of a failed stage, not a stage output
+    assert set(run.iterdir()) - {run / "error.log"} == named
+
+
 class TestStages:
     def test_outputs_exist(self, full_run):
         tmp, _ = full_run
@@ -122,6 +141,7 @@ class TestStages:
         assert list(run.glob("report_cluster*.csv"))
         assert list(run.glob("summary_cluster*.csv"))
         assert list(run.glob("scenario_*_gam_cluster*.csv"))
+        assert_run_files_match_the_table(run, ("gam",), "gam")
 
     def test_report_header_and_days(self, full_run):
         tmp, _ = full_run
@@ -222,6 +242,10 @@ class TestStages:
 
 
 class TestCvae:
+    def test_outputs_match_the_table(self, cvae_run):
+        tmp, _ = cvae_run
+        assert_run_files_match_the_table(tmp / "run", ("gam", "cvae"), "cvae")
+
     def test_train_writes_models_and_logs(self, cvae_run):
         tmp, _ = cvae_run
         for label in (0, 1):
@@ -271,7 +295,7 @@ class TestEnsembleSeeds:
         ensembles, evaluate = pipeline._ensembles, metrics.evaluate_generators
 
         def spy_ensembles(*args):
-            name, label, seeds = args[0], args[2], args[7]
+            name, label, seeds = args[1], args[2], args[7]
             drawn.append((name, label, list(seeds)))
             return ensembles(*args)
 
@@ -284,7 +308,7 @@ class TestEnsembleSeeds:
         for stage in ("generate", "evaluate"):
             assert run_at(1, stage, "--config", str(cfg), "--out", str(run), "--force") == 0
 
-        ds, _ = pipeline._cluster_inputs(pipeline.RunPaths(run))
+        ds, _ = pipeline._cluster_inputs(pipeline.PipelineConfig(out=run), "evaluate")
         n_days = len(ds.partition.test)
         seeds = {
             label: [int(np.random.SeedSequence(
@@ -540,6 +564,17 @@ class TestValidation:
         pytest.param("synth: {n_days: '40'}\n", "synth.n_days", id="text-days"),
         pytest.param("synth: {window_shapes: random}\n", "synth.window_shapes",
                      id="text-window-shapes"),
+        pytest.param("synth: {start_date: notadate}\n", "synth.start_date", id="text-start-date"),
+        pytest.param("synth: {special_fraction: abc}\n", "synth.special_fraction",
+                     id="text-special-fraction"),
+        pytest.param("synth: {special_fraction: true}\n", "synth.special_fraction",
+                     id="boolean-special-fraction"),
+        pytest.param("synth: {special_fraction: 1.5}\n", "synth.special_fraction",
+                     id="large-special-fraction"),
+        pytest.param("ingest: {consumption: 3}\n", "ingest.consumption", id="number-consumption"),
+        pytest.param("ingest: {consumption: [a.csv]}\n", "ingest.consumption",
+                     id="list-consumption"),
+        pytest.param("ingest: {temperature: 3}\n", "ingest.temperature", id="number-temperature"),
         pytest.param("ingest: {smoothing_a: abc}\n", "ingest.smoothing_a", id="text-smoothing"),
         pytest.param("ingest: {smoothing_a: 1}\n", "ingest.smoothing_a", id="unit-smoothing"),
         pytest.param("ingest: {smoothing_a: -0.1}\n", "ingest.smoothing_a",
@@ -619,11 +654,27 @@ class TestValidation:
         assert run_cli("synth", "--config", str(tmp_path / "nope.yaml")) == 2
         assert capsys.readouterr().err.strip()
 
-    def test_stage_before_inputs_fails_cleanly(self, workdir, capsys):
-        _, cfg = workdir
-        assert run_cli("cluster", "--config", str(cfg)) == 2
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["type"]
+    @pytest.mark.parametrize("stage, done, message", [
+        pytest.param("ingest", (), "missing input {run}/consumption.csv; "
+                     "run synth or point ingest at data", id="ingest"),
+        pytest.param("cluster", ("synth",), "missing {run}/prepared.npz; run ingest first",
+                     id="cluster"),
+        pytest.param("train", ("synth",), "missing {run}/prepared.npz; run ingest first",
+                     id="train-before-ingest"),
+        pytest.param("train", ("synth", "ingest"),
+                     "missing {run}/assignments.csv; run cluster first", id="train"),
+        *(pytest.param(stage, ("synth", "ingest", "cluster"),
+                       "missing {run}/gam_cluster0.npz; run train --generator gam first", id=stage)
+          for stage in ("generate", "evaluate", "scenario")),
+    ])
+    def test_stage_before_inputs_fails_cleanly(self, workdir, capsys, stage, done, message):
+        tmp, cfg = workdir
+        for earlier in done:
+            assert run_cli(earlier, "--config", str(cfg)) == 0
+        capsys.readouterr()
+        assert run_cli(stage, "--config", str(cfg)) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": message.format(run=tmp / "run"), "type": "PipelineError"}
 
     def test_cluster_error_names_household_without_normal(self, workdir, capsys):
         tmp, cfg = workdir
@@ -714,22 +765,15 @@ class TestValidation:
         assert not list((tmp / "run").glob("cvae_cluster*.npz"))
 
 
-def stub_files(paths, label):
-    return [paths.out / f"stub_cluster{label}.json"]
-
-
-def stub_fit(config, paths, ds, clusters, stale):
+def stub_fit(config, ds, clusters, files):
     """A stub third generator: each cluster's mean training-day kWh per half-hour."""
-    written = {}
-    for label in stale:
-        path, = written[label] = stub_files(paths, label)
+    for label, (path,) in files.items():
         level = clusters[label]["series"][ds.partition.train].mean(axis=0)
         path.write_text(json.dumps(level.tolist()))
-    return written
 
 
-def stub_ensembles(paths, label, ds, days, tariffs, n_samples, seeds):
-    level = np.array(json.loads(stub_files(paths, label)[0].read_text()))
+def stub_ensembles(path, ds, days, tariffs, n_samples, seeds):
+    level = np.array(json.loads(path.read_text()))
     return np.stack([level + np.random.default_rng(s).normal(0.0, 0.05, (n_samples, HALF_HOURS))
                      for s in seeds])
 
@@ -740,7 +784,8 @@ class TestGeneratorTable:
         tmp, cfg = workdir
         run = tmp / "run"
         cfg.write_text(CONFIG.replace("[gam]", "[gam, stub]").format(out=run))
-        monkeypatch.setitem(pipeline.GENERATORS, "stub", (stub_files, stub_fit, stub_ensembles))
+        monkeypatch.setitem(pipeline.GENERATORS, "stub",
+                            (("stub_cluster{label}.json",), stub_fit, stub_ensembles))
         for stage in ("synth", "ingest", "cluster"):
             assert run_cli(stage, "--config", str(cfg)) == 0
         capsys.readouterr()
@@ -789,7 +834,7 @@ class TestGeneratorTable:
         _, cfg = workdir
         config = pipeline.load_config(cfg)
         with pytest.raises(pipeline.PipelineError, match="unknown generator 'gan'"):
-            pipeline.stage_scenario(config, pipeline.RunPaths(config.out), generator="gan")
+            pipeline.stage_scenario(config, generator="gan")
 
 
 # 3 households per archetype and k = 4: the random baseline's uniform labels
@@ -973,6 +1018,21 @@ class TestInterruptedWrites:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ClusteringError"
         assert "assignments.csv: empty file" in payload["error"]
+
+
+def test_each_stage_that_succeeds_trims_the_heap(workdir, monkeypatch, capsys):
+    # on glibc the symbol resolves, so the trim is not silently skipped there
+    if sys.platform == "linux" and platform.libc_ver()[0] == "glibc":
+        assert cli._malloc_trim is not None
+    calls = []
+    monkeypatch.setattr(cli, "_malloc_trim", calls.append)
+    _, cfg = workdir
+    assert run_cli("synth", "--config", str(cfg)) == 0
+    assert run_cli("ingest", "--config", str(cfg)) == 0
+    assert run_cli("ingest", "--config", str(cfg)) == 0     # nothing to do
+    assert calls == [0, 0, 0]
+    assert run_cli("synth", "--config", str(cfg)) == 2      # refused: no trim
+    assert calls == [0, 0, 0]
 
 
 def test_cli_process_loads_no_scipy(tmp_path):

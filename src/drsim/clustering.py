@@ -10,7 +10,8 @@ Cluster quality is scored with the Calinski-Harabasz statistic in the
 variant used throughout this project (between-cluster sum unweighted by
 cluster size, within-cluster variances averaged per cluster), on three
 record variants that record_variants builds once and score_variants scores
-for any labelling.
+for any labelling; the normalized records are kept as the raw rows and their
+means, and each cluster's copy is divided as it is taken.
 """
 
 import warnings
@@ -237,9 +238,14 @@ def calinski_harabasz(vectors, labels, k=None):
     A perfectly tight clustering (zero within-cluster spread) has no finite
     score and raises.
     """
-    vectors = np.asarray(vectors, dtype=float)
-    labels = np.asarray(labels)
-    n = vectors.shape[0]
+    return _calinski_harabasz(np.asarray(vectors, dtype=float), np.asarray(labels), k)
+
+
+def _calinski_harabasz(vectors, labels, k, overall=None, rows=None, means=None):
+    """calinski_harabasz of the records vectors, or, given rows, of the
+    records vectors[rows] / means[:, None], each cluster's copy divided as it
+    is taken; overall is the records' mean, worked out here if None."""
+    n = vectors.shape[0] if rows is None else len(rows)
     if labels.shape != (n,):
         raise ClusteringError("labels do not match the record matrix")
     if k is None:
@@ -250,11 +256,17 @@ def calinski_harabasz(vectors, labels, k=None):
     if n <= k:
         raise ClusteringError("need more records than clusters")
 
-    overall = vectors.mean(axis=0)
+    if overall is None:
+        overall = vectors.mean(axis=0)
     between = 0.0
     within = 0.0
     for l in range(k):
-        members = vectors[labels == l]
+        in_l = labels == l
+        if rows is None:
+            members = vectors[in_l]
+        else:
+            members = vectors[rows[in_l]]
+            members /= means[in_l, None]
         center = members.mean(axis=0)
         between += float(((center - overall) ** 2).sum())
         members -= center                   # a copy: centred and squared in place
@@ -267,19 +279,35 @@ def calinski_harabasz(vectors, labels, k=None):
 
 @dataclass
 class VariantRecords:
-    """The three record matrices of score_variants, which do not depend on the
-    labels: raw (n, T * 48) is a view of the consumption; normalized holds the
-    raw rows normalized_rows, each divided by its mean; special (None without
-    any special-tariff record) holds the normalized special-tariff cells of
-    the raw rows special_rows."""
+    """The three record sets of score_variants, which do not depend on the
+    labels, each with its overall mean (*_mean). raw (n, T * 48) is a view of
+    the consumption. The normalized records, the raw rows normalized_rows
+    each divided by its mean (means), are never held whole: each cluster's
+    copy is divided as it is taken. special (None without any special-tariff
+    record) holds the normalized special-tariff cells of the raw rows
+    special_rows."""
 
     raw: np.ndarray
-    normalized: np.ndarray
+    raw_mean: np.ndarray
     normalized_rows: np.ndarray
+    means: np.ndarray
+    normalized_mean: np.ndarray
     special: np.ndarray
     special_rows: np.ndarray
+    special_mean: np.ndarray
     excluded_zero_mean: list
     excluded_no_special: list
+
+
+def _mean_of_rows(flat, rows, means):
+    """(flat[rows] / means[:, None]).mean(axis=0), the rows added one at a
+    time in order, without that array: numpy sums a C-ordered array's axis 0
+    the same way, so the bits are the same."""
+    total = flat[rows[0]] / means[0]
+    for i, mean in zip(rows[1:].tolist(), means[1:].tolist()):
+        total += flat[i] / mean
+    total /= len(rows)
+    return total
 
 
 def record_variants(kwh, tariff, household_ids=None):
@@ -288,6 +316,8 @@ def record_variants(kwh, tariff, household_ids=None):
     Zero-mean households are left out of the normalized and special records,
     and households with no special-tariff exposure out of the special
     records, each with a warning; the remaining exposure masks must coincide.
+    The records hold the row means, not a normalized copy of the consumption;
+    the special records are gathered from the raw rows, then divided.
     """
     kwh = np.asarray(kwh, dtype=float)
     n = kwh.shape[0]
@@ -299,8 +329,9 @@ def record_variants(kwh, tariff, household_ids=None):
     excluded_zero = [household_ids[i] for i in np.flatnonzero(~pos)]
     if excluded_zero:
         warnings.warn(f"excluded {len(excluded_zero)} zero-mean household(s)")
-    normalized = flat[pos]
-    normalized /= means[pos, None]
+    normalized_rows = np.flatnonzero(pos)
+    normalized_mean = (_mean_of_rows(flat, normalized_rows, means[pos])
+                       if pos.any() else None)
 
     tariff = np.asarray(tariff)
     special_masks = ((tariff == LOW) | (tariff == HIGH)).reshape(n, -1)
@@ -311,16 +342,18 @@ def record_variants(kwh, tariff, household_ids=None):
         warnings.warn(f"excluded {len(excluded_no_special)} household(s) "
                       "with no special-tariff exposure")
     keep = pos & has_special
-    special = None
+    special = special_mean = None
     if keep.any():
         masks = special_masks[keep]
         if not (masks == masks[0]).all():
             raise ClusteringError("special-tariff masks differ across households")
         # the cells gathered, then transposed: the Fortran order of the
         # column-masked copy these records always were, so the scores keep their bits
-        special = normalized.T[np.ix_(np.flatnonzero(masks[0]),
-                                      np.flatnonzero(has_special[pos]))].T
-    return VariantRecords(flat, normalized, np.flatnonzero(pos), special, np.flatnonzero(keep),
+        special = flat.T[np.ix_(np.flatnonzero(masks[0]), np.flatnonzero(keep))].T
+        special /= means[keep, None]
+        special_mean = special.mean(axis=0)
+    return VariantRecords(flat, flat.mean(axis=0), normalized_rows, means[pos], normalized_mean,
+                          special, np.flatnonzero(keep), special_mean,
                           excluded_zero, excluded_no_special)
 
 
@@ -336,12 +369,15 @@ def score_variants(records, labels, k=None):
     three variants: (a) the raw records, (b) the normalized records, (c) the
     normalized special-tariff records, None without any."""
     labels = np.asarray(labels)
-    raw = calinski_harabasz(records.raw, labels, k=k)
-    if len(records.normalized_rows) <= (k or labels.max() + 1):
+    raw = _calinski_harabasz(records.raw, labels, k, records.raw_mean)
+    rows = records.normalized_rows
+    if len(rows) <= (k or labels.max() + 1):
         raise ClusteringError("too few households left after exclusions")
-    normalized = calinski_harabasz(records.normalized, labels[records.normalized_rows], k=k)
+    normalized = _calinski_harabasz(records.raw, labels[rows], k, records.normalized_mean,
+                                    rows, records.means)
     special = (None if records.special is None else
-               calinski_harabasz(records.special, labels[records.special_rows], k=k))
+               _calinski_harabasz(records.special, labels[records.special_rows], k,
+                                  records.special_mean))
     return ScoreVariants(raw, normalized, special)
 
 

@@ -19,9 +19,13 @@ loop reads the whole file again from its header; it alone raises the parse
 and validation errors, duplicates included, so their messages and line
 numbers are those of a reader that reads every row that way. The rows are
 scattered into one ConsumptionData of (n, T, 48) grids a fixed block of rows
-at a time, so no whole-file temporary of cell offsets is built;
-prepare_dataset drops its flagged households, repairs the rest one household
-at a time into grids allocated once, and adds the features.
+at a time, so no whole-file temporary of cell offsets is built, and each
+block's pages of the bulk columns go back to the system once it is in the
+grids. In a file written household by household the kwh grid's pages then
+fill as the columns empty, so the two are not held whole at once; rows in
+any other order land in the same cells, at a higher peak. prepare_dataset
+drops its flagged households, repairs the rest one household at a time into
+grids allocated once, and adds the features.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -56,6 +60,12 @@ DEFAULT_SMOOTHING = 0.998
 _CHUNK_BYTES = 1 << 20  # bytes per bulk read of a consumption file, cut back to a line end
 _KEY_BYTES = 32         # widest field the bulk parse takes; a wider one goes to the row loop
 _SCATTER_ROWS = 1 << 14  # rows per block of _scatter: its int64 cell offsets exist for one block
+# mappings private to the process, where mmap can make them: madvise(MADV_DONTNEED)
+# gives a private mapping's pages back to the system, a shared one's stay in its object
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+# that advice, None where mmap cannot give it to a private mapping
+_DONTNEED = (getattr(mmap, "MADV_DONTNEED", None)
+             if _PRIVATE and hasattr(mmap.mmap, "madvise") else None)
 _HEADER_LINE = ",".join(CONSUMPTION_HEADER).encode()
 _KWH_BYTES = np.zeros(256, dtype=bool)        # bytes a kwh field may hold in the bulk parse,
 _KWH_BYTES[list(b"\0.0123456789eE+-")] = True  # \0 only as padding: plain chunks hold none
@@ -113,12 +123,17 @@ def _half_hour_slot(text, line_no):
     return ts.date(), ts.hour * 2 + ts.minute // 30
 
 
+def _map(size):
+    """An anonymous mapping of size bytes (at least 1), private where it can be."""
+    return mmap.mmap(-1, max(size, 1), **_PRIVATE)
+
+
 def _pages(n, dtype):
     """An empty array of n items in pages mapped for it alone, not on the heap:
     its untouched pages take no memory, and all of it goes back to the system
     when it is dropped, where a freed heap block under a live one stays
     resident and raises the peak of later stages."""
-    return np.frombuffer(mmap.mmap(-1, max(n * np.dtype(dtype).itemsize, 1)), dtype, n)
+    return np.frombuffer(_map(n * np.dtype(dtype).itemsize), dtype, n)
 
 
 class _Columns:
@@ -126,8 +141,10 @@ class _Columns:
 
     Rows go to four columns: household index, timestamp id, kwh and tariff
     code. The bulk parse writes numpy columns that _read_plain_chunks sizes
-    once, for as many rows as the file could hold; the row loop, which reads
-    a file the bulk parse gave up on, appends its rows to array columns.
+    once, for as many rows as the file could hold, each on a mapping of its
+    own (maps) whose pages _scatter gives back once their rows are in the
+    grids; the row loop, which reads a file the bulk parse gave up on,
+    appends its rows to array columns.
     """
 
     DTYPES = (np.intc, np.intc, np.float64, np.int8)
@@ -139,6 +156,7 @@ class _Columns:
         self.texts, self.text_slot = [], []   # distinct timestamp texts and their slot ids
         self.slots = {}                 # (date, half-hour) -> slot id
         self.bulk = [np.empty(0, dtype) for dtype in self.DTYPES]
+        self.maps = []                  # the bulk columns' mappings
         self.n_bulk = 0                 # rows in the bulk columns
         self.loop = [array.array(code) for code in "iidb"]
         # the bulk parse's timestamp texts as sorted bytes, and their ids
@@ -160,6 +178,18 @@ class _Columns:
         if self.loop[0]:
             return [np.frombuffer(col, dtype) for col, dtype in zip(self.loop, self.DTYPES)]
         return [col[:self.n_bulk] for col in self.bulk]
+
+    def release(self, start, stop):
+        """Give the pages of the bulk columns that hold rows of start:stop and
+        of no later row back to the system, where mmap can; they read as zeros
+        after. Called on consecutive blocks, it gives each page back once."""
+        if _DONTNEED is None:
+            return
+        for buf, dtype in zip(self.maps, self.DTYPES):
+            lo, hi = (row * np.dtype(dtype).itemsize // mmap.PAGESIZE * mmap.PAGESIZE
+                      for row in (start, stop))
+            if hi > lo:
+                buf.madvise(_DONTNEED, lo, hi - lo)
 
 
 def _distinct(keys):
@@ -310,7 +340,8 @@ def _read_plain_chunks(raw, cols):
     buf = mmap.mmap(-1, _CHUNK_BYTES + _KEY_BYTES)
     mask = _pages(len(buf), bool)
     rows = os.fstat(raw.fileno()).st_size // 12 + 1
-    cols.bulk = [_pages(rows, dtype) for dtype in cols.DTYPES]
+    cols.maps = [_map(rows * np.dtype(dtype).itemsize) for dtype in cols.DTYPES]
+    cols.bulk = [np.frombuffer(buf, dtype) for buf, dtype in zip(cols.maps, cols.DTYPES)]
     kept = 0                      # bytes of a partial line at buf's start
     while True:
         got = raw.readinto(memoryview(buf)[kept:_CHUNK_BYTES])
@@ -386,13 +417,18 @@ def _read_rows(reader, line_no, cols):
 
 def _scatter(cols):
     """(dates, kwh, tariff, observed) grids of the rows in cols, or None if
-    two rows hold one cell; every kwh read is finite, so the cells left NaN
-    are the unobserved ones.
+    two rows hold one cell; every row writes a tariff code of at least 0, so
+    the cells left -1 are the unobserved ones, and they alone are set to NaN.
 
     Each distinct timestamp text's cell within a household's (T, 48) grid is
     worked out once; the rows then go to their cells _SCATTER_ROWS at a
     time, so the int64 cell offsets take 8 bytes a row of one block, not of
-    the whole file.
+    the whole file. The kwh grid lies on pages mapped for it (_pages), and
+    each block's pages of the bulk columns go back to the system once it is
+    scattered: in a household-major file the grid's written pages grow as
+    the columns shrink, so the peak is about the larger of the two, not their
+    sum. Rows in any other order land in the same cells; only the peak is
+    higher.
     """
     hh_col, text_col, kwh_col, code_col = cols.columns()
     if not hh_col.size:
@@ -404,17 +440,20 @@ def _scatter(cols):
     n_days = len(dates)
     slot_cell = (day - first) * HALF_HOURS + np.array([h for _, h in slots])
     text_cell = slot_cell[np.asarray(cols.text_slot)]
-    kwh = np.full((len(cols.groups), n_days, HALF_HOURS), np.nan)
-    tariff = np.full(kwh.shape, -1, dtype=np.int8)
+    shape = (len(cols.groups), n_days, HALF_HOURS)
+    kwh = _pages(math.prod(shape), np.float64).reshape(shape)
+    tariff = np.full(shape, -1, dtype=np.int8)
     for start in range(0, hh_col.size, _SCATTER_ROWS):
-        rows = slice(start, start + _SCATTER_ROWS)
-        cells = hh_col[rows].astype(np.int64)
+        stop = min(start + _SCATTER_ROWS, hh_col.size)
+        cells = hh_col[start:stop].astype(np.int64)
         cells *= n_days * HALF_HOURS
-        cells += text_cell[text_col[rows]]
-        kwh.reshape(-1)[cells] = kwh_col[rows]
-        tariff.reshape(-1)[cells] = code_col[rows]
-    observed = np.isnan(kwh)
-    np.logical_not(observed, out=observed)
+        cells += text_cell[text_col[start:stop]]
+        kwh.reshape(-1)[cells] = kwh_col[start:stop]
+        tariff.reshape(-1)[cells] = code_col[start:stop]
+        cols.release(start, stop)
+    unobserved = tariff < 0
+    np.copyto(kwh, np.nan, where=unobserved)
+    observed = np.logical_not(unobserved, out=unobserved)
     if np.count_nonzero(observed) < hh_col.size:
         return None
     return dates, kwh, tariff, observed
@@ -432,7 +471,8 @@ def read_consumption_csv(path):
 
     One pass fills flat columns (household index, timestamp id, kwh, tariff
     code), parsing each distinct timestamp text once; the columns are
-    scattered into the grids at the end, a block of rows at a time. The
+    scattered into the grids at the end, a block of rows at a time, each
+    block's pages of the bulk columns given back as it is scattered. The
     pass reads chunks of about _CHUNK_BYTES in bulk with numpy while they
     are plain and pass every check. If a chunk does not, or the scatter
     fills fewer cells than there are rows (a duplicate reading), the bulk

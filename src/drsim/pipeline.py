@@ -160,11 +160,22 @@ def _check_count(name, n, least=1):
         raise ConfigError(f"{name}={n!r} must be a {kind} integer")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """yaml's safe loader without its implicit timestamps: a date-shaped value
+    stays text, so an impossible date fails in _section's converter, which
+    names its key, not inside the parser."""
+
+
+_ConfigLoader.yaml_implicit_resolvers = {
+    first: [(tag, pattern) for tag, pattern in resolvers if tag != "tag:yaml.org,2002:timestamp"]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+
+
 def load_config(path, seed=None, out=None):
     """Parse and validate the YAML run configuration; a seed or out given
     here replaces the file's before the checks."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+        raw = yaml.load(fh, Loader=_ConfigLoader) or {}
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     unknown = set(raw) - {"seed", "out", "synth", "ingest", "cluster", "train",
@@ -427,10 +438,22 @@ def stage_cluster(config, force=False):
     return targets
 
 
+def _inputs(config, stage):
+    """The stage's prepared dataset and assignments paths (_require)."""
+    return _require(config, *(n for n in RUN_FILES[stage][1] if n != MODEL))
+
+
+def _labels(config, stage):
+    """The sorted cluster labels in assignments.csv: enough to tell which of
+    the stage's outputs are stale before the dataset is loaded."""
+    _, assignments = _inputs(config, stage)
+    return sorted(set(clustering.read_assignments_csv(assignments)[1].tolist()))
+
+
 def _cluster_inputs(config, stage):
     """Prepared dataset, cluster labels and per-cluster series/schedules: the
     stage's inputs but the model files, which _ensembles reads per cluster."""
-    prepared, assignments = _require(config, *(n for n in RUN_FILES[stage][1] if n != MODEL))
+    prepared, assignments = _inputs(config, stage)
     ds = dataio.load_prepared(prepared)
     ids, labels = clustering.read_assignments_csv(assignments)
     index = {hid: i for i, hid in enumerate(ds.household_ids)}
@@ -538,15 +561,17 @@ GENERATORS = {
 
 def stage_train(config, force=False, generator=None):
     names = _pick_generators(config, generator)
-    ds, clusters = _cluster_inputs(config, "train")
-    written = []
-    for name, (_, fit, _) in GENERATORS.items():
-        if name in names:
-            written.append({label: _outputs(config, "train", generator=name, label=label)
-                            for label in clusters
-                            if not _fresh(config, force, "train", generator=name, label=label)})
-            fit(config, ds, clusters, written[-1])
-    return [path for label in clusters for files in written for path in files.get(label, [])]
+    labels = _labels(config, "train")
+    written = {name: {label: _outputs(config, "train", generator=name, label=label)
+                      for label in labels
+                      if not _fresh(config, force, "train", generator=name, label=label)}
+               for name in GENERATORS if name in names}
+    if any(written.values()):
+        ds, clusters = _cluster_inputs(config, "train")
+        for name, files in written.items():
+            GENERATORS[name][1](config, ds, clusters, files)
+    return [path for label in labels for files in written.values()
+            for path in files.get(label, [])]
 
 
 def _ensembles(config, name, label, ds, days, tariffs, n_samples, seeds):
@@ -581,8 +606,11 @@ def _evaluate_cluster(config, ds, names, label, bundle):
 
 def stage_evaluate(config, force=False, generator=None):
     names = _pick_generators(config, generator)
+    stale = [label for label in _labels(config, "evaluate")
+             if not _fresh(config, force, "evaluate", label=label)]
+    if not stale:
+        return []
     ds, clusters = _cluster_inputs(config, "evaluate")
-    stale = [label for label in clusters if not _fresh(config, force, "evaluate", label=label)]
     return _map_written(
         lambda label: _evaluate_cluster(config, ds, names, label, clusters[label]), stale)
 
@@ -634,9 +662,11 @@ def _generate_samples(config, ds, name, label, bundle):
 def stage_generate(config, force=False, generator=None):
     """Write the test-day ensembles that stage_evaluate scores."""
     names = _pick_generators(config, generator)
-    ds, clusters = _cluster_inputs(config, "generate")
-    stale = [(name, label) for label in clusters for name in names
+    stale = [(name, label) for label in _labels(config, "generate") for name in names
              if not _fresh(config, force, "generate", generator=name, label=label)]
+    if not stale:
+        return []
+    ds, clusters = _cluster_inputs(config, "generate")
     return _map_written(lambda job: _generate_samples(config, ds, *job, clusters[job[1]]), stale)
 
 
@@ -676,14 +706,16 @@ def _write_scenarios(config, ds, name, label, stale):
 
 def stage_scenario(config, force=False, generator=None):
     name, = _pick_generators(config, generator or config.scenario.generator)
-    ds, clusters = _cluster_inputs(config, "scenario")
     jobs = []
-    for label in clusters:
+    for label in _labels(config, "scenario"):
         stale = [si for si, scen in enumerate(config.scenario.scenarios)
                  if not _fresh(config, force, "scenario", scenario=scen, generator=name,
                                label=label)]
         if stale:
             jobs.append((label, stale))
+    if not jobs:
+        return []
+    ds, clusters = _cluster_inputs(config, "scenario")
     return _map_written(lambda job: _write_scenarios(config, ds, name, *job), jobs)
 
 

@@ -473,8 +473,32 @@ class TestCpuCount:
         capsys.readouterr()
         assert run_cli(stage, "--config", str(cfg)) == 0
         assert "nothing to do" in capsys.readouterr().out
-        # train fits every stale cluster in one call and maps none
-        assert calls == ([] if stage == "train" else [[]])
+        # with no stale cluster the stage returns before the pool, and train
+        # fits every stale cluster in one call, mapping none
+        assert calls == []
+
+    @pytest.mark.parametrize("stage", ["train", "generate", "evaluate", "scenario"])
+    def test_cached_stage_loads_the_dataset_only_when_forced(
+            self, full_run, tmp_path, monkeypatch, capsys, stage):
+        # staleness comes from assignments.csv's labels; prepared.npz is loaded
+        # only for outputs that are to be written
+        shutil.copytree(full_run[0] / "run", tmp_path / "run")
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(CONFIG.format(out=tmp_path / "run"))
+        loads, load_prepared = [], dataio.load_prepared
+
+        def spy(path):
+            loads.append(path)
+            return load_prepared(path)
+
+        monkeypatch.setattr(dataio, "load_prepared", spy)
+        capsys.readouterr()
+        assert run_cli(stage, "--config", str(cfg)) == 0
+        assert capsys.readouterr().out == f"{stage}: outputs present, nothing to do (use --force)\n"
+        assert loads == []
+        assert run_cli(stage, "--config", str(cfg), "--force") == 0
+        assert loads == [tmp_path / "run" / "prepared.npz"]
+        assert "nothing to do" not in capsys.readouterr().out
 
 
 class TestValidation:
@@ -565,6 +589,8 @@ class TestValidation:
         pytest.param("synth: {window_shapes: random}\n", "synth.window_shapes",
                      id="text-window-shapes"),
         pytest.param("synth: {start_date: notadate}\n", "synth.start_date", id="text-start-date"),
+        pytest.param("synth: {start_date: 2024-02-30}\n", "synth.start_date",
+                     id="impossible-start-date"),
         pytest.param("synth: {special_fraction: abc}\n", "synth.special_fraction",
                      id="text-special-fraction"),
         pytest.param("synth: {special_fraction: true}\n", "synth.special_fraction",
@@ -617,6 +643,15 @@ class TestValidation:
         cfg = tmp_path / "c.yaml"
         cfg.write_text(text)
         pipeline.load_config(cfg)
+
+    @pytest.mark.parametrize("text, start", [
+        pytest.param("synth: {start_date: 2024-02-29}\n", "2024-02-29", id="leap-day"),
+        pytest.param("synth: {start_date: '2023-12-31'}\n", "2023-12-31", id="quoted"),
+    ])
+    def test_start_date_accepted(self, tmp_path, text, start):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        assert pipeline.load_config(cfg).synth.start_date.isoformat() == start
 
     def test_negative_seed_flag_rejected_like_the_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -498,6 +498,65 @@ class TestScoreVariants:
         assert [str(w.message) for w in built] == ["excluded 1 zero-mean household(s)"]
 
 
+def trial_like_inputs(n=120, n_days=100, seed=11):
+    """Consumption (n, n_days, 48) and one tariff schedule shared by every
+    household: LOW mornings on 30 days and HIGH evenings on 10."""
+    rng = np.random.default_rng(seed)
+    kwh = rng.lognormal(-0.7, 0.5, size=(n, n_days, 48))
+    tariff = np.full(kwh.shape, NORMAL, dtype=np.int8)
+    tariff[:, :30, 14:21] = LOW
+    tariff[:, 50:60, 34:41] = HIGH
+    return kwh, tariff
+
+
+class TestRecordsWithoutANormalizedCopy:
+    """The normalized records are the raw rows and their means: each
+    cluster's copy is divided as it is taken, with the bits of a copy of the
+    whole normalized array."""
+
+    @pytest.mark.parametrize("n, m", [(1, 48), (2, 48), (37, 4800), (300, 1000)])
+    def test_row_sum_mean_is_the_mean_of_the_normalized_array(self, rng, n, m):
+        flat = rng.lognormal(size=(n + 3, m))
+        rows = np.sort(rng.choice(n + 3, size=n, replace=False))
+        means = flat[rows].mean(axis=1)
+        expected = (flat[rows] / means[:, None]).mean(axis=0)
+        assert clustering._mean_of_rows(flat, rows, means).tobytes() == expected.tobytes()
+
+    def test_many_labellings_score_as_the_per_call_reference(self):
+        # a zero-mean and a no-exposure household among 120, so that every
+        # record set leaves rows out and sums run long
+        kwh, tariff = trial_like_inputs()
+        kwh[7] = 0.0
+        tariff[90] = NORMAL
+        ids = [f"h{i}" for i in range(len(kwh))]
+        with pytest.warns(UserWarning):
+            records = clustering.record_variants(kwh, tariff, ids)
+        assert records.excluded_zero_mean == ["h7"] and records.excluded_no_special == ["h90"]
+        rng = np.random.default_rng(4)
+        for k in (2, 4, 7):
+            labels = np.resize(np.arange(k), len(kwh))[rng.permutation(len(kwh))]
+            with pytest.warns(UserWarning):
+                expected = score_variants_per_call(kwh, tariff, labels, ids, k)
+            got = clustering.score_variants(records, labels, k)
+            assert (got.raw, got.normalized, got.special) == expected
+
+    def test_traced_peak_is_below_six_tenths_of_the_consumption(self):
+        # one record build and three scorings, as the cluster stage runs them;
+        # with a normalized copy of the consumption the peak was 1.38 times it
+        kwh, tariff = trial_like_inputs()
+        labellings = [np.resize(np.arange(4), len(kwh))[np.random.default_rng(s).permutation(
+            len(kwh))] for s in range(3)]
+        tracemalloc.start()
+        try:
+            records = clustering.record_variants(kwh, tariff)
+            for labels in labellings:
+                clustering.score_variants(records, labels, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * kwh.nbytes
+
+
 class TestClassicalPipeline:
     def test_features_hot_cold_split(self):
         dates = [datetime.date(2024, 3, 30), datetime.date(2024, 4, 2)]

@@ -1,5 +1,6 @@
 import csv
 import datetime
+from array import array
 import sys
 import tracemalloc
 import warnings
@@ -484,6 +485,24 @@ class TestChunkedRead:
         assert got[0] is error
 
 
+def household_major_rows(n_households=12, n_days=8):
+    """Data rows of n_households TOU households over n_days, household by
+    household, with gaps (never at the first half-hour), every tariff and
+    kWh values above 0: a few pages of each bulk column."""
+    rng = np.random.default_rng(8)
+    base = datetime.datetime.combine(D1, datetime.time())
+    rows = []
+    for i in range(n_households):
+        gaps = set(rng.choice(np.arange(1, n_days * 48), size=5 + i, replace=False).tolist())
+        for cell in range(n_days * 48):
+            if cell in gaps:
+                continue
+            ts = (base + datetime.timedelta(minutes=30 * cell)).isoformat(timespec="minutes")
+            tariff = ("LOW", "NORMAL", "HIGH")[(cell // 48 + cell % 48 // 8) % 3]
+            rows.append((cell, i, f"h{i:02d},{ts},{rng.uniform(0.1, 3.0)!r},{tariff},TOU"))
+    return rows
+
+
 class TestBlockedScatter:
     """_scatter puts the rows in their cells _SCATTER_ROWS at a time."""
 
@@ -492,6 +511,79 @@ class TestBlockedScatter:
         def set_rows(rows):
             monkeypatch.setattr(dataio, "_SCATTER_ROWS", rows)
         return set_rows
+
+    @pytest.fixture()
+    def scattered(self, monkeypatch):
+        """The _Columns of each scatter, kept after it returns."""
+        seen, scatter = [], dataio._scatter
+
+        def spy(cols):
+            seen.append(cols)
+            return scatter(cols)
+
+        monkeypatch.setattr(dataio, "_scatter", spy)
+        return seen
+
+    @staticmethod
+    def assert_released(cols):
+        """The kWh column's pages below its last row's page read as zeros, given
+        back to the system; the rows on that last page keep their values."""
+        if dataio._DONTNEED is None:
+            return
+        kwh = cols.bulk[2][:cols.n_bulk]
+        whole = kwh.nbytes // dataio.mmap.PAGESIZE * dataio.mmap.PAGESIZE // kwh.itemsize
+        assert whole >= 1024 and not kwh[:whole].any() and kwh[whole:].all()
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_released_blocks_fill_the_grids_of_one_block(self, tmp_path, blocks_of, scattered,
+                                                         rows):
+        lines = [line for _, _, line in household_major_rows()]
+        path = tmp_path / "c.csv"
+        path.write_text(HEADER + "\n".join(lines) + "\n")
+        one_block = outcome(path)
+        blocks_of(rows)
+        got = outcome(path)
+        assert_same_data(got, one_block)
+        assert np.isnan(got.kwh).any() and (got.tariff == -1).any()
+        # both reads scattered the bulk columns; the row loop read nothing
+        assert [(cols.n_bulk, cols.loop[0]) for cols in scattered] == [(len(lines), array("i"))] * 2
+        for cols in scattered:
+            self.assert_released(cols)
+
+    def test_timestamp_major_rows_fill_the_grids_of_household_major(self, tmp_path, blocks_of,
+                                                                    scattered):
+        rows = household_major_rows()
+        by_household, by_time = tmp_path / "h.csv", tmp_path / "t.csv"
+        by_household.write_text(HEADER + "\n".join(line for _, _, line in rows) + "\n")
+        by_time.write_text(HEADER + "\n".join(line for _, _, line in sorted(rows)) + "\n")
+        blocks_of(100)
+        got = outcome(by_time)
+        assert_same_data(got, outcome(by_household))
+        assert got.household_ids == [f"h{i:02d}" for i in range(12)]
+        assert [cols.loop[0] for cols in scattered] == [array("i")] * 2
+        self.assert_released(scattered[0])
+
+    def test_duplicate_in_a_later_released_block_is_named_by_the_row_loop(
+            self, tmp_path, blocks_of, scattered, monkeypatch):
+        # the duplicate of h00's first reading, data row 1, is the file's last
+        # row: blocks of 100 rows give back the pages of row 1 long before it
+        rows = [line for _, _, line in household_major_rows()]
+        first = rows[0].split(",")
+        rows.append(",".join(first[:2] + ["1.5", "NORMAL", "TOU"]))
+        path = tmp_path / "d.csv"
+        path.write_text(HEADER + "\n".join(rows) + "\n")
+        blocks_of(100)
+        starts, read_rows = [], dataio._read_rows
+
+        def spy(reader, line_no, cols):
+            starts.append(line_no)
+            return read_rows(reader, line_no, cols)
+
+        monkeypatch.setattr(dataio, "_read_rows", spy)
+        assert outcome(path) == (dataio.DataValidationError,
+                                 f"line {len(rows) + 1}: duplicate reading for h00 at {first[1]}")
+        assert starts == [2]
+        self.assert_released(scattered[0])
 
     @pytest.mark.parametrize("rows", [1, 7, 100])
     def test_blocks_fill_the_grids_of_one_block(self, tmp_path, blocks_of, rows):

@@ -9,23 +9,20 @@ same three-level code.
 
 read_consumption_csv reads the file in byte chunks of about 1 MB, each cut
 at a line end. A plain chunk (ASCII without quotes, NUL or lone CR, 5 fields
-on every non-blank line, no field wider than the keys) becomes columns with
-numpy: the text fields become ids through packed byte keys, kwh goes through
-one bytes -> float64 cast, and every check runs on the whole chunk at once.
-Its columns are sized once from the file size and never regrow. If a chunk
-is not plain, or would fail a check, or two rows of a plain file hold one
-(household, half-hour) cell, the bulk columns are dropped and the csv row
-loop reads the whole file again from its header; it alone raises the parse
-and validation errors, duplicates included, so their messages and line
-numbers are those of a reader that reads every row that way. The rows are
-scattered into one ConsumptionData of (n, T, 48) grids a fixed block of rows
-at a time, so no whole-file temporary of cell offsets is built, and each
-block's pages of the bulk columns go back to the system once it is in the
-grids. In a file written household by household the kwh grid's pages then
-fill as the columns empty, so the two are not held whole at once; rows in
-any other order land in the same cells, at a higher peak. prepare_dataset
-drops its flagged households, repairs the rest one household at a time into
-grids allocated once, and adds the features.
+on every non-blank line, no field wider than the keys) is parsed with numpy:
+the text fields become ids through packed byte keys, kwh goes through one
+bytes -> float64 cast, and every check runs on the whole chunk at once. Its
+rows then go straight into the (n, T, 48) kWh and tariff grids, which grow
+with the households and days read, so each reading is held once, in the
+grids that are returned. If a chunk is not plain, or would fail a check, or
+two rows of a plain file hold one (household, half-hour) cell, what the
+bulk parse read is dropped and the csv row loop reads the whole file again
+from its header; it alone raises the parse and validation errors,
+duplicates included, so their messages and line numbers are those of a
+reader that reads every row that way, and its rows go into the same grids.
+prepare_dataset repairs those grids in place, moving the kept households
+down over the flagged ones, and adds the features; save_prepared writes
+each array into the npz from memory, with no whole-array copy.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -40,6 +37,7 @@ import math
 import mmap
 import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +57,10 @@ DEFAULT_SMOOTHING = 0.998
 
 _CHUNK_BYTES = 1 << 20  # bytes per bulk read of a consumption file, cut back to a line end
 _KEY_BYTES = 32         # widest field the bulk parse takes; a wider one goes to the row loop
-_SCATTER_ROWS = 1 << 14  # rows per block of _scatter: its int64 cell offsets exist for one block
-# mappings private to the process, where mmap can make them: madvise(MADV_DONTNEED)
-# gives a private mapping's pages back to the system, a shared one's stay in its object
+_LOOP_ROWS = 1 << 16    # rows the row loop holds before it adds them to the grids
+_WRITE_BYTES = 1 << 20  # bytes of an array save_prepared hands to the npz file at a time
+# anonymous mappings private to the process, where mmap can make them
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-# that advice, None where mmap cannot give it to a private mapping
-_DONTNEED = (getattr(mmap, "MADV_DONTNEED", None)
-             if _PRIVATE and hasattr(mmap.mmap, "madvise") else None)
 _HEADER_LINE = ",".join(CONSUMPTION_HEADER).encode()
 _KWH_BYTES = np.zeros(256, dtype=bool)        # bytes a kwh field may hold in the bulk parse,
 _KWH_BYTES[list(b"\0.0123456789eE+-")] = True  # \0 only as padding: plain chunks hold none
@@ -115,81 +110,133 @@ def _parse_timestamp(text, line_no):
     return ts
 
 
-def _half_hour_slot(text, line_no):
-    """(date, half-hour index) of a consumption timestamp."""
+def _half_hour(text, line_no):
+    """A consumption timestamp's half-hour: its day's ordinal times 48 plus
+    its half-hour of the day."""
     ts = _parse_timestamp(text, line_no)
     if ts.minute not in (0, 30):
         raise DataValidationError(f"line {line_no}: timestamp {text!r} not on the half-hour grid")
-    return ts.date(), ts.hour * 2 + ts.minute // 30
+    return ts.date().toordinal() * HALF_HOURS + ts.hour * 2 + ts.minute // 30
 
 
 def _map(size):
-    """An anonymous mapping of size bytes (at least 1), private where it can be."""
+    """An anonymous mapping of size bytes (at least 1), private where it can
+    be, for an array that is not on the heap: its untouched pages take no
+    memory and read as zeros, and all of it goes back to the system when it
+    is dropped, where a freed heap block under a live one stays resident and
+    raises the peak of later stages."""
     return mmap.mmap(-1, max(size, 1), **_PRIVATE)
 
 
-def _pages(n, dtype):
-    """An empty array of n items in pages mapped for it alone, not on the heap:
-    its untouched pages take no memory, and all of it goes back to the system
-    when it is dropped, where a freed heap block under a live one stays
-    resident and raises the peak of later stages."""
-    return np.frombuffer(_map(n * np.dtype(dtype).itemsize), dtype, n)
+def _resized(buf, size):
+    """buf holding size bytes, its first bytes kept and any new ones zero.
+    Where mmap cannot resize (no mremap), a larger size copies buf into a new
+    mapping and a smaller one keeps buf as it is. No array may view buf."""
+    try:
+        buf.resize(max(size, 1))
+    except SystemError:
+        if size > len(buf):
+            new = _map(size)
+            np.frombuffer(new, np.uint8, len(buf))[:] = np.frombuffer(buf, np.uint8)
+            return new
+    return buf
 
 
-class _Columns:
-    """What read_consumption_csv has read so far.
+class _Grids:
+    """What read_consumption_csv has read so far: the households' ids and
+    groups, and the kWh and tariff grids their rows went into.
 
-    Rows go to four columns: household index, timestamp id, kwh and tariff
-    code. The bulk parse writes numpy columns that _read_plain_chunks sizes
-    once, for as many rows as the file could hold, each on a mapping of its
-    own (maps) whose pages _scatter gives back once their rows are in the
-    grids; the row loop, which reads a file the bulk parse gave up on,
-    appends its rows to array columns.
+    The grids are (households, days, 48) arrays in C order, each on a
+    mapping of its own (_map), with tariff codes stored +1, so that cells no
+    row has written read 0 as unobserved and their untouched pages take no
+    memory. They grow as rows are added: a new household extends them at
+    the end (mmap.resize: mremap moves no data), and a day outside the days
+    laid out lays them out again with room for as many days again on that
+    side, so a file in timestamp order is laid out a few times, not once a
+    chunk. finish cuts them to the days read, in place.
     """
 
-    DTYPES = (np.intc, np.intc, np.float64, np.int8)
+    DTYPES = (np.float64, np.int8)
 
     def __init__(self):
         self.index_of = {}              # household id -> index, in order of first appearance
         self.groups = []
-        self.text_ids = {}              # the row loop's timestamp text -> index into texts
-        self.texts, self.text_slot = [], []   # distinct timestamp texts and their slot ids
-        self.slots = {}                 # (date, half-hour) -> slot id
-        self.bulk = [np.empty(0, dtype) for dtype in self.DTYPES]
-        self.maps = []                  # the bulk columns' mappings
-        self.n_bulk = 0                 # rows in the bulk columns
-        self.loop = [array.array(code) for code in "iidb"]
-        # the bulk parse's timestamp texts as sorted bytes, and their ids
-        self.ts_keys, self.ts_key_ids = np.array([], dtype="S1"), np.array([], np.intc)
+        self.maps = [_map(0), _map(0)]  # the kWh and tariff grids' mappings
+        self.n = 0                      # households laid out
+        self.start = self.days = 0      # ordinal of the grids' first day; days laid out
+        self.first = self.last = None   # ordinals of the first and last day read
+        self.rows = 0                   # rows added
+        # the bulk parse's timestamp texts as sorted bytes, and their half-hours
+        self.ts_keys, self.ts_half_hours = np.array([], dtype="S1"), np.array([], np.int64)
 
-    def append_bulk(self, columns):
-        """Append rows to the bulk columns and return True, or return False
-        if they do not fit: the file grew after the columns were sized."""
-        end = self.n_bulk + len(columns[0])
-        if end > len(self.bulk[0]):
-            return False
-        for col, new in zip(self.bulk, columns):
-            col[self.n_bulk:end] = new
-        self.n_bulk = end
-        return True
+    def grids(self):
+        """The kWh and tariff grids, (n, days, 48) views of the mappings."""
+        shape = (self.n, self.days, HALF_HOURS)
+        return [np.frombuffer(buf, dtype, math.prod(shape)).reshape(shape)
+                for buf, dtype in zip(self.maps, self.DTYPES)]
 
-    def columns(self):
-        """The four columns of every row read, as numpy arrays."""
-        if self.loop[0]:
-            return [np.frombuffer(col, dtype) for col, dtype in zip(self.loop, self.DTYPES)]
-        return [col[:self.n_bulk] for col in self.bulk]
+    def _nbytes(self, n, days):
+        return [n * days * HALF_HOURS * np.dtype(dtype).itemsize for dtype in self.DTYPES]
 
-    def release(self, start, stop):
-        """Give the pages of the bulk columns that hold rows of start:stop and
-        of no later row back to the system, where mmap can; they read as zeros
-        after. Called on consecutive blocks, it gives each page back once."""
-        if _DONTNEED is None:
-            return
-        for buf, dtype in zip(self.maps, self.DTYPES):
-            lo, hi = (row * np.dtype(dtype).itemsize // mmap.PAGESIZE * mmap.PAGESIZE
-                      for row in (start, stop))
-            if hi > lo:
-                buf.madvise(_DONTNEED, lo, hi - lo)
+    def add(self, household, half_hour, kwh, code):
+        """Write rows into the grids, given as numpy columns: household
+        index, half-hour (see _half_hour), kWh and tariff code. Grows the
+        grids to every household registered and every day of these rows."""
+        lo, hi = int(half_hour.min()) // HALF_HOURS, int(half_hour.max()) // HALF_HOURS
+        self.first = lo if self.first is None else min(lo, self.first)
+        self.last = hi if self.last is None else max(hi, self.last)
+        end = self.start + self.days
+        if self.first < self.start or self.last >= end:
+            start, stop = self.first, self.last + 1
+            if self.days:                 # room for as many days again on an outgrown side
+                start = self.start if start >= self.start else min(start, self.start - self.days)
+                stop = end if stop <= end else max(stop, end + self.days)
+            old = self.grids()
+            self.maps = [_map(size) for size in self._nbytes(self.n, stop - start)]
+            at, self.start, self.days = self.start - start, start, stop - start
+            for grid, was in zip(self.grids(), old):
+                grid[:, at:at + was.shape[1]] = was
+            del old, grid, was
+        if len(self.groups) > self.n:
+            self.n = len(self.groups)
+            self.maps = [_resized(buf, size)
+                         for buf, size in zip(self.maps, self._nbytes(self.n, self.days))]
+        cells = household.astype(np.int64)
+        cells *= self.days * HALF_HOURS
+        cells += half_hour
+        cells -= self.start * HALF_HOURS
+        kwh_grid, tariff_grid = self.grids()
+        kwh_grid.reshape(-1)[cells] = kwh
+        tariff_grid.reshape(-1)[cells] = code + 1
+        self.rows += cells.size
+
+    def finish(self):
+        """(dates, kwh, tariff, observed) of the rows added, the grids cut to
+        the days read, or None if two rows hold one cell. The cells no row
+        holds are NaN in kwh and -1 in tariff."""
+        if not self.rows:
+            raise DataValidationError("no data rows")
+        if np.count_nonzero(self.grids()[1]) < self.rows:
+            return None
+        n_days = self.last - self.first + 1
+        if self.days != n_days:
+            at, width = self.first - self.start, n_days * HALF_HOURS
+            for grid in self.grids():
+                flat = grid.reshape(-1)
+                for i in range(self.n):   # each household moves down: numpy copies overlaps right
+                    src = (i * self.days + at) * HALF_HOURS
+                    flat[i * width:(i + 1) * width] = flat[src:src + width]
+            del grid, flat
+            self.start, self.days = self.first, n_days
+            self.maps = [_resized(buf, size)
+                         for buf, size in zip(self.maps, self._nbytes(self.n, n_days))]
+        kwh, tariff = self.grids()
+        tariff -= 1
+        unobserved = tariff < 0
+        np.copyto(kwh, np.nan, where=unobserved)
+        observed = np.logical_not(unobserved, out=unobserved)
+        dates = [datetime.date.fromordinal(d) for d in range(self.first, self.last + 1)]
+        return dates, kwh, tariff, observed
 
 
 def _distinct(keys):
@@ -259,10 +306,10 @@ def _split_chunk(buf, size, mask):
     return [field(j) for j in range(5)]
 
 
-def _parse_chunk(buf, size, cols, mask):
-    """Append the rows of buf[:size], whole lines, to cols and return True, or
+def _parse_chunk(buf, size, grids, mask):
+    """Add the rows of buf[:size], whole lines, to grids and return True, or
     return False if those lines are not plain or a row in them would fail a
-    check; cols is then only fit to be dropped."""
+    check; grids is then only fit to be dropped."""
     fields = _split_chunk(buf, size, mask)
     if fields is None:
         return False
@@ -281,26 +328,26 @@ def _parse_chunk(buf, size, cols, mask):
         return False                         # a household changes group inside the chunk
     index = []
     for h, g in zip(_decoded(hid[hh_rows]), hh_group.tolist()):
-        i = cols.index_of.setdefault(h, len(cols.groups))
-        if i == len(cols.groups):
-            cols.groups.append(names[g])
-        elif cols.groups[i] != names[g]:
+        i = grids.index_of.setdefault(h, len(grids.groups))
+        if i == len(grids.groups):
+            grids.groups.append(names[g])
+        elif grids.groups[i] != names[g]:
             return False
         index.append(i)
 
-    text_id = np.full(ts.size, -1, np.intc)
-    if cols.ts_keys.size:
-        at = np.minimum(np.searchsorted(cols.ts_keys, ts), cols.ts_keys.size - 1)
-        known = cols.ts_keys[at] == ts
-        text_id[known] = cols.ts_key_ids[at[known]]
-    unknown = np.flatnonzero(text_id < 0)
+    half_hour = np.full(ts.size, -1, np.int64)
+    if grids.ts_keys.size:
+        at = np.minimum(np.searchsorted(grids.ts_keys, ts), grids.ts_keys.size - 1)
+        known = grids.ts_keys[at] == ts
+        half_hour[known] = grids.ts_half_hours[at[known]]
+    unknown = np.flatnonzero(half_hour < 0)
     new_rows, new_id = _distinct(ts[unknown])
-    new_texts = _decoded(ts[unknown[new_rows]])
+    new_keys = ts[unknown[new_rows]]
     try:
-        new_slots = [_half_hour_slot(text, 0) for text in new_texts]
+        new_half_hours = np.array([_half_hour(text, 0) for text in _decoded(new_keys)], np.int64)
     except ValueError:
         return False
-    text_id[unknown] = len(cols.texts) + new_id
+    half_hour[unknown] = new_half_hours[new_id]
 
     if not _KWH_BYTES[kwh_text.view(np.uint8)].all():
         return False
@@ -313,35 +360,25 @@ def _parse_chunk(buf, size, cols, mask):
     if not ((kwh >= 0.0) & (kwh < math.inf)).all():
         return False
 
-    if new_texts:
-        keys = np.concatenate([cols.ts_keys, ts[unknown[new_rows]]])
-        ids = np.concatenate([cols.ts_key_ids, np.arange(len(new_texts)) + len(cols.texts)])
+    if new_keys.size:
+        keys = np.concatenate([grids.ts_keys, new_keys])
         order = np.argsort(keys)
-        cols.ts_keys, cols.ts_key_ids = keys[order], ids[order].astype(np.intc)
-    for text, slot in zip(new_texts, new_slots):
-        cols.texts.append(text)
-        cols.text_slot.append(cols.slots.setdefault(slot, len(cols.slots)))
-    return cols.append_bulk((np.array(index, np.intc)[hh_id], text_id, kwh,
-                             np.array(codes, np.int8)[tariff_id]))
+        grids.ts_keys = keys[order]
+        grids.ts_half_hours = np.concatenate([grids.ts_half_hours, new_half_hours])[order]
+    grids.add(np.array(index, np.intc)[hh_id], half_hour, kwh, np.array(codes, np.int8)[tariff_id])
+    return True
 
 
-def _read_plain_chunks(raw, cols):
-    """Read a consumption file into cols in plain chunks. Returns whether
+def _read_plain_chunks(raw, grids):
+    """Read a consumption file into grids in plain chunks. Returns whether
     they reached the end of the file: False if the header or a chunk is not
     plain, or a chunk would fail a check."""
     head = raw.readline()
     if head not in (_HEADER_LINE, _HEADER_LINE + b"\n", _HEADER_LINE + b"\r\n"):
         return False
-    # one buffer and one mask for every chunk, so chunks add no large blocks to
-    # the heap. A row the bulk parse takes spans at least 12 bytes of the file
-    # (4 commas, a kwh byte, a 3-letter tariff and group, and a line end that
-    # only the last row may lack), so the columns are sized once for every row
-    # the file can hold; the pages past its last row are never touched.
+    # one buffer and one mask for every chunk, so chunks add no large blocks to the heap
     buf = mmap.mmap(-1, _CHUNK_BYTES + _KEY_BYTES)
-    mask = _pages(len(buf), bool)
-    rows = os.fstat(raw.fileno()).st_size // 12 + 1
-    cols.maps = [_map(rows * np.dtype(dtype).itemsize) for dtype in cols.DTYPES]
-    cols.bulk = [np.frombuffer(buf, dtype) for buf, dtype in zip(cols.maps, cols.DTYPES)]
+    mask = np.frombuffer(_map(len(buf)), bool)
     kept = 0                      # bytes of a partial line at buf's start
     while True:
         got = raw.readinto(memoryview(buf)[kept:_CHUNK_BYTES])
@@ -353,31 +390,38 @@ def _read_plain_chunks(raw, cols):
         else:                                 # the last line has no line end: give it one
             buf[size] = ord("\n")
             cut = size + 1
-        if not cut or not _parse_chunk(buf, cut, cols, mask):
+        if not cut or not _parse_chunk(buf, cut, grids, mask):
             return False
         kept = max(size - cut, 0)
         buf[:kept] = buf[cut:size]
 
 
-def _read_rows(reader, line_no, cols):
-    """The row loop: append csv reader rows, the first from line line_no, to
-    cols, which holds no rows yet."""
-    index_of, groups = cols.index_of, cols.groups
-    text_ids, texts, text_slot, slots = cols.text_ids, cols.texts, cols.text_slot, cols.slots
-    hh_col, text_col, kwh_col, code_col = cols.loop
+def _read_rows(reader, line_no, grids):
+    """The row loop: add csv reader rows, the first from line line_no, to
+    grids, which holds no rows yet, _LOOP_ROWS rows at a time."""
+    index_of, groups = grids.index_of, grids.groups
+    texts = {}          # timestamp text -> (half-hour, slot id)
+    slots = {}          # half-hour -> slot id, numbered in the order first read
     marks = []          # per household, one byte per slot id: 1 once a row holds it
+    columns = [array.array(code) for code in "iqdb"]
+    hh_col, half_hour_col, kwh_col, code_col = columns
+
+    def add_rows():
+        grids.add(*(np.frombuffer(col, dtype) for col, dtype in
+                    zip(columns, (np.intc, np.int64, np.float64, np.int8))))
+        for col in columns:
+            del col[:]
+
     for line_no, row in enumerate(reader, start=line_no):
         if not row:
             continue
         if len(row) != 5:
             raise DataParseError(f"line {line_no}: expected 5 fields, got {len(row)}")
         hid, ts_text, kwh_text, tariff, group = row
-        text_id = text_ids.get(ts_text)
-        if text_id is None:
-            slot = _half_hour_slot(ts_text, line_no)
-            text_id = text_ids[ts_text] = len(texts)
-            texts.append(ts_text)
-            text_slot.append(slots.setdefault(slot, len(slots)))
+        text = texts.get(ts_text)
+        if text is None:
+            half_hour = _half_hour(ts_text, line_no)
+            text = texts[ts_text] = (half_hour, slots.setdefault(half_hour, len(slots)))
         try:
             kwh = float(kwh_text)
         except ValueError:
@@ -403,60 +447,20 @@ def _read_rows(reader, line_no, cols):
             raise DataValidationError(
                 f"line {line_no}: household {hid} changes group {groups[index]} -> {group}"
             )
-        held, slot = marks[index], text_slot[text_id]
+        held, (half_hour, slot) = marks[index], text
         if slot >= len(held):
             held.extend(bytes(len(slots) - len(held)))
         elif held[slot]:
             raise DataValidationError(f"line {line_no}: duplicate reading for {hid} at {ts_text}")
         held[slot] = 1
         hh_col.append(index)
-        text_col.append(text_id)
+        half_hour_col.append(half_hour)
         kwh_col.append(kwh)
         code_col.append(code)
-
-
-def _scatter(cols):
-    """(dates, kwh, tariff, observed) grids of the rows in cols, or None if
-    two rows hold one cell; every row writes a tariff code of at least 0, so
-    the cells left -1 are the unobserved ones, and they alone are set to NaN.
-
-    Each distinct timestamp text's cell within a household's (T, 48) grid is
-    worked out once; the rows then go to their cells _SCATTER_ROWS at a
-    time, so the int64 cell offsets take 8 bytes a row of one block, not of
-    the whole file. The kwh grid lies on pages mapped for it (_pages), and
-    each block's pages of the bulk columns go back to the system once it is
-    scattered: in a household-major file the grid's written pages grow as
-    the columns shrink, so the peak is about the larger of the two, not their
-    sum. Rows in any other order land in the same cells; only the peak is
-    higher.
-    """
-    hh_col, text_col, kwh_col, code_col = cols.columns()
-    if not hh_col.size:
-        raise DataValidationError("no data rows")
-    slots = cols.slots
-    day = np.array([d.toordinal() for d, _ in slots])
-    first, last = int(day.min()), int(day.max())
-    dates = [datetime.date.fromordinal(n) for n in range(first, last + 1)]
-    n_days = len(dates)
-    slot_cell = (day - first) * HALF_HOURS + np.array([h for _, h in slots])
-    text_cell = slot_cell[np.asarray(cols.text_slot)]
-    shape = (len(cols.groups), n_days, HALF_HOURS)
-    kwh = _pages(math.prod(shape), np.float64).reshape(shape)
-    tariff = np.full(shape, -1, dtype=np.int8)
-    for start in range(0, hh_col.size, _SCATTER_ROWS):
-        stop = min(start + _SCATTER_ROWS, hh_col.size)
-        cells = hh_col[start:stop].astype(np.int64)
-        cells *= n_days * HALF_HOURS
-        cells += text_cell[text_col[start:stop]]
-        kwh.reshape(-1)[cells] = kwh_col[start:stop]
-        tariff.reshape(-1)[cells] = code_col[start:stop]
-        cols.release(start, stop)
-    unobserved = tariff < 0
-    np.copyto(kwh, np.nan, where=unobserved)
-    observed = np.logical_not(unobserved, out=unobserved)
-    if np.count_nonzero(observed) < hh_col.size:
-        return None
-    return dates, kwh, tariff, observed
+        if len(hh_col) == _LOOP_ROWS:
+            add_rows()
+    if hh_col:
+        add_rows()
 
 
 def read_consumption_csv(path):
@@ -469,22 +473,21 @@ def read_consumption_csv(path):
     Raises DataParseError / DataValidationError with the offending line;
     of several faults the one on the earliest line wins.
 
-    One pass fills flat columns (household index, timestamp id, kwh, tariff
-    code), parsing each distinct timestamp text once; the columns are
-    scattered into the grids at the end, a block of rows at a time, each
-    block's pages of the bulk columns given back as it is scattered. The
-    pass reads chunks of about _CHUNK_BYTES in bulk with numpy while they
-    are plain and pass every check. If a chunk does not, or the scatter
-    fills fewer cells than there are rows (a duplicate reading), the bulk
-    columns are dropped and a csv row loop reads the whole file from its
-    header; it raises every error, duplicates included, so messages and
-    line numbers are those of a row-at-a-time reader.
+    The file is read in chunks of about _CHUNK_BYTES, parsed in bulk with
+    numpy while they are plain and pass every check, each distinct
+    timestamp text parsed once; each chunk's rows go into the grids as soon
+    as it is parsed, and those grids are the ones returned. If a chunk is
+    not plain or fails a check, or the grids hold fewer cells than there
+    were rows (a duplicate reading), the grids are dropped and a csv row
+    loop reads the whole file from its header into new ones; it raises
+    every error, duplicates included, so messages and line numbers are
+    those of a row-at-a-time reader.
     """
-    cols = _Columns()
+    grids = _Grids()
     with open(path, "rb") as raw:
-        grids = _read_plain_chunks(raw, cols) and _scatter(cols)
-    if not grids:
-        cols = _Columns()                     # the bulk columns' pages go back
+        read = _read_plain_chunks(raw, grids) and grids.finish()
+    if not read:
+        grids = _Grids()                      # the bulk parse's grids go back
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             try:
@@ -493,15 +496,15 @@ def read_consumption_csv(path):
                 raise DataParseError("line 1: empty file") from None
             if header != CONSUMPTION_HEADER:
                 raise DataParseError(f"line 1: expected header {','.join(CONSUMPTION_HEADER)}")
-            _read_rows(reader, 2, cols)
-        grids = _scatter(cols)
-    dates, kwh, tariff, observed = grids
-    ids = list(cols.index_of)
+            _read_rows(reader, 2, grids)
+        read = grids.finish()
+    dates, kwh, tariff, observed = read
+    ids = list(grids.index_of)
     coverage = {hid: observed[i].sum() / observed[i].size for i, hid in enumerate(ids)}
     flagged = [hid for hid in ids if coverage[hid] < COVERAGE_THRESHOLD]
     if flagged:
         warnings.warn(f"{len(flagged)} household(s) below {COVERAGE_THRESHOLD:.0%} coverage")
-    return ConsumptionData(ids, cols.groups, dates, kwh, tariff, observed, coverage, flagged)
+    return ConsumptionData(ids, grids.groups, dates, kwh, tariff, observed, coverage, flagged)
 
 
 def read_temperature_csv(path):
@@ -839,21 +842,21 @@ def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
     """Repair, smooth, featurize and partition an ingested dataset.
 
     Households flagged for low coverage are dropped here (their ids stay in
-    .flagged), and the gaps of the others are repaired. The temperature PCA
-    is fit on training days only.
+    .flagged), and the gaps of the others are repaired. The repair is made
+    in the consumption's own grids, which become the dataset's: each kept
+    household moves down over the flagged ones before it, so consumption
+    is spent. The temperature PCA is fit on training days only.
     """
     kept = [i for i, hid in enumerate(consumption.household_ids)
             if hid not in consumption.flagged]
     if not kept:
         raise UnrecoverableDataError("no household passes the coverage threshold")
-    observed = consumption.observed
-    # filled one household at a time, so that one household's repaired copy
-    # is alive beside the two grids, not every household's
-    kwh = np.empty((len(kept),) + consumption.kwh.shape[1:], consumption.kwh.dtype)
-    tariff = np.empty(kwh.shape, consumption.tariff.dtype)
+    kwh, tariff, observed = consumption.kwh, consumption.tariff, consumption.observed
+    # one household at a time, so one household's repaired copy is alive beside
+    # the grids; row <= i, so no household is overwritten before it is read
     for row, i in enumerate(kept):
-        kwh[row] = repair_household(consumption.kwh[i], observed[i])
-        tariff[row] = repair_tariffs(consumption.tariff[i], observed[i])
+        kwh[row] = repair_household(kwh[i], observed[i])
+        tariff[row] = repair_tariffs(tariff[i], observed[i])
     tau = temperature_grid(temperature, consumption.dates)
     smoothed = smooth_temperature(tau, smoothing_a)
     calendar = build_calendar(consumption.dates)
@@ -863,8 +866,8 @@ def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
     return PreparedDataset(
         household_ids=[consumption.household_ids[i] for i in kept],
         groups=[consumption.groups[i] for i in kept],
-        kwh=kwh,
-        tariff=tariff,
+        kwh=kwh[:len(kept)],
+        tariff=tariff[:len(kept)],
         dates=list(consumption.dates),
         tau=tau,
         tau_bar=smoothed.grid,
@@ -884,35 +887,53 @@ PREPARED_KEYS = ("household_ids", "groups", "kwh", "tariff", "dates", "tau", "ta
                  "seed", "flagged", "smoothing_a")
 
 
+def _write_npy(fh, array):
+    """Write what np.save writes for array to fh, its data straight from
+    memory, _WRITE_BYTES at a time, where np.save copies up to 16 MiB of it
+    into bytes first. For arrays whose header fits format 1.0 (ValueError
+    for a longer one) and whose dtype holds no objects."""
+    header = np.lib.format.header_data_from_array_1_0(array)
+    np.lib.format.write_array_header_1_0(fh, header)
+    data = np.ascontiguousarray(array.T if header["fortran_order"] else array)
+    data = data.reshape(-1).view(np.uint8)
+    for start in range(0, data.size, _WRITE_BYTES):
+        fh.write(data[start:start + _WRITE_BYTES])
+
+
 def save_prepared(dataset, path):
-    # uncompressed: every later stage loads this file, and zlib cost more time than
-    # the ~45% it saves in size is worth
-    with replacing(path, "wb") as fh:
-        np.savez(
-            fh,
-            household_ids=np.array(dataset.household_ids),
-            groups=np.array(dataset.groups),
-            kwh=dataset.kwh,
-            tariff=dataset.tariff,
-            dates=np.array([d.isoformat() for d in dataset.dates]),
-            tau=dataset.tau,
-            tau_bar=dataset.tau_bar,
-            tau_bar_daily=dataset.tau_bar_daily,
-            w=dataset.calendar.w,
-            kappa=dataset.calendar.kappa,
-            pca_mean=dataset.pca.mean,
-            pca_components=dataset.pca.components,
-            pca_explained=dataset.pca.explained,
-            pca_score_min=dataset.pca.score_min,
-            pca_score_max=dataset.pca.score_max,
-            pca_scores=dataset.pca_scores,
-            train=dataset.partition.train,
-            test=dataset.partition.test,
-            fraction=np.array(dataset.partition.fraction),
-            seed=np.array(dataset.partition.seed),
-            flagged=np.array(dataset.flagged, dtype=str),
-            smoothing_a=np.array(dataset.smoothing_a),
-        )
+    """Write dataset to path as an npz file, byte for byte what np.savez
+    writes for its PREPARED_KEYS arrays; each array goes in through
+    _write_npy, so none is copied whole on the way."""
+    arrays = {
+        "household_ids": np.array(dataset.household_ids),
+        "groups": np.array(dataset.groups),
+        "kwh": dataset.kwh,
+        "tariff": dataset.tariff,
+        "dates": np.array([d.isoformat() for d in dataset.dates]),
+        "tau": dataset.tau,
+        "tau_bar": dataset.tau_bar,
+        "tau_bar_daily": dataset.tau_bar_daily,
+        "w": dataset.calendar.w,
+        "kappa": dataset.calendar.kappa,
+        "pca_mean": dataset.pca.mean,
+        "pca_components": dataset.pca.components,
+        "pca_explained": dataset.pca.explained,
+        "pca_score_min": dataset.pca.score_min,
+        "pca_score_max": dataset.pca.score_max,
+        "pca_scores": dataset.pca_scores,
+        "train": dataset.partition.train,
+        "test": dataset.partition.test,
+        "fraction": np.array(dataset.partition.fraction),
+        "seed": np.array(dataset.partition.seed),
+        "flagged": np.array(dataset.flagged, dtype=str),
+        "smoothing_a": np.array(dataset.smoothing_a),
+    }
+    # uncompressed, as np.savez writes: every later stage loads this file, and
+    # zlib cost more time than the ~45% it saves in size is worth
+    with replacing(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as npz:
+        for key, value in arrays.items():
+            with npz.open(key + ".npy", "w", force_zip64=True) as member:
+                _write_npy(member, np.asanyarray(value))
 
 
 def check_shapes(path, arrays, shapes, error, stage):

@@ -365,7 +365,7 @@ def stage_ingest(config, force=False):
         train_fraction=config.ingest.train_fraction,
         seed=derive_seed(config.seed, SEED_PARTITION),
     )
-    del data                  # the raw grids go before the file is written
+    del data                  # its observed grid goes before the file is written
     dataio.save_prepared(dataset, targets[0])
     return targets
 

@@ -1,6 +1,6 @@
 import csv
 import datetime
-from array import array
+import io
 import sys
 import tracemalloc
 import warnings
@@ -243,6 +243,20 @@ def outcome(path):
         return type(exc), str(exc)
 
 
+@pytest.fixture()
+def row_loop_starts(monkeypatch):
+    """Line numbers at which the row loop took over, one per read."""
+    starts = []
+    read_rows = dataio._read_rows
+
+    def spy(reader, line_no, grids):
+        starts.append(line_no)
+        return read_rows(reader, line_no, grids)
+
+    monkeypatch.setattr(dataio, "_read_rows", spy)
+    return starts
+
+
 THREE_DAYS = day_rows("a", D1) + day_rows("b", D1) + day_rows("a", D2) + day_rows("b", D2)
 
 
@@ -253,19 +267,6 @@ class TestChunkedRead:
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(dataio, "_CHUNK_BYTES", 100)
-
-    @pytest.fixture()
-    def row_loop_starts(self, monkeypatch):
-        """Line numbers at which the row loop took over, one per read."""
-        starts = []
-        read_rows = dataio._read_rows
-
-        def spy(reader, line_no, cols):
-            starts.append(line_no)
-            return read_rows(reader, line_no, cols)
-
-        monkeypatch.setattr(dataio, "_read_rows", spy)
-        return starts
 
     def test_mixed_file_matches_reference_without_the_row_loop(self, tmp_path, row_loop_starts):
         TestReadConsumption().test_matches_row_at_a_time_reader_bit_for_bit(tmp_path)
@@ -382,8 +383,8 @@ class TestChunkedRead:
     ])
     def test_plain_file_with_a_duplicate_is_read_again_by_the_row_loop(
             self, tmp_path, row_loop_starts, body, message):
-        # the bulk parse reads every line; its scatter fills one cell fewer than
-        # it read rows, so the row loop reads the file again to name the line
+        # the bulk parse reads every line; its grids hold one cell fewer than it
+        # read rows, so the row loop reads the file again to name the line
         assert outcome(write_csv(tmp_path / "c.csv", body)) == (
             dataio.DataValidationError, message)
         assert row_loop_starts == [2]
@@ -446,9 +447,8 @@ class TestChunkedRead:
 
     def test_rows_appended_during_the_read_are_read(self, tmp_path, monkeypatch,
                                                     row_loop_starts):
-        # the bulk columns are sized from the file size when the read starts;
-        # rows appended after that do not fit them, and the row loop then
-        # reads the whole file as it is by then
+        # the grids grow with the rows read, so rows appended after the read
+        # started, of new households on new days, are read in bulk with the rest
         path = write_csv(tmp_path / "c.csv", day_rows("a", D1))
         parse_chunk, appended = dataio._parse_chunk, []
 
@@ -461,7 +461,7 @@ class TestChunkedRead:
 
         monkeypatch.setattr(dataio, "_parse_chunk", parse_and_grow)
         assert_same_data(outcome(path), reference_read_consumption(path))
-        assert row_loop_starts == [2]
+        assert row_loop_starts == []
 
     @pytest.mark.parametrize("duplicate_at, error", [
         (6000, dataio.DataValidationError), (8192 + 200, UnicodeDecodeError),
@@ -486,9 +486,9 @@ class TestChunkedRead:
 
 
 def household_major_rows(n_households=12, n_days=8):
-    """Data rows of n_households TOU households over n_days, household by
-    household, with gaps (never at the first half-hour), every tariff and
-    kWh values above 0: a few pages of each bulk column."""
+    """(cell, household, line) of n_households TOU households over n_days,
+    household by household, with gaps (never at the first half-hour), every
+    tariff and kWh values above 0."""
     rng = np.random.default_rng(8)
     base = datetime.datetime.combine(D1, datetime.time())
     rows = []
@@ -503,119 +503,156 @@ def household_major_rows(n_households=12, n_days=8):
     return rows
 
 
-class TestBlockedScatter:
-    """_scatter puts the rows in their cells _SCATTER_ROWS at a time."""
+class TestGrowingGrids:
+    """The bulk parse writes each chunk's rows into grids that grow with the
+    households and days read."""
 
     @pytest.fixture()
-    def blocks_of(self, monkeypatch):
-        def set_rows(rows):
-            monkeypatch.setattr(dataio, "_SCATTER_ROWS", rows)
-        return set_rows
+    def chunks_of(self, monkeypatch):
+        def set_bytes(size):
+            monkeypatch.setattr(dataio, "_CHUNK_BYTES", size)
+        return set_bytes
 
     @pytest.fixture()
-    def scattered(self, monkeypatch):
-        """The _Columns of each scatter, kept after it returns."""
-        seen, scatter = [], dataio._scatter
+    def adds(self, monkeypatch):
+        """The rows of each _Grids.add call, one entry per call."""
+        seen, add = [], dataio._Grids.add
 
-        def spy(cols):
-            seen.append(cols)
-            return scatter(cols)
+        def spy(grids, household, *columns):
+            seen.append(household.size)
+            return add(grids, household, *columns)
 
-        monkeypatch.setattr(dataio, "_scatter", spy)
+        monkeypatch.setattr(dataio._Grids, "add", spy)
         return seen
 
-    @staticmethod
-    def assert_released(cols):
-        """The kWh column's pages below its last row's page read as zeros, given
-        back to the system; the rows on that last page keep their values."""
-        if dataio._DONTNEED is None:
-            return
-        kwh = cols.bulk[2][:cols.n_bulk]
-        whole = kwh.nbytes // dataio.mmap.PAGESIZE * dataio.mmap.PAGESIZE // kwh.itemsize
-        assert whole >= 1024 and not kwh[:whole].any() and kwh[whole:].all()
-
-    @pytest.mark.parametrize("rows", [1, 7, 100])
-    def test_released_blocks_fill_the_grids_of_one_block(self, tmp_path, blocks_of, scattered,
-                                                         rows):
+    @pytest.mark.parametrize("chunk", [100, 300, 1000])
+    def test_chunks_fill_the_grids_of_one_read(self, tmp_path, chunks_of, adds,
+                                               row_loop_starts, chunk):
         lines = [line for _, _, line in household_major_rows()]
         path = tmp_path / "c.csv"
         path.write_text(HEADER + "\n".join(lines) + "\n")
-        one_block = outcome(path)
-        blocks_of(rows)
+        one_read = outcome(path)
+        assert adds == [len(lines)]
+        chunks_of(chunk)
         got = outcome(path)
-        assert_same_data(got, one_block)
+        assert_same_data(got, one_read)
+        assert_same_data(got, reference_read_consumption(path))
         assert np.isnan(got.kwh).any() and (got.tariff == -1).any()
-        # both reads scattered the bulk columns; the row loop read nothing
-        assert [(cols.n_bulk, cols.loop[0]) for cols in scattered] == [(len(lines), array("i"))] * 2
-        for cols in scattered:
-            self.assert_released(cols)
+        # each chunk went into the grids as it was parsed; the row loop read nothing
+        assert len(adds) > len(path.read_bytes()) // chunk // 2 and sum(adds) == 2 * len(lines)
+        assert row_loop_starts == []
 
-    def test_timestamp_major_rows_fill_the_grids_of_household_major(self, tmp_path, blocks_of,
-                                                                    scattered):
+    @pytest.mark.parametrize("chunk", [100, 1000])
+    def test_mixed_file_fills_the_grids_of_one_read(self, tmp_path, chunks_of, chunk):
+        path = write_mixed_file(tmp_path / "c.csv")
+        one_read = outcome(path)
+        chunks_of(chunk)
+        got = outcome(path)
+        assert_same_data(got, one_read)
+        assert np.isnan(got.kwh).any() and (got.tariff == -1).any()
+
+    def test_timestamp_major_rows_fill_the_grids_of_household_major(self, tmp_path, chunks_of,
+                                                                    row_loop_starts):
+        # in timestamp order every chunk reads a day or two past the days laid out
         rows = household_major_rows()
         by_household, by_time = tmp_path / "h.csv", tmp_path / "t.csv"
         by_household.write_text(HEADER + "\n".join(line for _, _, line in rows) + "\n")
         by_time.write_text(HEADER + "\n".join(line for _, _, line in sorted(rows)) + "\n")
-        blocks_of(100)
+        chunks_of(1000)
         got = outcome(by_time)
         assert_same_data(got, outcome(by_household))
         assert got.household_ids == [f"h{i:02d}" for i in range(12)]
-        assert [cols.loop[0] for cols in scattered] == [array("i")] * 2
-        self.assert_released(scattered[0])
+        assert row_loop_starts == []
 
-    def test_duplicate_in_a_later_released_block_is_named_by_the_row_loop(
-            self, tmp_path, blocks_of, scattered, monkeypatch):
-        # the duplicate of h00's first reading, data row 1, is the file's last
-        # row: blocks of 100 rows give back the pages of row 1 long before it
+    def test_days_outside_the_first_households_grow_the_grids(self, tmp_path, chunks_of,
+                                                              row_loop_starts):
+        # a reads days 3-5, then b starts two days earlier and c ends three days later
+        days = [D1 + datetime.timedelta(days=t) for t in range(8)]
+        body = ("".join(day_rows("a", d, kwh=0.1 + t) for t, d in enumerate(days) if 2 <= t <= 4)
+                + "".join(day_rows("b", d, tariff="LOW", skip=(5,)) for d in days[:4])
+                + "".join(day_rows("c", d, tariff="HIGH") for d in days[1:]))
+        path = write_csv(tmp_path / "c.csv", body)
+        want = reference_read_consumption(path)
+        assert want.dates == days
+        for chunk in (100, 1000, 1 << 20):
+            chunks_of(chunk)
+            assert_same_data(outcome(path), want)
+        assert row_loop_starts == []
+
+    def test_timestamp_order_lays_the_grids_out_a_few_times(self, tmp_path, monkeypatch,
+                                                            chunks_of):
+        # 64 days in timestamp order, a few hours of them a chunk: the grids are
+        # laid out again as the days read pass the days laid out, each time with
+        # room for as many days again, so 7 times (1, 2, 4, ... 64 days), not 64
+        base = datetime.datetime.combine(D1, datetime.time())
+        lines = [f"{h},{(base + datetime.timedelta(minutes=30 * k)).isoformat(timespec='minutes')},"
+                 f"{k % 7 / 4},NORMAL,TOU" for k in range(64 * 48) for h in ("a", "b")]
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "\n".join(lines) + "\n")
+        chunks_of(1000)
+        maps, make = [], dataio._map
+        monkeypatch.setattr(dataio, "_map", lambda size: maps.append(size) or make(size))
+        got = outcome(path)
+        assert_same_data(got, reference_read_consumption(path))
+        # two mappings a layout, two empty ones to start from and one for the mask
+        assert len(maps) == 2 * 7 + 2 + 1
+
+    def test_grids_are_copied_where_mmap_cannot_resize(self, tmp_path, monkeypatch, chunks_of,
+                                                       row_loop_starts):
+        class Unresizable(dataio.mmap.mmap):
+            def resize(self, size):
+                raise SystemError("mmap: resizing not available--no mremap()")
+
+        path = tmp_path / "h.csv"
+        path.write_text(HEADER + "\n".join(line for _, _, line in household_major_rows()) + "\n")
+        late = tmp_path / "d.csv"
+        late.write_text(HEADER + day_rows("a", D2) + day_rows("b", D1) + day_rows("c", D3))
+        chunks_of(1000)
+        want = [outcome(path), outcome(late)]
+        monkeypatch.setattr(dataio, "_map",
+                            lambda size: Unresizable(-1, max(size, 1), **dataio._PRIVATE))
+        assert isinstance(dataio._Grids().maps[0], Unresizable)
+        for p, data in zip((path, late), want):
+            assert_same_data(outcome(p), data)
+        assert row_loop_starts == []
+
+    @pytest.mark.parametrize("chunk, original, copy_at", [
+        pytest.param(1 << 20, 100, 101, id="same-chunk"),
+        pytest.param(1000, 100, 2000, id="later-chunk"),
+        pytest.param(1000, 0, None, id="data-row-1-as-the-last-row"),
+    ])
+    def test_duplicate_is_named_by_the_row_loop(self, tmp_path, chunks_of, row_loop_starts,
+                                                chunk, original, copy_at):
         rows = [line for _, _, line in household_major_rows()]
-        first = rows[0].split(",")
-        rows.append(",".join(first[:2] + ["1.5", "NORMAL", "TOU"]))
+        fields = rows[original].split(",")
+        copy_at = len(rows) if copy_at is None else copy_at
+        rows.insert(copy_at, ",".join(fields[:2] + ["1.5", "NORMAL", "TOU"]))
         path = tmp_path / "d.csv"
         path.write_text(HEADER + "\n".join(rows) + "\n")
-        blocks_of(100)
-        starts, read_rows = [], dataio._read_rows
-
-        def spy(reader, line_no, cols):
-            starts.append(line_no)
-            return read_rows(reader, line_no, cols)
-
-        monkeypatch.setattr(dataio, "_read_rows", spy)
+        chunks_of(chunk)
         assert outcome(path) == (dataio.DataValidationError,
-                                 f"line {len(rows) + 1}: duplicate reading for h00 at {first[1]}")
-        assert starts == [2]
-        self.assert_released(scattered[0])
+                                 f"line {copy_at + 2}: duplicate reading for "
+                                 f"{fields[0]} at {fields[1]}")
+        assert row_loop_starts == [2]
 
-    @pytest.mark.parametrize("rows", [1, 7, 100])
-    def test_blocks_fill_the_grids_of_one_block(self, tmp_path, blocks_of, rows):
-        path = write_mixed_file(tmp_path / "c.csv")
-        one_block = outcome(path)             # 405 rows, less than one default block
-        blocks_of(rows)
-        got = outcome(path)
-        assert_same_data(got, one_block)
-        assert np.isnan(got.kwh).any() and (got.tariff == -1).any()
-
-    def test_duplicate_across_blocks_is_named_by_the_row_loop(self, tmp_path, blocks_of,
-                                                              monkeypatch):
-        # b's first 23:30 reading is data row 96 (line 97), its duplicate data
-        # row 193 (line 194): blocks of 8 rows put them in blocks 12 and 25
-        blocks_of(8)
-        starts, read_rows = [], dataio._read_rows
-
-        def spy(reader, line_no, cols):
-            starts.append(line_no)
-            return read_rows(reader, line_no, cols)
-
-        monkeypatch.setattr(dataio, "_read_rows", spy)
-        path = write_csv(tmp_path / "d.csv", THREE_DAYS + "b,2024-03-04T23:30,1.0,LOW,TOU\n")
-        assert outcome(path) == (
-            dataio.DataValidationError, "line 194: duplicate reading for b at 2024-03-04T23:30")
-        assert starts == [2]
+    def test_row_loop_adds_its_rows_a_block_at_a_time(self, tmp_path, monkeypatch,
+                                                      adds, row_loop_starts):
+        rows = [line for _, _, line in household_major_rows()]
+        path = tmp_path / "q.csv"                 # quoted, so only the row loop reads it
+        path.write_text(HEADER + "\n".join(f'"{line}"'.replace(",", '","') for line in rows)
+                        + "\n")
+        monkeypatch.setattr(dataio, "_LOOP_ROWS", 1000)
+        plain = tmp_path / "p.csv"
+        plain.write_text(HEADER + "\n".join(rows) + "\n")
+        assert_same_data(outcome(path), outcome(plain))
+        assert row_loop_starts == [2]
+        assert adds == [1000] * (len(rows) // 1000) + [len(rows) % 1000, len(rows)]
 
     def test_traced_peak_is_below_20_bytes_a_row(self, tmp_path):
         # 66 households x 100 days x 48 half-hours = 316,800 rows. The grids
         # take 10 bytes a cell (kwh, tariff, observed) and every cell is read
-        # once; the bulk columns live in mapped pages that tracemalloc does not
-        # see. Scattering every row at once took 28 bytes a row.
+        # once; the kWh and tariff grids live in mapped pages that tracemalloc
+        # does not see.
         base = datetime.datetime.combine(D1, datetime.time())
         stamps = [(base + datetime.timedelta(minutes=30 * k)).isoformat(timespec="minutes")
                   for k in range(100 * 48)]
@@ -938,19 +975,96 @@ class TestPreparedDataset:
             data = dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
         assert data.flagged == ["b"]
         assert not data.observed[[0, 2]].all()
-        ts = [datetime.datetime.combine(D1, datetime.time()) + datetime.timedelta(hours=k)
-              for k in range(8 * 24)]
-        temperature = dataio.TemperatureSeries(
-            ts, np.random.default_rng(5).normal(10.0, 3.0, len(ts)))
-        ds = dataio.prepare_dataset(data, temperature, train_fraction=0.75, seed=0)
+        # prepare_dataset repairs data's own grids, so the expected ones come first
+        kept = [0, 2]
+        kwh = np.stack([dataio.repair_household(data.kwh[i], data.observed[i]) for i in kept])
+        tariff = np.stack([dataio.repair_tariffs(data.tariff[i], data.observed[i]) for i in kept])
+        ds = dataio.prepare_dataset(data, eight_days_of_temperature(), train_fraction=0.75,
+                                    seed=0)
         assert ds.household_ids == ["a", "c"] and ds.groups == ["TOU", "STD"]
         assert ds.flagged == ["b"]
-        kept = [0, 2]
-        np.testing.assert_array_equal(ds.kwh, np.stack(
-            [dataio.repair_household(data.kwh[i], data.observed[i]) for i in kept]))
-        np.testing.assert_array_equal(ds.tariff, np.stack(
-            [dataio.repair_tariffs(data.tariff[i], data.observed[i]) for i in kept]))
+        np.testing.assert_array_equal(ds.kwh, kwh)
+        np.testing.assert_array_equal(ds.tariff, tariff)
         assert not np.isnan(ds.kwh).any() and (ds.tariff >= 0).all()
+
+    def test_repair_is_made_in_the_consumption_grids(self, tmp_path):
+        # b, flagged, lies between a and c, and e, flagged, after c and d: c and d
+        # move down one place, and a, repaired where it lies, keeps its place
+        days = [D1 + datetime.timedelta(days=t) for t in range(8)]
+        body = "".join(
+            day_rows("a", d, kwh=0.2 + 0.1 * t, tariff=("LOW", "HIGH")[t % 2],
+                     skip=range(40, 48) if t == 2 else ())
+            + day_rows("b", d, skip=range(0, 48, 2))
+            + day_rows("c", d, kwh=1.0 - 0.05 * t, tariff=("NORMAL", "LOW", "HIGH")[t % 3],
+                       skip=(3, 4) if t in (0, 7) else ())
+            + day_rows("d", d, kwh=0.7, tariff="FLAT", group="STD", skip=(t,))
+            + (day_rows("e", d) if t < 4 else "")
+            for t, d in enumerate(days))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            data = dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
+        assert data.flagged == ["b", "e"]
+        kwh, tariff, observed = data.kwh.copy(), data.tariff.copy(), data.observed.copy()
+        ds = dataio.prepare_dataset(data, eight_days_of_temperature(), seed=3)
+        assert ds.household_ids == ["a", "c", "d"]
+        np.testing.assert_array_equal(ds.kwh, np.stack(
+            [dataio.repair_household(kwh[i], observed[i]) for i in (0, 2, 3)]))
+        np.testing.assert_array_equal(ds.tariff, np.stack(
+            [dataio.repair_tariffs(tariff[i], observed[i]) for i in (0, 2, 3)]))
+        assert np.shares_memory(ds.kwh, data.kwh) and np.shares_memory(ds.tariff, data.tariff)
+        assert ds.kwh.flags.c_contiguous and ds.tariff.flags.c_contiguous
+
+    @pytest.mark.parametrize("slice_bytes", [7, 4096, None])
+    def test_saved_file_is_what_np_savez_writes(self, prepared_small, tmp_path, monkeypatch,
+                                                slice_bytes):
+        ds = prepared_small
+        if slice_bytes:
+            monkeypatch.setattr(dataio, "_WRITE_BYTES", slice_bytes)
+        assert ds.kwh.nbytes > 4 * dataio._WRITE_BYTES or slice_bytes is None
+        reference = tmp_path / "reference.npz"
+        np.savez(reference, household_ids=np.array(ds.household_ids),
+                 groups=np.array(ds.groups), kwh=ds.kwh, tariff=ds.tariff,
+                 dates=np.array([d.isoformat() for d in ds.dates]), tau=ds.tau,
+                 tau_bar=ds.tau_bar, tau_bar_daily=ds.tau_bar_daily, w=ds.calendar.w,
+                 kappa=ds.calendar.kappa, pca_mean=ds.pca.mean,
+                 pca_components=ds.pca.components, pca_explained=ds.pca.explained,
+                 pca_score_min=ds.pca.score_min, pca_score_max=ds.pca.score_max,
+                 pca_scores=ds.pca_scores, train=ds.partition.train, test=ds.partition.test,
+                 fraction=np.array(ds.partition.fraction), seed=np.array(ds.partition.seed),
+                 flagged=np.array(ds.flagged, dtype=str), smoothing_a=np.array(ds.smoothing_a))
+        path = tmp_path / "prepared.npz"
+        dataio.save_prepared(ds, path)
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = dataio.load_prepared(path)
+        for key in ("household_ids", "groups", "dates", "flagged", "smoothing_a"):
+            assert getattr(loaded, key) == getattr(ds, key), key
+        for key in ("kwh", "tariff", "tau", "tau_bar", "tau_bar_daily", "pca_scores"):
+            a, b = getattr(loaded, key), getattr(ds, key)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+
+    @pytest.mark.parametrize("array", [
+        np.array(["a", "bcd", "éf"]), np.array([], dtype=str), np.arange(-5, 5, dtype=np.int8),
+        np.linspace(0.0, 1.0, 3000).reshape(30, 100), np.array(0.25), np.array(7),
+        np.asfortranarray(np.arange(600.0).reshape(20, 30)), np.arange(600.0)[::3],
+        np.arange(300, dtype=">i4"), np.zeros((0, 48)),
+    ], ids=["str", "empty-str", "int8", "float64-over-many-slices", "0-d-float", "0-d-int",
+            "fortran-order", "strided", "big-endian", "empty-2-d"])
+    def test_npy_writer_writes_what_numpy_writes(self, monkeypatch, array):
+        monkeypatch.setattr(dataio, "_WRITE_BYTES", 1000)
+        got, want = io.BytesIO(), io.BytesIO()
+        dataio._write_npy(got, array)
+        np.lib.format.write_array(want, array)
+        assert got.getvalue() == want.getvalue()
+        got.seek(0)
+        loaded = np.lib.format.read_array(got)
+        assert loaded.dtype == array.dtype and np.array_equal(loaded, array)
+
+
+def eight_days_of_temperature():
+    """Hourly temperatures over the eight days from D1."""
+    ts = [datetime.datetime.combine(D1, datetime.time()) + datetime.timedelta(hours=k)
+          for k in range(8 * 24)]
+    return dataio.TemperatureSeries(ts, np.random.default_rng(5).normal(10.0, 3.0, len(ts)))
 
 
 class TestArtifactFiles:

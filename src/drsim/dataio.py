@@ -14,15 +14,17 @@ the text fields become ids through packed byte keys, kwh goes through one
 bytes -> float64 cast, and every check runs on the whole chunk at once. Its
 rows then go straight into the (n, T, 48) kWh and tariff grids, which grow
 with the households and days read, so each reading is held once, in the
-grids that are returned. If a chunk is not plain, or would fail a check, or
-two rows of a plain file hold one (household, half-hour) cell, what the
-bulk parse read is dropped and the csv row loop reads the whole file again
-from its header; it alone raises the parse and validation errors,
-duplicates included, so their messages and line numbers are those of a
-reader that reads every row that way, and its rows go into the same grids.
-prepare_dataset repairs those grids in place, moving the kept households
-down over the flagged ones, and adds the features; save_prepared writes
-each array into the npz from memory, with no whole-array copy.
+grids that are returned. A cell no row holds is NaN in kWh and -1 in
+tariff; the grids are the only record of which cells were read. If a chunk
+is not plain, or would fail a check, or two rows of a plain file hold one
+(household, half-hour) cell, what the bulk parse read is dropped and the
+csv row loop reads the whole file again from its header; it alone raises
+the parse and validation errors, duplicates included, so their messages and
+line numbers are those of a reader that reads every row that way, and its
+rows go into the same grids. prepare_dataset repairs those grids in place,
+filling the NaN and -1 cells and moving the kept households down over the
+flagged ones, and adds the features; save_prepared writes each array into
+the npz from memory, with no whole-array copy.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -89,8 +91,7 @@ class ConsumptionData:
     dates: list                # T datetime.date, consecutive
     kwh: np.ndarray            # (n, T, 48), NaN where unobserved
     tariff: np.ndarray         # (n, T, 48) int8, -1 where unobserved
-    observed: np.ndarray       # (n, T, 48) bool
-    coverage: dict             # id -> share of its T * 48 slots observed
+    coverage: dict             # id -> share of its T * 48 slots observed (tariff >= 0)
     flagged: list              # ids with coverage < threshold
 
 
@@ -211,9 +212,9 @@ class _Grids:
         self.rows += cells.size
 
     def finish(self):
-        """(dates, kwh, tariff, observed) of the rows added, the grids cut to
-        the days read, or None if two rows hold one cell. The cells no row
-        holds are NaN in kwh and -1 in tariff."""
+        """(dates, kwh, tariff) of the rows added, the grids cut to the days
+        read, or None if two rows hold one cell. The cells no row holds are
+        NaN in kwh and -1 in tariff."""
         if not self.rows:
             raise DataValidationError("no data rows")
         if np.count_nonzero(self.grids()[1]) < self.rows:
@@ -232,11 +233,10 @@ class _Grids:
                          for buf, size in zip(self.maps, self._nbytes(self.n, n_days))]
         kwh, tariff = self.grids()
         tariff -= 1
-        unobserved = tariff < 0
-        np.copyto(kwh, np.nan, where=unobserved)
-        observed = np.logical_not(unobserved, out=unobserved)
+        for i in range(self.n):           # a household's mask at a time, not the grid's
+            np.copyto(kwh[i], np.nan, where=tariff[i] < 0)
         dates = [datetime.date.fromordinal(d) for d in range(self.first, self.last + 1)]
-        return dates, kwh, tariff, observed
+        return dates, kwh, tariff
 
 
 def _distinct(keys):
@@ -465,7 +465,8 @@ def _read_rows(reader, line_no, grids):
 
 def read_consumption_csv(path):
     """Parse and validate a consumption CSV into (n, T, 48) grids, one row
-    per household in order of first appearance.
+    per household in order of first appearance, NaN in kwh and -1 in tariff
+    where no row holds the cell.
 
     Households with less than 95% slot coverage over the file's date range
     are listed in .flagged (they stay in the grids; prepare_dataset drops
@@ -498,13 +499,13 @@ def read_consumption_csv(path):
                 raise DataParseError(f"line 1: expected header {','.join(CONSUMPTION_HEADER)}")
             _read_rows(reader, 2, grids)
         read = grids.finish()
-    dates, kwh, tariff, observed = read
+    dates, kwh, tariff = read
     ids = list(grids.index_of)
-    coverage = {hid: observed[i].sum() / observed[i].size for i, hid in enumerate(ids)}
+    coverage = {hid: (tariff[i] >= 0).sum() / tariff[i].size for i, hid in enumerate(ids)}
     flagged = [hid for hid in ids if coverage[hid] < COVERAGE_THRESHOLD]
     if flagged:
         warnings.warn(f"{len(flagged)} household(s) below {COVERAGE_THRESHOLD:.0%} coverage")
-    return ConsumptionData(ids, grids.groups, dates, kwh, tariff, observed, coverage, flagged)
+    return ConsumptionData(ids, grids.groups, dates, kwh, tariff, coverage, flagged)
 
 
 def read_temperature_csv(path):
@@ -618,15 +619,15 @@ def _nearest_observed_day(observed_col, t):
     return int(days[np.argmin(np.abs(days - t))])
 
 
-def repair_household(kwh, observed):
-    """Fill unobserved slots of one household's (T, 48) grid.
+def repair_household(kwh):
+    """Fill the unobserved (NaN) slots of one household's (T, 48) grid.
 
     Gaps shorter than a day interpolate linearly along the flattened series.
     Day-long or edge gaps interpolate the same half-hour across the nearest
     observed days (copying when only one side exists). A household with no
     observations at all cannot be repaired.
     """
-    n_days, _ = kwh.shape
+    observed = ~np.isnan(kwh)
     if not observed.any():
         raise UnrecoverableDataError("household has no observations")
     out = kwh.copy()
@@ -664,13 +665,13 @@ def repair_household(kwh, observed):
     return out
 
 
-def repair_tariffs(tariff, observed):
-    """Fill unobserved tariff codes from the nearest observed day at the
-    same half-hour (ties to the earlier day); NORMAL if never observed."""
+def repair_tariffs(tariff):
+    """Fill the unobserved (-1) codes of one household's (T, 48) tariff grid
+    from the nearest observed day at the same half-hour (ties to the earlier
+    day); NORMAL if never observed."""
     out = tariff.copy()
-    missing = np.argwhere(~observed)
-    for t, h in missing:
-        src = _nearest_observed_day(observed[:, h], t)
+    for t, h in np.argwhere(tariff < 0):
+        src = _nearest_observed_day(tariff[:, h] >= 0, t)
         out[t, h] = NORMAL if src is None else tariff[src, h]
     return out
 
@@ -851,12 +852,12 @@ def prepare_dataset(consumption, temperature, smoothing_a=DEFAULT_SMOOTHING,
             if hid not in consumption.flagged]
     if not kept:
         raise UnrecoverableDataError("no household passes the coverage threshold")
-    kwh, tariff, observed = consumption.kwh, consumption.tariff, consumption.observed
+    kwh, tariff = consumption.kwh, consumption.tariff
     # one household at a time, so one household's repaired copy is alive beside
     # the grids; row <= i, so no household is overwritten before it is read
     for row, i in enumerate(kept):
-        kwh[row] = repair_household(kwh[i], observed[i])
-        tariff[row] = repair_tariffs(tariff[i], observed[i])
+        kwh[row] = repair_household(kwh[i])
+        tariff[row] = repair_tariffs(tariff[i])
     tau = temperature_grid(temperature, consumption.dates)
     smoothed = smooth_temperature(tau, smoothing_a)
     calendar = build_calendar(consumption.dates)

@@ -73,7 +73,7 @@ class SynthSection:
     })
     std_households: int = 0
     special_fraction: float = 0.5
-    window_shapes: tuple = ("morning_low", "evening_high", "random")
+    window_shapes: tuple = synthdata.WINDOW_SHAPES
 
 
 @dataclass
@@ -134,7 +134,7 @@ def _section(cls, raw, name, convert=None, counts=None, numbers=None):
     known = cls.__dataclass_fields__
     unknown = set(raw) - set(known)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {name} section: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {name} section: {sorted(unknown, key=str)}")
     values = dict(raw)
     for key, fn in (convert or {}).items():
         if key in values:
@@ -181,7 +181,7 @@ def load_config(path, seed=None, out=None):
     unknown = set(raw) - {"seed", "out", "synth", "ingest", "cluster", "train",
                           "evaluate", "scenario"}
     if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level key(s): {sorted(unknown, key=str)}")
 
     # an empty value means its default, as an empty section does
     seed = raw.get("seed") if seed is None else seed
@@ -199,13 +199,17 @@ def load_config(path, seed=None, out=None):
             counts={"n_days": 1, "std_households": 0},
             numbers={"special_fraction": (lambda f: 0 <= f <= 1, "in [0, 1]")},
         )
+        try:                  # the schedule's own check, before synth makes the run directory
+            synthdata.SchedulePolicy(window_shapes=config.synth.window_shapes)
+        except synthdata.SynthError as exc:
+            raise ConfigError(f"synth.window_shapes: {exc}") from None
         households = config.synth.households
         if not isinstance(households, dict):
             raise ConfigError(f"synth.households must be a mapping, got {households!r}")
         known = {a.name for a in synthdata.default_archetypes()}
-        bad = set(households) - known
+        bad = sorted(set(households) - known, key=str)
         if bad:
-            raise ConfigError(f"unknown archetype(s): {sorted(bad)} (known: {sorted(known)})")
+            raise ConfigError(f"unknown archetype(s): {bad} (known: {sorted(known)})")
         for name, n in households.items():
             _check_count(f"synth.households.{name}", n, least=0)
     if "ingest" in raw:
@@ -229,9 +233,9 @@ def load_config(path, seed=None, out=None):
         })
         if not config.train.generators:
             raise ConfigError("train.generators lists no generator")
-        bad = set(config.train.generators) - set(GENERATORS)
+        bad = [g for g in config.train.generators if g not in tuple(GENERATORS)]
         if bad:
-            raise ConfigError(f"unknown generator(s): {sorted(bad)}")
+            raise ConfigError(f"unknown generator(s) in train.generators: {bad}")
         if len(set(config.train.generators)) < len(config.train.generators):
             raise ConfigError(f"train.generators repeats a name: {config.train.generators}")
         if "seed" in ((raw["train"] or {}).get("cvae") or {}):
@@ -249,11 +253,11 @@ def load_config(path, seed=None, out=None):
             ScenarioSection, raw["scenario"], "scenario", convert={"scenarios": tuple},
             counts={"n_samples": 1},
         )
-        if config.scenario.generator not in GENERATORS:
-            raise ConfigError(f"unknown scenario generator {config.scenario.generator!r}")
-        bad = set(config.scenario.scenarios) - set(SCENARIO_NAMES)
+        if config.scenario.generator not in tuple(GENERATORS):
+            raise ConfigError(f"scenario.generator={config.scenario.generator!r} is unknown")
+        bad = [s for s in config.scenario.scenarios if s not in SCENARIO_NAMES]
         if bad:
-            raise ConfigError(f"unknown scenario(s) in scenario.scenarios: {sorted(bad)}")
+            raise ConfigError(f"unknown scenario(s) in scenario.scenarios: {bad}")
         if not config.scenario.scenarios:
             raise ConfigError("scenario.scenarios lists no scenario")
         if len(set(config.scenario.scenarios)) < len(config.scenario.scenarios):
@@ -365,7 +369,6 @@ def stage_ingest(config, force=False):
         train_fraction=config.ingest.train_fraction,
         seed=derive_seed(config.seed, SEED_PARTITION),
     )
-    del data                  # its observed grid goes before the file is written
     dataio.save_prepared(dataset, targets[0])
     return targets
 

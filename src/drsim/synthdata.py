@@ -174,18 +174,19 @@ def simulate_weather(n_days, start_date, config=None, seed=0):
     return TemperatureSeries(timestamps, temps)
 
 
+WINDOW_SHAPES = ("morning_low", "evening_high", "random")
+
+
 @dataclass
 class SchedulePolicy:
     special_fraction: float = 0.5
-    window_shapes: tuple = ("morning_low", "evening_high", "random")
+    window_shapes: tuple = WINDOW_SHAPES   # drawn uniformly; a repeated shape weighs more
 
     def __post_init__(self):
         if not 0.0 <= self.special_fraction <= 1.0:
             raise SynthError("special-day fraction outside [0, 1]")
-        known = {"morning_low", "evening_high", "random"}
-        bad = set(self.window_shapes) - known
-        if bad or not self.window_shapes:
-            raise SynthError(f"unknown window shapes: {sorted(bad)}")
+        if not self.window_shapes or any(s not in WINDOW_SHAPES for s in self.window_shapes):
+            raise SynthError(f"window shapes {list(self.window_shapes)} must be of {WINDOW_SHAPES}")
 
 
 def _window_cells(window):
@@ -305,12 +306,6 @@ def simulate_households(members, tau, w, rng):
         clamped += int(np.count_nonzero(out < 0))
         np.maximum(out, 0.0, out=out)
     return kwh, clamped
-
-
-def simulate_household(arch, tau, w, schedule, rng):
-    """One household's (T, 48) consumption; returns (kwh, clamped_count)."""
-    kwh, clamped = simulate_households([(arch, schedule)], tau, w, rng)
-    return kwh[0], clamped
 
 
 @dataclass

@@ -588,6 +588,29 @@ class TestValidation:
         pytest.param("synth: {n_days: '40'}\n", "synth.n_days", id="text-days"),
         pytest.param("synth: {window_shapes: random}\n", "synth.window_shapes",
                      id="text-window-shapes"),
+        pytest.param("synth: {window_shapes: [bogus]}\n", "synth.window_shapes",
+                     id="unknown-window-shape"),
+        pytest.param("synth: {window_shapes: []}\n", "synth.window_shapes",
+                     id="no-window-shape"),
+        pytest.param("synth: {window_shapes: [[random]]}\n", "synth.window_shapes",
+                     id="list-window-shape"),
+        pytest.param("synth: {households: {1: 2, x: 3}}\n", "unknown archetype(s): [1, 'x']",
+                     id="mixed-archetype-keys"),
+        pytest.param("train: {generators: [[gam]]}\n", "train.generators",
+                     id="list-generator"),
+        pytest.param("scenario: {scenarios: [[normal]]}\n", "scenario.scenarios",
+                     id="list-scenario"),
+        pytest.param("scenario: {generator: [gam]}\n", "scenario.generator",
+                     id="list-scenario-generator"),
+        pytest.param("scenario: {generator: {a: 1}}\n", "scenario.generator",
+                     id="mapping-scenario-generator"),
+        pytest.param("scenario: {generator: gan}\n", "scenario.generator",
+                     id="unknown-scenario-generator"),
+        pytest.param("cluster: {1: 2, x: 3}\n", "cluster section: [1, 'x']",
+                     id="mixed-cluster-keys"),
+        pytest.param("train: {cvae: {1: 2, x: 3}}\n", "train.cvae section: [1, 'x']",
+                     id="mixed-cvae-keys"),
+        pytest.param("1: 2\nx: 3\n", "top-level key(s): [1, 'x']", id="mixed-top-level-keys"),
         pytest.param("synth: {start_date: notadate}\n", "synth.start_date", id="text-start-date"),
         pytest.param("synth: {start_date: 2024-02-30}\n", "synth.start_date",
                      id="impossible-start-date"),
@@ -634,6 +657,14 @@ class TestValidation:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["type"] == "ConfigError"
         assert named in payload["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+
+    def test_repeated_window_shapes_accepted(self, tmp_path):
+        # a repeated shape weighs more in the schedule's draw
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("synth: {window_shapes: [random, random, morning_low]}\n")
+        shapes = ("random", "random", "morning_low")
+        assert pipeline.load_config(cfg).synth.window_shapes == shapes
 
     @pytest.mark.parametrize("text", [
         pytest.param("ingest: {smoothing_a: 0, train_fraction: 0.5}\n", id="ingest"),

@@ -71,8 +71,8 @@ def reference_read_consumption(path):
     observed = ~np.isnan(kwh)
     coverage = {hid: observed[i].sum() / observed[i].size for i, hid in enumerate(ids)}
     flagged = [hid for hid in ids if coverage[hid] < dataio.COVERAGE_THRESHOLD]
-    return dataio.ConsumptionData(ids, [groups[hid] for hid in ids], dates, kwh, tar, observed,
-                                  coverage, flagged)
+    return dataio.ConsumptionData(ids, [groups[hid] for hid in ids], dates, kwh, tar, coverage,
+                                  flagged)
 
 
 class TestReadConsumption:
@@ -82,7 +82,7 @@ class TestReadConsumption:
         assert data.dates == small_population.dates
         np.testing.assert_allclose(data.kwh, small_population.kwh, atol=5e-7)
         np.testing.assert_array_equal(data.tariff, small_population.tariff)
-        assert data.observed.all()
+        assert not np.isnan(data.kwh).any()
         assert set(data.coverage.values()) == {1.0}
 
     def test_flat_maps_to_normal(self, small_population, small_csv_dir):
@@ -158,7 +158,8 @@ class TestReadConsumption:
         body = day_rows("a", D1) + day_rows("a", D2, skip=(7,))
         data = dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
         assert data.flagged == []
-        assert not data.observed[0, 1, 7] and data.observed.sum() == 95
+        assert np.isnan(data.kwh[0, 1, 7]) and data.tariff[0, 1, 7] == -1
+        assert np.count_nonzero(~np.isnan(data.kwh)) == np.count_nonzero(data.tariff >= 0) == 95
 
     @pytest.mark.parametrize("body, error, match", [
         pytest.param(day_rows("a", D1) + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n"
@@ -224,13 +225,15 @@ def write_mixed_file(path):
 
 def assert_same_data(got, want):
     """Two ConsumptionData hold the same ids, groups, dates, coverage and
-    grids, bit for bit."""
+    grids, bit for bit, and got's grids mark the same cells unread: NaN in
+    kwh where tariff is -1."""
     assert got.household_ids == want.household_ids and got.groups == want.groups
     assert got.dates == want.dates
     assert got.coverage == want.coverage and got.flagged == want.flagged
-    for name in ("kwh", "tariff", "observed"):
+    for name in ("kwh", "tariff"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    np.testing.assert_array_equal(np.isnan(got.kwh), got.tariff < 0)
 
 
 def outcome(path):
@@ -648,11 +651,29 @@ class TestGrowingGrids:
         assert row_loop_starts == [2]
         assert adds == [1000] * (len(rows) // 1000) + [len(rows) % 1000, len(rows)]
 
+    def test_finish_marks_unread_cells_a_household_at_a_time(self, tmp_path):
+        # the NaN fill takes one household's mask at a time: its traced peak
+        # stays far below one boolean of the whole grid
+        rows = household_major_rows(n_households=24, n_days=20)
+        path = tmp_path / "g.csv"
+        path.write_text(HEADER + "\n".join(line for _, _, line in rows) + "\n")
+        grids = dataio._Grids()
+        with open(path, "rb") as raw:
+            assert dataio._read_plain_chunks(raw, grids)
+        tracemalloc.start()
+        try:
+            _, kwh, tariff = grids.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(tariff < 0) == sum(5 + i for i in range(24))
+        np.testing.assert_array_equal(np.isnan(kwh), tariff < 0)
+        assert peak < tariff.size // 4
+
     def test_traced_peak_is_below_20_bytes_a_row(self, tmp_path):
         # 66 households x 100 days x 48 half-hours = 316,800 rows. The grids
-        # take 10 bytes a cell (kwh, tariff, observed) and every cell is read
-        # once; the kWh and tariff grids live in mapped pages that tracemalloc
-        # does not see.
+        # take 9 bytes a cell (kwh, tariff) and every cell is read once; they
+        # live in mapped pages that tracemalloc does not see.
         base = datetime.datetime.combine(D1, datetime.time())
         stamps = [(base + datetime.timedelta(minutes=30 * k)).isoformat(timespec="minutes")
                   for k in range(100 * 48)]
@@ -668,7 +689,7 @@ class TestGrowingGrids:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert data.kwh.shape == (66, 100, 48) and data.observed.all()
+        assert data.kwh.shape == (66, 100, 48) and (data.tariff >= 0).all()
         assert peak < 20 * 316_800
 
 
@@ -698,61 +719,54 @@ class TestTemperature:
 
 class TestRepair:
     def test_short_gap_linear_interpolation(self):
-        kwh = np.full((1, 48), np.nan)
-        kwh[0, :] = 1.0
-        kwh[0, 10] = np.nan
-        observed = ~np.isnan(kwh)
-        kwh[0, 9], kwh[0, 11] = 1.0, 3.0
-        out = dataio.repair_household(np.nan_to_num(kwh), observed)
+        kwh = np.ones((1, 48))
+        kwh[0, 9:12] = 1.0, np.nan, 3.0
+        out = dataio.repair_household(kwh)
         assert out[0, 10] == pytest.approx(2.0)
+        assert np.isnan(kwh[0, 10])           # the input is not touched
 
     def test_run_of_three_interpolates(self):
         kwh = np.arange(96, dtype=float).reshape(2, 48)
-        observed = np.ones((2, 48), dtype=bool)
-        observed[0, 20:23] = False
-        out = dataio.repair_household(kwh, observed)
+        kwh[0, 20:23] = np.nan
+        out = dataio.repair_household(kwh)
         np.testing.assert_allclose(out[0, 20:23], [20.0, 21.0, 22.0])
 
     def test_full_day_gap_uses_neighbour_days(self):
-        kwh = np.stack([np.full(48, 1.0), np.zeros(48), np.full(48, 3.0)])
-        observed = np.ones((3, 48), dtype=bool)
-        observed[1] = False
-        out = dataio.repair_household(kwh, observed)
+        kwh = np.stack([np.full(48, 1.0), np.full(48, np.nan), np.full(48, 3.0)])
+        out = dataio.repair_household(kwh)
         np.testing.assert_allclose(out[1], 2.0)
 
     def test_edge_gap_copies_nearest_day(self):
-        kwh = np.stack([np.zeros(48), np.full(48, 5.0), np.full(48, 7.0)])
-        observed = np.ones((3, 48), dtype=bool)
-        observed[0] = False
-        out = dataio.repair_household(kwh, observed)
+        kwh = np.stack([np.full(48, np.nan), np.full(48, 5.0), np.full(48, 7.0)])
+        out = dataio.repair_household(kwh)
         np.testing.assert_allclose(out[0], 5.0)
 
     def test_no_observations_raises(self):
         with pytest.raises(dataio.UnrecoverableDataError):
-            dataio.repair_household(np.zeros((2, 48)), np.zeros((2, 48), dtype=bool))
+            dataio.repair_household(np.full((2, 48), np.nan))
 
     def test_repair_preserves_observed_and_is_idempotent(self, rng):
         kwh = rng.uniform(0.1, 2.0, size=(6, 48))
         observed = rng.uniform(size=(6, 48)) > 0.1
-        out = dataio.repair_household(np.where(observed, kwh, 0.0), observed)
+        out = dataio.repair_household(np.where(observed, kwh, np.nan))
         np.testing.assert_array_equal(out[observed], kwh[observed])
-        again = dataio.repair_household(out, np.ones_like(observed))
+        assert not np.isnan(out).any()
+        again = dataio.repair_household(out)
         np.testing.assert_array_equal(again, out)
 
     def test_repair_tariffs_nearest_day_ties_earlier(self):
         tariff = np.full((4, 48), NORMAL, dtype=np.int8)
-        tariff[0, 5], tariff[2, 5] = LOW, HIGH
-        observed = np.ones((4, 48), dtype=bool)
-        observed[1, 5] = False
-        out = dataio.repair_tariffs(tariff, observed)
+        tariff[0, 5], tariff[1, 5], tariff[2, 5] = LOW, -1, HIGH
+        out = dataio.repair_tariffs(tariff)
         assert out[1, 5] == LOW  # days 0 and 2 tie; earlier wins
+        assert tariff[1, 5] == -1            # the input is not touched
 
     def test_repair_tariffs_defaults_to_normal(self):
         tariff = np.full((2, 48), HIGH, dtype=np.int8)
-        observed = np.ones((2, 48), dtype=bool)
-        observed[:, 3] = False
-        out = dataio.repair_tariffs(tariff, observed)
+        tariff[:, 3] = -1
+        out = dataio.repair_tariffs(tariff)
         assert out[0, 3] == NORMAL and out[1, 3] == NORMAL
+        assert (np.delete(out, 3, axis=1) == HIGH).all()
 
 
 class TestSmoothing:
@@ -974,11 +988,11 @@ class TestPreparedDataset:
             warnings.simplefilter("ignore")
             data = dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
         assert data.flagged == ["b"]
-        assert not data.observed[[0, 2]].all()
+        assert np.isnan(data.kwh[0]).any() and np.isnan(data.kwh[2]).any()
         # prepare_dataset repairs data's own grids, so the expected ones come first
         kept = [0, 2]
-        kwh = np.stack([dataio.repair_household(data.kwh[i], data.observed[i]) for i in kept])
-        tariff = np.stack([dataio.repair_tariffs(data.tariff[i], data.observed[i]) for i in kept])
+        kwh = np.stack([dataio.repair_household(data.kwh[i]) for i in kept])
+        tariff = np.stack([dataio.repair_tariffs(data.tariff[i]) for i in kept])
         ds = dataio.prepare_dataset(data, eight_days_of_temperature(), train_fraction=0.75,
                                     seed=0)
         assert ds.household_ids == ["a", "c"] and ds.groups == ["TOU", "STD"]
@@ -1004,13 +1018,13 @@ class TestPreparedDataset:
             warnings.simplefilter("ignore")
             data = dataio.read_consumption_csv(write_csv(tmp_path / "c.csv", body))
         assert data.flagged == ["b", "e"]
-        kwh, tariff, observed = data.kwh.copy(), data.tariff.copy(), data.observed.copy()
+        kwh, tariff = data.kwh.copy(), data.tariff.copy()
         ds = dataio.prepare_dataset(data, eight_days_of_temperature(), seed=3)
         assert ds.household_ids == ["a", "c", "d"]
         np.testing.assert_array_equal(ds.kwh, np.stack(
-            [dataio.repair_household(kwh[i], observed[i]) for i in (0, 2, 3)]))
+            [dataio.repair_household(kwh[i]) for i in (0, 2, 3)]))
         np.testing.assert_array_equal(ds.tariff, np.stack(
-            [dataio.repair_tariffs(tariff[i], observed[i]) for i in (0, 2, 3)]))
+            [dataio.repair_tariffs(tariff[i]) for i in (0, 2, 3)]))
         assert np.shares_memory(ds.kwh, data.kwh) and np.shares_memory(ds.tariff, data.tariff)
         assert ds.kwh.flags.c_contiguous and ds.tariff.flags.c_contiguous
 

@@ -157,8 +157,12 @@ class TestSchedule:
     def test_policy_validation(self):
         with pytest.raises(synthdata.SynthError):
             synthdata.SchedulePolicy(special_fraction=1.5)
-        with pytest.raises(synthdata.SynthError):
+        with pytest.raises(synthdata.SynthError, match=r"^window shapes \['midnight_low'\] "):
             synthdata.SchedulePolicy(window_shapes=("midnight_low",))
+        with pytest.raises(synthdata.SynthError, match=r"^window shapes \[\] must be of "):
+            synthdata.SchedulePolicy(window_shapes=())
+        # a repeated shape is allowed: it weighs more in the draw
+        synthdata.SchedulePolicy(window_shapes=("random", "random", "morning_low"))
 
 
 class TestWeather:
@@ -190,7 +194,7 @@ class TestSimulateHousehold:
         w = np.array([1.0, 0.0])
         schedule = np.full((2, 48), NORMAL, dtype=np.int8)
         schedule[1, 9:19] = LOW
-        kwh, clamped = synthdata.simulate_household(arch, tau, w, schedule, ZeroRng())
+        (kwh,), clamped = synthdata.simulate_households([(arch, schedule)], tau, w, ZeroRng())
         assert clamped == 0
         expected0 = arch.base_shape + 0.02 * (20.0 - TEMP_REF_C) + 0.3
         expected1 = (arch.base_shape + 0.02 * (10.0 - TEMP_REF_C)
@@ -202,7 +206,8 @@ class TestSimulateHousehold:
         arch = make_arch(base_shape=np.full(48, 0.01), delta_high=-0.5, rebound=0.0)
         tau = np.full((1, 48), TEMP_REF_C)
         schedule = np.full((1, 48), HIGH, dtype=np.int8)
-        kwh, clamped = synthdata.simulate_household(arch, tau, np.zeros(1), schedule, ZeroRng())
+        (kwh,), clamped = synthdata.simulate_households([(arch, schedule)], tau, np.zeros(1),
+                                                        ZeroRng())
         assert clamped == 48
         np.testing.assert_array_equal(kwh, 0.0)
 
@@ -212,7 +217,8 @@ class TestSimulateHousehold:
         tau = np.full((n_days, 48), TEMP_REF_C)
         schedule = np.full((n_days, 48), NORMAL, dtype=np.int8)
         w = np.zeros(n_days)
-        kwh, _ = synthdata.simulate_household(arch, tau, w, schedule, np.random.default_rng(5))
+        (kwh,), _ = synthdata.simulate_households([(arch, schedule)], tau, w,
+                                                  np.random.default_rng(5))
         noise = kwh - 0.5
         assert noise.std() == pytest.approx(0.1, rel=0.05)
         lag1 = np.corrcoef(noise[:, :-1].ravel(), noise[:, 1:].ravel())[0, 1]

@@ -88,6 +88,11 @@ def check_k(k, n):
         raise ClusteringError(f"k={k} outside 1..{n}")
 
 
+def _residual_norm(m, w, h, out):
+    """The Frobenius norm of m - w @ h, worked out in out (m's shape)."""
+    return float(np.linalg.norm(np.subtract(m, np.matmul(w, h, out=out), out=out)))
+
+
 def nmf_factorize(m, r=5, seed=0, max_iter=500, tol=1e-5):
     """Multiplicative-update NMF minimizing the Frobenius reconstruction error.
 
@@ -112,12 +117,16 @@ def nmf_factorize(m, r=5, seed=0, max_iter=500, tol=1e-5):
     w = np.abs(rng.standard_normal((m.shape[0], r))) * scale
     h = np.abs(rng.standard_normal((r, m.shape[1]))) * scale
 
-    errors = [float(np.linalg.norm(m - w @ h))]
+    # w @ h, the one temporary as large as m, goes into one buffer: allocated
+    # on each use, its pages can be mapped and faulted in afresh each time,
+    # which doubled a trial-scale NMF when the heap held no free block as large
+    wh = np.empty_like(m)
+    errors = [_residual_norm(m, w, h, wh)]
     converged = False
     for _ in range(max_iter):
-        w = w * (m @ h.T) / np.maximum(w @ h @ h.T, NMF_EPS)
+        w = w * (m @ h.T) / np.maximum(np.matmul(w, h, out=wh) @ h.T, NMF_EPS)
         h = h * (w.T @ m) / np.maximum(w.T @ w @ h, NMF_EPS)
-        err = float(np.linalg.norm(m - w @ h))
+        err = _residual_norm(m, w, h, wh)
         prev = errors[-1]
         errors.append(err)
         if prev > 0 and (prev - err) / prev < tol:

@@ -7,24 +7,29 @@ the day. Tariffs are LOW/NORMAL/HIGH for time-of-use households and FLAT for
 standard ones; FLAT maps to NORMAL internally so every series lives on the
 same three-level code.
 
-read_consumption_csv reads the file in byte chunks of about 1 MB, each cut
-at a line end. A plain chunk (ASCII without quotes, NUL or lone CR, 5 fields
-on every non-blank line, no field wider than the keys) is parsed with numpy:
-the text fields become ids through packed byte keys, kwh goes through one
-bytes -> float64 cast, and every check runs on the whole chunk at once. Its
-rows then go straight into the (n, T, 48) kWh and tariff grids, which grow
-with the households and days read, so each reading is held once, in the
-grids that are returned. A cell no row holds is NaN in kWh and -1 in
-tariff; the grids are the only record of which cells were read. If a chunk
-is not plain, or would fail a check, or two rows of a plain file hold one
-(household, half-hour) cell, what the bulk parse read is dropped and the
-csv row loop reads the whole file again from its header; it alone raises
-the parse and validation errors, duplicates included, so their messages and
-line numbers are those of a reader that reads every row that way, and its
-rows go into the same grids. prepare_dataset repairs those grids in place,
-filling the NaN and -1 cells and moving the kept households down over the
-flagged ones, and adds the features; save_prepared writes each array into
-the npz from memory, with no whole-array copy.
+read_consumption_csv reads the file in chunks: the lines that start in one
+byte range of about 1 MB. The chunks are parsed on the usable CPUs
+(parallel.imap_forked), each worker reading its range itself (preadv), and
+merged in file order by the parent, a few chunks behind. A plain chunk
+(ASCII without quotes, NUL or lone CR, 5 fields on every non-blank line, no
+field wider than the keys) is parsed with numpy: the text fields become ids
+through packed byte keys, each distinct timestamp text is parsed once per
+worker, kwh goes through one bytes -> float64 cast, and every check runs on
+the whole chunk at once. The merge numbers the chunk's households after
+those read before and puts its rows straight into the (n, T, 48) kWh and
+tariff grids, which grow with the households and days read, so each reading
+is held once, in the grids that are returned. A cell no row holds is NaN
+in kWh and -1 in tariff; the grids are the only record of which cells were
+read. If a chunk is not plain, or would fail a check, or two rows of a
+plain file hold one (household, half-hour) cell, what the bulk parse read
+is dropped and the csv row loop reads the whole file again from its header;
+it alone raises the parse and validation errors, duplicates included, so
+their messages and line numbers are those of a reader that reads every row
+that way, whichever chunk finishes first, and its rows go into the same
+grids. prepare_dataset repairs those grids in place, filling the NaN and -1
+cells and moving the kept households down over the flagged ones, and adds
+the features; save_prepared writes each array into the npz from memory,
+with no whole-array copy.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -45,6 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import parallel
+
 HALF_HOURS = 48
 LOW, NORMAL, HIGH = 0, 1, 2
 TARIFF_NAMES = ("LOW", "NORMAL", "HIGH")
@@ -57,8 +64,9 @@ TEMPERATURE_HEADER = ["timestamp", "temp_c"]
 COVERAGE_THRESHOLD = 0.95
 DEFAULT_SMOOTHING = 0.998
 
-_CHUNK_BYTES = 1 << 20  # bytes per bulk read of a consumption file, cut back to a line end
+_CHUNK_BYTES = 1 << 20  # bytes of a consumption file whose lines make one bulk-parse chunk
 _KEY_BYTES = 32         # widest field the bulk parse takes; a wider one goes to the row loop
+_LINE_BYTES = 5 * _KEY_BYTES + 6  # longest plain line: 5 fields, 4 commas, CR and LF
 _LOOP_ROWS = 1 << 16    # rows the row loop holds before it adds them to the grids
 _WRITE_BYTES = 1 << 20  # bytes of an array save_prepared hands to the npz file at a time
 # anonymous mappings private to the process, where mmap can make them
@@ -167,8 +175,6 @@ class _Grids:
         self.start = self.days = 0      # ordinal of the grids' first day; days laid out
         self.first = self.last = None   # ordinals of the first and last day read
         self.rows = 0                   # rows added
-        # the bulk parse's timestamp texts as sorted bytes, and their half-hours
-        self.ts_keys, self.ts_half_hours = np.array([], dtype="S1"), np.array([], np.int64)
 
     def grids(self):
         """The kWh and tariff grids, (n, days, 48) views of the mappings."""
@@ -306,94 +312,175 @@ def _split_chunk(buf, size, mask):
     return [field(j) for j in range(5)]
 
 
-def _parse_chunk(buf, size, grids, mask):
-    """Add the rows of buf[:size], whole lines, to grids and return True, or
-    return False if those lines are not plain or a row in them would fail a
-    check; grids is then only fit to be dropped."""
+class _Stamps:
+    """The timestamp texts a bulk parse has met, sorted, and their half-hours
+    (see _half_hour): each distinct text is parsed once per process."""
+
+    def __init__(self):
+        self.keys, self.half_hours = np.array([], dtype="S1"), np.array([], np.int32)
+
+    def half_hours_of(self, ts):
+        """The half-hours (int32) of the timestamp texts ts, or None if one
+        of them is not a timestamp on the half-hour grid."""
+        half_hour = np.full(ts.size, -1, np.int32)
+        if self.keys.size:
+            at = np.minimum(np.searchsorted(self.keys, ts), self.keys.size - 1)
+            known = self.keys[at] == ts
+            half_hour[known] = self.half_hours[at[known]]
+        unknown = np.flatnonzero(half_hour < 0)
+        new_rows, new_id = _distinct(ts[unknown])
+        new_keys = ts[unknown[new_rows]]
+        try:
+            new = np.array([_half_hour(text, 0) for text in _decoded(new_keys)], np.int32)
+        except ValueError:
+            return None
+        half_hour[unknown] = new[new_id]
+        if new_keys.size:
+            keys = np.concatenate([self.keys, new_keys])
+            order = np.argsort(keys)
+            self.keys, self.half_hours = keys[order], np.concatenate([self.half_hours, new])[order]
+        return half_hour
+
+
+def _read_at(fd, view, offset):
+    """Fill view with the bytes of fd from offset on, up to the end of the
+    file, and return how many were read. preadv reads straight into view
+    and leaves the file position, which fork shares with the pool's
+    workers, where it is."""
+    got = 0
+    while got < len(view):
+        n = os.preadv(fd, [view[got:]], offset + got)
+        if not n:
+            break
+        got += n
+    return got
+
+
+def _parse_chunk(fd, start, stop, buf, mask, stamps):
+    """Parse the lines of the consumption file fd that start in bytes
+    [start, stop); start - 1 is a byte of the file. Runs in a pool worker,
+    or in-process, and touches nothing of the parent's but what fork copied.
+
+    Returns (end, rows). rows is None if the lines are not plain or a row in
+    them would fail a check. Otherwise end is the offset of the first line
+    start at or after stop, or of the end of the file if that comes first,
+    or None if the file's last line had no line end and this chunk gave it
+    one; and rows is () for no rows, or (households, groups, household,
+    half_hour, kwh, code): the chunk's household ids and group names in
+    order of first appearance, and per row the index of its household among
+    them (intc), its half-hour (int32, see _half_hour), kWh (float64) and
+    tariff code (int8). buf (a private mapping, so that each worker has its
+    own) holds the bytes read, _LINE_BYTES past stop, then _KEY_BYTES
+    more; mask is scratch space as long as buf; stamps is a _Stamps.
+    """
+    size = stop - start + 1 + _LINE_BYTES
+    got = _read_at(fd, memoryview(buf)[:size], start - 1)
+    # the first line start at or after start; if the window holds none, the
+    # line that runs through it is wider than a window, and its chunk fails
+    first = buf.find(b"\n", 0, got) + 1 or got
+    cut = stop - start + 1                      # stop, in buf
+    end = first if first >= cut else buf.find(b"\n", cut - 1, got) + 1
+    if not end:                                 # the chunk's last line runs past the window
+        if got == size:
+            return None, None                   # wider than a plain line
+        end = got                               # to the end of the file
+    size, at = end - first, start - 1 + end
+    if end > first and buf[end - 1] != ord("\n"):
+        buf[end] = ord("\n")                   # the file's last line has no line end: give it one
+        size, at = size + 1, None
+    if not size:
+        return at, ()
+    buf.move(0, first, size)
     fields = _split_chunk(buf, size, mask)
-    if fields is None:
-        return False
     if not fields:
-        return True
+        return at, fields
     hid, ts, kwh_text, tariff, group = fields
     tariff_rows, tariff_id = _distinct(tariff)
     codes = [TARIFF_CODES.get(t) for t in _decoded(tariff[tariff_rows])]
     group_rows, group_id = _distinct(group)
     names = _decoded(group[group_rows])
     if None in codes or not set(names) <= set(GROUPS):
-        return False
+        return at, None
     hh_rows, hh_id = _distinct(hid)
     hh_group = group_id[hh_rows]
     if (group_id != hh_group[hh_id]).any():
-        return False                         # a household changes group inside the chunk
-    index = []
-    for h, g in zip(_decoded(hid[hh_rows]), hh_group.tolist()):
-        i = grids.index_of.setdefault(h, len(grids.groups))
-        if i == len(grids.groups):
-            grids.groups.append(names[g])
-        elif grids.groups[i] != names[g]:
-            return False
-        index.append(i)
-
-    half_hour = np.full(ts.size, -1, np.int64)
-    if grids.ts_keys.size:
-        at = np.minimum(np.searchsorted(grids.ts_keys, ts), grids.ts_keys.size - 1)
-        known = grids.ts_keys[at] == ts
-        half_hour[known] = grids.ts_half_hours[at[known]]
-    unknown = np.flatnonzero(half_hour < 0)
-    new_rows, new_id = _distinct(ts[unknown])
-    new_keys = ts[unknown[new_rows]]
-    try:
-        new_half_hours = np.array([_half_hour(text, 0) for text in _decoded(new_keys)], np.int64)
-    except ValueError:
-        return False
-    half_hour[unknown] = new_half_hours[new_id]
-
-    if not _KWH_BYTES[kwh_text.view(np.uint8)].all():
-        return False
+        return at, None                         # a household changes group inside the chunk
+    half_hour = stamps.half_hours_of(ts)
+    if half_hour is None or not _KWH_BYTES[kwh_text.view(np.uint8)].all():
+        return at, None
     try:
         # the cast ignores trailing NULs; the byte check keeps out whitespace,
         # underscores, inf and nan, so what it parses is what float() parses
         kwh = kwh_text.astype(np.float64)
     except ValueError:
-        return False
+        return at, None
     if not ((kwh >= 0.0) & (kwh < math.inf)).all():
-        return False
+        return at, None
+    return at, (_decoded(hid[hh_rows]), [names[g] for g in hh_group.tolist()], hh_id,
+                half_hour, kwh, np.array(codes, np.int8)[tariff_id])
 
-    if new_keys.size:
-        keys = np.concatenate([grids.ts_keys, new_keys])
-        order = np.argsort(keys)
-        grids.ts_keys = keys[order]
-        grids.ts_half_hours = np.concatenate([grids.ts_half_hours, new_half_hours])[order]
-    grids.add(np.array(index, np.intc)[hh_id], half_hour, kwh, np.array(codes, np.int8)[tariff_id])
+
+def _merge_chunk(grids, rows):
+    """Add the rows of a chunk that _parse_chunk parsed to grids, numbering
+    its new households after those read before, and return True; or return
+    False if one of its households changes group, leaving grids only fit to
+    be dropped."""
+    if not rows:
+        return True
+    households, groups, household, half_hour, kwh, code = rows
+    index = []
+    for h, g in zip(households, groups):
+        i = grids.index_of.setdefault(h, len(grids.groups))
+        if i == len(grids.groups):
+            grids.groups.append(g)
+        elif grids.groups[i] != g:
+            return False
+        index.append(i)
+    grids.add(np.array(index, np.intc)[household], half_hour, kwh, code)
     return True
 
 
+def _chunks(fd, start):
+    """The (start, stop) byte ranges of _CHUNK_BYTES from start on, as long
+    as the file holds every byte a chunk reads; the last one may reach past
+    its end. Each size is taken before the range is handed out, so before
+    its chunk is read."""
+    while True:
+        stop = start + _CHUNK_BYTES
+        whole = os.fstat(fd).st_size >= stop + _LINE_BYTES
+        yield start, stop
+        if not whole:
+            return
+        start = stop
+
+
 def _read_plain_chunks(raw, grids):
-    """Read a consumption file into grids in plain chunks. Returns whether
-    they reached the end of the file: False if the header or a chunk is not
-    plain, or a chunk would fail a check."""
+    """Read a consumption file into grids in plain chunks, parsed on the
+    usable CPUs and merged in file order. Returns whether they reached the
+    end of the file: False if the header or a chunk is not plain, or a
+    chunk would fail a check."""
     head = raw.readline()
     if head not in (_HEADER_LINE, _HEADER_LINE + b"\n", _HEADER_LINE + b"\r\n"):
         return False
-    # one buffer and one mask for every chunk, so chunks add no large blocks to the heap
-    buf = mmap.mmap(-1, _CHUNK_BYTES + _KEY_BYTES)
+    if not hasattr(os, "preadv"):         # Windows, say: the row loop reads the file
+        return False
+    fd = raw.fileno()
+    # one buffer and one mask, made before the pool starts so that each worker
+    # has its own through fork, and chunks add no large blocks to the heap
+    buf = mmap.mmap(-1, _CHUNK_BYTES + 2 + _LINE_BYTES + _KEY_BYTES, **_PRIVATE)
     mask = np.frombuffer(_map(len(buf)), bool)
-    kept = 0                      # bytes of a partial line at buf's start
+    stamps = _Stamps()
+    end = len(head)
     while True:
-        got = raw.readinto(memoryview(buf)[kept:_CHUNK_BYTES])
-        size = kept + got
-        if not size:
+        chunks = parallel.imap_forked(lambda chunk: _parse_chunk(fd, *chunk, buf, mask, stamps),
+                                      _chunks(fd, end))
+        with contextlib.closing(chunks):
+            for end, rows in chunks:
+                if rows is None or not _merge_chunk(grids, rows):
+                    return False
+        # no chunk is in flight: the file ends here unless rows were appended meanwhile
+        if end is None or os.fstat(fd).st_size <= end:
             return True
-        if got:
-            cut = buf.rfind(b"\n", 0, size) + 1
-        else:                                 # the last line has no line end: give it one
-            buf[size] = ord("\n")
-            cut = size + 1
-        if not cut or not _parse_chunk(buf, cut, grids, mask):
-            return False
-        kept = max(size - cut, 0)
-        buf[:kept] = buf[cut:size]
 
 
 def _read_rows(reader, line_no, grids):
@@ -474,15 +561,19 @@ def read_consumption_csv(path):
     Raises DataParseError / DataValidationError with the offending line;
     of several faults the one on the earliest line wins.
 
-    The file is read in chunks of about _CHUNK_BYTES, parsed in bulk with
-    numpy while they are plain and pass every check, each distinct
-    timestamp text parsed once; each chunk's rows go into the grids as soon
-    as it is parsed, and those grids are the ones returned. If a chunk is
-    not plain or fails a check, or the grids hold fewer cells than there
-    were rows (a duplicate reading), the grids are dropped and a csv row
-    loop reads the whole file from its header into new ones; it raises
-    every error, duplicates included, so messages and line numbers are
-    those of a row-at-a-time reader.
+    The file is read in chunks of the lines that start in a byte range of
+    _CHUNK_BYTES, parsed in bulk with numpy on the usable CPUs while they are
+    plain and pass every check, each distinct timestamp text parsed once per
+    process; the parent merges the chunks in file order, each chunk's rows
+    going into the grids as it comes, and those grids are the ones
+    returned. The file ends for the bulk parse only when no chunk is in
+    flight, so rows appended during the read are read. If a chunk is not
+    plain or fails a check, or the grids hold fewer cells than there were
+    rows (a duplicate reading), the grids are dropped and a csv row loop
+    reads the whole file from its header into new ones; it raises every
+    error, duplicates included, so messages and line numbers are those of a
+    row-at-a-time reader, whatever the CPU count and whichever chunk
+    finishes first.
     """
     grids = _Grids()
     with open(path, "rb") as raw:

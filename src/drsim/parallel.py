@@ -7,16 +7,25 @@ and closures over large arrays cost nothing to send. Only results,
 exceptions and warnings travel back; the parent issues each item's
 warnings again, in item order, under its own filters. Fork, unlike spawn or
 forkserver, also needs no __main__ guard in the calling script.
+
+imap_forked(fn, items) is the lazy form, (fn(x) for x in items) on the same
+pool: fn reaches the workers through fork, the items, which may come from
+a generator that is read as the results are taken, are pickled, and at most
+two items per worker are in flight or waiting to be taken at a time.
 """
 
+import collections
+import contextlib
+import itertools
 import multiprocessing
 import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
-_job = None          # (fn, items) of the running map_forked call, read by workers
+_job = None          # the function of the running pool, read by workers
 _in_worker = False   # set in pool workers, so a nested call runs in-process
+_AHEAD = 2           # items per worker that imap_forked keeps in flight or waiting
 
 
 def usable_cpus():
@@ -46,14 +55,13 @@ def _travels(obj):
     return True
 
 
-def _call(index):
-    """(None, fn(items[index]), warnings) or (exception, None, warnings), run in
-    a worker; warnings are (category, message, filename, lineno) tuples."""
-    fn, items = _job
+def _call(arg):
+    """(None, _job(arg), warnings) or (exception, None, warnings), run in a
+    worker; warnings are (category, message, filename, lineno) tuples."""
     # filters are inherited from the parent through fork, so record what it would show
     with warnings.catch_warnings(record=True) as caught:
         try:
-            outcome = None, fn(items[index])
+            outcome = None, _job(arg)
         except Exception as exc:
             if not _travels(exc):  # an exception that cannot travel back still names itself
                 exc = RuntimeError(f"{type(exc).__name__}: {exc}")
@@ -67,6 +75,30 @@ def _call(index):
     return *outcome, sent
 
 
+@contextlib.contextmanager
+def _pool(fn, workers):
+    """A fork pool of workers processes whose _call runs fn. On leaving, the
+    items not yet started are cancelled and the running ones awaited."""
+    global _job
+    _job = fn
+    try:
+        # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
+        # when a worker dies (killed, say, for memory) instead of waiting forever
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _mark_worker)
+        try:
+            yield pool
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        _job = None
+
+
+def _issue(sent, registry):
+    """Issue again, under the caller's filters, the warnings _call sent."""
+    for category, message, filename, lineno in sent:
+        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+
+
 def map_forked(fn, items):
     """[fn(x) for x in items] on min(len(items), usable CPUs) fork workers.
 
@@ -78,25 +110,50 @@ def map_forked(fn, items):
     worker that dies raises BrokenProcessPool. The slot holds one job, so
     threads must not call this concurrently.
     """
-    global _job
     items = list(items)
     workers = worker_count(len(items))
     if workers < 2:
         return [fn(x) for x in items]
-    _job = (fn, items)
-    try:
-        # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
-        # when a worker dies (killed, say, for memory) instead of waiting forever
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 _mark_worker) as pool:
-            outcomes = list(pool.map(_call, range(len(items))))
-    finally:
-        _job = None
+    with _pool(lambda index: fn(items[index]), workers) as pool:
+        outcomes = list(pool.map(_call, range(len(items))))
     registry = {}  # as in-process, a "default" filter shows a repeat at one place once
     for _, _, sent in outcomes:
-        for category, message, filename, lineno in sent:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        _issue(sent, registry)
     for exc, _, _ in outcomes:
         if exc is not None:
             raise exc
     return [result for _, result, _ in outcomes]
+
+
+def imap_forked(fn, items):
+    """fn(x) for each x of items, lazily and in item order, on fork workers.
+
+    The items are read as the results are taken: never more than two per
+    usable CPU ahead of the consumer, and as many results at most wait in
+    the parent. The map runs in-process, one item at a time, when fewer than
+    two items come or the platform or a pool worker makes map_forked run
+    in-process. Each result comes after the warnings its item raised have
+    been issued again; the first exception in item order is raised when the
+    consumer reaches it. A consumer that stops early, or an exception, ends
+    the pool: items not yet started are dropped and the running ones
+    awaited. fn travels by fork and the items by pickling. While the
+    consumer holds the map, the slot holds its job: it must not start
+    another pool.
+    """
+    items = iter(items)
+    ahead = list(itertools.islice(items, _AHEAD * usable_cpus()))
+    workers = worker_count(len(ahead))
+    if workers < 2:
+        for x in itertools.chain(ahead, items):
+            yield fn(x)
+        return
+    with _pool(fn, workers) as pool:
+        pending = collections.deque(pool.submit(_call, x) for x in ahead)
+        registry = {}
+        while pending:
+            exc, result, sent = pending.popleft().result()
+            pending.extend(pool.submit(_call, x) for x in itertools.islice(items, 1))
+            _issue(sent, registry)
+            if exc is not None:
+                raise exc
+            yield result

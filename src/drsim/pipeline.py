@@ -20,6 +20,11 @@ cluster's job writes its own files; the stage picks the stale clusters first
 and lists what was written in cluster order, so the files and the printed
 paths are the same whatever the CPU count. Train fits all stale clusters in
 one call per generator: the GAM's in one process, sharing each slot's design.
+Ingest and cluster spread their work over the same CPUs from inside the
+library: ingest parses the consumption file's chunks on the pool and merges
+them in file order (dataio.read_consumption_csv), and cluster fits the
+profiles' 48 half-hours there (causality.fit_profiles), with the same bytes
+and errors on any CPU count.
 
 Each generator is one GENERATORS entry (its file templates, fit and
 ensembles), so no stage branches on its name. Every ensemble comes from

@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from drsim import causality
+from drsim import causality, parallel
 from drsim.dataio import HIGH, LOW, NORMAL
 from drsim.splines import CenteredSplineBlock, CubicSplineBasis
 
@@ -290,3 +292,34 @@ class TestFitProfiles:
         ids, kwh, tau, tariff = mixed_schedules
         with pytest.raises(causality.FitError):
             causality.fit_profiles(ids[:-1], kwh, tau, tariff)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_and_two_cpus_fit_the_same_bits(self, mixed_schedules, monkeypatch, cpus):
+        ids, kwh, tau, tariff = mixed_schedules
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        alone = causality.fit_profiles(ids, kwh, tau, tariff)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        pooled = causality.fit_profiles(ids, kwh, tau, tariff)
+        for name in ("mu", "sigma", "lam"):
+            a, b = getattr(alone, name), getattr(pooled, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_error_comes_from_the_earliest_failing_half_hour(self, mixed_schedules, monkeypatch,
+                                                            cpus):
+        # half-hour 40 fails at once, half-hour 6 only after the others have run
+        ids, kwh, tau, tariff = mixed_schedules
+        tariff = tariff.copy()
+        tariff[3, :, 5] = LOW
+        tariff[5, :, 39] = HIGH
+        fit_half_hour = causality._fit_half_hour
+
+        def slow_sixth(*args):
+            if args[-1] == 5:
+                time.sleep(0.3)
+            return fit_half_hour(*args)
+
+        monkeypatch.setattr(causality, "_fit_half_hour", slow_sixth)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        with pytest.raises(causality.FitError, match=rf"^{ids[3]}: .*half-hour 6$"):
+            causality.fit_profiles(ids, kwh, tau, tariff)

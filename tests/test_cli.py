@@ -436,6 +436,44 @@ class TestCpuCount:
         assert printed2 == printed
         assert [len(lines) for lines in printed] == [10, 4, 4, 12, 12]
 
+    def test_one_and_two_cpus_ingest_and_cluster_the_same_bytes(self, workdir, monkeypatch,
+                                                                 capsys):
+        # the consumption file spans 8 chunks, parsed on the pool on two CPUs, and
+        # cluster fits its 48 half-hours there
+        tmp, cfg = workdir
+        assert run_cli("synth", "--config", str(cfg)) == 0
+        size = (tmp / "run" / "consumption.csv").stat().st_size
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", size // 8 + 1)
+        pid_log = tmp / "pids.txt"
+
+        def logged(fn):
+            def call(*args):
+                with open(pid_log, "a") as fh:
+                    fh.write(f"{fn.__name__} {os.getpid()}\n")
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(dataio, "_parse_chunk", logged(dataio._parse_chunk))
+        monkeypatch.setattr(causality, "_fit_half_hour", logged(causality._fit_half_hour))
+        names = ["prepared.npz", "profiles.csv", "assignments.csv", "cluster_scores.json"]
+        runs = []
+        for cpus in (1, 2):
+            pid_log.unlink(missing_ok=True)
+            capsys.readouterr()
+            for stage in ("ingest", "cluster"):
+                assert run_at(cpus, stage, "--config", str(cfg), "--force") == 0
+            calls = [line.split() for line in pid_log.read_text().splitlines()]
+            assert sorted({fn for fn, _ in calls}) == ["_fit_half_hour", "_parse_chunk"]
+            assert sum(fn == "_parse_chunk" for fn, _ in calls) == 8
+            pids = {pid for _, pid in calls}
+            if cpus == 1 or "fork" not in multiprocessing.get_all_start_methods():
+                assert pids == {str(os.getpid())}
+            else:
+                assert str(os.getpid()) not in pids
+            runs.append(([(tmp / "run" / name).read_bytes() for name in names],
+                         capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
     def test_missing_model_gives_one_error_on_any_cpu_count(self, workdir, capsys):
         tmp, cfg = workdir
         for stage in ("synth", "ingest", "cluster", "train"):

@@ -164,6 +164,23 @@ class TestNmf:
         np.testing.assert_array_equal(a.w, b.w)
         assert not np.array_equal(a.w, c.w)
 
+    def test_matches_the_updates_with_fresh_temporaries_bit_for_bit(self, rng):
+        # the shape of the wide_cluster profile matrix, so m and w @ h exceed
+        # glibc's smallest mmap threshold
+        m = rng.uniform(0.0, 2.0, size=(200, 144))
+        factors = clustering.nmf_factorize(m, r=5, seed=2, max_iter=60, tol=0.0)
+        gen = np.random.default_rng(2)
+        scale = np.sqrt(m.mean() / 5)
+        w = np.abs(gen.standard_normal((200, 5))) * scale
+        h = np.abs(gen.standard_normal((5, 144))) * scale
+        errors = [float(np.linalg.norm(m - w @ h))]
+        for _ in range(60):
+            w = w * (m @ h.T) / np.maximum(w @ h @ h.T, clustering.NMF_EPS)
+            h = h * (w.T @ m) / np.maximum(w.T @ w @ h, clustering.NMF_EPS)
+            errors.append(float(np.linalg.norm(m - w @ h)))
+        assert factors.w.tobytes() == w.tobytes() and factors.h.tobytes() == h.tobytes()
+        assert factors.errors.tolist() == errors
+
     def test_negative_matrix_raises(self):
         with pytest.raises(clustering.ClusteringError, match="negative"):
             clustering.nmf_factorize(np.array([[1.0, -0.1]]), r=1)

@@ -2,6 +2,7 @@ import csv
 import datetime
 import io
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drsim import causality, clustering, dataio, metrics, synthdata
+from drsim import causality, clustering, dataio, metrics, parallel, synthdata
 from drsim.dataio import HIGH, LOW, NORMAL
 
 
@@ -263,12 +264,20 @@ def row_loop_starts(monkeypatch):
 THREE_DAYS = day_rows("a", D1) + day_rows("b", D1) + day_rows("a", D2) + day_rows("b", D2)
 
 
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+def cpus(request, monkeypatch):
+    """The usable CPUs forced to 1 (chunks parsed in-process) or 2 (on the fork pool)."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: request.param)
+    return request.param
+
+
 class TestChunkedRead:
     """The bulk parse with chunks of ~100 bytes, so that faults fall in late
-    chunks, after the bulk parse has read the lines before them."""
+    chunks, after the bulk parse has read the lines before them, on one CPU
+    and on two, where the chunks are parsed on the fork pool."""
 
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
+    def small_chunks(self, monkeypatch, cpus):
         monkeypatch.setattr(dataio, "_CHUNK_BYTES", 100)
 
     def test_mixed_file_matches_reference_without_the_row_loop(self, tmp_path, row_loop_starts):
@@ -448,23 +457,98 @@ class TestChunkedRead:
         else:                                 # "from the header" and "late" alike
             assert row_loop_starts == [2]
 
+    @pytest.mark.parametrize("appends", [1, 6])
     def test_rows_appended_during_the_read_are_read(self, tmp_path, monkeypatch,
-                                                    row_loop_starts):
+                                                    row_loop_starts, appends):
         # the grids grow with the rows read, so rows appended after the read
-        # started, of new households on new days, are read in bulk with the rest
+        # started, of new households on old and new days, are read in bulk
+        # with the rest: appended as the first chunk, or the first six, are
+        # merged, while later chunks are in flight
         path = write_csv(tmp_path / "c.csv", day_rows("a", D1))
-        parse_chunk, appended = dataio._parse_chunk, []
+        merge_chunk, days = dataio._merge_chunk, [(h, d) for h in "bc" for d in (D2, D3)]
+        days = days + [("d", D1), ("e", D2)]
+        merged = []
 
-        def parse_and_grow(*args):
-            if not appended:
-                appended.append(True)
+        def merge_and_grow(grids, rows):
+            merged.append(rows)
+            if len(merged) <= appends:
                 with open(path, "a") as fh:
-                    fh.write("".join(day_rows(h, d) for h in "bc" for d in (D2, D3)))
-            return parse_chunk(*args)
+                    fh.write(day_rows(*days.pop(0)))
+            return merge_chunk(grids, rows)
 
-        monkeypatch.setattr(dataio, "_parse_chunk", parse_and_grow)
-        assert_same_data(outcome(path), reference_read_consumption(path))
+        monkeypatch.setattr(dataio, "_merge_chunk", merge_and_grow)
+        got = outcome(path)
+        assert len(merged) > appends and len(days) == 6 - appends
+        assert_same_data(got, reference_read_consumption(path))
+        assert got.household_ids == list("abcde"[:1 + min(appends, 4)])
         assert row_loop_starts == []
+
+    def test_the_end_of_the_file_is_read_with_no_chunk_in_flight(self, tmp_path, monkeypatch,
+                                                                  row_loop_starts):
+        # rows appended just after the last chunk of the file as it was has
+        # been read, while that chunk is in flight, are read by another round
+        path = write_csv(tmp_path / "c.csv", day_rows("a", D1))
+        parse_chunk, size = dataio._parse_chunk, path.stat().st_size
+
+        def parse_then_grow(fd, start, stop, *args):
+            parsed = parse_chunk(fd, start, stop, *args)
+            if stop + dataio._LINE_BYTES > size and path.stat().st_size == size:
+                with open(path, "a") as fh:
+                    fh.write(day_rows("b", D2))
+            return parsed
+
+        monkeypatch.setattr(dataio, "_parse_chunk", parse_then_grow)
+        got = outcome(path)
+        assert_same_data(got, reference_read_consumption(path))
+        assert got.household_ids == ["a", "b"]
+        assert row_loop_starts == []
+
+    def test_faulty_chunk_that_finishes_first_keeps_the_message(self, tmp_path, monkeypatch,
+                                                                 row_loop_starts, cpus):
+        # lines 6 and 8 fail, in neighbouring chunks; line 6's is held back, so
+        # on two CPUs line 8's finishes first, yet line 6 is named
+        body = day_rows("a", D1).replace("T02:00,0.4", "T02:00,-0.4").replace(
+            "T03:00,0.4,NORMAL", "T03:00,0.4,PEAK")
+        path = write_csv(tmp_path / "c.csv", body)
+        data, finished = path.read_bytes(), tmp_path / "order"
+        first_at, fault_at = data.index(b"a,2024-03-04T02:00"), data.index(b"a,2024-03-04T03:00")
+        parse_chunk = dataio._parse_chunk
+
+        def held_back(fd, start, stop, *args):
+            if start <= first_at < stop:
+                time.sleep(0.2)
+            parsed = parse_chunk(fd, start, stop, *args)
+            with open(finished, "a") as fh:
+                fh.write(f"{start}\n")
+            return parsed
+
+        monkeypatch.setattr(dataio, "_parse_chunk", held_back)
+        assert outcome(path) == (dataio.DataValidationError, "line 6: negative kwh -0.4")
+        assert row_loop_starts == [2]
+        starts = [int(line) for line in finished.read_text().split()]
+        held, faulty = (at - (at - len(HEADER)) % 100 for at in (first_at, fault_at))
+        assert held < faulty
+        if cpus == 2:
+            assert starts.index(faulty) < starts.index(held)
+        else:                                 # in-process, the read stops at the held chunk
+            assert starts[-1] == held
+
+    def test_duplicate_rows_in_different_chunks_keep_the_message(self, tmp_path,
+                                                                  row_loop_starts):
+        body = day_rows("a", D1) + day_rows("b", D1) + "a,2024-03-04T00:30,0.5,NORMAL,TOU\n"
+        path = write_csv(tmp_path / "c.csv", body)
+        data = path.read_bytes()            # the two readings lie 30 chunks apart
+        assert data.index(b"a,2024-03-04T00:30") + 30 * 100 < data.rindex(b"a,2024-03-04T00:30")
+        assert outcome(path) == (dataio.DataValidationError,
+                                 "line 98: duplicate reading for a at 2024-03-04T00:30")
+        assert row_loop_starts == [2]
+
+    def test_without_preadv_the_row_loop_reads_the_file(self, tmp_path, monkeypatch,
+                                                         row_loop_starts):
+        path = write_mixed_file(tmp_path / "c.csv")
+        monkeypatch.delattr(dataio.os, "preadv")
+        assert_same_data(outcome(path), reference_read_consumption(path))
+        assert row_loop_starts == [2]
 
     @pytest.mark.parametrize("duplicate_at, error", [
         (6000, dataio.DataValidationError), (8192 + 200, UnicodeDecodeError),

@@ -266,3 +266,116 @@ def test_warning_class_that_cannot_travel_back_names_itself(cpus):
     assert [(w.category, str(w.message)) for w in caught] == [
         (UserWarning, "LocalWarning: item 0"), (UserWarning, "LocalWarning: item 1")
     ]
+
+
+def counted(n, read):
+    """range(n) as a generator that logs each item it hands out in read."""
+    for i in range(n):
+        read.append(i)
+        yield i
+
+
+@needs_fork
+def test_streamed_results_in_item_order_when_a_later_item_finishes_first(cpus):
+    cpus(2)
+
+    def slow_first(i):
+        time.sleep(0.2 if i == 0 else 0.0)
+        return i, time.monotonic(), os.getpid()
+
+    results = list(parallel.imap_forked(slow_first, range(4)))
+    assert [i for i, _, _ in results] == [0, 1, 2, 3]
+    assert results[1][1] < results[0][1]
+    assert os.getpid() not in {pid for _, _, pid in results}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lazy_items_are_read_at_most_the_window_ahead(cpus, n):
+    cpus(n)
+    read, leads = [], []
+    for taken, result in enumerate(parallel.imap_forked(lambda i: 2 * i, counted(20, read)),
+                                   start=1):
+        assert result == 2 * (taken - 1)
+        leads.append(len(read) - taken)
+    assert len(leads) == 20 and max(leads) <= 2 * n
+    if parallel.worker_count(n) == 2:   # the pool works the whole window ahead
+        assert max(leads) == 4
+
+
+@needs_fork
+def test_streamed_first_failure_in_item_order_is_raised_when_reached(cpus):
+    cpus(2)
+
+    def job(i):
+        if i == 1:
+            time.sleep(0.2)    # fails last in time, first in item order
+            raise ZeroDivisionError("item one")
+        if i == 2:
+            raise KeyError("item two")
+        return i
+
+    got = []
+    with pytest.raises(ZeroDivisionError, match="^item one$"):
+        for result in parallel.imap_forked(job, range(5)):
+            got.append(result)
+    assert got == [0]
+    assert parallel._job is None
+
+
+@needs_fork
+def test_consumer_that_stops_early_ends_the_pool(cpus, tmp_path):
+    cpus(2)
+
+    def job(i):
+        time.sleep(0.05)
+        (tmp_path / f"ran{i}").touch()
+        return os.getpid()
+
+    read = []
+    results = parallel.imap_forked(job, counted(100, read))
+    worker = next(results)
+    results.close()
+    assert parallel._job is None
+    ran = len(list(tmp_path.iterdir()))
+    assert ran < 10 and len(read) < 10
+    time.sleep(0.2)
+    assert len(list(tmp_path.iterdir())) == ran    # no item starts after the close
+    with pytest.raises(ProcessLookupError):        # the workers were joined
+        os.kill(worker, 0)
+
+
+def warn_late_first(i):
+    time.sleep(0.1 if i == 0 else 0.0)
+    warnings.warn(f"item {i} warns")
+    return i
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_streamed_warnings_are_issued_in_item_order(cpus, n):
+    cpus(n)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i in parallel.imap_forked(warn_late_first, range(3)):
+            # each result comes after its item's warnings, and after no later item's
+            assert [str(w.message) for w in caught] == [f"item {j} warns" for j in range(i + 1)]
+    assert {w.filename for w in caught} == {__file__}
+
+
+@pytest.mark.parametrize("n, items", [(1, 3), (2, 1)])
+def test_streamed_map_runs_in_process_on_one_cpu_or_one_item(cpus, n, items):
+    cpus(n)
+    assert list(parallel.imap_forked(lambda i: (i, os.getpid()), range(items))) == [
+        (i, os.getpid()) for i in range(items)
+    ]
+
+
+@needs_fork
+def test_streamed_map_runs_in_process_inside_a_worker(cpus):
+    cpus(2)
+
+    def outer(i):
+        return os.getpid(), list(parallel.imap_forked(lambda j: os.getpid(), range(3)))
+
+    for worker, inner in parallel.map_forked(outer, range(2)):
+        assert worker != os.getpid()
+        assert inner == [worker] * 3

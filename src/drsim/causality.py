@@ -14,14 +14,16 @@ and (N, 3, 48) mean and scale arrays. The GAM generator groups all of a run's
 clusters the same way and takes its per-tariff noise scales from fit_slot.
 """
 
+import csv
 import functools
+import io
 import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import parallel
-from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, TARIFF_NAMES, read_csv, write_csv
+from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, TARIFF_NAMES, read_csv, replacing
 from .splines import CenteredSplineBlock, CubicSplineBasis, matvec_rows, penalized_lstsq
 
 PROFILE_HEADER = ["entity", "tariff", "h", "mu", "sigma"]
@@ -144,13 +146,22 @@ def fit_profiles(ids, kwh, tau, tariff):
 
 
 def export_profiles_csv(profiles, path):
-    """Write profiles as entity,tariff,h,mu,sigma rows (h is 1-based)."""
-    write_csv(path, PROFILE_HEADER, (
-        [entity, TARIFF_NAMES[code], h, m, s]
-        for entity, mu, sigma in zip(profiles.ids, profiles.mu.tolist(), profiles.sigma.tolist())
-        for code in (LOW, NORMAL, HIGH)
-        for h, m, s in zip(range(1, HALF_HOURS + 1), mu[code], sigma[code])
-    ))
+    """Write profiles as entity,tariff,h,mu,sigma rows (h is 1-based), Low,
+    Normal then High per entity: byte for byte what csv.writer writes, floats
+    by repr. An entity's 144 rows are one join; its field is quoted as
+    csv.writer quotes it (an id with a comma or a quote, say)."""
+    cells = [f",{TARIFF_NAMES[code]},{h}," for code in (LOW, NORMAL, HIGH)
+             for h in range(1, HALF_HOURS + 1)]
+    shape = (len(profiles.ids), len(cells))
+    with replacing(path) as fh:
+        fh.write(",".join(PROFILE_HEADER) + "\r\n")
+        for entity, mu, sigma in zip(profiles.ids, profiles.mu.reshape(shape).tolist(),
+                                     profiles.sigma.reshape(shape).tolist()):
+            field = io.StringIO()
+            csv.writer(field).writerow([entity, ""])   # the entity as one field of a row
+            field = field.getvalue()[:-3]             # less its comma, the empty field and CRLF
+            fh.write("".join([f"{field}{cell}{m!r},{s!r}\r\n"
+                              for cell, m, s in zip(cells, mu, sigma)]))
 
 
 def read_profiles_csv(path):

@@ -7,39 +7,26 @@ the day. Tariffs are LOW/NORMAL/HIGH for time-of-use households and FLAT for
 standard ones; FLAT maps to NORMAL internally so every series lives on the
 same three-level code.
 
-read_consumption_csv reads the file in chunks: the lines that start in one
-byte range of about 1 MB. The chunks are parsed on the usable CPUs
-(parallel.imap_forked), each worker reading its range itself (preadv), and
-merged in file order by the parent, a few chunks behind. A plain chunk
-(ASCII without quotes, NUL or lone CR, 5 fields on every non-blank line, no
-field wider than the keys) is parsed with numpy: the text fields become ids
-through packed byte keys, each distinct timestamp text is parsed once per
-worker, kwh goes through one bytes -> float64 cast, and every check runs on
-the whole chunk at once. The merge numbers the chunk's households after
-those read before and puts its rows straight into the (n, T, 48) kWh and
-tariff grids, which grow with the households and days read, so each reading
-is held once, in the grids that are returned. A cell no row holds is NaN
-in kWh and -1 in tariff; the grids are the only record of which cells were
-read. If a chunk is not plain, or would fail a check, or two rows of a
-plain file hold one (household, half-hour) cell, what the bulk parse read
-is dropped and the csv row loop reads the whole file again from its header;
-it alone raises the parse and validation errors, duplicates included, so
-their messages and line numbers are those of a reader that reads every row
-that way, whichever chunk finishes first, and its rows go into the same
-grids. prepare_dataset repairs those grids in place, filling the NaN and -1
-cells and moving the kept households down over the flagged ones, and adds
-the features; save_prepared writes each array into the npz from memory,
-with no whole-array copy.
+read_consumption_csv reads the file once, in chunks of about 1 MB of lines
+parsed on the usable CPUs and merged in file order: by numpy when a chunk is
+plain (ASCII without quotes, NUL or lone CR, 5 fields a line, no field wider
+than the keys) and passes every check, else by the csv module. Each chunk's
+rows go straight into the (n, T, 48) kWh and tariff grids that are returned,
+NaN and -1 where no row holds the cell; faults, duplicates among them, name
+the earliest line. prepare_dataset repairs those grids in place and adds the
+features; save_prepared writes each array into the npz from memory.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
 files that must appear together. read_csv reads them back, header checked.
 """
 
-import array
 import contextlib
 import csv
 import datetime
+import io
+import itertools
+import locale
 import math
 import mmap
 import os
@@ -64,15 +51,14 @@ TEMPERATURE_HEADER = ["timestamp", "temp_c"]
 COVERAGE_THRESHOLD = 0.95
 DEFAULT_SMOOTHING = 0.998
 
-_CHUNK_BYTES = 1 << 20  # bytes of a consumption file whose lines make one bulk-parse chunk
-_KEY_BYTES = 32         # widest field the bulk parse takes; a wider one goes to the row loop
+_CHUNK_BYTES = 1 << 20  # bytes of a consumption file whose lines make one chunk
+_KEY_BYTES = 32         # widest field the numpy parse takes; a wider one goes to the csv module
 _LINE_BYTES = 5 * _KEY_BYTES + 6  # longest plain line: 5 fields, 4 commas, CR and LF
-_LOOP_ROWS = 1 << 16    # rows the row loop holds before it adds them to the grids
 _WRITE_BYTES = 1 << 20  # bytes of an array save_prepared hands to the npz file at a time
 # anonymous mappings private to the process, where mmap can make them
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 _HEADER_LINE = ",".join(CONSUMPTION_HEADER).encode()
-_KWH_BYTES = np.zeros(256, dtype=bool)        # bytes a kwh field may hold in the bulk parse,
+_KWH_BYTES = np.zeros(256, dtype=bool)        # bytes a kwh field may hold in the numpy parse,
 _KWH_BYTES[list(b"\0.0123456789eE+-")] = True  # \0 only as padding: plain chunks hold none
 
 
@@ -109,22 +95,30 @@ class TemperatureSeries:
     temp_c: np.ndarray
 
 
-def _parse_timestamp(text, line_no):
+def _numbered(exc, line_no):
+    """exc, raised by the checks of a row on line line_no, with that line
+    before its message; a csv.Error or UnicodeDecodeError names none."""
+    if isinstance(exc, (DataParseError, DataValidationError)):
+        return type(exc)(f"line {line_no}: {exc}")
+    return exc
+
+
+def _parse_timestamp(text):
     try:
         ts = datetime.datetime.fromisoformat(text)
     except ValueError:
-        raise DataParseError(f"line {line_no}: bad timestamp {text!r}") from None
+        raise DataParseError(f"bad timestamp {text!r}") from None
     if ts.second or ts.microsecond or ts.tzinfo is not None:
-        raise DataValidationError(f"line {line_no}: timestamp {text!r} not on the half-hour grid")
+        raise DataValidationError(f"timestamp {text!r} not on the half-hour grid")
     return ts
 
 
-def _half_hour(text, line_no):
+def _half_hour(text):
     """A consumption timestamp's half-hour: its day's ordinal times 48 plus
     its half-hour of the day."""
-    ts = _parse_timestamp(text, line_no)
+    ts = _parse_timestamp(text)
     if ts.minute not in (0, 30):
-        raise DataValidationError(f"line {line_no}: timestamp {text!r} not on the half-hour grid")
+        raise DataValidationError(f"timestamp {text!r} not on the half-hour grid")
     return ts.date().toordinal() * HALF_HOURS + ts.hour * 2 + ts.minute // 30
 
 
@@ -153,16 +147,12 @@ def _resized(buf, size):
 
 class _Grids:
     """What read_consumption_csv has read so far: the households' ids and
-    groups, and the kWh and tariff grids their rows went into.
-
-    The grids are (households, days, 48) arrays in C order, each on a
-    mapping of its own (_map), with tariff codes stored +1, so that cells no
-    row has written read 0 as unobserved and their untouched pages take no
-    memory. They grow as rows are added: a new household extends them at
-    the end (mmap.resize: mremap moves no data), and a day outside the days
-    laid out lays them out again with room for as many days again on that
-    side, so a file in timestamp order is laid out a few times, not once a
-    chunk. finish cuts them to the days read, in place.
+    groups, and the (households, days, 48) kWh and tariff grids, in C order
+    on mappings of their own (_map), tariff codes stored +1 so that cells no
+    row wrote read 0 and their untouched pages take no memory. A new
+    household extends them at the end (mmap.resize: mremap moves no data);
+    a day outside them lays them out again with room for as many days again
+    on that side, so a file in timestamp order is laid out a few times.
     """
 
     DTYPES = (np.float64, np.int8)
@@ -174,7 +164,6 @@ class _Grids:
         self.n = 0                      # households laid out
         self.start = self.days = 0      # ordinal of the grids' first day; days laid out
         self.first = self.last = None   # ordinals of the first and last day read
-        self.rows = 0                   # rows added
 
     def grids(self):
         """The kWh and tariff grids, (n, days, 48) views of the mappings."""
@@ -186,9 +175,11 @@ class _Grids:
         return [n * days * HALF_HOURS * np.dtype(dtype).itemsize for dtype in self.DTYPES]
 
     def add(self, household, half_hour, kwh, code):
-        """Write rows into the grids, given as numpy columns: household
-        index, half-hour (see _half_hour), kWh and tariff code. Grows the
-        grids to every household registered and every day of these rows."""
+        """Write rows (columns: household index, half-hour, kWh, tariff code)
+        into the grids, grown to every household and day, and return None;
+        if a cell of the rows holds a reading, write none, return that row."""
+        if not household.size:
+            return None
         lo, hi = int(half_hour.min()) // HALF_HOURS, int(half_hour.max()) // HALF_HOURS
         self.first = lo if self.first is None else min(lo, self.first)
         self.last = hi if self.last is None else max(hi, self.last)
@@ -213,18 +204,18 @@ class _Grids:
         cells += half_hour
         cells -= self.start * HALF_HOURS
         kwh_grid, tariff_grid = self.grids()
+        taken = np.flatnonzero(tariff_grid.reshape(-1)[cells])   # codes are stored +1
+        if taken.size:
+            return int(taken[0])
         kwh_grid.reshape(-1)[cells] = kwh
         tariff_grid.reshape(-1)[cells] = code + 1
-        self.rows += cells.size
+        return None
 
     def finish(self):
         """(dates, kwh, tariff) of the rows added, the grids cut to the days
-        read, or None if two rows hold one cell. The cells no row holds are
-        NaN in kwh and -1 in tariff."""
-        if not self.rows:
+        read. The cells no row holds are NaN in kwh and -1 in tariff."""
+        if self.first is None:
             raise DataValidationError("no data rows")
-        if np.count_nonzero(self.grids()[1]) < self.rows:
-            return None
         n_days = self.last - self.first + 1
         if self.days != n_days:
             at, width = self.first - self.start, n_days * HALF_HOURS
@@ -265,12 +256,11 @@ def _decoded(keys):
 
 
 def _split_chunk(buf, size, mask):
-    """Cut buf[:size], whole lines, into fields.
-
-    Returns None if the lines are not plain. Otherwise returns the five
-    fields of the rows, each an array of NUL-padded bytes (none if every line
-    is blank). buf ends in _KEY_BYTES bytes past any chunk, the last of them
-    never CR; mask is scratch space as long as buf.
+    """Cut buf[:size], whole lines, into fields: None if the lines are not
+    plain, else the number of lines and the five fields of the rows, each
+    an array of NUL-padded bytes (none if every line is blank). buf ends in
+    _KEY_BYTES bytes past any chunk, the last never CR; mask is scratch
+    space as long as buf.
     """
     if buf.find(b'"', 0, size) >= 0 or buf.find(b"\0", 0, size) >= 0:
         return None
@@ -285,9 +275,9 @@ def _split_chunk(buf, size, mask):
     line_start = np.r_[0, line_end[:-1] + 1]
     line_end -= crlf
     blank = line_start == line_end
-    n_rows = blank.size - np.count_nonzero(blank)
+    lines, n_rows = blank.size, blank.size - np.count_nonzero(blank)
     if not n_rows:
-        return ()
+        return lines, ()
     commas = np.flatnonzero(np.equal(chunk, ord(","), out=mask))
     if commas.size != 4 * n_rows:
         return None
@@ -309,15 +299,16 @@ def _split_chunk(buf, size, mask):
             out *= np.arange(w) < width[:, j, None]
         return out.view(f"S{w}").ravel()
 
-    return [field(j) for j in range(5)]
+    return lines, [field(j) for j in range(5)]
 
 
 class _Stamps:
-    """The timestamp texts a bulk parse has met, sorted, and their half-hours
-    (see _half_hour): each distinct text is parsed once per process."""
+    """The timestamp texts a numpy parse has met, sorted, and their
+    half-hours: each distinct text is parsed once per process."""
 
     def __init__(self):
         self.keys, self.half_hours = np.array([], dtype="S1"), np.array([], np.int32)
+        self.texts = {}     # for the csv module: timestamp text -> half-hour
 
     def half_hours_of(self, ts):
         """The half-hours (int32) of the timestamp texts ts, or None if one
@@ -331,7 +322,7 @@ class _Stamps:
         new_rows, new_id = _distinct(ts[unknown])
         new_keys = ts[unknown[new_rows]]
         try:
-            new = np.array([_half_hour(text, 0) for text in _decoded(new_keys)], np.int32)
+            new = np.array([_half_hour(text) for text in _decoded(new_keys)], np.int32)
         except ValueError:
             return None
         half_hour[unknown] = new[new_id]
@@ -342,212 +333,241 @@ class _Stamps:
         return half_hour
 
 
-def _read_at(fd, view, offset):
-    """Fill view with the bytes of fd from offset on, up to the end of the
-    file, and return how many were read. preadv reads straight into view
-    and leaves the file position, which fork shares with the pool's
-    workers, where it is."""
-    got = 0
-    while got < len(view):
-        n = os.preadv(fd, [view[got:]], offset + got)
-        if not n:
-            break
-        got += n
-    return got
+def _first_repeat(household, half_hour):
+    """The first row whose (household, half_hour) cell an earlier row holds,
+    or None. Rows in cell order need no sort: their keys increase."""
+    key = household.astype(np.int64) * (int(half_hour.max(initial=0)) + 1) + half_hour
+    if (key[1:] > key[:-1]).all():
+        return None
+    order = np.argsort(key, kind="stable")   # equal keys keep their row order
+    repeats = order[1:][np.diff(key[order]) == 0]
+    return int(repeats.min()) if repeats.size else None
 
 
-def _parse_chunk(fd, start, stop, buf, mask, stamps):
-    """Parse the lines of the consumption file fd that start in bytes
-    [start, stop); start - 1 is a byte of the file. Runs in a pool worker,
-    or in-process, and touches nothing of the parent's but what fork copied.
+def _line_start(fh, at):
+    """The offset of the first line start at or after at in the file fh (0,
+    or just past a LF), or of its end if that comes first."""
+    if not at:
+        return 0
+    fh.seek(at - 1)
+    fh.readline()
+    return min(fh.tell(), os.fstat(fh.fileno()).st_size)
 
-    Returns (end, rows). rows is None if the lines are not plain or a row in
-    them would fail a check. Otherwise end is the offset of the first line
-    start at or after stop, or of the end of the file if that comes first,
-    or None if the file's last line had no line end and this chunk gave it
-    one; and rows is () for no rows, or (households, groups, household,
-    half_hour, kwh, code): the chunk's household ids and group names in
-    order of first appearance, and per row the index of its household among
-    them (intc), its half-hour (int32, see _half_hour), kWh (float64) and
-    tariff code (int8). buf (a private mapping, so that each worker has its
-    own) holds the bytes read, _LINE_BYTES past stop, then _KEY_BYTES
-    more; mask is scratch space as long as buf; stamps is a _Stamps.
-    """
-    size = stop - start + 1 + _LINE_BYTES
-    got = _read_at(fd, memoryview(buf)[:size], start - 1)
-    # the first line start at or after start; if the window holds none, the
-    # line that runs through it is wider than a window, and its chunk fails
-    first = buf.find(b"\n", 0, got) + 1 or got
-    cut = stop - start + 1                      # stop, in buf
-    end = first if first >= cut else buf.find(b"\n", cut - 1, got) + 1
-    if not end:                                 # the chunk's last line runs past the window
-        if got == size:
-            return None, None                   # wider than a plain line
-        end = got                               # to the end of the file
-    size, at = end - first, start - 1 + end
-    if end > first and buf[end - 1] != ord("\n"):
-        buf[end] = ord("\n")                   # the file's last line has no line end: give it one
-        size, at = size + 1, None
-    if not size:
-        return at, ()
-    buf.move(0, first, size)
-    fields = _split_chunk(buf, size, mask)
-    if not fields:
-        return at, fields
-    hid, ts, kwh_text, tariff, group = fields
+
+def _parse_plain(fh, start, first, end, buf, mask, stamps):
+    """_parse_chunk by numpy for a plain chunk whose rows pass every check
+    but the one for repeats; None for any other."""
+    lines = 0
+    if not start:                               # the header's line, as csv.writer writes it
+        fh.seek(0)
+        head = fh.readline(len(_HEADER_LINE) + 2)
+        if head not in (_HEADER_LINE + b"\n", _HEADER_LINE + b"\r\n"):
+            return None
+        first, lines = len(head), 1
+    if end - first >= len(buf) - _KEY_BYTES - 1:
+        return None                             # a line longer than a plain one
+    fh.seek(first)
+    size = fh.readinto(memoryview(buf)[:end - first])
+    if size and buf[size - 1] != ord("\n"):
+        buf[size] = ord("\n")                  # the file's last line has no line end: give it one
+        size += 1
+    split = _split_chunk(buf, size, mask) if size else (0, ())
+    if split is None:
+        return None
+    lines += split[0]
+    if not split[1]:
+        return lines, (), None, None
+    hid, ts, kwh_text, tariff, group = split[1]
     tariff_rows, tariff_id = _distinct(tariff)
     codes = [TARIFF_CODES.get(t) for t in _decoded(tariff[tariff_rows])]
     group_rows, group_id = _distinct(group)
     names = _decoded(group[group_rows])
     if None in codes or not set(names) <= set(GROUPS):
-        return at, None
+        return None
     hh_rows, hh_id = _distinct(hid)
     hh_group = group_id[hh_rows]
     if (group_id != hh_group[hh_id]).any():
-        return at, None                         # a household changes group inside the chunk
+        return None                             # a household changes group inside the chunk
     half_hour = stamps.half_hours_of(ts)
     if half_hour is None or not _KWH_BYTES[kwh_text.view(np.uint8)].all():
-        return at, None
+        return None
     try:
         # the cast ignores trailing NULs; the byte check keeps out whitespace,
         # underscores, inf and nan, so what it parses is what float() parses
         kwh = kwh_text.astype(np.float64)
     except ValueError:
-        return at, None
+        return None
     if not ((kwh >= 0.0) & (kwh < math.inf)).all():
-        return at, None
-    return at, (_decoded(hid[hh_rows]), [names[g] for g in hh_group.tolist()], hh_id,
-                half_hour, kwh, np.array(codes, np.int8)[tariff_id])
+        return None
+    rows = (_decoded(hid[hh_rows]), [names[g] for g in hh_group.tolist()], hh_id, half_hour, kwh,
+            np.array(codes, np.int8)[tariff_id])
+    return lines, rows, _first_repeat(hh_id, half_hour), None
 
 
-def _merge_chunk(grids, rows):
-    """Add the rows of a chunk that _parse_chunk parsed to grids, numbering
-    its new households after those read before, and return True; or return
-    False if one of its households changes group, leaving grids only fit to
-    be dropped."""
+def _parse_csv_chunk(fh, start, first, end, texts):
+    """_parse_chunk by the csv module for any chunk: its lines, however long,
+    decoded as open(path, newline="") decodes them, each row checked up to
+    the first faulty one. No field may hold a line break: a chunk may cut it.
+    texts maps the timestamp texts met in the process to their half-hours."""
+    fh.seek(first)
+    data = fh.read(end - first)
+    encoding = locale.getpreferredencoding(False)
+    try:
+        text, undecodable = data.decode(encoding), None
+    except UnicodeDecodeError as exc:           # a fault of its line, placed in that line
+        line = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        text, undecodable = data[:line].decode(encoding), UnicodeDecodeError(
+            exc.encoding, data[line:exc.end], exc.start - line, exc.end - line, exc.reason)
+    index_of, groups, cells = {}, [], []      # household id -> index; per row its cell
+    reader = csv.reader(io.StringIO(text, newline=""))
+    k, fault = -1, None
+    try:
+        for k, row in enumerate(reader):
+            if not (start or k):
+                if row != CONSUMPTION_HEADER:
+                    raise DataParseError(f"expected header {','.join(CONSUMPTION_HEADER)}")
+                continue
+            if not row:
+                continue
+            # a row on more lines than one, or cut by the chunk's end: a quoted line break
+            if reader.line_num != k + 1 or row[-1][-1:] in ("\n", "\r"):
+                raise DataParseError("field holds a line break")
+            if len(row) != 5:
+                raise DataParseError(f"expected 5 fields, got {len(row)}")
+            hid, ts_text, kwh_text, tariff, group = row
+            half_hour = texts.get(ts_text)
+            if half_hour is None:
+                half_hour = texts[ts_text] = _half_hour(ts_text)
+            try:
+                kwh = float(kwh_text)
+            except ValueError:
+                raise DataParseError(f"bad kwh value {kwh_text!r}") from None
+            if not 0.0 <= kwh < math.inf:
+                raise DataValidationError(
+                    f"negative kwh {kwh!r}" if math.isfinite(kwh) else "non-finite kwh")
+            code = TARIFF_CODES.get(tariff)
+            if code is None:
+                raise DataValidationError(f"unknown tariff {tariff!r} "
+                                          f"(expected one of {', '.join(sorted(TARIFF_CODES))})")
+            if group not in GROUPS:
+                raise DataValidationError(f"unknown group {group!r}")
+            index = index_of.setdefault(hid, len(groups))
+            if index == len(groups):
+                groups.append(group)
+            elif groups[index] != group:
+                raise DataValidationError(
+                    f"household {hid} changes group {groups[index]} -> {group}")
+            cells.append((index, half_hour, kwh, code))
+        if undecodable:
+            fault = k + 1, undecodable
+    except csv.Error as exc:                    # raised while reading row k + 1
+        fault = k + 1, exc
+    except (DataParseError, DataValidationError) as exc:
+        fault = k, exc
+    cells = np.array(cells, "intc,int32,float64,int8")   # household, half-hour, kWh, code
+    columns = [cells[name] for name in cells.dtype.names]
+    rows = (list(index_of), groups, *columns) if cells.size else ()
+    return k + 1, rows, _first_repeat(*columns[:2]), fault
+
+
+def _parse_chunk(path, start, stop, buf, mask, stamps):
+    """Parse the lines of the consumption file at path that start in bytes
+    [start, stop), the header's if start is 0: by numpy if they are plain
+    and pass every check (_parse_plain), else by the csv module
+    (_parse_csv_chunk). Runs in a pool worker or in-process; opens the file.
+
+    Returns (end, lines, rows, repeat, fault): end, the first line start at
+    or after stop, or the end of the file; lines, the chunk's csv rows,
+    blank ones included; rows, () or (households, groups, household,
+    half_hour, kwh, code) for the rows before the first fault: household
+    ids and groups by first appearance, then per row its household's index
+    among them (intc), half-hour (int32), kWh (float64) and tariff code
+    (int8); repeat, the first of these rows whose cell an earlier one holds,
+    or None; fault, None or (k, error) for the first faulty row, the
+    chunk's csv row k, the error not yet numbered (_numbered). buf, a
+    private mapping made before fork, holds the lines read and _KEY_BYTES
+    more; mask is scratch space as long; stamps is a _Stamps.
+    """
+    with open(path, "rb") as fh:
+        first, end = _line_start(fh, start), _line_start(fh, stop)
+        return end, *(_parse_plain(fh, start, first, end, buf, mask, stamps)
+                      or _parse_csv_chunk(fh, start, first, end, stamps.texts))
+
+
+def _merge_chunk(grids, rows, repeat):
+    """Add a chunk's rows (see _parse_chunk) to grids, numbering its new
+    households after those read before, and return None; or return the
+    first row whose household changes group or whose cell another row
+    holds (repeat, or a cell written before), leaving grids to be dropped."""
     if not rows:
-        return True
-    households, groups, household, half_hour, kwh, code = rows
-    index = []
-    for h, g in zip(households, groups):
-        i = grids.index_of.setdefault(h, len(grids.groups))
+        return None
+    households, groups, household, *columns = rows
+    index, stop = [], household.size if repeat is None else repeat
+    for h, (hid, group) in enumerate(zip(households, groups)):
+        i = grids.index_of.setdefault(hid, len(grids.groups))
         if i == len(grids.groups):
-            grids.groups.append(g)
-        elif grids.groups[i] != g:
-            return False
+            grids.groups.append(group)
+        elif grids.groups[i] != group:
+            stop = min(stop, int(np.argmax(household == h)))   # the household's first row
         index.append(i)
-    grids.add(np.array(index, np.intc)[household], half_hour, kwh, code)
-    return True
+    taken = grids.add(np.array(index, np.intc)[household[:stop]], *(c[:stop] for c in columns))
+    return taken if taken is not None or stop == household.size else stop
 
 
-def _chunks(fd, start):
-    """The (start, stop) byte ranges of _CHUNK_BYTES from start on, as long
-    as the file holds every byte a chunk reads; the last one may reach past
-    its end. Each size is taken before the range is handed out, so before
-    its chunk is read."""
+def _data_row(path, first, end, j):
+    """(k, row): data row j of the chunk in bytes [first, end) of the file
+    at path, read again by the csv module, and k its csv row in the chunk."""
+    with open(path, "rb") as fh:
+        fh.seek(first)
+        data = fh.read(end - first)
+    # a byte that cannot be decoded lies past the rows merged; a stand-in keeps the rows apart
+    text = data.decode(locale.getpreferredencoding(False), "replace")
+    rows = enumerate(csv.reader(io.StringIO(text, newline="")))
+    data_rows = ((k, row) for k, row in rows if row and (k or first))   # not the header
+    return next(itertools.islice(data_rows, j, None))
+
+
+def _chunks(path, start):
+    """The (start, stop) byte ranges of _CHUNK_BYTES from start on while the
+    file holds every byte a chunk reads, the last past its end; each size is
+    taken before the range is handed out, so before its chunk is read."""
     while True:
         stop = start + _CHUNK_BYTES
-        whole = os.fstat(fd).st_size >= stop + _LINE_BYTES
+        whole = os.stat(path).st_size >= stop + _LINE_BYTES
         yield start, stop
         if not whole:
             return
         start = stop
 
 
-def _read_plain_chunks(raw, grids):
-    """Read a consumption file into grids in plain chunks, parsed on the
-    usable CPUs and merged in file order. Returns whether they reached the
-    end of the file: False if the header or a chunk is not plain, or a
-    chunk would fail a check."""
-    head = raw.readline()
-    if head not in (_HEADER_LINE, _HEADER_LINE + b"\n", _HEADER_LINE + b"\r\n"):
-        return False
-    if not hasattr(os, "preadv"):         # Windows, say: the row loop reads the file
-        return False
-    fd = raw.fileno()
-    # one buffer and one mask, made before the pool starts so that each worker
-    # has its own through fork, and chunks add no large blocks to the heap
+def _read_chunks(path, grids):
+    """Read the consumption file at path into grids, its chunks parsed on the
+    usable CPUs and merged in file order, and return how many csv rows it
+    holds; raise the fault of the earliest line."""
+    # made before the pool starts, so each worker has its own through fork
     buf = mmap.mmap(-1, _CHUNK_BYTES + 2 + _LINE_BYTES + _KEY_BYTES, **_PRIVATE)
     mask = np.frombuffer(_map(len(buf)), bool)
     stamps = _Stamps()
-    end = len(head)
+    line = end = 0                  # csv rows merged; where the next chunk's lines start
     while True:
-        chunks = parallel.imap_forked(lambda chunk: _parse_chunk(fd, *chunk, buf, mask, stamps),
-                                      _chunks(fd, end))
-        with contextlib.closing(chunks):
-            for end, rows in chunks:
-                if rows is None or not _merge_chunk(grids, rows):
-                    return False
+        parsed = parallel.imap_forked(lambda chunk: _parse_chunk(path, *chunk, buf, mask, stamps),
+                                      _chunks(path, end))
+        with contextlib.closing(parsed):
+            for result in parsed:
+                first, (end, lines, rows, repeat, fault) = end, result
+                bad = _merge_chunk(grids, rows, repeat)
+                if bad is not None:
+                    k, (hid, ts_text, *_, group) = _data_row(path, first, end, bad)
+                    was = grids.groups[grids.index_of[hid]]
+                    fault = k, DataValidationError(
+                        f"household {hid} changes group {was} -> {group}" if was != group
+                        else f"duplicate reading for {hid} at {ts_text}")
+                if fault:
+                    raise _numbered(fault[1], line + fault[0] + 1)
+                line += lines
         # no chunk is in flight: the file ends here unless rows were appended meanwhile
-        if end is None or os.fstat(fd).st_size <= end:
-            return True
-
-
-def _read_rows(reader, line_no, grids):
-    """The row loop: add csv reader rows, the first from line line_no, to
-    grids, which holds no rows yet, _LOOP_ROWS rows at a time."""
-    index_of, groups = grids.index_of, grids.groups
-    texts = {}          # timestamp text -> (half-hour, slot id)
-    slots = {}          # half-hour -> slot id, numbered in the order first read
-    marks = []          # per household, one byte per slot id: 1 once a row holds it
-    columns = [array.array(code) for code in "iqdb"]
-    hh_col, half_hour_col, kwh_col, code_col = columns
-
-    def add_rows():
-        grids.add(*(np.frombuffer(col, dtype) for col, dtype in
-                    zip(columns, (np.intc, np.int64, np.float64, np.int8))))
-        for col in columns:
-            del col[:]
-
-    for line_no, row in enumerate(reader, start=line_no):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise DataParseError(f"line {line_no}: expected 5 fields, got {len(row)}")
-        hid, ts_text, kwh_text, tariff, group = row
-        text = texts.get(ts_text)
-        if text is None:
-            half_hour = _half_hour(ts_text, line_no)
-            text = texts[ts_text] = (half_hour, slots.setdefault(half_hour, len(slots)))
-        try:
-            kwh = float(kwh_text)
-        except ValueError:
-            raise DataParseError(f"line {line_no}: bad kwh value {kwh_text!r}") from None
-        if not 0.0 <= kwh < math.inf:
-            if not math.isfinite(kwh):
-                raise DataValidationError(f"line {line_no}: non-finite kwh")
-            raise DataValidationError(f"line {line_no}: negative kwh {kwh!r}")
-        code = TARIFF_CODES.get(tariff)
-        if code is None:
-            raise DataValidationError(
-                f"line {line_no}: unknown tariff {tariff!r} "
-                f"(expected one of {', '.join(sorted(set(TARIFF_CODES)))})"
-            )
-        if group not in GROUPS:
-            raise DataValidationError(f"line {line_no}: unknown group {group!r}")
-        index = index_of.get(hid)
-        if index is None:
-            index = index_of[hid] = len(groups)
-            groups.append(group)
-            marks.append(bytearray())
-        elif groups[index] != group:
-            raise DataValidationError(
-                f"line {line_no}: household {hid} changes group {groups[index]} -> {group}"
-            )
-        held, (half_hour, slot) = marks[index], text
-        if slot >= len(held):
-            held.extend(bytes(len(slots) - len(held)))
-        elif held[slot]:
-            raise DataValidationError(f"line {line_no}: duplicate reading for {hid} at {ts_text}")
-        held[slot] = 1
-        hh_col.append(index)
-        half_hour_col.append(half_hour)
-        kwh_col.append(kwh)
-        code_col.append(code)
-        if len(hh_col) == _LOOP_ROWS:
-            add_rows()
-    if hh_col:
-        add_rows()
+        if os.stat(path).st_size <= end:
+            return line
 
 
 def read_consumption_csv(path):
@@ -557,40 +577,16 @@ def read_consumption_csv(path):
 
     Households with less than 95% slot coverage over the file's date range
     are listed in .flagged (they stay in the grids; prepare_dataset drops
-    them).
-    Raises DataParseError / DataValidationError with the offending line;
-    of several faults the one on the earliest line wins.
-
-    The file is read in chunks of the lines that start in a byte range of
-    _CHUNK_BYTES, parsed in bulk with numpy on the usable CPUs while they are
-    plain and pass every check, each distinct timestamp text parsed once per
-    process; the parent merges the chunks in file order, each chunk's rows
-    going into the grids as it comes, and those grids are the ones
-    returned. The file ends for the bulk parse only when no chunk is in
-    flight, so rows appended during the read are read. If a chunk is not
-    plain or fails a check, or the grids hold fewer cells than there were
-    rows (a duplicate reading), the grids are dropped and a csv row loop
-    reads the whole file from its header into new ones; it raises every
-    error, duplicates included, so messages and line numbers are those of a
-    row-at-a-time reader, whatever the CPU count and whichever chunk
-    finishes first.
+    them). Raises DataParseError / DataValidationError with the offending
+    line (csv rows from the header's, line 1, blank ones included); of
+    several faults the earliest line's wins, whichever chunk finishes first.
+    The file is read once, in chunks (_read_chunks); it ends only when no
+    chunk is in flight, so rows appended meanwhile are read.
     """
     grids = _Grids()
-    with open(path, "rb") as raw:
-        read = _read_plain_chunks(raw, grids) and grids.finish()
-    if not read:
-        grids = _Grids()                      # the bulk parse's grids go back
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataParseError("line 1: empty file") from None
-            if header != CONSUMPTION_HEADER:
-                raise DataParseError(f"line 1: expected header {','.join(CONSUMPTION_HEADER)}")
-            _read_rows(reader, 2, grids)
-        read = grids.finish()
-    dates, kwh, tariff = read
+    if not _read_chunks(path, grids):
+        raise DataParseError("line 1: empty file")
+    dates, kwh, tariff = grids.finish()
     ids = list(grids.index_of)
     coverage = {hid: (tariff[i] >= 0).sum() / tariff[i].size for i, hid in enumerate(ids)}
     flagged = [hid for hid in ids if coverage[hid] < COVERAGE_THRESHOLD]
@@ -614,19 +610,22 @@ def read_temperature_csv(path):
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 2:
-                raise DataParseError(f"line {line_no}: expected 2 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0], line_no)
-            if ts.minute != 0:
-                raise DataValidationError(f"line {line_no}: temperature not on the hour")
             try:
-                value = float(row[1])
-            except ValueError:
-                raise DataParseError(f"line {line_no}: bad temp_c value {row[1]!r}") from None
-            if not math.isfinite(value):
-                raise DataValidationError(f"line {line_no}: non-finite temperature")
-            if timestamps and ts <= timestamps[-1]:
-                raise DataValidationError(f"line {line_no}: timestamps not increasing")
+                if len(row) != 2:
+                    raise DataParseError(f"expected 2 fields, got {len(row)}")
+                ts = _parse_timestamp(row[0])
+                if ts.minute != 0:
+                    raise DataValidationError("temperature not on the hour")
+                try:
+                    value = float(row[1])
+                except ValueError:
+                    raise DataParseError(f"bad temp_c value {row[1]!r}") from None
+                if not math.isfinite(value):
+                    raise DataValidationError("non-finite temperature")
+                if timestamps and ts <= timestamps[-1]:
+                    raise DataValidationError("timestamps not increasing")
+            except (DataParseError, DataValidationError) as exc:
+                raise _numbered(exc, line_no) from None
             timestamps.append(ts)
             temps.append(value)
     if not timestamps:

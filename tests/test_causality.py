@@ -1,3 +1,4 @@
+import csv
 import time
 
 import numpy as np
@@ -157,6 +158,27 @@ class TestTariffProfile:
         assert len(lines) == 1 + 3 * 3 * 48
         assert lines[1] == f"tou002,LOW,1,{float(prof.mu[0, LOW, 0])!r},{float(prof.sigma[0, LOW, 0])!r}"
         assert lines[-1].startswith("tou010,HIGH,48,")
+
+    @pytest.mark.parametrize("ids", [["tou002", "std001"], ["a,b", 'say "hi"', "plain"]],
+                             ids=["plain-ids", "ids-with-a-comma-or-a-quote"])
+    def test_csv_is_what_csv_writer_writes(self, tmp_path, ids):
+        rng = np.random.default_rng(5)
+        prof = causality.ResponseProfiles(ids, rng.normal(size=(len(ids), 3, 48)),
+                                          rng.uniform(0.01, 0.3, size=(len(ids), 3, 48)))
+        path, want = tmp_path / "profiles.csv", tmp_path / "want.csv"
+        causality.export_profiles_csv(prof, path)
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(causality.PROFILE_HEADER)
+            writer.writerows([entity, causality.TARIFF_NAMES[code], h + 1,
+                              float(prof.mu[i, code, h]), float(prof.sigma[i, code, h])]
+                             for i, entity in enumerate(ids) for code in (LOW, NORMAL, HIGH)
+                             for h in range(48))
+        assert path.read_bytes() == want.read_bytes()
+        loaded = causality.read_profiles_csv(path)
+        assert loaded.ids == ids
+        np.testing.assert_array_equal(loaded.mu, prof.mu)
+        np.testing.assert_array_equal(loaded.sigma, prof.sigma)
 
     def test_csv_header_only_reads_no_entity(self, tmp_path):
         path = tmp_path / "profiles.csv"

@@ -1,6 +1,7 @@
 import csv
 import datetime
 import io
+import os
 import sys
 import time
 import tracemalloc
@@ -248,17 +249,35 @@ def outcome(path):
 
 
 @pytest.fixture()
-def row_loop_starts(monkeypatch):
-    """Line numbers at which the row loop took over, one per read."""
-    starts = []
-    read_rows = dataio._read_rows
+def chunks_parsed(monkeypatch, tmp_path):
+    """What the chunk parse did, in the pool's workers or in-process: a
+    function that returns, and forgets, the start offsets of the chunks
+    _parse_chunk was given and of those _parse_csv_chunk parsed, each
+    sorted."""
+    log = tmp_path / "chunks_parsed.log"
 
-    def spy(reader, line_no, grids):
-        starts.append(line_no)
-        return read_rows(reader, line_no, grids)
+    def logged(kind, parse):
+        def spy(source, start, stop, *args):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {start}\n")
+            return parse(source, start, stop, *args)
+        return spy
 
-    monkeypatch.setattr(dataio, "_read_rows", spy)
-    return starts
+    monkeypatch.setattr(dataio, "_parse_chunk", logged("given", dataio._parse_chunk))
+    monkeypatch.setattr(dataio, "_parse_csv_chunk", logged("csv", dataio._parse_csv_chunk))
+
+    def taken():
+        entries = [line.split() for line in log.read_text().splitlines()] if log.exists() else []
+        log.unlink(missing_ok=True)
+        return tuple(tuple(sorted(int(start) for kind, start in entries if kind == name))
+                     for name in ("given", "csv"))
+
+    return taken
+
+
+def chunk_of(given, offset):
+    """The start of the chunk, among the starts given, that holds the line at offset."""
+    return max(start for start in given if start <= offset)
 
 
 THREE_DAYS = day_rows("a", D1) + day_rows("b", D1) + day_rows("a", D2) + day_rows("b", D2)
@@ -280,9 +299,10 @@ class TestChunkedRead:
     def small_chunks(self, monkeypatch, cpus):
         monkeypatch.setattr(dataio, "_CHUNK_BYTES", 100)
 
-    def test_mixed_file_matches_reference_without_the_row_loop(self, tmp_path, row_loop_starts):
+    def test_mixed_file_matches_reference_without_the_csv_module(self, tmp_path, chunks_parsed):
         TestReadConsumption().test_matches_row_at_a_time_reader_bit_for_bit(tmp_path)
-        assert row_loop_starts == []
+        given, by_csv = chunks_parsed()
+        assert len(given) > 10 and by_csv == ()
 
     @pytest.mark.parametrize("body, error, message", [
         pytest.param(day_rows("a", D1) + "a,2024-03-05T00:00,0.4,NORMAL\n",
@@ -393,34 +413,38 @@ class TestChunkedRead:
                      "line 52: duplicate reading for a at 2024-03-04T00:00",
                      id="blank-lines-before-the-duplicate"),
     ])
-    def test_plain_file_with_a_duplicate_is_read_again_by_the_row_loop(
-            self, tmp_path, row_loop_starts, body, message):
-        # the bulk parse reads every line; its grids hold one cell fewer than it
-        # read rows, so the row loop reads the file again to name the line
+    def test_plain_file_with_a_duplicate_is_read_once(self, tmp_path, chunks_parsed, body,
+                                                      message):
+        # the merge finds the cell taken and reads the one chunk's lines again to
+        # name the row; no chunk goes to the csv module or is parsed twice
         assert outcome(write_csv(tmp_path / "c.csv", body)) == (
             dataio.DataValidationError, message)
-        assert row_loop_starts == [2]
+        given, by_csv = chunks_parsed()
+        assert len(given) == len(set(given)) > 10 and by_csv == ()
 
-    def test_duplicate_in_a_quoted_file_keeps_its_message(self, tmp_path, row_loop_starts):
+    def test_duplicate_in_a_quoted_file_keeps_its_message(self, tmp_path, chunks_parsed):
         body = day_rows("a", D1) + "a,2024-03-04T00:00,0.5,NORMAL,TOU\n"
         plain = outcome(write_csv(tmp_path / "plain.csv", body))
+        assert chunks_parsed()[1] == ()
         quoted = outcome(write_csv(tmp_path / "quoted.csv", body.replace("a,", '"a",')))
         assert quoted == plain == (
             dataio.DataValidationError, "line 50: duplicate reading for a at 2024-03-04T00:00")
-        assert row_loop_starts == [2, 2]
+        given, by_csv = chunks_parsed()
+        assert by_csv == given
 
-    @pytest.mark.parametrize("variant, row_loop", [
-        ("quote-all", "from the header"), ("non-ascii-id", "late"), ("lone-cr", "late"),
+    @pytest.mark.parametrize("variant, by_csv", [
+        ("quote-all", "every chunk"), ("non-ascii-id", "late"), ("lone-cr", "late"),
         ("nul-in-kwh", "late"), ("spaced-kwh", "late"), ("underscored-kwh", "late"),
-        ("negative-zero", "never"), ("signed-exponent", "never"), ("crlf", "never"),
+        ("negative-zero", "no chunk"), ("signed-exponent", "no chunk"), ("crlf", "no chunk"),
         ("quoted-id", "late"), ("cr-before-row", "late"),
     ])
-    def test_variants_read_as_reference_or_keep_the_message(self, tmp_path, variant, row_loop,
-                                                            row_loop_starts):
+    def test_variants_read_as_reference_or_keep_the_message(self, tmp_path, variant, by_csv,
+                                                            chunks_parsed):
         # about 20 KB, so a late variant first shows on line 551, many chunks
-        # into the bulk parse; the row loop then reads the whole file again
+        # into the file; the csv module parses only the chunks that hold a
+        # changed line
         body = "".join(day_rows(h, d) for d in (D1, D2, D3) for h in "abcd")
-        lines = (HEADER + body).splitlines(keepends=True)
+        lines = original = (HEADER + body).splitlines(keepends=True)
         late = 550                            # index of file line 551
         fault = None
         if variant == "quote-all":
@@ -428,6 +452,7 @@ class TestChunkedRead:
             with open(tmp_path / "c.csv", "w", newline="") as fh:
                 csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
         else:
+            lines = list(original)
             if variant == "non-ascii-id":
                 lines[late:] = [line.replace("d,", "dé,", 1) for line in lines[late:]]
             elif variant == "lone-cr":
@@ -452,14 +477,20 @@ class TestChunkedRead:
             assert got == fault
         else:
             assert_same_data(got, reference_read_consumption(tmp_path / "c.csv"))
-        if row_loop == "never":
-            assert row_loop_starts == []
-        else:                                 # "from the header" and "late" alike
-            assert row_loop_starts == [2]
+        given, parsed_by_csv = chunks_parsed()
+        if by_csv == "every chunk":
+            assert parsed_by_csv == given
+        elif by_csv == "no chunk":
+            assert parsed_by_csv == ()
+        else:
+            offsets = np.cumsum([0] + [len(line.encode()) for line in lines])
+            changed = {chunk_of(given, offsets[i])
+                       for i, (line, was) in enumerate(zip(lines, original)) if line != was}
+            assert parsed_by_csv == tuple(sorted(changed)) and len(given) > 100
 
     @pytest.mark.parametrize("appends", [1, 6])
     def test_rows_appended_during_the_read_are_read(self, tmp_path, monkeypatch,
-                                                    row_loop_starts, appends):
+                                                    chunks_parsed, appends):
         # the grids grow with the rows read, so rows appended after the read
         # started, of new households on old and new days, are read in bulk
         # with the rest: appended as the first chunk, or the first six, are
@@ -469,29 +500,29 @@ class TestChunkedRead:
         days = days + [("d", D1), ("e", D2)]
         merged = []
 
-        def merge_and_grow(grids, rows):
+        def merge_and_grow(grids, rows, repeat):
             merged.append(rows)
             if len(merged) <= appends:
                 with open(path, "a") as fh:
                     fh.write(day_rows(*days.pop(0)))
-            return merge_chunk(grids, rows)
+            return merge_chunk(grids, rows, repeat)
 
         monkeypatch.setattr(dataio, "_merge_chunk", merge_and_grow)
         got = outcome(path)
         assert len(merged) > appends and len(days) == 6 - appends
         assert_same_data(got, reference_read_consumption(path))
         assert got.household_ids == list("abcde"[:1 + min(appends, 4)])
-        assert row_loop_starts == []
+        assert chunks_parsed()[1] == ()
 
     def test_the_end_of_the_file_is_read_with_no_chunk_in_flight(self, tmp_path, monkeypatch,
-                                                                  row_loop_starts):
+                                                                  chunks_parsed):
         # rows appended just after the last chunk of the file as it was has
         # been read, while that chunk is in flight, are read by another round
         path = write_csv(tmp_path / "c.csv", day_rows("a", D1))
         parse_chunk, size = dataio._parse_chunk, path.stat().st_size
 
-        def parse_then_grow(fd, start, stop, *args):
-            parsed = parse_chunk(fd, start, stop, *args)
+        def parse_then_grow(source, start, stop, *args):
+            parsed = parse_chunk(source, start, stop, *args)
             if stop + dataio._LINE_BYTES > size and path.stat().st_size == size:
                 with open(path, "a") as fh:
                     fh.write(day_rows("b", D2))
@@ -501,10 +532,10 @@ class TestChunkedRead:
         got = outcome(path)
         assert_same_data(got, reference_read_consumption(path))
         assert got.household_ids == ["a", "b"]
-        assert row_loop_starts == []
+        assert chunks_parsed()[1] == ()
 
     def test_faulty_chunk_that_finishes_first_keeps_the_message(self, tmp_path, monkeypatch,
-                                                                 row_loop_starts, cpus):
+                                                                 chunks_parsed, cpus):
         # lines 6 and 8 fail, in neighbouring chunks; line 6's is held back, so
         # on two CPUs line 8's finishes first, yet line 6 is named
         body = day_rows("a", D1).replace("T02:00,0.4", "T02:00,-0.4").replace(
@@ -514,50 +545,131 @@ class TestChunkedRead:
         first_at, fault_at = data.index(b"a,2024-03-04T02:00"), data.index(b"a,2024-03-04T03:00")
         parse_chunk = dataio._parse_chunk
 
-        def held_back(fd, start, stop, *args):
+        def held_back(source, start, stop, *args):
             if start <= first_at < stop:
                 time.sleep(0.2)
-            parsed = parse_chunk(fd, start, stop, *args)
+            parsed = parse_chunk(source, start, stop, *args)
             with open(finished, "a") as fh:
                 fh.write(f"{start}\n")
             return parsed
 
         monkeypatch.setattr(dataio, "_parse_chunk", held_back)
         assert outcome(path) == (dataio.DataValidationError, "line 6: negative kwh -0.4")
-        assert row_loop_starts == [2]
         starts = [int(line) for line in finished.read_text().split()]
-        held, faulty = (at - (at - len(HEADER)) % 100 for at in (first_at, fault_at))
-        assert held < faulty
+        held, faulty = (at - at % 100 for at in (first_at, fault_at))
+        assert held < faulty and held in chunks_parsed()[1]
         if cpus == 2:
             assert starts.index(faulty) < starts.index(held)
         else:                                 # in-process, the read stops at the held chunk
             assert starts[-1] == held
 
     def test_duplicate_rows_in_different_chunks_keep_the_message(self, tmp_path,
-                                                                  row_loop_starts):
+                                                                  chunks_parsed):
         body = day_rows("a", D1) + day_rows("b", D1) + "a,2024-03-04T00:30,0.5,NORMAL,TOU\n"
         path = write_csv(tmp_path / "c.csv", body)
         data = path.read_bytes()            # the two readings lie 30 chunks apart
         assert data.index(b"a,2024-03-04T00:30") + 30 * 100 < data.rindex(b"a,2024-03-04T00:30")
         assert outcome(path) == (dataio.DataValidationError,
                                  "line 98: duplicate reading for a at 2024-03-04T00:30")
-        assert row_loop_starts == [2]
+        assert chunks_parsed()[1] == ()
 
-    def test_without_preadv_the_row_loop_reads_the_file(self, tmp_path, monkeypatch,
-                                                         row_loop_starts):
+    def test_without_fork_the_chunks_are_read_in_process(self, tmp_path, monkeypatch,
+                                                         chunks_parsed):
+        # each chunk opens the file itself and reads it by seek and readinto, so
+        # the same step runs where the platform cannot fork
         path = write_mixed_file(tmp_path / "c.csv")
-        monkeypatch.delattr(dataio.os, "preadv")
-        assert_same_data(outcome(path), reference_read_consumption(path))
-        assert row_loop_starts == [2]
+        quoted = tmp_path / "q.csv"
+        quoted.write_bytes(path.read_bytes().replace(b",TOU", b',"TOU"'))
+        monkeypatch.setattr(parallel.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        parse_chunk, pids = dataio._parse_chunk, set()
+        monkeypatch.setattr(dataio, "_parse_chunk",
+                            lambda *args: pids.add(os.getpid()) or parse_chunk(*args))
+        want = reference_read_consumption(path)
+        assert_same_data(outcome(path), want)
+        assert chunks_parsed()[1] == ()
+        assert_same_data(outcome(quoted), want)
+        assert chunks_parsed()[1] and pids == {os.getpid()}
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["in-one-chunk", "cut-by-a-chunk"])
+    def test_line_break_in_a_quoted_field_names_the_line_its_row_starts(self, tmp_path,
+                                                                         monkeypatch, cut):
+        # line 12's tariff field holds a line break; a chunk boundary cuts it, or
+        # one chunk holds the whole file
+        body = day_rows("a", D1).replace("T05:00,0.4,NORMAL", 'T05:00,0.4,"NOR\nMAL"')
+        path = write_csv(tmp_path / "c.csv", body)
+        data = path.read_bytes()
+        second_half = data.index(b'MAL"')
+        monkeypatch.setattr(dataio, "_CHUNK_BYTES", second_half if cut else 1 << 20)
+        assert outcome(path) == (dataio.DataParseError, "line 12: field holds a line break")
+
+    @pytest.mark.parametrize("variant, fault_line", [("lone-cr", 60), ("cr-before-row", 61)])
+    def test_rows_after_a_cr_are_counted_as_the_csv_module_counts_them(
+            self, tmp_path, chunks_parsed, variant, fault_line):
+        # line 10 ends in a lone CR (two csv rows on one line), or a CR comes
+        # before it (a blank csv row); line 60, many chunks later, is negative
+        lines = (HEADER + day_rows("a", D1) + day_rows("b", D1)).splitlines(keepends=True)
+        lines[59] = lines[59].replace(",0.4,", ",-0.4,")
+        lines[9] = lines[9].replace("\n", "\r") if variant == "lone-cr" else "\r" + lines[9]
+        text = "".join(lines)
+        (tmp_path / "c.csv").write_bytes(text.encode())
+        rows = list(csv.reader(io.StringIO(text[:text.index("-0.4")], newline="")))
+        assert len(rows) == fault_line
+        assert outcome(tmp_path / "c.csv") == (dataio.DataValidationError,
+                                               f"line {fault_line}: negative kwh -0.4")
+        given, by_csv = chunks_parsed()
+        cr_chunk, fault_chunk = (chunk_of(given, len("".join(lines[:i]))) for i in (9, 59))
+        assert cr_chunk in by_csv and cr_chunk < fault_chunk
+
+    def test_duplicate_across_chunks_in_timestamp_order(self, tmp_path):
+        # rows in timestamp order are not in cell order; the copy of an early row
+        # lands many chunks after it
+        rows = [line for _, _, line in sorted(household_major_rows())]
+        hid, ts, _, tariff, group = rows[30].split(",")
+        rows.insert(150, f"{hid},{ts},9.5,{tariff},{group}")
+        path = write_csv(tmp_path / "c.csv", "\n".join(rows) + "\n")
+        assert outcome(path) == (dataio.DataValidationError,
+                                 f"line 152: duplicate reading for {hid} at {ts}")
+
+    def test_duplicate_in_a_plain_chunk_beats_a_later_csv_fault_that_finishes_first(
+            self, tmp_path, monkeypatch, chunks_parsed, cpus):
+        # line 20 repeats line 4's cell in a plain chunk, which is held back; line
+        # 30, quoted, holds an unknown tariff and is parsed by the csv module,
+        # finishing first on two CPUs
+        lines = (HEADER + day_rows("a", D1)).splitlines(keepends=True)
+        lines[19] = lines[3].replace(",0.4,", ",0.7,")
+        lines[29] = lines[29].replace("NORMAL", '"PEAK"')
+        path = tmp_path / "c.csv"
+        path.write_bytes("".join(lines).encode())
+        dup_at, fault_at = (len("".join(lines[:i]).encode()) for i in (19, 29))
+        parse_chunk, finished = dataio._parse_chunk, tmp_path / "order"
+
+        def held_back(source, start, stop, *args):
+            if start <= dup_at < stop:
+                time.sleep(0.2)
+            parsed = parse_chunk(source, start, stop, *args)
+            with open(finished, "a") as fh:
+                fh.write(f"{start}\n")
+            return parsed
+
+        monkeypatch.setattr(dataio, "_parse_chunk", held_back)
+        assert outcome(path) == (dataio.DataValidationError,
+                                 "line 20: duplicate reading for a at 2024-03-04T01:00")
+        held, faulty = (at - at % 100 for at in (dup_at, fault_at))
+        starts = [int(line) for line in finished.read_text().split()]
+        given, by_csv = chunks_parsed()
+        assert held < faulty and held not in by_csv
+        if cpus == 2:
+            assert faulty in by_csv and starts.index(faulty) < starts.index(held)
 
     @pytest.mark.parametrize("duplicate_at, error", [
-        (6000, dataio.DataValidationError), (8192 + 200, UnicodeDecodeError),
+        (6000, dataio.DataValidationError), (8192 + 200, dataio.DataValidationError),
+        (8192 + 2000, UnicodeDecodeError),
     ])
-    def test_undecodable_byte_fails_as_in_the_row_loop(self, tmp_path, monkeypatch,
-                                                       duplicate_at, error):
-        # the text reader decodes 8 KiB at a time, so a bad byte fails the rows
-        # of its whole block: a duplicate in an earlier block is reported, one in
-        # the same block is not
+    def test_undecodable_byte_fails_at_its_line(self, tmp_path, monkeypatch, duplicate_at,
+                                                error):
+        # a byte that cannot be decoded is a fault of its line, like any other:
+        # a duplicate on an earlier line is reported, one on a later line is
+        # not, and the error does not depend on where the chunks start
         body = "".join(day_rows(h, d) for h in "abcd" for d in (D1, D2))
         data = (HEADER + body).encode()
         end = data.index(b"\n", duplicate_at) + 1
@@ -614,7 +726,7 @@ class TestGrowingGrids:
 
     @pytest.mark.parametrize("chunk", [100, 300, 1000])
     def test_chunks_fill_the_grids_of_one_read(self, tmp_path, chunks_of, adds,
-                                               row_loop_starts, chunk):
+                                               chunks_parsed, chunk):
         lines = [line for _, _, line in household_major_rows()]
         path = tmp_path / "c.csv"
         path.write_text(HEADER + "\n".join(lines) + "\n")
@@ -625,9 +737,9 @@ class TestGrowingGrids:
         assert_same_data(got, one_read)
         assert_same_data(got, reference_read_consumption(path))
         assert np.isnan(got.kwh).any() and (got.tariff == -1).any()
-        # each chunk went into the grids as it was parsed; the row loop read nothing
+        # each chunk went into the grids as it was parsed, by numpy
         assert len(adds) > len(path.read_bytes()) // chunk // 2 and sum(adds) == 2 * len(lines)
-        assert row_loop_starts == []
+        assert chunks_parsed()[1] == ()
 
     @pytest.mark.parametrize("chunk", [100, 1000])
     def test_mixed_file_fills_the_grids_of_one_read(self, tmp_path, chunks_of, chunk):
@@ -639,7 +751,7 @@ class TestGrowingGrids:
         assert np.isnan(got.kwh).any() and (got.tariff == -1).any()
 
     def test_timestamp_major_rows_fill_the_grids_of_household_major(self, tmp_path, chunks_of,
-                                                                    row_loop_starts):
+                                                                    chunks_parsed):
         # in timestamp order every chunk reads a day or two past the days laid out
         rows = household_major_rows()
         by_household, by_time = tmp_path / "h.csv", tmp_path / "t.csv"
@@ -649,10 +761,10 @@ class TestGrowingGrids:
         got = outcome(by_time)
         assert_same_data(got, outcome(by_household))
         assert got.household_ids == [f"h{i:02d}" for i in range(12)]
-        assert row_loop_starts == []
+        assert chunks_parsed()[1] == ()
 
     def test_days_outside_the_first_households_grow_the_grids(self, tmp_path, chunks_of,
-                                                              row_loop_starts):
+                                                              chunks_parsed):
         # a reads days 3-5, then b starts two days earlier and c ends three days later
         days = [D1 + datetime.timedelta(days=t) for t in range(8)]
         body = ("".join(day_rows("a", d, kwh=0.1 + t) for t, d in enumerate(days) if 2 <= t <= 4)
@@ -664,7 +776,7 @@ class TestGrowingGrids:
         for chunk in (100, 1000, 1 << 20):
             chunks_of(chunk)
             assert_same_data(outcome(path), want)
-        assert row_loop_starts == []
+        assert chunks_parsed()[1] == ()
 
     def test_timestamp_order_lays_the_grids_out_a_few_times(self, tmp_path, monkeypatch,
                                                             chunks_of):
@@ -685,7 +797,7 @@ class TestGrowingGrids:
         assert len(maps) == 2 * 7 + 2 + 1
 
     def test_grids_are_copied_where_mmap_cannot_resize(self, tmp_path, monkeypatch, chunks_of,
-                                                       row_loop_starts):
+                                                       chunks_parsed):
         class Unresizable(dataio.mmap.mmap):
             def resize(self, size):
                 raise SystemError("mmap: resizing not available--no mremap()")
@@ -701,15 +813,15 @@ class TestGrowingGrids:
         assert isinstance(dataio._Grids().maps[0], Unresizable)
         for p, data in zip((path, late), want):
             assert_same_data(outcome(p), data)
-        assert row_loop_starts == []
+        assert chunks_parsed()[1] == ()
 
     @pytest.mark.parametrize("chunk, original, copy_at", [
         pytest.param(1 << 20, 100, 101, id="same-chunk"),
         pytest.param(1000, 100, 2000, id="later-chunk"),
         pytest.param(1000, 0, None, id="data-row-1-as-the-last-row"),
     ])
-    def test_duplicate_is_named_by_the_row_loop(self, tmp_path, chunks_of, row_loop_starts,
-                                                chunk, original, copy_at):
+    def test_duplicate_is_named_with_its_line(self, tmp_path, chunks_of, chunks_parsed, chunk,
+                                              original, copy_at):
         rows = [line for _, _, line in household_major_rows()]
         fields = rows[original].split(",")
         copy_at = len(rows) if copy_at is None else copy_at
@@ -720,20 +832,25 @@ class TestGrowingGrids:
         assert outcome(path) == (dataio.DataValidationError,
                                  f"line {copy_at + 2}: duplicate reading for "
                                  f"{fields[0]} at {fields[1]}")
-        assert row_loop_starts == [2]
+        given, by_csv = chunks_parsed()
+        assert len(given) == len(set(given)) and by_csv == ()
 
-    def test_row_loop_adds_its_rows_a_block_at_a_time(self, tmp_path, monkeypatch,
-                                                      adds, row_loop_starts):
+    def test_quoted_file_goes_into_the_grids_chunk_by_chunk(self, tmp_path, chunks_of, adds,
+                                                             chunks_parsed):
         rows = [line for _, _, line in household_major_rows()]
-        path = tmp_path / "q.csv"                 # quoted, so only the row loop reads it
+        path = tmp_path / "q.csv"                 # quoted, so the csv module parses every chunk
         path.write_text(HEADER + "\n".join(f'"{line}"'.replace(",", '","') for line in rows)
                         + "\n")
-        monkeypatch.setattr(dataio, "_LOOP_ROWS", 1000)
         plain = tmp_path / "p.csv"
         plain.write_text(HEADER + "\n".join(rows) + "\n")
-        assert_same_data(outcome(path), outcome(plain))
-        assert row_loop_starts == [2]
-        assert adds == [1000] * (len(rows) // 1000) + [len(rows) % 1000, len(rows)]
+        chunks_of(10_000)
+        want = outcome(plain)
+        assert chunks_parsed()[1] == ()
+        del adds[:]
+        assert_same_data(outcome(path), want)
+        given, by_csv = chunks_parsed()
+        assert by_csv == given and len(given) > 5
+        assert len(adds) == len(given) and sum(adds) == len(rows)
 
     def test_finish_marks_unread_cells_a_household_at_a_time(self, tmp_path):
         # the NaN fill takes one household's mask at a time: its traced peak
@@ -742,8 +859,7 @@ class TestGrowingGrids:
         path = tmp_path / "g.csv"
         path.write_text(HEADER + "\n".join(line for _, _, line in rows) + "\n")
         grids = dataio._Grids()
-        with open(path, "rb") as raw:
-            assert dataio._read_plain_chunks(raw, grids)
+        assert dataio._read_chunks(path, grids) == len(rows) + 1
         tracemalloc.start()
         try:
             _, kwh, tariff = grids.finish()

@@ -7,14 +7,15 @@ the day. Tariffs are LOW/NORMAL/HIGH for time-of-use households and FLAT for
 standard ones; FLAT maps to NORMAL internally so every series lives on the
 same three-level code.
 
-read_consumption_csv reads the file once, in chunks of about 1 MB of lines
-parsed on the usable CPUs and merged in file order: by numpy when a chunk is
-plain (ASCII without quotes, NUL or lone CR, 5 fields a line, no field wider
-than the keys) and passes every check, else by the csv module. Each chunk's
-rows go straight into the (n, T, 48) kWh and tariff grids that are returned,
-NaN and -1 where no row holds the cell; faults, duplicates among them, name
-the earliest line. prepare_dataset repairs those grids in place and adds the
-features; save_prepared writes each array into the npz from memory.
+read_consumption_csv reads the file once, as long as it is when the read
+starts, in chunks of about 1 MB of lines parsed on the usable CPUs and
+merged in file order: by numpy when a chunk is plain (ASCII without quotes,
+NUL or lone CR, 5 fields a line, no field wider than the keys) and passes
+every check, else by the csv module. Each chunk's rows go straight into the
+(n, T, 48) kWh and tariff grids that are returned, NaN and -1 where no row
+holds the cell; faults, duplicates among them, name the earliest line.
+prepare_dataset repairs those grids in place and adds the features;
+save_prepared writes each array into the npz from memory.
 
 Run artifacts are written through replacing (CSVs through write_csv), so a
 file appears whole or not at all; replacing_all does the same for a set of
@@ -53,7 +54,6 @@ DEFAULT_SMOOTHING = 0.998
 
 _CHUNK_BYTES = 1 << 20  # bytes of a consumption file whose lines make one chunk
 _KEY_BYTES = 32         # widest field the numpy parse takes; a wider one goes to the csv module
-_LINE_BYTES = 5 * _KEY_BYTES + 6  # longest plain line: 5 fields, 4 commas, CR and LF
 _WRITE_BYTES = 1 << 20  # bytes of an array save_prepared hands to the npz file at a time
 # anonymous mappings private to the process, where mmap can make them
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
@@ -255,21 +255,21 @@ def _decoded(keys):
     return [key.decode("ascii") for key in keys.tolist()]
 
 
-def _split_chunk(buf, size, mask):
-    """Cut buf[:size], whole lines, into fields: None if the lines are not
-    plain, else the number of lines and the five fields of the rows, each
-    an array of NUL-padded bytes (none if every line is blank). buf ends in
-    _KEY_BYTES bytes past any chunk, the last never CR; mask is scratch
-    space as long as buf.
+def _split_chunk(buf, size):
+    """Cut buf[:size], whole lines ending in a LF, into fields: None if the
+    lines are not plain, else the number of lines and the five fields of the
+    rows, each an array of NUL-padded bytes (none if every line is blank).
+    buf holds at least _KEY_BYTES bytes past the lines, of any value, and
+    its last size bytes are scratch space.
     """
     if buf.find(b'"', 0, size) >= 0 or buf.find(b"\0", 0, size) >= 0:
         return None
     a = np.frombuffer(buf, np.uint8)
-    chunk, mask = a[:size], mask[:size]
+    chunk, mask = a[:size], a[len(a) - size:].view(bool)
     if chunk.max() >= 0x80:
         return None
     line_end = np.flatnonzero(np.equal(chunk, ord("\n"), out=mask))
-    crlf = a[line_end - 1] == ord("\r")      # a[-1] for a blank first line
+    crlf = chunk[line_end - 1] == ord("\r")  # chunk[-1], a LF, for a blank first line
     if np.count_nonzero(np.equal(chunk, ord("\r"), out=mask)) != np.count_nonzero(crlf):
         return None                          # a lone CR
     line_start = np.r_[0, line_end[:-1] + 1]
@@ -302,13 +302,25 @@ def _split_chunk(buf, size, mask):
     return lines, [field(j) for j in range(5)]
 
 
-class _Stamps:
-    """The timestamp texts a numpy parse has met, sorted, and their
-    half-hours: each distinct text is parsed once per process."""
+class _ChunkState:
+    """What a process keeps from one chunk it parses to the next: the
+    timestamp texts a numpy parse has met, sorted, and their half-hours, so
+    that each distinct text is parsed once, and the buffer plain chunks are
+    read into."""
 
     def __init__(self):
         self.keys, self.half_hours = np.array([], dtype="S1"), np.array([], np.int32)
         self.texts = {}     # for the csv module: timestamp text -> half-hour
+        self.buf = b""
+
+    def buffer(self, size):
+        """A private anonymous mapping of at least size bytes, holding what
+        the last chunk left there. The process maps it on its first chunk,
+        with room to grow, and keeps it for the next: fresh memory for each
+        chunk cost page faults or left freed heap resident."""
+        if len(self.buf) < size:
+            self.buf = mmap.mmap(-1, 2 * size, **_PRIVATE)
+        return self.buf
 
     def half_hours_of(self, ts):
         """The half-hours (int32) of the timestamp texts ts, or None if one
@@ -344,34 +356,33 @@ def _first_repeat(household, half_hour):
     return int(repeats.min()) if repeats.size else None
 
 
-def _line_start(fh, at):
+def _line_start(fh, at, size):
     """The offset of the first line start at or after at in the file fh (0,
-    or just past a LF), or of its end if that comes first."""
+    or just past a LF), or size, where the read ends, if that comes first."""
     if not at:
         return 0
     fh.seek(at - 1)
     fh.readline()
-    return min(fh.tell(), os.fstat(fh.fileno()).st_size)
+    return min(fh.tell(), size)
 
 
-def _parse_plain(fh, start, first, end, buf, mask, stamps):
+def _parse_plain(fh, start, first, end, state):
     """_parse_chunk by numpy for a plain chunk whose rows pass every check
     but the one for repeats; None for any other."""
     lines = 0
     if not start:                               # the header's line, as csv.writer writes it
         fh.seek(0)
-        head = fh.readline(len(_HEADER_LINE) + 2)
+        head = fh.readline(min(len(_HEADER_LINE) + 2, end))
         if head not in (_HEADER_LINE + b"\n", _HEADER_LINE + b"\r\n"):
             return None
         first, lines = len(head), 1
-    if end - first >= len(buf) - _KEY_BYTES - 1:
-        return None                             # a line longer than a plain one
+    buf = state.buffer(2 * (end - first + 1) + _KEY_BYTES)   # lines, _KEY_BYTES, scratch space
     fh.seek(first)
     size = fh.readinto(memoryview(buf)[:end - first])
     if size and buf[size - 1] != ord("\n"):
         buf[size] = ord("\n")                  # the file's last line has no line end: give it one
         size += 1
-    split = _split_chunk(buf, size, mask) if size else (0, ())
+    split = _split_chunk(buf, size) if size else (0, ())
     if split is None:
         return None
     lines += split[0]
@@ -388,7 +399,7 @@ def _parse_plain(fh, start, first, end, buf, mask, stamps):
     hh_group = group_id[hh_rows]
     if (group_id != hh_group[hh_id]).any():
         return None                             # a household changes group inside the chunk
-    half_hour = stamps.half_hours_of(ts)
+    half_hour = state.half_hours_of(ts)
     if half_hour is None or not _KWH_BYTES[kwh_text.view(np.uint8)].all():
         return None
     try:
@@ -470,28 +481,28 @@ def _parse_csv_chunk(fh, start, first, end, texts):
     return k + 1, rows, _first_repeat(*columns[:2]), fault
 
 
-def _parse_chunk(path, start, stop, buf, mask, stamps):
+def _parse_chunk(path, start, stop, size, state):
     """Parse the lines of the consumption file at path that start in bytes
-    [start, stop), the header's if start is 0: by numpy if they are plain
-    and pass every check (_parse_plain), else by the csv module
-    (_parse_csv_chunk). Runs in a pool worker or in-process; opens the file.
+    [start, stop), the header's if start is 0, reading no byte past size,
+    where a line it cuts ends: by numpy if they are plain and pass every
+    check (_parse_plain), else by the csv module (_parse_csv_chunk). Runs
+    in a pool worker or in-process; opens the file.
 
     Returns (end, lines, rows, repeat, fault): end, the first line start at
-    or after stop, or the end of the file; lines, the chunk's csv rows,
+    or after stop, or size if that comes first; lines, the chunk's csv rows,
     blank ones included; rows, () or (households, groups, household,
     half_hour, kwh, code) for the rows before the first fault: household
     ids and groups by first appearance, then per row its household's index
     among them (intc), half-hour (int32), kWh (float64) and tariff code
     (int8); repeat, the first of these rows whose cell an earlier one holds,
     or None; fault, None or (k, error) for the first faulty row, the
-    chunk's csv row k, the error not yet numbered (_numbered). buf, a
-    private mapping made before fork, holds the lines read and _KEY_BYTES
-    more; mask is scratch space as long; stamps is a _Stamps.
+    chunk's csv row k, the error not yet numbered (_numbered). state is
+    the process's _ChunkState.
     """
     with open(path, "rb") as fh:
-        first, end = _line_start(fh, start), _line_start(fh, stop)
-        return end, *(_parse_plain(fh, start, first, end, buf, mask, stamps)
-                      or _parse_csv_chunk(fh, start, first, end, stamps.texts))
+        first, end = _line_start(fh, start, size), _line_start(fh, stop, size)
+        return end, *(_parse_plain(fh, start, first, end, state)
+                      or _parse_csv_chunk(fh, start, first, end, state.texts))
 
 
 def _merge_chunk(grids, rows, repeat):
@@ -527,47 +538,29 @@ def _data_row(path, first, end, j):
     return next(itertools.islice(data_rows, j, None))
 
 
-def _chunks(path, start):
-    """The (start, stop) byte ranges of _CHUNK_BYTES from start on while the
-    file holds every byte a chunk reads, the last past its end; each size is
-    taken before the range is handed out, so before its chunk is read."""
-    while True:
-        stop = start + _CHUNK_BYTES
-        whole = os.stat(path).st_size >= stop + _LINE_BYTES
-        yield start, stop
-        if not whole:
-            return
-        start = stop
-
-
 def _read_chunks(path, grids):
-    """Read the consumption file at path into grids, its chunks parsed on the
-    usable CPUs and merged in file order, and return how many csv rows it
-    holds; raise the fault of the earliest line."""
-    # made before the pool starts, so each worker has its own through fork
-    buf = mmap.mmap(-1, _CHUNK_BYTES + 2 + _LINE_BYTES + _KEY_BYTES, **_PRIVATE)
-    mask = np.frombuffer(_map(len(buf)), bool)
-    stamps = _Stamps()
+    """Read the consumption file at path, as long as it is now, into grids,
+    its chunks parsed on the usable CPUs and merged in file order, and
+    return how many csv rows it holds; raise the fault of the earliest line."""
+    size, state = os.stat(path).st_size, _ChunkState()
+    parsed = parallel.imap_forked(
+        lambda start: _parse_chunk(path, start, start + _CHUNK_BYTES, size, state),
+        range(0, size, _CHUNK_BYTES))
     line = end = 0                  # csv rows merged; where the next chunk's lines start
-    while True:
-        parsed = parallel.imap_forked(lambda chunk: _parse_chunk(path, *chunk, buf, mask, stamps),
-                                      _chunks(path, end))
-        with contextlib.closing(parsed):
-            for result in parsed:
-                first, (end, lines, rows, repeat, fault) = end, result
-                bad = _merge_chunk(grids, rows, repeat)
-                if bad is not None:
-                    k, (hid, ts_text, *_, group) = _data_row(path, first, end, bad)
-                    was = grids.groups[grids.index_of[hid]]
-                    fault = k, DataValidationError(
-                        f"household {hid} changes group {was} -> {group}" if was != group
-                        else f"duplicate reading for {hid} at {ts_text}")
-                if fault:
-                    raise _numbered(fault[1], line + fault[0] + 1)
-                line += lines
-        # no chunk is in flight: the file ends here unless rows were appended meanwhile
-        if os.stat(path).st_size <= end:
-            return line
+    with contextlib.closing(parsed):
+        for result in parsed:
+            first, (end, lines, rows, repeat, fault) = end, result
+            bad = _merge_chunk(grids, rows, repeat)
+            if bad is not None:
+                k, (hid, ts_text, *_, group) = _data_row(path, first, end, bad)
+                was = grids.groups[grids.index_of[hid]]
+                fault = k, DataValidationError(
+                    f"household {hid} changes group {was} -> {group}" if was != group
+                    else f"duplicate reading for {hid} at {ts_text}")
+            if fault:
+                raise _numbered(fault[1], line + fault[0] + 1)
+            line += lines
+    return line
 
 
 def read_consumption_csv(path):
@@ -580,8 +573,8 @@ def read_consumption_csv(path):
     them). Raises DataParseError / DataValidationError with the offending
     line (csv rows from the header's, line 1, blank ones included); of
     several faults the earliest line's wins, whichever chunk finishes first.
-    The file is read once, in chunks (_read_chunks); it ends only when no
-    chunk is in flight, so rows appended meanwhile are read.
+    The file is read once, in chunks (_read_chunks), as long as it is when
+    the read starts.
     """
     grids = _Grids()
     if not _read_chunks(path, grids):

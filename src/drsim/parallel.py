@@ -9,9 +9,8 @@ warnings again, in item order, under its own filters. Fork, unlike spawn or
 forkserver, also needs no __main__ guard in the calling script.
 
 imap_forked(fn, items) is the lazy form, (fn(x) for x in items) on the same
-pool: fn reaches the workers through fork, the items, which may come from
-a generator that is read as the results are taken, are pickled, and at most
-two items per worker are in flight or waiting to be taken at a time.
+pool, its items reaching the workers the same way; at most two items per
+worker are in flight or waiting to be taken at a time.
 """
 
 import collections
@@ -23,7 +22,7 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
-_job = None          # the function of the running pool, read by workers
+_job = None          # the running pool's function of an item index, read by workers
 _in_worker = False   # set in pool workers, so a nested call runs in-process
 _AHEAD = 2           # items per worker that imap_forked keeps in flight or waiting
 
@@ -76,11 +75,11 @@ def _call(arg):
 
 
 @contextlib.contextmanager
-def _pool(fn, workers):
-    """A fork pool of workers processes whose _call runs fn. On leaving, the
-    items not yet started are cancelled and the running ones awaited."""
+def _pool(fn, items, workers):
+    """A fork pool of workers processes whose _call(i) runs fn(items[i]). On
+    leaving, the items not yet started are cancelled and the running ones awaited."""
     global _job
-    _job = fn
+    _job = lambda index: fn(items[index])
     try:
         # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
         # when a worker dies (killed, say, for memory) instead of waiting forever
@@ -114,7 +113,7 @@ def map_forked(fn, items):
     workers = worker_count(len(items))
     if workers < 2:
         return [fn(x) for x in items]
-    with _pool(lambda index: fn(items[index]), workers) as pool:
+    with _pool(fn, items, workers) as pool:
         outcomes = list(pool.map(_call, range(len(items))))
     registry = {}  # as in-process, a "default" filter shows a repeat at one place once
     for _, _, sent in outcomes:
@@ -126,33 +125,32 @@ def map_forked(fn, items):
 
 
 def imap_forked(fn, items):
-    """fn(x) for each x of items, lazily and in item order, on fork workers.
+    """fn(x) for each x of the sequence items, lazily and in item order, on
+    min(len(items), usable CPUs) fork workers.
 
-    The items are read as the results are taken: never more than two per
-    usable CPU ahead of the consumer, and as many results at most wait in
-    the parent. The map runs in-process, one item at a time, when fewer than
-    two items come or the platform or a pool worker makes map_forked run
-    in-process. Each result comes after the warnings its item raised have
-    been issued again; the first exception in item order is raised when the
-    consumer reaches it. A consumer that stops early, or an exception, ends
-    the pool: items not yet started are dropped and the running ones
-    awaited. fn travels by fork and the items by pickling. While the
-    consumer holds the map, the slot holds its job: it must not start
-    another pool.
+    Never more than two items per worker run ahead of the consumer, and as
+    many results at most wait in the parent. The map runs in-process, one
+    item at a time, where map_forked would. Each result comes after the
+    warnings its item raised have been issued again; the first exception
+    in item order is raised when the consumer reaches it. A consumer that
+    stops early, or an exception, ends the pool: items not yet started are
+    dropped and the running ones awaited. fn and items travel by fork, as
+    in map_forked. While the consumer holds the map, the slot holds its
+    job: it must not start another pool.
     """
-    items = iter(items)
-    ahead = list(itertools.islice(items, _AHEAD * usable_cpus()))
-    workers = worker_count(len(ahead))
+    workers = worker_count(len(items))
     if workers < 2:
-        for x in itertools.chain(ahead, items):
+        for x in items:
             yield fn(x)
         return
-    with _pool(fn, workers) as pool:
-        pending = collections.deque(pool.submit(_call, x) for x in ahead)
+    with _pool(fn, items, workers) as pool:
+        indices = iter(range(len(items)))
+        pending = collections.deque(pool.submit(_call, index)
+                                    for index in itertools.islice(indices, _AHEAD * workers))
         registry = {}
         while pending:
             exc, result, sent = pending.popleft().result()
-            pending.extend(pool.submit(_call, x) for x in itertools.islice(items, 1))
+            pending.extend(pool.submit(_call, index) for index in itertools.islice(indices, 1))
             _issue(sent, registry)
             if exc is not None:
                 raise exc

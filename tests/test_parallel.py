@@ -268,13 +268,6 @@ def test_warning_class_that_cannot_travel_back_names_itself(cpus):
     ]
 
 
-def counted(n, read):
-    """range(n) as a generator that logs each item it hands out in read."""
-    for i in range(n):
-        read.append(i)
-        yield i
-
-
 @needs_fork
 def test_streamed_results_in_item_order_when_a_later_item_finishes_first(cpus):
     cpus(2)
@@ -290,16 +283,28 @@ def test_streamed_results_in_item_order_when_a_later_item_finishes_first(cpus):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_lazy_items_are_read_at_most_the_window_ahead(cpus, n):
+def test_items_start_at_most_the_window_ahead(cpus, tmp_path, n):
+    # each item returns how many have started; item 0 waits for the window to
+    # fill (two items per worker on two CPUs, itself among them), then gives a
+    # further item time to start, which none may until its result is taken
     cpus(n)
-    read, leads = [], []
-    for taken, result in enumerate(parallel.imap_forked(lambda i: 2 * i, counted(20, read)),
-                                   start=1):
-        assert result == 2 * (taken - 1)
-        leads.append(len(read) - taken)
-    assert len(leads) == 20 and max(leads) <= 2 * n
-    if parallel.worker_count(n) == 2:   # the pool works the whole window ahead
-        assert max(leads) == 4
+    window = 4 if parallel.worker_count(n) == 2 else 1
+
+    def started():
+        return len(list(tmp_path.iterdir()))
+
+    def job(i):
+        (tmp_path / f"started{i}").touch()
+        if i == 0:
+            deadline = time.monotonic() + 10
+            while started() < window and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
+        return started()
+
+    counts = list(parallel.imap_forked(job, list(range(20))))
+    assert counts[0] == window
+    assert all(count <= i + 2 * n for i, count in enumerate(counts))
 
 
 @needs_fork
@@ -331,17 +336,29 @@ def test_consumer_that_stops_early_ends_the_pool(cpus, tmp_path):
         (tmp_path / f"ran{i}").touch()
         return os.getpid()
 
-    read = []
-    results = parallel.imap_forked(job, counted(100, read))
+    results = parallel.imap_forked(job, list(range(100)))
     worker = next(results)
     results.close()
     assert parallel._job is None
     ran = len(list(tmp_path.iterdir()))
-    assert ran < 10 and len(read) < 10
+    assert ran < 10
     time.sleep(0.2)
     assert len(list(tmp_path.iterdir())) == ran    # no item starts after the close
     with pytest.raises(ProcessLookupError):        # the workers were joined
         os.kill(worker, 0)
+
+
+@needs_fork
+@pytest.mark.parametrize("mapper", [parallel.map_forked, parallel.imap_forked],
+                         ids=["map_forked", "imap_forked"])
+def test_items_pickle_cannot_carry_reach_the_workers_by_fork(cpus, mapper):
+    cpus(2)
+    locks = [threading.Lock() for _ in range(4)]
+    results = list(mapper(lambda lock: (lock.acquire(blocking=False), os.getpid()), locks))
+    # each worker acquired its own copy of each lock
+    assert [acquired for acquired, _ in results] == [True] * 4
+    assert os.getpid() not in {pid for _, pid in results}
+    assert not any(lock.locked() for lock in locks)
 
 
 def warn_late_first(i):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
+from . import floattext, parallel
 from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, TARIFF_NAMES, read_csv, replacing
 from .splines import CenteredSplineBlock, CubicSplineBasis, matvec_rows, penalized_lstsq
 
@@ -148,20 +148,27 @@ def fit_profiles(ids, kwh, tau, tariff):
 def export_profiles_csv(profiles, path):
     """Write profiles as entity,tariff,h,mu,sigma rows (h is 1-based), Low,
     Normal then High per entity: byte for byte what csv.writer writes, floats
-    by repr. An entity's 144 rows are one join; its field is quoted as
-    csv.writer quotes it (an id with a comma or a quote, say)."""
-    cells = [f",{TARIFF_NAMES[code]},{h}," for code in (LOW, NORMAL, HIGH)
-             for h in range(1, HALF_HOURS + 1)]
+    as repr writes them (floattext.text, a block of entities at a time). An
+    entity's 144 rows are one join; its field is quoted as csv.writer quotes
+    it (an id with a comma or a quote, say)."""
+    cells = floattext.strings([f",{TARIFF_NAMES[code]},{h}," for code in (LOW, NORMAL, HIGH)
+                               for h in range(1, HALF_HOURS + 1)])
     shape = (len(profiles.ids), len(cells))
+    mu, sigma = profiles.mu.reshape(shape), profiles.sigma.reshape(shape)
+    per_block = max(1, floattext.BLOCK // (2 * len(cells)))
     with replacing(path) as fh:
         fh.write(",".join(PROFILE_HEADER) + "\r\n")
-        for entity, mu, sigma in zip(profiles.ids, profiles.mu.reshape(shape).tolist(),
-                                     profiles.sigma.reshape(shape).tolist()):
-            field = io.StringIO()
-            csv.writer(field).writerow([entity, ""])   # the entity as one field of a row
-            field = field.getvalue()[:-3]             # less its comma, the empty field and CRLF
-            fh.write("".join([f"{field}{cell}{m!r},{s!r}\r\n"
-                              for cell, m, s in zip(cells, mu, sigma)]))
+        for first in range(0, len(profiles.ids), per_block):
+            block = slice(first, first + per_block)
+            texts = floattext.text(np.stack([mu[block], sigma[block]], axis=-1))
+            for entity, text in zip(profiles.ids[block], texts):
+                field = io.StringIO()
+                csv.writer(field).writerow([entity, ""])   # the entity as one field of a row
+                field = field.getvalue()[:-3]             # less its comma, the empty field and CRLF
+                # the rows less their fields hold no line break but their own
+                rows = floattext.join([cells, text[:, 0], b",", text[:, 1], b"\r\n"],
+                                      (len(cells),))
+                fh.write(field + rows[:-2].decode().replace("\r\n", "\r\n" + field) + "\r\n")
 
 
 def read_profiles_csv(path):

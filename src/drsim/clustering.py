@@ -89,8 +89,11 @@ def check_k(k, n):
 
 
 def _residual_norm(m, w, h, out):
-    """The Frobenius norm of m - w @ h, worked out in out (m's shape)."""
-    return float(np.linalg.norm(np.subtract(m, np.matmul(w, h, out=out), out=out)))
+    """The Frobenius norm of m - w @ h, worked out in out (m's shape). The
+    squares are summed by numpy's own reduction: np.linalg.norm's BLAS dot
+    product rounds differently on another thread count."""
+    residual = np.subtract(m, np.matmul(w, h, out=out), out=out)
+    return float(np.sqrt(np.square(residual, out=out).sum()))
 
 
 def nmf_factorize(m, r=5, seed=0, max_iter=500, tol=1e-5):

@@ -4,11 +4,11 @@ several generators over many days.
 All three scores compare an ensemble of generated profiles against one
 observed profile; lower is better. The energy score uses the split-halves
 estimator (pairing member i with member N/2 + i), so the ensemble size must
-be even; the all-pairs U-statistic is kept alongside purely as a
-cross-check. The variogram score computes the expected term once per
-unordered half-hour pair (it is symmetric bit for bit), one vectorised step
-per row of the upper triangle, then adds the squared pair differences in a
-loop over Python floats in row-major order, so its value matches an
+be even; the tests hold the all-pairs U-statistic as its cross-check. The
+variogram score computes the expected term once per unordered half-hour pair
+(it is symmetric bit for bit), one vectorised step per row of the upper
+triangle, then adds the squared pair differences in a loop over Python
+floats in row-major order, so its value matches an
 independent double-loop implementation bit for bit.
 
 evaluate_generators scores ensembles that are already drawn: each
@@ -68,18 +68,6 @@ def energy_score(ensemble, y):
     term1 = 2.0 / n * np.linalg.norm(first - y, axis=1).sum()
     term2 = 1.0 / n * np.linalg.norm(first - second, axis=1).sum()
     return float(term1 - term2)
-
-
-def energy_score_allpairs(ensemble, y):
-    """All-pairs U-statistic estimator; cross-check only, not the pipeline score."""
-    ensemble, y = _check(ensemble, y)
-    n = ensemble.shape[0]
-    if n < 2:
-        raise ScoringError("need at least two ensemble members")
-    term1 = np.linalg.norm(ensemble - y, axis=1).mean()
-    diffs = ensemble[:, None, :] - ensemble[None, :, :]
-    total = np.sqrt((diffs**2).sum(axis=2)).sum()
-    return float(term1 - total / (2.0 * n * (n - 1)))
 
 
 def variogram_score(ensemble, y, p=DEFAULT_VARIOGRAM_P):

@@ -34,7 +34,6 @@ seeds: generate writes and evaluate scores the same test-day ensembles
 """
 
 import datetime
-import functools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -43,7 +42,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import causality, clustering, dataio, gamgen, metrics, neuralgen, parallel, synthdata
+from . import (causality, clustering, dataio, floattext, gamgen, metrics, neuralgen, parallel,
+               synthdata)
 from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, ConfigError
 
 # stage codes for seed derivation; synthdata uses (seed, 1..3) internally
@@ -623,25 +623,22 @@ def stage_evaluate(config, force=False, generator=None):
         lambda label: _evaluate_cluster(config, ds, names, label, clusters[label]), stale)
 
 
-@functools.lru_cache(maxsize=4)
-def _sample_tails(n):
-    """',<s>,<h>,' for the n * 48 lines of an n-member ensemble, in line order."""
-    return tuple(f",{s},{h}," for s in range(n) for h in range(1, HALF_HOURS + 1))
-
-
 def write_samples_csv(ensembles, day_labels, path):
     """day,sample,h,kwh rows for (n, 48) ensembles, one per day label.
 
-    Byte for byte what csv.writer writes, each kWh value by repr. A day's
-    lines are one join over an interleaved list that pairs each line's
-    prefix (a CRLF, then "<day>,<s>,<h>,") with the repr of its value, so
-    every line end leads its line and one more closes the file. ValueError,
-    naming path, if an ensemble is not (n, 48) or the day labels do not match
-    the ensembles in number; dataio.replacing then leaves no file behind.
+    Byte for byte what csv.writer writes, each kWh value as repr writes it
+    (floattext.text). A day's lines are joined a block of members at a time,
+    each line its prefix (a CRLF, then "<day>,<s>,<h>,") and its value's
+    text, so every line end leads its line and one more closes the file.
+    ValueError, naming path, if an ensemble is not (n, 48) or the day labels
+    do not match the ensembles in number; dataio.replacing then leaves no
+    file behind.
     """
     labels = [int(day) for day in day_labels]
-    with dataio.replacing(path) as fh:
-        fh.write("day,sample,h,kwh")
+    half_hours = floattext.strings([f"{h}," for h in range(1, HALF_HOURS + 1)])
+    per_block = max(1, floattext.BLOCK // HALF_HOURS)
+    with dataio.replacing(path, "wb") as fh:
+        fh.write(b"day,sample,h,kwh")
         pos = -1
         for pos, ensemble in enumerate(ensembles):
             ensemble = np.asarray(ensemble)
@@ -650,14 +647,15 @@ def write_samples_csv(ensembles, day_labels, path):
             if ensemble.ndim != 2 or ensemble.shape[1] != HALF_HOURS:
                 raise ValueError(
                     f"{path}: ensemble {pos} has shape {ensemble.shape}, not (n, {HALF_HOURS})")
-            head = f"\r\n{labels[pos]}"
-            lines = [None] * (2 * ensemble.size)
-            lines[0::2] = [head + tail for tail in _sample_tails(len(ensemble))]
-            lines[1::2] = map(repr, ensemble.ravel().tolist())
-            fh.write("".join(lines))
+            head = b"\r\n%d," % labels[pos]
+            for first in range(0, len(ensemble), per_block):
+                block = ensemble[first:first + per_block]
+                samples = floattext.strings([f"{s}," for s in range(first, first + len(block))])
+                values = floattext.text(block)
+                fh.write(floattext.join([head, samples[:, None], half_hours, values], block.shape))
         if pos + 1 != len(labels):
             raise ValueError(f"{path}: {len(labels)} day labels for {pos + 1} ensembles")
-        fh.write("\r\n")
+        fh.write(b"\r\n")
 
 
 def _generate_samples(config, ds, name, label, bundle):

@@ -1,4 +1,7 @@
 import datetime
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -173,13 +176,32 @@ class TestNmf:
         scale = np.sqrt(m.mean() / 5)
         w = np.abs(gen.standard_normal((200, 5))) * scale
         h = np.abs(gen.standard_normal((5, 144))) * scale
-        errors = [float(np.linalg.norm(m - w @ h))]
+        errors = [float(np.sqrt(((m - w @ h) ** 2).sum()))]
         for _ in range(60):
             w = w * (m @ h.T) / np.maximum(w @ h @ h.T, clustering.NMF_EPS)
             h = h * (w.T @ m) / np.maximum(w.T @ w @ h, clustering.NMF_EPS)
-            errors.append(float(np.linalg.norm(m - w @ h)))
+            errors.append(float(np.sqrt(((m - w @ h) ** 2).sum())))
         assert factors.w.tobytes() == w.tobytes() and factors.h.tobytes() == h.tobytes()
         assert factors.errors.tolist() == errors
+
+    def test_errors_are_the_same_on_one_and_two_blas_threads(self):
+        # the wide_cluster profile matrix's shape, large enough for OpenBLAS
+        # to split a dot product over two threads
+        code = ("import numpy as np\n"
+                "from drsim import clustering\n"
+                "m = np.random.default_rng(5).uniform(0.0, 2.0, size=(200, 144))\n"
+                "print(clustering.nmf_factorize(m, r=5, seed=3, max_iter=40).errors.tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(clustering.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        printed = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env=env, timeout=120)
+            assert result.returncode == 0, result.stderr
+            printed.append(result.stdout)
+        assert printed[0] == printed[1]
 
     def test_negative_matrix_raises(self):
         with pytest.raises(clustering.ClusteringError, match="negative"):

@@ -1,16 +1,18 @@
 """One fork pool for work that splits into independent items.
 
 map_forked(fn, items) is [fn(x) for x in items], spread over the usable
-CPUs. The job reaches the workers through fork: fn and items sit in a
+CPUs; imap_forked(fn, items) is the same map streamed, at most two items per
+worker ahead of its consumer. Both take the per-item outcomes of one loop,
+so one rule holds on any CPU count: results come in item order, each item's
+warnings are issued again in item order under the caller's filters, and the
+first exception in item order is raised, by map_forked once every item has
+run, by imap_forked when its consumer reaches it.
+
+The job reaches the workers through fork: fn and items sit in a
 module-level slot while the pool runs, so nothing is pickled on the way in
 and closures over large arrays cost nothing to send. Only results,
-exceptions and warnings travel back; the parent issues each item's
-warnings again, in item order, under its own filters. Fork, unlike spawn or
-forkserver, also needs no __main__ guard in the calling script.
-
-imap_forked(fn, items) is the lazy form, (fn(x) for x in items) on the same
-pool, its items reaching the workers the same way; at most two items per
-worker are in flight or waiting to be taken at a time.
+exceptions and warnings travel back. Fork, unlike spawn or forkserver, also
+needs no __main__ guard in the calling script.
 """
 
 import collections
@@ -24,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 _job = None          # the running pool's function of an item index, read by workers
 _in_worker = False   # set in pool workers, so a nested call runs in-process
-_AHEAD = 2           # items per worker that imap_forked keeps in flight or waiting
+_AHEAD = 2           # items per worker in flight or waiting ahead of the consumer
 
 
 def usable_cpus():
@@ -74,84 +76,78 @@ def _call(arg):
     return *outcome, sent
 
 
-@contextlib.contextmanager
-def _pool(fn, items, workers):
-    """A fork pool of workers processes whose _call(i) runs fn(items[i]). On
-    leaving, the items not yet started are cancelled and the running ones awaited."""
+def _outcomes(fn, items):
+    """(exception or None, fn(x)) for each x of the sequence items, in item order.
+
+    Items run in-process where worker_count says so, else on a fork pool
+    whose _call(i) runs fn(items[i]), at most _AHEAD items per worker ahead
+    of the consumer; an item's warnings are issued before its outcome is
+    yielded. Closing the generator cancels the items not yet started and
+    awaits the running ones.
+    """
+    workers = worker_count(len(items))
+    if workers < 2:
+        for x in items:
+            try:
+                outcome = None, fn(x)
+            except Exception as exc:
+                outcome = exc, None
+            yield outcome
+        return
     global _job
+    # unlike multiprocessing.Pool, the executor raises BrokenProcessPool when
+    # a worker dies (killed, say, for memory) instead of waiting forever; a
+    # fork pool forks all its workers at the first submit, after _job is set
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _mark_worker)
     _job = lambda index: fn(items[index])
     try:
-        # unlike multiprocessing.Pool, the executor raises BrokenProcessPool
-        # when a worker dies (killed, say, for memory) instead of waiting forever
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _mark_worker)
-        try:
-            yield pool
-        finally:
-            pool.shutdown(cancel_futures=True)
+        indices = iter(range(len(items)))
+        pending = collections.deque(pool.submit(_call, index)
+                                    for index in itertools.islice(indices, _AHEAD * workers))
+        registry = {}  # as in-process, a "default" filter shows a repeat at one place once
+        while pending:
+            exc, result, sent = pending.popleft().result()
+            pending.extend(pool.submit(_call, index) for index in itertools.islice(indices, 1))
+            for category, message, filename, lineno in sent:
+                warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            yield exc, result
     finally:
         _job = None
-
-
-def _issue(sent, registry):
-    """Issue again, under the caller's filters, the warnings _call sent."""
-    for category, message, filename, lineno in sent:
-        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        pool.shutdown(cancel_futures=True)
 
 
 def map_forked(fn, items):
     """[fn(x) for x in items] on min(len(items), usable CPUs) fork workers.
 
-    Results come back in item order. The call runs in-process when that is
-    one worker, when the platform cannot fork, or when the caller is itself a
-    pool worker. Every item runs to the end; then the warnings the items
-    raised are issued again in item order, and the first exception in item
-    order is raised, so which error surfaces does not depend on timing. A
-    worker that dies raises BrokenProcessPool. The slot holds one job, so
-    threads must not call this concurrently.
+    The call runs in-process when that is one worker, when the platform
+    cannot fork, or when the caller is itself a pool worker. Either way the
+    results come in item order, every item runs to the end and has its
+    warnings issued again in item order, and then the first exception in item
+    order is raised: neither the error nor the items that ran depend on
+    timing or the CPU count. A worker that dies raises BrokenProcessPool. The
+    slot holds one job, so threads must not call this concurrently.
     """
-    items = list(items)
-    workers = worker_count(len(items))
-    if workers < 2:
-        return [fn(x) for x in items]
-    with _pool(fn, items, workers) as pool:
-        outcomes = list(pool.map(_call, range(len(items))))
-    registry = {}  # as in-process, a "default" filter shows a repeat at one place once
-    for _, _, sent in outcomes:
-        _issue(sent, registry)
-    for exc, _, _ in outcomes:
+    outcomes = list(_outcomes(fn, list(items)))
+    for exc, _ in outcomes:
         if exc is not None:
             raise exc
-    return [result for _, result, _ in outcomes]
+    return [result for _, result in outcomes]
 
 
 def imap_forked(fn, items):
     """fn(x) for each x of the sequence items, lazily and in item order, on
-    min(len(items), usable CPUs) fork workers.
+    the workers map_forked would use.
 
-    Never more than two items per worker run ahead of the consumer, and as
-    many results at most wait in the parent. The map runs in-process, one
-    item at a time, where map_forked would. Each result comes after the
-    warnings its item raised have been issued again; the first exception
-    in item order is raised when the consumer reaches it. A consumer that
-    stops early, or an exception, ends the pool: items not yet started are
-    dropped and the running ones awaited. fn and items travel by fork, as
-    in map_forked. While the consumer holds the map, the slot holds its
-    job: it must not start another pool.
+    At most two items per worker run ahead of the consumer, and as many
+    results at most wait in the parent. Each result comes after its item's
+    warnings; the first exception in item order is raised when the consumer
+    reaches it. A consumer that stops early, or an exception, ends the map:
+    items not yet started are dropped and the running ones awaited. While
+    the consumer holds the map, the slot holds its job: it must not start
+    another pool.
     """
-    workers = worker_count(len(items))
-    if workers < 2:
-        for x in items:
-            yield fn(x)
-        return
-    with _pool(fn, items, workers) as pool:
-        indices = iter(range(len(items)))
-        pending = collections.deque(pool.submit(_call, index)
-                                    for index in itertools.islice(indices, _AHEAD * workers))
-        registry = {}
-        while pending:
-            exc, result, sent = pending.popleft().result()
-            pending.extend(pool.submit(_call, index) for index in itertools.islice(indices, 1))
-            _issue(sent, registry)
+    with contextlib.closing(_outcomes(fn, items)) as outcomes:
+        for exc, result in outcomes:
             if exc is not None:
                 raise exc
             yield result

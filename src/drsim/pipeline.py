@@ -16,10 +16,11 @@ every stage deterministic given the config.
 
 Clusters are independent once clustered, so generate, evaluate and scenario
 run one cluster per usable CPU on a fork pool (parallel.map_forked). Each
-cluster's job writes its own files; the stage picks the stale clusters first
-and lists what was written in cluster order, so the files and the printed
-paths are the same whatever the CPU count. Train fits all stale clusters in
-one call per generator: the GAM's in one process, sharing each slot's design.
+cluster's job writes its own files; the stage runs every stale cluster, then
+raises the first failure in cluster order or lists what was written in cluster
+order, so the files and printed paths are the same on any CPU count, a failing
+cluster included. Train fits all stale clusters in one call per generator:
+the GAM's in one process, sharing each slot's design.
 Ingest and cluster spread their work over the same CPUs from inside the
 library: ingest parses the consumption file's chunks on the pool and merges
 them in file order (dataio.read_consumption_csv), and cluster fits the
@@ -147,6 +148,8 @@ def _section(cls, raw, name, convert=None, counts=None, numbers=None):
                 raise ConfigError(f"{name}.{key} must be a list, got {values[key]!r}")
             try:
                 values[key] = fn(values[key])
+            except ConfigError:  # a nested section's error names its key already
+                raise
             except ValueError as exc:
                 raise ConfigError(f"{name}.{key}={values[key]!r}: {exc}") from None
     section = cls(**values)

@@ -475,22 +475,32 @@ class TestCpuCount:
         assert runs[0] == runs[1]
 
     def test_missing_model_gives_one_error_on_any_cpu_count(self, workdir, capsys):
+        # the first cluster fails, so a map that stopped there would leave
+        # fewer files on one CPU than on two
         tmp, cfg = workdir
         for stage in ("synth", "ingest", "cluster", "train"):
             assert run_cli(stage, "--config", str(cfg)) == 0
-        (tmp / "run" / "gam_cluster1.npz").unlink()
+        (tmp / "run" / "gam_cluster0.npz").unlink()
         capsys.readouterr()
-        errors = []
+        errors, runs = [], []
         for cpus in (1, 2):
-            assert run_at(cpus, "generate", "--config", str(cfg), "--generator", "gam",
-                          "--force") == 2
-            errors.append(capsys.readouterr().err)
+            run = tmp / f"cpus{cpus}"
+            shutil.copytree(tmp / "run", run)
+            assert run_at(cpus, "generate", "--config", str(cfg), "--out", str(run),
+                          "--generator", "gam", "--force") == 2
+            errors.append(capsys.readouterr().err.replace(str(run), "<run>"))
+            # error.log records the failure with its traceback, not a stage output
+            runs.append({p.name: p.read_bytes() for p in sorted(run.iterdir())
+                         if p.name != "error.log"})
         assert errors[0] == errors[1]
         assert json.loads(errors[0]) == {
-            "error": f"missing {tmp / 'run' / 'gam_cluster1.npz'}; "
-                     "run train --generator gam first",
+            "error": "missing <run>/gam_cluster0.npz; run train --generator gam first",
             "type": "PipelineError",
         }
+        assert runs[1].keys() == runs[0].keys()
+        assert "samples_gam_cluster1.csv" in runs[0]
+        for name, data in runs[0].items():
+            assert runs[1][name] == data, name
 
     @pytest.mark.parametrize("stage", ["train", "generate", "evaluate", "scenario"])
     def test_rerun_with_every_output_present_maps_no_clusters(
@@ -686,6 +696,14 @@ class TestValidation:
                      id="zero-learning-rate"),
         pytest.param("train:\n  cvae: {learning_rate: true}\n", "train.cvae.learning_rate",
                      id="boolean-learning-rate"),
+        # a null key is not its default, unlike a null section
+        pytest.param("cluster: {k: null}\n", "cluster.k", id="null-k"),
+        pytest.param("synth: {n_days: null}\n", "synth.n_days", id="null-days"),
+        pytest.param("evaluate: {n_samples: null}\n", "evaluate.n_samples",
+                     id="null-evaluate-samples"),
+        pytest.param("scenario: {generator: null}\n", "scenario.generator",
+                     id="null-scenario-generator"),
+        pytest.param("train: {generators: null}\n", "train.generators", id="null-generators"),
     ])
     def test_bad_section_rejected(self, tmp_path, capsys, monkeypatch, text, named):
         monkeypatch.chdir(tmp_path)           # a config taken by mistake runs synth here
@@ -696,6 +714,18 @@ class TestValidation:
         assert payload["type"] == "ConfigError"
         assert named in payload["error"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml"]
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("train: {cvae: {eta: -1}}\n", "train.cvae.eta=-1 must be a number >= 0",
+                     id="negative-eta"),
+        pytest.param("train: {cvae: {turbo: 1}}\n",
+                     "unknown key(s) in train.cvae section: ['turbo']", id="unknown-cvae-key"),
+    ])
+    def test_nested_section_error_is_reported_once(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert run_cli("synth", "--config", str(cfg)) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": message, "type": "ConfigError"}
 
     def test_repeated_window_shapes_accepted(self, tmp_path):
         # a repeated shape weighs more in the schedule's draw
@@ -740,6 +770,7 @@ class TestValidation:
         pytest.param("seed:\n", id="seed"),
         pytest.param("out:\n", id="out"),
         pytest.param("seed:\nout:\ncluster:\n", id="seed-out-and-section"),
+        pytest.param("ingest: {consumption: null}\n", id="null-consumption"),
     ])
     def test_empty_section_means_its_defaults(self, tmp_path, text):
         cfg, empty = tmp_path / "c.yaml", tmp_path / "empty.yaml"

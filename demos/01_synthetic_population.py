@@ -47,7 +47,7 @@ def main():
 
     # planted contrast, visible directly in the simulated means: Low-window
     # cells vs the same cells on all-Normal days
-    cells = synthdata._window_cells(synthdata.MORNING_LOW_WINDOW)
+    cells = synthdata.window_tariffs(["morning_low"]) == LOW
     low_days = (schedule[:, cells] == LOW).all(axis=1)
     normal_days = (schedule == NORMAL).all(axis=1)
     print("\nmean kWh in the morning window, Low days vs Normal days:")

@@ -54,10 +54,8 @@ def main():
           f"[{fit.y_min:.3f}, {fit.y_max:.3f}] kWh")
 
     # two counterfactual days, identical except for the tariff vector
-    window = np.zeros(48, dtype=bool)
-    window[synthdata._window_cells(synthdata.MORNING_LOW_WINDOW)] = True
-    tar_low = np.full(48, NORMAL)
-    tar_low[window] = LOW
+    tar_low = synthdata.window_tariffs(["morning_low"])
+    window = tar_low == LOW
     x_norm = dataio.build_conditional_vector(np.zeros(3), 0.5, 1.0, np.full(48, NORMAL))
     x_low = dataio.build_conditional_vector(np.zeros(3), 0.5, 1.0, tar_low)
     ens_norm = neuralgen.generate(fit, x_norm, 400, seed=args.seed + 3)

@@ -36,8 +36,8 @@ def main():
     print(f"fitted 48 half-hour models; smoothing lambda spans "
           f"[{gen.lam.min():.2g}, {gen.lam.max():.2g}] (chosen by GCV per half-hour)")
 
-    window = np.zeros(48, dtype=bool)
-    window[synthdata._window_cells(synthdata.MORNING_LOW_WINDOW)] = True
+    tar_low = synthdata.window_tariffs(["morning_low"])
+    window = tar_low == LOW
     xi_low = gen.xi[:, LOW]
     print(f"learned xi_low inside the morning window: mean "
           f"{xi_low[window].mean():+.3f} (planted {arch.delta_low:+.2f})")
@@ -59,8 +59,6 @@ def main():
 
     # the stated limitation: a special tariff only moves the half-hours it
     # covers, so rebound into other hours is structurally out of reach
-    tar_low = np.full(48, NORMAL)
-    tar_low[window] = LOW
     f_low = gen.mean_profile(pop.tau[day], smoothed.daily[day], calendar.kappa[day],
                              calendar.w[day], tar_low)
     f_norm = gen.mean_profile(pop.tau[day], smoothed.daily[day], calendar.kappa[day],

@@ -195,34 +195,27 @@ def kmedoids(points, k):
         medoids.append(new)
         nearest = np.minimum(nearest, dist[:, new])
 
-    # SWAP: replace (medoid, candidate) pairs while any swap improves cost
+    # SWAP: replace (medoid, candidate) pairs while any swap improves cost.
+    # Row c of np.minimum(dist, base) sums to the cost of c in the medoid's
+    # place (dist is symmetric); the first pair in (medoid, candidate) order
+    # that beats the best so far by 1e-12 wins
     medoids = sorted(medoids)
     cost = dist[:, medoids].min(axis=1).sum()
-    improved = True
-    while improved:
-        improved = False
+    while True:
         best = (0.0, None, None)
-        in_set = np.zeros(n, dtype=bool)
-        in_set[medoids] = True
-        for mi, m in enumerate(medoids):
-            others = [x for x in medoids if x != m]
-            base = (
-                dist[:, others].min(axis=1)
-                if others
-                else np.full(n, np.inf)
-            )
-            for cand in range(n):
-                if in_set[cand]:
-                    continue
-                new_cost = np.minimum(base, dist[:, cand]).sum()
-                delta = new_cost - cost
-                if delta < best[0] - 1e-12:
-                    best = (delta, mi, cand)
-        if best[1] is not None:
-            medoids[best[1]] = best[2]
-            medoids = sorted(medoids)
-            cost = dist[:, medoids].min(axis=1).sum()
-            improved = True
+        for mi in range(k):
+            others = medoids[:mi] + medoids[mi + 1:]
+            base = dist[:, others].min(axis=1) if others else np.full(n, np.inf)
+            deltas = np.minimum(dist, base).sum(axis=1) - cost
+            deltas[medoids] = np.inf
+            for cand in np.flatnonzero(deltas < best[0] - 1e-12):
+                if deltas[cand] < best[0] - 1e-12:
+                    best = (deltas[cand], mi, int(cand))
+        if best[1] is None:
+            break
+        medoids[best[1]] = best[2]
+        medoids = sorted(medoids)
+        cost = dist[:, medoids].min(axis=1).sum()
 
     medoids = np.array(sorted(medoids))
     labels = _assign(dist, medoids)

@@ -11,7 +11,8 @@ run, by imap_forked when its consumer reaches it.
 The job reaches the workers through fork: fn and items sit in a
 module-level slot while the pool runs, so nothing is pickled on the way in
 and closures over large arrays cost nothing to send. Only results,
-exceptions and warnings travel back. Fork, unlike spawn or forkserver, also
+exceptions and warnings travel back; an exception keeps its worker's
+traceback as its cause. Fork, unlike spawn or forkserver, also
 needs no __main__ guard in the calling script.
 """
 
@@ -21,6 +22,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -56,17 +58,22 @@ def _travels(obj):
     return True
 
 
+class _RemoteTraceback(Exception):
+    """A pool worker's traceback, as the cause of the exception it raised."""
+
+
 def _call(arg):
-    """(None, _job(arg), warnings) or (exception, None, warnings), run in a
-    worker; warnings are (category, message, filename, lineno) tuples."""
+    """(None, _job(arg), None, warnings) or (exception, None, its traceback,
+    warnings), run in a worker; warnings are (category, message, filename,
+    lineno) tuples."""
     # filters are inherited from the parent through fork, so record what it would show
     with warnings.catch_warnings(record=True) as caught:
         try:
-            outcome = None, _job(arg)
+            outcome = None, _job(arg), None
         except Exception as exc:
             if not _travels(exc):  # an exception that cannot travel back still names itself
                 exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            outcome = exc, None
+            outcome = exc, None, traceback.format_exc()
     sent = []
     for w in caught:
         category, message = w.category, str(w.message)
@@ -82,7 +89,8 @@ def _outcomes(fn, items):
     Items run in-process where worker_count says so, else on a fork pool
     whose _call(i) runs fn(items[i]), at most _AHEAD items per worker ahead
     of the consumer; an item's warnings are issued before its outcome is
-    yielded. Closing the generator cancels the items not yet started and
+    yielded, and a worker's exception has the worker's traceback as its
+    cause. Closing the generator cancels the items not yet started and
     awaits the running ones.
     """
     workers = worker_count(len(items))
@@ -106,10 +114,12 @@ def _outcomes(fn, items):
                                     for index in itertools.islice(indices, _AHEAD * workers))
         registry = {}  # as in-process, a "default" filter shows a repeat at one place once
         while pending:
-            exc, result, sent = pending.popleft().result()
+            exc, result, remote, sent = pending.popleft().result()
             pending.extend(pool.submit(_call, index) for index in itertools.islice(indices, 1))
             for category, message, filename, lineno in sent:
                 warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            if exc is not None:
+                exc.__cause__ = _RemoteTraceback(remote)
             yield exc, result
     finally:
         _job = None

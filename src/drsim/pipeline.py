@@ -5,7 +5,9 @@ under one run directory, so stages stay decoupled and reruns are
 cache-by-file-presence (--force regenerates; synth refuses to overwrite
 without it). RUN_FILES names every run file once, under the stage that writes
 it and the stages that read it; the paths, the skip check (_fresh) and the
-missing-input errors, which name the stage to run, all derive from it. Every
+missing-input errors, which name the stage to run, all derive from it;
+evaluate also reruns a cluster whose report scores other generators than the
+call does, or does not read back. Every
 output goes through dataio.replacing (a temporary file renamed over the
 target), so it appears whole or not at all: a stage that dies mid-write leaves
 no file that a rerun would take as done. Synth and cluster rename their three
@@ -45,7 +47,7 @@ import yaml
 
 from . import (causality, clustering, dataio, floattext, gamgen, metrics, neuralgen, parallel,
                synthdata)
-from .dataio import HALF_HOURS, LOW, NORMAL, HIGH, ConfigError
+from .dataio import HALF_HOURS, ConfigError
 
 # stage codes for seed derivation; synthdata uses (seed, 1..3) internally
 SEED_PARTITION = 12
@@ -55,7 +57,9 @@ SEED_CVAE = 20
 SEED_EVALUATE = 30
 SEED_SCENARIO = 32
 
-SCENARIO_NAMES = ("normal", "low_morning", "high_evening")
+# named scenarios, each the synthdata.WINDOWS entries it sets
+SCENARIOS = {"normal": (), "low_morning": ("morning_low",), "high_evening": ("evening_high",)}
+SCENARIO_NAMES = tuple(SCENARIOS)
 CVAE_COUNTS = dict.fromkeys(("latent_dim", "batch_size", "max_epochs", "patience", "restarts"), 1)
 CVAE_NUMBERS = {"eta": (lambda eta: eta >= 0, ">= 0"),
                 "learning_rate": (lambda rate: rate > 0, "> 0")}
@@ -615,10 +619,20 @@ def _evaluate_cluster(config, ds, names, label, bundle):
     return written
 
 
+def _scores(config, label, names):
+    """Whether label's report reads back and scores exactly the generators names."""
+    report_csv, _ = _outputs(config, "evaluate", label=label)
+    try:
+        return metrics.read_report_csv(report_csv).generators == names
+    except metrics.ScoringError:
+        return False
+
+
 def stage_evaluate(config, force=False, generator=None):
     names = _pick_generators(config, generator)
     stale = [label for label in _labels(config, "evaluate")
-             if not _fresh(config, force, "evaluate", label=label)]
+             if not _fresh(config, force, "evaluate", label=label)
+             or not _scores(config, label, names)]
     if not stale:
         return []
     ds, clusters = _cluster_inputs(config, "evaluate")
@@ -679,20 +693,6 @@ def stage_generate(config, force=False, generator=None):
     return _map_written(lambda job: _generate_samples(config, ds, *job, clusters[job[1]]), stale)
 
 
-def scenario_tariffs(name):
-    """Named counterfactual tariff vectors over the 48 half-hours."""
-    tariffs = np.full(HALF_HOURS, NORMAL, dtype=np.int8)
-    if name == "low_morning":
-        first, last = synthdata.MORNING_LOW_WINDOW
-        tariffs[first - 1 : last] = LOW
-    elif name == "high_evening":
-        first, last = synthdata.EVENING_HIGH_WINDOW
-        tariffs[first - 1 : last] = HIGH
-    elif name != "normal":
-        raise PipelineError(f"unknown scenario {name!r}")
-    return tariffs
-
-
 def _write_scenarios(config, ds, name, label, stale):
     """One cluster's ensembles for the scenarios at indices stale, each seeded
     by its index, so a partial rerun writes the bytes of a full one."""
@@ -700,8 +700,8 @@ def _write_scenarios(config, ds, name, label, stale):
     day = int(ds.partition.test[0])   # representative conditions
     ensembles = _ensembles(
         config, name, label, ds, np.full(len(stale), day),
-        np.stack([scenario_tariffs(scen) for scen in scenarios]), config.scenario.n_samples,
-        [derive_seed(config.seed, SEED_SCENARIO, label, si) for si in stale],
+        np.stack([synthdata.window_tariffs(SCENARIOS[scen]) for scen in scenarios]),
+        config.scenario.n_samples, [derive_seed(config.seed, SEED_SCENARIO, label, si) for si in stale],
     )
     written = []
     for scen, ensemble in zip(scenarios, ensembles):

@@ -38,9 +38,8 @@ from .dataio import (
 
 TEMP_REF_C = 15.0
 
-# 1-based half-hour windows: 04:30-09:30 morning, 19:30-22:00 evening
-MORNING_LOW_WINDOW = (10, 19)
-EVENING_HIGH_WINDOW = (40, 44)
+# named (tariff, first and last 1-based half-hour) windows: 04:30-09:30 and 19:30-22:00
+WINDOWS = {"morning_low": (LOW, 10, 19), "evening_high": (HIGH, 40, 44)}
 
 GROUND_TRUTH_HEADER = ["household_id", "archetype", "delta_low", "delta_high", "rebound"]
 
@@ -174,7 +173,7 @@ def simulate_weather(n_days, start_date, config=None, seed=0):
     return TemperatureSeries(timestamps, temps)
 
 
-WINDOW_SHAPES = ("morning_low", "evening_high", "random")
+WINDOW_SHAPES = (*WINDOWS, "random")
 
 
 @dataclass
@@ -189,9 +188,13 @@ class SchedulePolicy:
             raise SynthError(f"window shapes {list(self.window_shapes)} must be of {WINDOW_SHAPES}")
 
 
-def _window_cells(window):
-    first, last = window
-    return np.arange(first - 1, last)
+def window_tariffs(names):
+    """(48,) int8 tariffs, Normal outside the named WINDOWS."""
+    tariffs = np.full(HALF_HOURS, NORMAL, dtype=np.int8)
+    for name in names:
+        code, first, last = WINDOWS[name]
+        tariffs[first - 1 : last] = code
+    return tariffs
 
 
 def build_tou_schedule(n_days, policy=None, seed=0):
@@ -203,10 +206,8 @@ def build_tou_schedule(n_days, policy=None, seed=0):
         if rng.random() >= policy.special_fraction:
             continue
         shape = policy.window_shapes[rng.integers(len(policy.window_shapes))]
-        if shape == "morning_low":
-            schedule[t, _window_cells(MORNING_LOW_WINDOW)] = LOW
-        elif shape == "evening_high":
-            schedule[t, _window_cells(EVENING_HIGH_WINDOW)] = HIGH
+        if shape in WINDOWS:
+            schedule[t] = window_tariffs([shape])
         else:
             code = LOW if rng.random() < 0.5 else HIGH
             length = int(rng.integers(4, 13))

@@ -14,7 +14,6 @@ import pytest
 from drsim import causality, cli, clustering, dataio, gamgen, metrics, neuralgen, synthdata
 from drsim.dataio import HIGH, LOW, NORMAL
 from drsim.splines import CenteredSplineBlock, CubicSplineBasis
-from drsim.synthdata import EVENING_HIGH_WINDOW, MORNING_LOW_WINDOW, _window_cells
 
 
 def _line(capsys, name, ok, detail):
@@ -230,11 +229,9 @@ def test_07_causality_recovers_planted_shifts(capsys):
 
     # contrast SE for iid noise: sigma * sqrt(1/n_special + 1/n_normal)
     worst_z = 0.0
-    for window, code, delta in (
-        (MORNING_LOW_WINDOW, LOW, 0.3),
-        (EVENING_HIGH_WINDOW, HIGH, -0.4),
-    ):
-        for h in _window_cells(window):
+    for name, delta in (("morning_low", 0.3), ("evening_high", -0.4)):
+        code = synthdata.WINDOWS[name][0]
+        for h in np.flatnonzero(synthdata.window_tariffs([name]) == code):
             n_s = int((tariff[:, h] == code).sum())
             n_n = int((tariff[:, h] == NORMAL).sum())
             se = 0.1 * np.sqrt(1.0 / n_s + 1.0 / n_n)
@@ -283,10 +280,8 @@ def test_08_gamgen_covariance_and_window_exactness(capsys):
     emp = np.corrcoef((samples - f) / s, rowvar=False)
     max_err = np.abs(emp - gen.corr).max()
 
-    window = np.zeros(48, dtype=bool)
-    window[_window_cells(MORNING_LOW_WINDOW)] = True
-    tar_low = np.full(48, NORMAL)
-    tar_low[window] = LOW
+    tar_low = synthdata.window_tariffs(["morning_low"])
+    window = tar_low == LOW
     f_low = gen.mean_profile(pop.tau[t], taubar[t], cal.kappa[t], cal.w[t], tar_low)
     f_norm = gen.mean_profile(pop.tau[t], taubar[t], cal.kappa[t], cal.w[t], np.full(48, NORMAL))
     diff = f_low - f_norm
@@ -331,10 +326,8 @@ def test_09_cvae_rebound_signs(capsys):
     )
     fit = neuralgen.train_cvae(kwh, x, part, config)
 
-    window = np.zeros(48, dtype=bool)
-    window[_window_cells(MORNING_LOW_WINDOW)] = True
-    tar_low = np.full(48, NORMAL)
-    tar_low[window] = LOW
+    tar_low = synthdata.window_tariffs(["morning_low"])
+    window = tar_low == LOW
     x_low = dataio.build_conditional_vector(np.zeros(3), 0.5, 1.0, tar_low)
     x_norm = dataio.build_conditional_vector(np.zeros(3), 0.5, 1.0, np.full(48, NORMAL))
     m_low = neuralgen.generate(fit, x_low, 400, seed=110).mean(axis=0)

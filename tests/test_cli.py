@@ -190,6 +190,20 @@ class TestStages:
         assert {p: p.stat().st_mtime_ns for p in kept} == kept
         assert {p.name: p.read_bytes() for p in run.iterdir()} == full
 
+    def test_evaluate_rewrites_a_report_that_does_not_read_back(self, full_run, tmp_path,
+                                                                capsys):
+        tmp, cfg = full_run
+        run = tmp_path / "run"
+        shutil.copytree(tmp / "run", run)
+        report = run / "report_cluster0.csv"
+        full = report.read_bytes()
+        report.write_bytes(full[:len(full) // 2])
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", str(cfg), "--out", str(run)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(report), str(run / "summary_cluster0.csv")]
+        assert report.read_bytes() == full
+
     def test_cached_stage_skips(self, full_run, capsys):
         _, cfg = full_run
         assert run_cli("ingest", "--config", str(cfg)) == 0
@@ -270,6 +284,22 @@ class TestCvae:
     def test_generate_writes_scored_ensembles(self, cvae_run):
         tmp, _ = cvae_run
         assert_samples_are_scored(tmp / "run", "cvae", 20)
+
+    def test_evaluate_rescores_a_report_of_other_generators(self, cvae_run, tmp_path, capsys):
+        tmp, cfg = cvae_run
+        run = tmp_path / "run"
+        shutil.copytree(tmp / "run", run)
+        reports = sorted(run.glob("report_cluster*.csv"))
+        both = [path.read_bytes() for path in reports]
+        for restrict, generators in (["--generator", "gam"], ["gam"]), ([], ["gam", "cvae"]):
+            capsys.readouterr()
+            assert run_cli("evaluate", "--config", str(cfg), "--out", str(run), *restrict) == 0
+            assert "nothing to do" not in capsys.readouterr().out
+            for path in reports:
+                assert metrics.read_report_csv(path).generators == generators
+        assert [path.read_bytes() for path in reports] == both
+        assert run_cli("evaluate", "--config", str(cfg), "--out", str(run)) == 0
+        assert "nothing to do" in capsys.readouterr().out
 
     def test_scenario_uses_cvae(self, cvae_run):
         tmp, _ = cvae_run
@@ -489,7 +519,9 @@ class TestCpuCount:
             assert run_at(cpus, "generate", "--config", str(cfg), "--out", str(run),
                           "--generator", "gam", "--force") == 2
             errors.append(capsys.readouterr().err.replace(str(run), "<run>"))
-            # error.log records the failure with its traceback, not a stage output
+            # error.log records the failure with its traceback, not a stage output;
+            # on two CPUs the traceback is the pool worker's, where _require raised
+            assert "in _require" in (run / "error.log").read_text()
             runs.append({p.name: p.read_bytes() for p in sorted(run.iterdir())
                          if p.name != "error.log"})
         assert errors[0] == errors[1]

@@ -217,6 +217,42 @@ class TestNmf:
             clustering.nmf_factorize(np.ones((2, 4)), r=r)
 
 
+def kmedoids_loop(points, k):
+    """kmedoids with SWAP as a double loop over (medoid, candidate) pairs: the
+    reference its whole-matrix SWAP must match bit for bit, ties included.
+    Returns (medoids, labels, cost)."""
+    dist = clustering.pairwise_distances(np.asarray(points, dtype=float))
+    n = len(dist)
+    medoids = [int(np.argmin(dist.sum(axis=1)))]
+    nearest = dist[:, medoids[0]].copy()
+    while len(medoids) < k:
+        gains = np.minimum(dist, nearest[:, None]).sum(axis=0)
+        gains[medoids] = np.inf
+        medoids.append(int(np.argmin(gains)))
+        nearest = np.minimum(nearest, dist[:, medoids[-1]])
+    medoids = sorted(medoids)
+    cost = dist[:, medoids].min(axis=1).sum()
+    while True:
+        best = (0.0, None, None)
+        for mi, m in enumerate(medoids):
+            others = [x for x in medoids if x != m]
+            base = dist[:, others].min(axis=1) if others else np.full(n, np.inf)
+            for cand in range(n):
+                if cand in medoids:
+                    continue
+                delta = np.minimum(base, dist[:, cand]).sum() - cost
+                if delta < best[0] - 1e-12:
+                    best = (delta, mi, cand)
+        if best[1] is None:
+            break
+        medoids[best[1]] = best[2]
+        medoids = sorted(medoids)
+        cost = dist[:, medoids].min(axis=1).sum()
+    medoids = np.array(medoids)
+    labels = clustering._assign(dist, medoids)
+    return medoids, labels, float(dist[np.arange(n), medoids[labels]].sum())
+
+
 class TestKmedoids:
     def test_two_obvious_clusters(self):
         points = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
@@ -281,6 +317,26 @@ class TestKmedoids:
         clustering.kmedoids(points, 3)
         assert len(built) == 1
         assert np.array_equal(built[0], cdist(points, points))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_swap_matches_the_double_loop_on_ties(self, seed):
+        # integer grids and repeated rows tie many swap costs exactly, so the
+        # first improving pair in (medoid, candidate) order decides
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(3, 61)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        if seed % 3 == 0:
+            points = rng.integers(0, 4, size=(n, d)).astype(float)
+        elif seed % 3 == 1:
+            distinct = rng.normal(size=(int(rng.integers(1, 9)), d))
+            points = distinct[rng.integers(0, len(distinct), size=n)]
+        else:
+            points = rng.normal(size=(n, d))
+        k = min(k, n, len(np.unique(points, axis=0)))
+        result = clustering.kmedoids(points, k)
+        medoids, labels, cost = kmedoids_loop(points, k)
+        np.testing.assert_array_equal(result.medoids, medoids)
+        np.testing.assert_array_equal(result.labels, labels)
+        assert result.cost == cost
 
     def test_too_few_distinct_rows_raises(self):
         points = np.array([[0.0], [0.0], [1.0]])

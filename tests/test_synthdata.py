@@ -12,7 +12,7 @@ from drsim.dataio import (
     CONSUMPTION_HEADER, HALF_HOURS, HIGH, LOW, NORMAL, TARIFF_NAMES, build_calendar,
     temperature_grid,
 )
-from drsim.synthdata import EVENING_HIGH_WINDOW, MORNING_LOW_WINDOW, TEMP_REF_C
+from drsim.synthdata import TEMP_REF_C
 
 
 class ZeroRng:
@@ -118,9 +118,15 @@ class TestTariffAdjustment:
 
 
 class TestSchedule:
-    def test_window_constants(self):
-        assert MORNING_LOW_WINDOW == (10, 19)
-        assert EVENING_HIGH_WINDOW == (40, 44)
+    def test_window_tariffs(self):
+        expected = np.full(48, NORMAL, dtype=np.int8)
+        expected[9:19] = LOW
+        expected[39:44] = HIGH
+        both = synthdata.window_tariffs(["morning_low", "evening_high"])
+        assert both.dtype == np.int8
+        np.testing.assert_array_equal(both, expected)
+        np.testing.assert_array_equal(synthdata.window_tariffs([]), np.full(48, NORMAL))
+        assert synthdata.WINDOW_SHAPES == ("morning_low", "evening_high", "random")
 
     def test_morning_low_cells(self):
         policy = synthdata.SchedulePolicy(special_fraction=1.0, window_shapes=("morning_low",))
